@@ -65,7 +65,7 @@ type LaneOutput = (Vec<AttackEvent>, FleetStats, u64);
 /// The parallel fleet engine: N independent fleets over victim shards,
 /// each living on a persistent pool worker.
 pub struct ShardedFleet {
-    pool: ShardPool<Routed<RequestBatch>, FleetLane, LaneOutput>,
+    pool: ShardPool<Routed<RequestBatch>, LaneOutput>,
     shards: usize,
 }
 

@@ -3,8 +3,8 @@
 //! two-pointer cascade the store used before the sorted-run layout —
 //! each new batch merged pairwise into the full accumulated column,
 //! which re-copies all previously ingested rows on every ingest and is
-//! what made large sweeps superlinear. The end-to-end ingest numbers
-//! live in `BENCH_pipeline.json`; these isolate the merge mechanism.
+//! what made large sweeps superlinear. The end-to-end numbers come from
+//! `dosbench` (see `BENCHMARK.json`); these isolate the merge mechanism.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dosscope_types::merge_sorted;

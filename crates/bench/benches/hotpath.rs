@@ -2,8 +2,8 @@
 //! bucketed time-wheel expiry vs the pre-overhaul full-table scan, the
 //! FxHash victim map vs the std SipHash default, and the fused
 //! single-pass classifier vs the layered reference path. The end-to-end
-//! numbers live in `BENCH_pipeline.json` (the `pipeline` binary); these
-//! isolate the individual mechanisms.
+//! numbers come from `dosbench` (see `BENCHMARK.json`); these isolate the
+//! individual mechanisms.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dosscope_telescope::flow::FlowTable;

@@ -13,7 +13,7 @@ use dosscope_types::{
 };
 
 /// The correlation results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointStats {
     /// Targets appearing in both data sets, regardless of timing (282 k in
     /// the paper).

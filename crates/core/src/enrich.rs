@@ -3,8 +3,8 @@
 
 use dosscope_geo::{AsDb, GeoDb};
 use dosscope_types::{Asn, AttackEvent, CountryCode, FastMap, Prefix16, Prefix24};
-use parking_lot::Mutex;
 use std::net::Ipv4Addr;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An event with its target metadata attached.
 #[derive(Debug, Clone)]
@@ -41,13 +41,19 @@ impl<'a> Enricher<'a> {
 
     /// Metadata for one address.
     pub fn lookup(&self, addr: Ipv4Addr) -> (CountryCode, Option<Asn>) {
-        if let Some(hit) = self.cache.lock().get(&addr) {
+        if let Some(hit) = self.cache().get(&addr) {
             return *hit;
         }
         let country = self.geo.country_of(addr).unwrap_or(CountryCode::UNKNOWN);
         let asn = self.asdb.asn_of(addr);
-        self.cache.lock().insert(addr, (country, asn));
+        self.cache().insert(addr, (country, asn));
         (country, asn)
+    }
+
+    /// The memo, recovered from poisoning: entries are inserted whole, so
+    /// a panic elsewhere never leaves a half-written one behind.
+    fn cache(&self) -> MutexGuard<'_, FastMap<Ipv4Addr, (CountryCode, Option<Asn>)>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enrich one event.

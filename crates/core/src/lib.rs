@@ -8,7 +8,11 @@
 //!
 //! The module layout follows the paper's analysis sections:
 //!
-//! * [`store`] — event ingestion and the Table 1 aggregates;
+//! * [`store`] — event ingestion and the Table 1 aggregates. It is also
+//!   the near-realtime fusion mode the paper's conclusion calls for:
+//!   batches arrive in any order, Table 1 summaries and common targets
+//!   stay current in O(1), and [`JointAnalysis::run`] gives the exact
+//!   joint count at any point;
 //! * [`enrich`] — geolocation and prefix-to-AS enrichment of targets;
 //! * [`timeseries`] — the daily activity series of Figures 1 and 5;
 //! * [`correlate`] — joint-attack correlation between the two event data
@@ -21,12 +25,6 @@
 //! * [`coverage`] — the Section 8 extension: fusing a third attack data
 //!   source (botnet C&C monitoring) and measuring the blind spot of the
 //!   two primary infrastructures;
-//! * [`streaming`] — the near-realtime fusion mode the paper's conclusion
-//!   calls for: incremental ingestion with always-current aggregates;
-//! * [`sharded`] — target-sharded variants of the store and the streaming
-//!   fusion whose per-shard accumulators merge into the exact serial
-//!   aggregates (the fusion end of the parallel pipeline; see DESIGN.md's
-//!   concurrency model);
 //! * [`report`] — typed table/figure structures with text rendering, one
 //!   per published table and figure.
 //!
@@ -43,16 +41,12 @@ pub mod enrich;
 pub mod mailimpact;
 pub mod migration;
 pub mod report;
-pub mod sharded;
 pub mod store;
-pub mod streaming;
 pub mod timeseries;
 pub mod webimpact;
 
 pub use correlate::{JointAnalysis, JointStats};
 pub use enrich::{EnrichedEvent, Enricher};
-pub use sharded::{route_events, ShardedEventStore, ShardedFusion};
-pub use streaming::{FusionState, StreamingFusion, StreamingSnapshot};
 pub use store::{EventStore, EventsIter, EventsView, SourceSummary};
 
 use dosscope_dns::{OrgCatalog, ZoneStore};

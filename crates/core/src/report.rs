@@ -27,7 +27,7 @@ pub fn fmt_count(n: u64) -> String {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Row label ("Network Telescope", ...).
     pub source: String,

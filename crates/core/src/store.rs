@@ -39,14 +39,8 @@
 //!   one is no larger, so total merge traffic is O(n log n) and the run
 //!   count stays logarithmic in the batch count;
 //! * reads *consolidate lazily*: the first query (or an ingest that
-//!   drives the run count past [`EventStore::set_run_threshold`])
-//!   k-way-merges `main` and all runs through a [`LoserTree`] — the same
-//!   primitive the sharded snapshot merge uses — and rebuilds the kind
-//!   index. Large consolidations split on start-time pivots across a
-//!   transient [`ShardPool`] when
-//!   [`EventStore::set_consolidation_threads`] allows; the output is
-//!   byte-identical for every thread count because the ranges cut the
-//!   unique stable-merge sequence at lower-bound boundaries.
+//!   drives the run count to `DEFAULT_RUN_THRESHOLD`) k-way-merges `main`
+//!   and all runs through a [`LoserTree`] and rebuilds the kind index.
 //!
 //! Every observable order is *still* exactly the old store's
 //! `extend + stable sort_by_key(start, target)`: runs are merged
@@ -68,17 +62,17 @@
 //! on the fly. Because consolidation happens on first read, the column
 //! state sits behind a [`RwLock`]; views hold a read guard for their
 //! lifetime (ingest takes `&mut self`, so a live view implies the store
-//! is already consolidated and quiescent).
+//! is already consolidated and quiescent). A poisoned lock is recovered
+//! (`PoisonError::into_inner`) rather than propagated.
 
 use dosscope_types::{
     AttackEvent, AttackVector, BitSet, EventSource, FastSet, Interner, LoserTree, PortSignature,
-    Prefix16, Prefix24, ReflectionProtocol, RunIndex, ShardPool, SimTime, TimeRange,
-    TransportProto,
+    Prefix16, Prefix24, ReflectionProtocol, RunIndex, SimTime, TimeRange, TransportProto,
 };
-use parking_lot::{RwLock, RwLockReadGuard};
 use std::borrow::Borrow;
 use std::net::Ipv4Addr;
 use std::ops::Deref;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of distinct `(vector kind)` codes: 4 transports × 3 port-signature
 /// classes for telescope floods, plus 8 reflection protocols.
@@ -87,21 +81,27 @@ pub(crate) const KINDS: usize = 12 + ReflectionProtocol::ALL.len();
 /// First kind code used by reflection vectors.
 pub(crate) const KIND_REFLECTION: u8 = 12;
 
-/// Default pending-run ceiling before an ingest forces consolidation.
-/// The binary-counter merge keeps the live run count logarithmic in the
-/// batch count, so this is a backstop for adversarial batch patterns,
-/// not the steady-state trigger (reads consolidate whatever is pending).
+/// Pending-run ceiling: an ingest that leaves this many runs
+/// consolidates immediately. The binary-counter merge keeps the live run
+/// count logarithmic in the batch count, so this is a backstop for
+/// adversarial batch patterns, not the steady-state trigger (reads
+/// consolidate whatever is pending).
 const DEFAULT_RUN_THRESHOLD: usize = 16;
 
-/// Owned inputs shipped to the parallel-consolidation pool: the blocks
-/// to merge, their resolved merge-key addresses, and the per-slab
-/// `(lo, hi)` ranges of every block.
-type MergeJob = (Vec<ColumnBlock>, Vec<Vec<u32>>, Vec<Vec<(usize, usize)>>);
+/// Shared access to one source's columns.
+fn read(lock: &RwLock<SourceCols>) -> RwLockReadGuard<'_, SourceCols> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
 
-/// Consolidations below this row count always run serially — the
-/// pivot-split fan-out costs a pool spin-up and a partial-block concat,
-/// which only pays for itself on large merges.
-const PARALLEL_CONSOLIDATE_FLOOR: usize = 1 << 16;
+/// Exclusive access to one source's columns.
+fn write(lock: &RwLock<SourceCols>) -> RwLockWriteGuard<'_, SourceCols> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exclusive access to one source's columns through `&mut`.
+fn get_mut(lock: &mut RwLock<SourceCols>) -> &mut SourceCols {
+    lock.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Flatten an [`AttackVector`] into its `(kind, aux)` column encoding.
 ///
@@ -143,7 +143,7 @@ pub(crate) fn decode_vector(kind: u8, aux: u32) -> AttackVector {
 
 /// Parallel column vectors holding rows sorted by `(start, victim)` —
 /// either a source's consolidated block or one pending sorted run.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct ColumnBlock {
     /// Interned victim id per row (resolve via the store's interner).
     pub(crate) victim: Vec<u32>,
@@ -214,19 +214,6 @@ impl ColumnBlock {
         self.sources.push(other.sources[i]);
     }
 
-    /// Append every row of `other` (already in order) onto `self`.
-    fn append_block(&mut self, other: &ColumnBlock) {
-        self.victim.extend_from_slice(&other.victim);
-        self.start.extend_from_slice(&other.start);
-        self.end.extend_from_slice(&other.end);
-        self.kind.extend_from_slice(&other.kind);
-        self.aux.extend_from_slice(&other.aux);
-        self.packets.extend_from_slice(&other.packets);
-        self.bytes.extend_from_slice(&other.bytes);
-        self.intensity.extend_from_slice(&other.intensity);
-        self.sources.extend_from_slice(&other.sources);
-    }
-
     fn reserve(&mut self, additional: usize) {
         self.victim.reserve(additional);
         self.start.reserve(additional);
@@ -260,7 +247,7 @@ fn last_key(block: &ColumnBlock, victims: &Interner<Ipv4Addr>) -> Option<(u64, u
 
 /// Per-source incremental aggregates, maintained at ingest so every
 /// Table 1 query is O(1) and never re-scans the columns.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct SourceStats {
     /// Distinct victims as bits over shared interned ids.
     victims: BitSet,
@@ -323,8 +310,6 @@ pub struct EventStore {
     hp: RwLock<SourceCols>,
     tele_stats: SourceStats,
     hp_stats: SourceStats,
-    run_threshold: usize,
-    consolidate_threads: usize,
 }
 
 impl Default for EventStore {
@@ -353,28 +338,12 @@ impl EventStore {
             }),
             tele_stats: SourceStats::default(),
             hp_stats: SourceStats::default(),
-            run_threshold: DEFAULT_RUN_THRESHOLD,
-            consolidate_threads: 1,
         }
-    }
-
-    /// Cap the pending-run count: an ingest that leaves more than
-    /// `threshold` runs consolidates immediately instead of lazily
-    /// (0/1 both mean "consolidate after every out-of-order batch").
-    pub fn set_run_threshold(&mut self, threshold: usize) {
-        self.run_threshold = threshold.max(1);
-    }
-
-    /// Let consolidations of at least ~64 k rows fan out over `threads`
-    /// pivot-split range merges (1 = always serial, the default). The
-    /// merged bytes are identical for every thread count.
-    pub fn set_consolidation_threads(&mut self, threads: usize) {
-        self.consolidate_threads = threads.max(1);
     }
 
     /// Number of pending (unconsolidated) sorted runs across sources.
     pub fn pending_runs(&self) -> usize {
-        self.tele.read().runs.len() + self.hp.read().runs.len()
+        read(&self.tele).runs.len() + read(&self.hp).runs.len()
     }
 
     /// Ingest the telescope detector's events (any order; run-appended).
@@ -389,19 +358,7 @@ impl EventStore {
         self.ingest_batch(EventSource::Honeypot, &events);
     }
 
-    /// Ingest from borrowed events without ever cloning an
-    /// [`AttackEvent`]: rows are encoded straight into the columns.
-    /// This is the sharded pipeline's zero-copy handoff.
-    pub fn ingest_refs<'a>(
-        &mut self,
-        source: EventSource,
-        events: impl Iterator<Item = &'a AttackEvent>,
-    ) {
-        let refs: Vec<&AttackEvent> = events.collect();
-        self.ingest_batch(source, &refs);
-    }
-
-    fn ingest_batch<E: Borrow<AttackEvent>>(&mut self, source: EventSource, events: &[E]) {
+    fn ingest_batch(&mut self, source: EventSource, events: &[AttackEvent]) {
         if events.is_empty() {
             return;
         }
@@ -415,10 +372,7 @@ impl EventStore {
         let mut keys: Vec<(u64, u32, u32)> = events
             .iter()
             .enumerate()
-            .map(|(i, e)| {
-                let e = e.borrow();
-                (e.when.start.0, u32::from(e.target), i as u32)
-            })
+            .map(|(i, e)| (e.when.start.0, u32::from(e.target), i as u32))
             .collect();
         if !keys.is_sorted() {
             keys.sort_unstable();
@@ -426,8 +380,8 @@ impl EventStore {
         let first = (keys[0].0, keys[0].1);
 
         let (cols, stats) = match source {
-            EventSource::Telescope => (self.tele.get_mut(), &mut self.tele_stats),
-            EventSource::Honeypot => (self.hp.get_mut(), &mut self.hp_stats),
+            EventSource::Telescope => (get_mut(&mut self.tele), &mut self.tele_stats),
+            EventSource::Honeypot => (get_mut(&mut self.hp), &mut self.hp_stats),
         };
 
         // Fast path: a batch that starts at or after the newest stored
@@ -442,7 +396,7 @@ impl EventStore {
                 let id = self.victims.intern(Ipv4Addr::from(addr));
                 stats.admit(addr, id);
                 let row = cols.main.len() as u32;
-                cols.main.push_event(events[i as usize].borrow(), id);
+                cols.main.push_event(&events[i as usize], id);
                 cols.index.push(cols.main.kind[row as usize], row);
             }
         } else {
@@ -458,7 +412,7 @@ impl EventStore {
             for &(_, addr, i) in &keys {
                 let id = self.victims.intern(Ipv4Addr::from(addr));
                 stats.admit(addr, id);
-                run.push_event(events[i as usize].borrow(), id);
+                run.push_event(&events[i as usize], id);
             }
             // Binary-counter run maintenance: merge the two newest runs
             // while the older is no larger. Every row is merged at most
@@ -471,15 +425,15 @@ impl EventStore {
                 let newer = cols.runs.pop().expect("len checked");
                 let older = cols.runs.pop().expect("len checked");
                 let parts = [&older, &newer];
-                cols.runs.push(Self::merge_blocks(&parts, &self.victims, 1));
+                cols.runs.push(Self::merge_blocks(&parts, &self.victims));
             }
-            if cols.runs.len() >= self.run_threshold {
-                Self::consolidate_cols(cols, &self.victims, self.consolidate_threads);
+            if cols.runs.len() >= DEFAULT_RUN_THRESHOLD {
+                Self::consolidate_cols(cols, &self.victims);
             }
         }
 
         dosscope_obs::gauge!("store.victims").set(self.victims.len() as u64);
-        let pending = self.tele.get_mut().runs.len() + self.hp.get_mut().runs.len();
+        let pending = get_mut(&mut self.tele).runs.len() + get_mut(&mut self.hp).runs.len();
         dosscope_obs::gauge!("store.runs").set(pending as u64);
     }
 
@@ -490,25 +444,16 @@ impl EventStore {
     /// are only handed out consolidated) and ingest requires `&mut
     /// self`, so the read-check below can never race a run append.
     fn ensure(&self, lock: &RwLock<SourceCols>) {
-        if lock.read().runs.is_empty() {
+        if read(lock).runs.is_empty() {
             return;
         }
-        let mut cols = lock.write();
+        let mut cols = write(lock);
         // Re-check under the write lock: another reader may have
         // consolidated between our read probe and the write acquire.
-        Self::consolidate_cols(&mut cols, &self.victims, self.consolidate_threads);
+        Self::consolidate_cols(&mut cols, &self.victims);
     }
 
-    /// Force both sources' pending runs into their consolidated blocks
-    /// (reads do this lazily; the bench calls it to time ingest
-    /// end-to-end, and the sharded store calls it per shard worker so
-    /// consolidation parallelizes before the snapshot merge).
-    pub fn consolidate(&self) {
-        self.ensure(&self.tele);
-        self.ensure(&self.hp);
-    }
-
-    fn consolidate_cols(cols: &mut SourceCols, victims: &Interner<Ipv4Addr>, threads: usize) {
+    fn consolidate_cols(cols: &mut SourceCols, victims: &Interner<Ipv4Addr>) {
         if cols.runs.is_empty() {
             return;
         }
@@ -524,7 +469,7 @@ impl EventStore {
                 .filter(|b| !b.is_empty())
                 .chain(cols.runs.iter())
                 .collect();
-            cols.main = Self::merge_blocks(&parts, victims, threads);
+            cols.main = Self::merge_blocks(&parts, victims);
             cols.runs.clear();
         }
         // The kind index only covers consolidated rows; rebuild it over
@@ -536,16 +481,12 @@ impl EventStore {
     }
 
     /// k-way merge sorted blocks (oldest first — ties resolve toward the
-    /// lower part index, i.e. earlier-ingested rows) into one block.
-    /// Victim ids are already final, so rows copy without re-interning.
-    fn merge_blocks(
-        parts: &[&ColumnBlock],
-        victims: &Interner<Ipv4Addr>,
-        threads: usize,
-    ) -> ColumnBlock {
-        // Resolve each part's merge keys once: workers (and the hot
-        // serial loop) compare plain (u64, u32) pairs, never the
-        // interner.
+    /// lower part index, i.e. earlier-ingested rows) into one block
+    /// through a [`LoserTree`]. Victim ids are already final, so rows
+    /// copy without re-interning.
+    fn merge_blocks(parts: &[&ColumnBlock], victims: &Interner<Ipv4Addr>) -> ColumnBlock {
+        // Resolve each part's merge keys once: the hot loop compares
+        // plain (u64, u32) pairs, never the interner.
         let addrs: Vec<Vec<u32>> = parts
             .iter()
             .map(|b| {
@@ -555,114 +496,24 @@ impl EventStore {
                     .collect()
             })
             .collect();
-        let total: usize = parts.iter().map(|b| b.len()).sum();
-        if threads > 1 && total >= PARALLEL_CONSOLIDATE_FLOOR {
-            Self::merge_blocks_parallel(parts, &addrs, threads)
-        } else {
-            let ranges: Vec<(usize, usize)> = parts.iter().map(|b| (0, b.len())).collect();
-            Self::merge_range(parts, &addrs, &ranges, total)
-        }
-    }
-
-    /// Merge one aligned key range of every part via the loser tree.
-    fn merge_range(
-        parts: &[&ColumnBlock],
-        addrs: &[Vec<u32>],
-        ranges: &[(usize, usize)],
-        total: usize,
-    ) -> ColumnBlock {
         let mut out = ColumnBlock::default();
-        out.reserve(total);
-        let mut cursors: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
+        out.reserve(parts.iter().map(|b| b.len()).sum());
+        let mut cursors = vec![0usize; parts.len()];
         let heads: Vec<Option<(u64, u32)>> = parts
             .iter()
-            .zip(ranges)
             .enumerate()
-            .map(|(k, (b, &(lo, hi)))| (lo < hi).then(|| (b.start[lo], addrs[k][lo])))
+            .map(|(k, b)| (!b.is_empty()).then(|| (b.start[0], addrs[k][0])))
             .collect();
         let mut tree = LoserTree::new(heads);
         while let Some(k) = tree.winner() {
             let i = cursors[k];
             out.push_from(parts[k], i, parts[k].victim[i]);
             cursors[k] += 1;
-            let next = (cursors[k] < ranges[k].1)
+            let next = (cursors[k] < parts[k].len())
                 .then(|| (parts[k].start[cursors[k]], addrs[k][cursors[k]]));
             tree.replace(k, next);
         }
         out
-    }
-
-    /// Pivot-split parallel consolidation: cut the key space at sampled
-    /// start-time pivots, merge each slab on a transient [`ShardPool`]
-    /// worker, concatenate in pivot order. Every cut is a lower bound
-    /// (`key < pivot` goes left), so equal keys stay in one slab and the
-    /// concatenation reproduces the serial stable merge byte-for-byte
-    /// regardless of thread count.
-    fn merge_blocks_parallel(
-        parts: &[&ColumnBlock],
-        addrs: &[Vec<u32>],
-        threads: usize,
-    ) -> ColumnBlock {
-        let total: usize = parts.iter().map(|b| b.len()).sum();
-        let slabs = threads.min(total.max(1));
-        // Sample pivots from the largest part — the best single proxy
-        // for the merged key distribution.
-        let largest = (0..parts.len())
-            .max_by_key(|&k| parts[k].len())
-            .expect("parts is non-empty");
-        let pivots: Vec<(u64, u32)> = (1..slabs)
-            .map(|j| {
-                let i = j * parts[largest].len() / slabs;
-                (parts[largest].start[i], addrs[largest][i])
-            })
-            .collect();
-        // Per part: slab boundaries via lower-bound partition points.
-        let ranges: Vec<Vec<(usize, usize)>> = (0..slabs)
-            .map(|s| {
-                parts
-                    .iter()
-                    .enumerate()
-                    .map(|(k, b)| {
-                        let lo = match s {
-                            0 => 0,
-                            _ => lower_bound(b, &addrs[k], pivots[s - 1]),
-                        };
-                        let hi = match pivots.get(s) {
-                            Some(&p) => lower_bound(b, &addrs[k], p),
-                            None => b.len(),
-                        };
-                        (lo, hi)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Ship owned copies of the inputs to the 'static pool workers.
-        // (Clones are column memcpys; the alternative — scoped borrows —
-        // is not something the long-lived ShardPool can express.)
-        let owned: Vec<ColumnBlock> = parts.iter().map(|&b| b.clone()).collect();
-        let job: MergeJob = (owned, addrs.to_vec(), ranges);
-        let mut pool: ShardPool<MergeJob, ColumnBlock, ColumnBlock> = ShardPool::new(
-            "consolidate",
-            slabs,
-            slabs,
-            1,
-            |_| ColumnBlock::default(),
-            |out, slab, _slabs, job: &MergeJob| {
-                let (parts, addrs, ranges) = job;
-                let refs: Vec<&ColumnBlock> = parts.iter().collect();
-                let span: usize = ranges[slab].iter().map(|&(lo, hi)| hi - lo).sum();
-                *out = EventStore::merge_range(&refs, addrs, &ranges[slab], span);
-            },
-            |out| out,
-        );
-        pool.dispatch(job).expect("fresh pool accepts work");
-        let partials = pool.shutdown().expect("fresh pool shuts down once");
-        let mut merged = ColumnBlock::default();
-        merged.reserve(total);
-        for part in &partials {
-            merged.append_block(part);
-        }
-        merged
     }
 
     /// Telescope events, sorted by start (consolidates pending runs).
@@ -679,7 +530,7 @@ impl EventStore {
         self.ensure(lock);
         EventsView {
             lock,
-            cols: lock.read(),
+            cols: read(lock),
             victims: &self.victims,
         }
     }
@@ -699,7 +550,7 @@ impl EventStore {
 
     /// Total event count (pending runs included).
     pub fn len(&self) -> usize {
-        self.tele.read().len() + self.hp.read().len()
+        read(&self.tele).len() + read(&self.hp).len()
     }
 
     /// True when nothing was ingested.
@@ -737,7 +588,7 @@ impl EventStore {
             EventSource::Honeypot => (&self.hp, &self.hp_stats),
         };
         SourceSummary {
-            events: lock.read().len() as u64,
+            events: read(lock).len() as u64,
             targets: stats.victims.len() as u64,
             blocks24: stats.blocks24.len() as u64,
             blocks16: stats.blocks16.len() as u64,
@@ -817,8 +668,8 @@ impl EventStore {
     /// (consolidated and pending runs), interner, indexes and aggregate
     /// bitsets. This is the "peak working set" the scale sweep records.
     pub fn memory_bytes(&self) -> usize {
-        self.tele.read().memory_bytes()
-            + self.hp.read().memory_bytes()
+        read(&self.tele).memory_bytes()
+            + read(&self.hp).memory_bytes()
             + self.victims.memory_bytes()
             + self.tele_stats.victims.memory_bytes()
             + self.tele_stats.blocks24.memory_bytes()
@@ -826,62 +677,6 @@ impl EventStore {
             + self.hp_stats.victims.memory_bytes()
             + self.hp_stats.blocks24.memory_bytes()
             + self.hp_stats.blocks16.memory_bytes()
-    }
-
-    /// Merge per-shard stores into one canonical store by a loser-tree
-    /// walk over the shards' consolidated column blocks — no event
-    /// struct is decoded or cloned on the way.
-    ///
-    /// Rows are taken in ascending `(start, victim)` order. Equal keys
-    /// can never sit in different shards (a victim belongs to exactly
-    /// one shard), so the merge is deterministic for *any* shard
-    /// enumeration order and reproduces the serial store exactly.
-    pub(crate) fn merge_shards(shards: &[EventStore]) -> EventStore {
-        let mut out = EventStore::new();
-        out.absorb(shards, EventSource::Telescope);
-        out.absorb(shards, EventSource::Honeypot);
-        out
-    }
-
-    fn absorb(&mut self, shards: &[EventStore], source: EventSource) {
-        // `block` consolidates each shard before the walk, so the merge
-        // sees exactly one sorted block per shard.
-        let parts: Vec<BlockRef<'_>> = shards.iter().map(|s| s.block(source)).collect();
-        let addrs: Vec<Vec<u32>> = shards
-            .iter()
-            .zip(&parts)
-            .map(|(s, b)| {
-                b.victim
-                    .iter()
-                    .map(|&id| u32::from(s.victims.resolve(id)))
-                    .collect()
-            })
-            .collect();
-        let total: usize = parts.iter().map(|b| b.len()).sum();
-        let (cols, stats) = match source {
-            EventSource::Telescope => (self.tele.get_mut(), &mut self.tele_stats),
-            EventSource::Honeypot => (self.hp.get_mut(), &mut self.hp_stats),
-        };
-        cols.main.reserve(total);
-        let mut cursors = vec![0usize; parts.len()];
-        let heads: Vec<Option<(u64, u32)>> = parts
-            .iter()
-            .enumerate()
-            .map(|(k, b)| (!b.is_empty()).then(|| (b.start[0], addrs[k][0])))
-            .collect();
-        let mut tree = LoserTree::new(heads);
-        while let Some(k) = tree.winner() {
-            let i = cursors[k];
-            cursors[k] += 1;
-            let addr = addrs[k][i];
-            let id = self.victims.intern(Ipv4Addr::from(addr));
-            stats.admit(addr, id);
-            cols.index.push(parts[k].kind[i], cols.main.len() as u32);
-            cols.main.push_from(&parts[k], i, id);
-            let next = (cursors[k] < parts[k].len())
-                .then(|| (parts[k].start[cursors[k]], addrs[k][cursors[k]]));
-            tree.replace(k, next);
-        }
     }
 
     /// The consolidated column block of one source (crate-internal scan
@@ -892,7 +687,7 @@ impl EventStore {
             EventSource::Honeypot => &self.hp,
         };
         self.ensure(lock);
-        BlockRef(lock.read())
+        BlockRef(read(lock))
     }
 
     /// The kind-predicate index of one source (consolidates first — the
@@ -903,7 +698,7 @@ impl EventStore {
             EventSource::Honeypot => &self.hp,
         };
         self.ensure(lock);
-        IndexRef(lock.read())
+        IndexRef(read(lock))
     }
 
     /// The shared victim interner.
@@ -940,8 +735,8 @@ impl Deref for IndexRef<'_> {
 /// and iteration hand back values, not references, so call sites that
 /// previously iterated `&[AttackEvent]` keep working with at most a
 /// dropped `&`/`.cloned()`. Equality against other views and against
-/// event slices compares decoded rows, which keeps the serial-vs-sharded
-/// equivalence assertions byte-for-byte meaningful.
+/// event slices compares decoded rows, which keeps the store-equivalence
+/// assertions byte-for-byte meaningful.
 ///
 /// A view pins the source consolidated: it holds a read guard on the
 /// column state (cloning a view re-acquires a guard), and ingest takes
@@ -956,7 +751,7 @@ impl Clone for EventsView<'_> {
     fn clone(&self) -> Self {
         EventsView {
             lock: self.lock,
-            cols: self.lock.read(),
+            cols: read(self.lock),
             victims: self.victims,
         }
     }
@@ -1077,22 +872,6 @@ impl std::fmt::Debug for EventsView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
-}
-
-/// Lower bound of `pivot` in `block`'s `(start, addr)` key sequence:
-/// the first row whose key is `>= pivot`.
-fn lower_bound(block: &ColumnBlock, addrs: &[u32], pivot: (u64, u32)) -> usize {
-    let mut lo = 0usize;
-    let mut hi = block.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if (block.start[mid], addrs[mid]) < pivot {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -1253,18 +1032,25 @@ mod tests {
 
     #[test]
     fn run_threshold_forces_consolidation_at_ingest() {
+        // Batches of strictly shrinking size, each older than the last:
+        // the binary counter never merges them, so only the ceiling
+        // keeps the run stack bounded.
         let mut s = EventStore::new();
-        s.set_run_threshold(1);
-        s.ingest_telescope(vec![tele("10.0.0.1", 1000)]);
-        s.ingest_telescope(vec![tele("10.0.0.1", 500)]);
-        assert_eq!(s.pending_runs(), 0, "threshold 1 consolidates every batch");
-        assert_eq!(s.telescope().len(), 2);
+        s.ingest_telescope(vec![tele("10.0.0.1", 100_000)]);
+        let mut start = 100_000u64;
+        for size in (1..=DEFAULT_RUN_THRESHOLD as u64 + 4).rev() {
+            start -= size;
+            s.ingest_telescope((0..size).map(|i| tele("10.0.0.2", start + i)).collect());
+            assert!(s.pending_runs() < DEFAULT_RUN_THRESHOLD, "ceiling consolidates at ingest");
+        }
+        assert!(s.summary(EventSource::Telescope).events > DEFAULT_RUN_THRESHOLD as u64);
+        let starts: Vec<u64> = s.telescope().iter().map(|e| e.when.start.0).collect();
+        assert!(starts.is_sorted());
     }
 
     #[test]
     fn binary_counter_keeps_run_count_logarithmic() {
         let mut s = EventStore::new();
-        s.set_run_threshold(usize::MAX >> 1);
         // 64 adversarial single-event batches in strictly reverse time
         // order: every batch opens a run, the counter keeps only
         // O(log n) of them alive.
@@ -1278,32 +1064,6 @@ mod tests {
         );
         let starts: Vec<u64> = s.telescope().iter().map(|e| e.when.start.0).collect();
         assert_eq!(starts, (10..74).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn parallel_consolidation_matches_serial() {
-        // Enough rows to cross the parallel floor, interleaved so the
-        // merge actually interleaves its inputs.
-        let n = (PARALLEL_CONSOLIDATE_FLOOR / 2) as u64 + 7;
-        let evens: Vec<AttackEvent> = (0..n)
-            .map(|i| tele(&format!("10.{}.{}.1", i % 40, i % 9), 2 * i))
-            .collect();
-        let odds: Vec<AttackEvent> = (0..n)
-            .map(|i| tele(&format!("10.{}.{}.2", i % 17, i % 13), 2 * i + 1))
-            .collect();
-        let build = |threads: usize| {
-            let mut s = EventStore::new();
-            s.set_consolidation_threads(threads);
-            s.ingest_telescope(evens.clone());
-            s.ingest_telescope(odds.clone());
-            s.consolidate();
-            s
-        };
-        let serial = build(1);
-        for threads in [2, 3, 8] {
-            let par = build(threads);
-            assert_eq!(par.telescope(), serial.telescope(), "{threads} threads");
-        }
     }
 
     #[test]

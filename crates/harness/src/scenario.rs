@@ -2,9 +2,9 @@
 //! day-by-day rendering, and measurement.
 //!
 //! The rendering and the detection run as a two-stage pipeline over a
-//! bounded channel (crossbeam scope): one thread renders day `d+1` while
-//! the main thread feeds day `d` into the detectors — the same
-//! overlap a real capture/processing deployment has.
+//! bounded channel (`std::thread::scope` + `sync_channel`): one thread
+//! renders day `d+1` while the main thread feeds day `d` into the
+//! detectors — the same overlap a real capture/processing deployment has.
 
 use dosscope_amppot::{AmpPotFleet, RequestBatch, ShardedFleet};
 use dosscope_attackgen::config::Calibration;
@@ -17,6 +17,7 @@ use dosscope_telescope::{
     PacketBatch, RsdosDetector, RsdosPlugin, ShardedRsdos, Telescope, TelescopePlugin,
 };
 use dosscope_types::DayIndex;
+use std::sync::mpsc::sync_channel;
 
 /// Scenario parameters. `scale` divides every paper-scale quantity; the
 /// default (2000) runs the full 731-day window in seconds of CPU time.
@@ -213,11 +214,11 @@ fn drive_pipelines(
     }
     let detector = RsdosDetector::with_defaults(telescope);
     let mut plugin = RsdosPlugin::new(detector);
-    let (tx, rx) = crossbeam::channel::bounded::<(Vec<PacketBatch>, Vec<RequestBatch>)>(4);
+    let (tx, rx) = sync_channel::<(Vec<PacketBatch>, Vec<RequestBatch>)>(4);
     let mut interval: Option<u64> = None;
 
-    crossbeam::scope(|s| {
-        s.spawn(move |_| {
+    std::thread::scope(|s| {
+        s.spawn(move || {
             for d in 0..days {
                 let _render = dosscope_obs::span!("stage.render");
                 let day = DayIndex(d);
@@ -246,8 +247,7 @@ fn drive_pipelines(
                 fleet.ingest(b);
             }
         }
-    })
-    .expect("pipeline threads never panic");
+    });
 
     let _fuse = dosscope_obs::span!("stage.fuse");
     plugin.finish();
@@ -283,10 +283,10 @@ fn drive_pipelines_sharded(
     let mut rsdos = ShardedRsdos::with_defaults(telescope, threads);
     let mut fleet = ShardedFleet::standard(threads);
     type DayRouted = (Routed<PacketBatch>, Routed<RequestBatch>);
-    let (tx, rx) = crossbeam::channel::bounded::<DayRouted>(4);
+    let (tx, rx) = sync_channel::<DayRouted>(4);
 
-    crossbeam::scope(|s| {
-        s.spawn(move |_| {
+    std::thread::scope(|s| {
+        s.spawn(move || {
             for d in 0..days {
                 let day = DayIndex(d);
                 let rendered = {
@@ -306,8 +306,7 @@ fn drive_pipelines_sharded(
             rsdos.ingest_routed(tele_routed);
             fleet.ingest_routed(hp_routed);
         }
-    })
-    .expect("pipeline threads never panic");
+    });
 
     let _fuse = dosscope_obs::span!("stage.fuse");
     let (tele_events, tele_stats, _peak) = rsdos.finish();

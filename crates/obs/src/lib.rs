@@ -23,7 +23,7 @@
 //!
 //! Dot-separated, lowercase, coarse-to-fine: `<subsystem>.<noun>` for
 //! engine counters (`telescope.events`, `fleet.requests`,
-//! `fusion.events`), `pool.<name>.w<k>.<field>` for per-worker pool
+//! `store.rows`), `pool.<name>.w<k>.<field>` for per-worker pool
 //! gauges, and `stage.<stage>` / `report.<step>` for spans. Span names
 //! form a hierarchy on `.` boundaries used by the snapshot rollup.
 
@@ -105,9 +105,20 @@ pub mod testing {
     /// global metric values) must go through this so such tests are
     /// serialized within a test binary.
     pub fn scoped_enable() -> ScopedTelemetry {
+        scoped(true)
+    }
+
+    /// [`scoped_enable`]'s counterpart for tests that rely on collection
+    /// being off: it holds the same lock, so no enabling test can switch
+    /// collection on while the caller runs.
+    pub fn scoped_disable() -> ScopedTelemetry {
+        scoped(false)
+    }
+
+    fn scoped(on: bool) -> ScopedTelemetry {
         let lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let prior = enabled();
-        set_enabled(true);
+        set_enabled(on);
         reset();
         ScopedTelemetry { _lock: lock, prior }
     }

@@ -198,13 +198,11 @@ impl Telemetry {
         for (pool, (top, workers)) in pools {
             let get = |f: &Fields, k: &str| f.get(k).copied().unwrap_or(0);
             rows.push(format!(
-                "  {} ({} workers, {} shards)  dispatches {}  barriers {}  barrier-wait {}",
+                "  {} ({} workers, {} shards)  dispatches {}",
                 pool,
                 get(&top, "workers"),
                 get(&top, "shards"),
                 get(&top, "dispatches"),
-                get(&top, "barriers"),
-                fmt_ns(get(&top, "barrier_wait_us") * 1_000),
             ));
             for (idx, f) in workers {
                 rows.push(format!(

@@ -96,7 +96,7 @@ impl RsdosDetector {
     }
 
     /// Number of currently live (unexpired) flows — the flow table's
-    /// working-set size, sampled by the pipeline benchmark.
+    /// working-set size, sampled for the `telescope.peak_live_flows` gauge.
     pub fn live_flows(&self) -> usize {
         self.flows.len()
     }
@@ -147,7 +147,7 @@ impl RsdosDetector {
 
     /// `advance` through the reference full-scan sweep
     /// ([`FlowTable::sweep_scan`]); finalizes the identical flow set. Kept
-    /// for the pipeline benchmark's pre-wheel baseline lane.
+    /// as the reference the wheel-equivalence property test runs against.
     pub fn advance_scan(&mut self, now: SimTime) {
         for flow in self.flows.sweep_scan(now) {
             self.finalize(flow);

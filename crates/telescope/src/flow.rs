@@ -282,7 +282,7 @@ impl FlowTable {
 
     /// The pre-wheel full-table sweep, kept as the reference
     /// implementation: scans every live flow. Used by the equivalence
-    /// property test and the pipeline benchmark's baseline lane; `sweep`
+    /// property test and the `hotpath` bench; `sweep`
     /// returns exactly the same flow set, in the same victim order.
     pub fn sweep_scan(&mut self, now: SimTime) -> Vec<Flow> {
         let timeout = self.timeout_secs;

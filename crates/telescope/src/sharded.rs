@@ -92,7 +92,7 @@ type LaneOutput = (Vec<AttackEvent>, DetectorStats, u64);
 /// The parallel RSDoS engine: N independent detectors over victim shards,
 /// each living on a persistent pool worker.
 pub struct ShardedRsdos {
-    pool: ShardPool<Routed<PacketBatch>, ShardLane, LaneOutput>,
+    pool: ShardPool<Routed<PacketBatch>, LaneOutput>,
     shards: usize,
 }
 

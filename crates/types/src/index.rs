@@ -272,8 +272,7 @@ mod tests {
     }
 
     /// Merging per-shard sets into a snapshot must not depend on the
-    /// order the shards are visited — the sharded store's snapshot merge
-    /// relies on this.
+    /// order the shards are visited.
     #[test]
     fn snapshot_merge_deterministic_across_shard_orders() {
         let shard_bits: [&[u32]; 4] = [

@@ -1,16 +1,36 @@
 //! Near-realtime fusion — the paper's concluding challenge: "a significant
 //! challenge is enabling near-realtime data fusion, extraction,
-//! correlation and visualization". Feed detector events in arrival order
-//! into the incremental [`StreamingFusion`] engine and print a monthly
-//! situational-awareness snapshot as the two-year window unfolds.
+//! correlation and visualization". Feed each day's detector events into
+//! an [`EventStore`] as they arrive and print a monthly
+//! situational-awareness row as the two-year window unfolds. Table 1 and
+//! the common targets are ingest-time aggregates; the joint count is the
+//! exact [`JointAnalysis`] over everything ingested so far.
 //!
 //! ```sh
 //! cargo run --release --example streaming_fusion
 //! ```
 
-use dosscope_core::streaming::StreamingFusion;
+use dosscope_core::report::Table1;
+use dosscope_core::{Enricher, EventStore, Framework, JointAnalysis};
 use dosscope_harness::{Scenario, ScenarioConfig};
 use dosscope_types::AttackEvent;
+
+/// One row: Table 1's combined events, targets, /24s and ASNs, then the
+/// common and joint targets.
+fn row(label: &str, store: &EventStore, world: &dosscope_harness::World) -> String {
+    let fw = Framework::new(store, &world.geo, &world.asdb, world.days);
+    let combined = &Table1::build(&fw).rows[2];
+    let joint = JointAnalysis::run(store, &Enricher::new(&world.geo, &world.asdb));
+    format!(
+        "{label:>5} | {:>6} {:>8} {:>5} {:>5} {:>7} {:>6}",
+        combined.summary.events,
+        combined.summary.targets,
+        combined.summary.blocks24,
+        combined.asns,
+        store.common_targets(),
+        joint.joint_targets,
+    )
+}
 
 fn main() {
     let config = ScenarioConfig {
@@ -19,43 +39,28 @@ fn main() {
     };
     let world = Scenario::run(&config);
 
-    // Merge both sources into arrival order, as live detectors would
-    // deliver them.
-    let mut stream: Vec<AttackEvent> = world
-        .store
-        .telescope()
-        .iter()
-        .chain(world.store.honeypot())
-        .collect();
-    stream.sort_by_key(|e| e.when.start);
+    // Replay the detectors' output day by day, as live detectors would
+    // deliver it.
+    let mut tele: Vec<Vec<AttackEvent>> = vec![Vec::new(); world.days as usize];
+    let mut hp: Vec<Vec<AttackEvent>> = vec![Vec::new(); world.days as usize];
+    for e in world.store.telescope() {
+        tele[e.when.start.day().0 as usize].push(e);
+    }
+    for e in world.store.honeypot() {
+        hp[e.when.start.day().0 as usize].push(e);
+    }
 
-    let mut fusion = StreamingFusion::new(&world.geo, &world.asdb, world.days);
-    let mut next_report = 30u32;
-    println!("day   | events  targets  /24s  common  joint  ASNs");
-    for e in &stream {
-        fusion.push(e);
-        let day = e.when.start.day().0;
-        if day >= next_report {
-            let s = fusion.snapshot();
-            println!(
-                "{:>5} | {:>6} {:>8} {:>5} {:>7} {:>6} {:>5}",
-                next_report,
-                s.combined_events,
-                s.combined_targets,
-                s.telescope.blocks24 + s.honeypot.blocks24,
-                s.common_targets,
-                s.joint_targets,
-                s.asns,
-            );
-            next_report += 90;
+    let mut live = EventStore::new();
+    println!("  day | events  targets  /24s  ASNs  common  joint");
+    for (day, (t, h)) in tele.into_iter().zip(hp).enumerate() {
+        live.ingest_telescope(t);
+        live.ingest_honeypot(h);
+        if (day + 1) % 30 == 0 {
+            println!("{}", row(&(day + 1).to_string(), &live, &world));
         }
     }
-    let s = fusion.snapshot();
-    println!(
-        "final | {:>6} {:>8}   -   {:>7} {:>6} {:>5}",
-        s.combined_events, s.combined_targets, s.common_targets, s.joint_targets, s.asns
-    );
-    println!(
-        "\n(identical to the batch analysis — see tests/end_to_end.rs::streaming_fusion_matches_batch)"
-    );
+    let last = row("final", &live, &world);
+    let batch = row("batch", &world.store, &world);
+    println!("{last}\n{batch}");
+    assert_eq!(last[5..], batch[5..], "incremental ingest matches the batch store");
 }

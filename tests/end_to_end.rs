@@ -3,9 +3,10 @@
 //! report — at a reduced scale.
 
 use dosscope_core::report::{Table1, Table2, Table3, Table4, Table5, Table6, Table7, Table8};
-use dosscope_core::{Enricher, JointAnalysis};
+use dosscope_core::{Enricher, EventStore, EventsView, Framework, JointAnalysis};
 use dosscope_harness::{Scenario, ScenarioConfig};
-use dosscope_types::{EventSource, SECS_PER_DAY};
+use dosscope_types::{AttackEvent, EventSource, SECS_PER_DAY};
+use std::collections::BTreeMap;
 
 fn world() -> dosscope_harness::World {
     Scenario::run(&ScenarioConfig::test_small())
@@ -177,34 +178,49 @@ fn shape_metrics_are_scale_invariant() {
 }
 
 #[test]
-fn streaming_fusion_matches_batch() {
-    // The near-realtime mode must agree with the batch analysis when fed
-    // the same events in arrival order.
+fn incremental_store_matches_batch() {
+    // Near-realtime fusion is incremental store ingest: the world's events
+    // fed as per-day batches — in start order, then with the batch order
+    // reversed — must land on exactly the batch store's views, Table 1
+    // and joint correlation.
     let world = world();
-    let mut streaming =
-        dosscope_core::streaming::StreamingFusion::new(&world.geo, &world.asdb, world.days);
-    let mut all: Vec<dosscope_types::AttackEvent> = world
-        .store
-        .telescope()
-        .iter()
-        .chain(world.store.honeypot())
-        .collect();
-    all.sort_by_key(|e| e.when.start);
-    for e in &all {
-        streaming.push(e);
+    let by_day = |events: EventsView<'_>| {
+        let mut days: BTreeMap<u32, Vec<AttackEvent>> = BTreeMap::new();
+        for e in events {
+            days.entry(e.when.start.day().0).or_default().push(e);
+        }
+        days
+    };
+    let tele = by_day(world.store.telescope());
+    let hp = by_day(world.store.honeypot());
+    let mut days: Vec<u32> = tele.keys().chain(hp.keys()).copied().collect();
+    days.sort_unstable();
+    days.dedup();
+
+    let enricher = Enricher::new(&world.geo, &world.asdb);
+    let want_t1 = Table1::build(&world.framework());
+    let want_joint = JointAnalysis::run(&world.store, &enricher);
+    for reversed in [false, true] {
+        let mut store = EventStore::new();
+        let order: Vec<u32> = match reversed {
+            false => days.clone(),
+            true => days.iter().rev().copied().collect(),
+        };
+        for d in order {
+            store.ingest_telescope(tele.get(&d).cloned().unwrap_or_default());
+            store.ingest_honeypot(hp.get(&d).cloned().unwrap_or_default());
+        }
+        assert!(store.telescope() == world.store.telescope(), "telescope, reversed={reversed}");
+        assert!(store.honeypot() == world.store.honeypot(), "honeypot, reversed={reversed}");
+        for source in [EventSource::Telescope, EventSource::Honeypot] {
+            assert_eq!(store.summary(source), world.store.summary(source), "{source:?}");
+        }
+        assert_eq!(store.summary_combined(), world.store.summary_combined());
+        assert_eq!(store.common_targets(), world.store.common_targets());
+        let fw = Framework::new(&store, &world.geo, &world.asdb, world.days);
+        assert_eq!(Table1::build(&fw).rows, want_t1.rows, "Table 1, reversed={reversed}");
+        assert_eq!(JointAnalysis::run(&store, &enricher), want_joint, "reversed={reversed}");
     }
-    let snap = streaming.snapshot();
-    let batch_t = world.store.summary(EventSource::Telescope);
-    let batch_h = world.store.summary(EventSource::Honeypot);
-    assert_eq!(snap.telescope, batch_t);
-    assert_eq!(snap.honeypot, batch_h);
-    assert_eq!(snap.combined_events, batch_t.events + batch_h.events);
-    assert_eq!(snap.common_targets, world.store.common_targets());
-    // The live joint correlation agrees with the batch sweep.
-    let fw = world.framework();
-    let enricher = Enricher::new(fw.geo, fw.asdb);
-    let joint = JointAnalysis::run(fw.store, &enricher);
-    assert_eq!(snap.joint_targets, joint.joint_targets);
 }
 
 #[test]

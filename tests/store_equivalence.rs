@@ -6,16 +6,14 @@
 //! `(start, target)` — and every analysis the repo runs over the store is
 //! recomputed here from the raw rows with the most naive algorithm that
 //! is obviously correct. Property tests then drive both stores with
-//! arbitrary event sets (random seeds × shard counts) and assert that
-//! fusion outputs, Table aggregates and per-victim histories agree
-//! exactly; deterministic edge cases (empty store, single event,
-//! one-victim pileups, duplicate timestamps) pin the boundaries.
+//! arbitrary event sets (random seeds × batch splits × batch orders) and
+//! assert that fusion outputs, Table aggregates and per-victim histories
+//! agree exactly; deterministic edge cases (empty store, single event,
+//! one-victim pileups, duplicate timestamps) and adversarial ingest
+//! orderings pin the boundaries.
 
 use dosscope_core::report::{Table1, Table5, Table6, Table7};
-use dosscope_core::streaming::StreamingFusion;
-use dosscope_core::{
-    Enricher, EventStore, Framework, JointAnalysis, ShardedEventStore, SourceSummary,
-};
+use dosscope_core::{Enricher, EventStore, Framework, JointAnalysis, SourceSummary};
 use dosscope_geo::{AsDb, GeoDb};
 use dosscope_types::{
     AttackEvent, AttackVector, EventSource, FastSet, PortSignature, Prefix16, Prefix24,
@@ -371,21 +369,6 @@ fn assert_equivalent(rows: &RowStore, store: &EventStore) {
         .count() as u64;
     assert_eq!(t7.single, single);
     assert_eq!(t7.multi, rows.telescope.len() as u64 - single);
-
-    // Fusion outputs: the streaming engine fed from the *row* store must
-    // land on the columnar store's aggregates.
-    let mut all: Vec<&AttackEvent> =
-        rows.telescope.iter().chain(rows.honeypot.iter()).collect();
-    all.sort_by_key(|e| e.when.start);
-    let mut fusion = StreamingFusion::new(&geo, &asdb, 731);
-    for e in all {
-        fusion.push(e);
-    }
-    let snap = fusion.snapshot();
-    assert_eq!(snap.telescope, store.summary(EventSource::Telescope));
-    assert_eq!(snap.honeypot, store.summary(EventSource::Honeypot));
-    assert_eq!(snap.common_targets, store.common_targets());
-    assert_eq!(snap.combined_targets, store.summary_combined().targets);
 }
 
 fn build_both(
@@ -393,15 +376,26 @@ fn build_both(
     hp: Vec<AttackEvent>,
     batches: usize,
 ) -> (RowStore, EventStore) {
+    build_rotated(tele, hp, batches, 0)
+}
+
+/// [`build_both`] with the batch sequence rotated left by `rotate`, so any
+/// batch can arrive first.
+fn build_rotated(
+    tele: Vec<AttackEvent>,
+    hp: Vec<AttackEvent>,
+    batches: usize,
+    rotate: usize,
+) -> (RowStore, EventStore) {
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
     // Split each source into `batches` interleaved chunks so multi-ingest
-    // merge paths (append fast path and two-pointer merge) are exercised,
-    // not just the single sorted bulk load.
+    // paths (append fast path, sorted runs and k-way consolidation) are
+    // exercised, not just the single sorted bulk load.
     let chunk = |v: &[AttackEvent], k: usize| -> Vec<AttackEvent> {
         v.iter().skip(k).step_by(batches).cloned().collect()
     };
-    for k in 0..batches {
+    for k in (0..batches).map(|k| (k + rotate) % batches) {
         rows.ingest_telescope(chunk(&tele, k));
         store.ingest_telescope(chunk(&tele, k));
         rows.ingest_honeypot(chunk(&hp, k));
@@ -411,29 +405,20 @@ fn build_both(
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: arbitrary event sets × batch splits × shard counts.
+// Property tests: arbitrary event sets × batch splits × batch orders.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn columnar_store_matches_row_store(raw in raw_stream(), batches in 1usize..4) {
+    fn columnar_store_matches_row_store(
+        raw in raw_stream(),
+        batches in 1usize..9,
+        rotate in 0usize..8,
+    ) {
         let (tele, hp) = split(raw.into_iter().map(build_event).collect());
-        let (rows, store) = build_both(tele, hp, batches);
-        assert_equivalent(&rows, &store);
-    }
-
-    #[test]
-    fn sharded_store_matches_row_store(raw in raw_stream(), shards in 1usize..9) {
-        let (tele, hp) = split(raw.into_iter().map(build_event).collect());
-        let mut rows = RowStore::default();
-        rows.ingest_telescope(tele.clone());
-        rows.ingest_honeypot(hp.clone());
-        let mut sharded = ShardedEventStore::new(shards);
-        sharded.ingest_telescope(tele);
-        sharded.ingest_honeypot(hp);
-        let store = sharded.into_store();
+        let (rows, store) = build_rotated(tele, hp, batches, rotate);
         assert_equivalent(&rows, &store);
     }
 }
@@ -526,7 +511,7 @@ fn duplicate_timestamps_are_equivalent() {
 // ---------------------------------------------------------------------------
 // Adversarial ingest orderings for the sorted-run layout: batch sequences
 // chosen to defeat the in-order fast path so every read goes through the
-// k-way consolidation, serial and sharded.
+// k-way consolidation.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -553,27 +538,29 @@ fn reverse_time_batches_are_equivalent() {
 
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
-    let mut sharded = ShardedEventStore::new(3);
     for b in (0..6u64).rev() {
         let (tele, hp) = batch(b);
         rows.ingest_telescope(tele.clone());
-        store.ingest_telescope(tele.clone());
-        sharded.ingest_telescope(tele);
+        store.ingest_telescope(tele);
         rows.ingest_honeypot(hp.clone());
-        store.ingest_honeypot(hp.clone());
-        sharded.ingest_honeypot(hp);
+        store.ingest_honeypot(hp);
     }
     assert!(store.pending_runs() > 0, "reverse batches must stack runs");
     assert_equivalent(&rows, &store);
-    assert_equivalent(&rows, &sharded.into_store());
+}
+
+/// Read both sources, which consolidates every pending run.
+fn read_both(store: &EventStore) {
+    let _ = (store.telescope().len(), store.honeypot().len());
+    assert_eq!(store.pending_runs(), 0, "a read consolidates");
 }
 
 #[test]
-fn sharded_duplicate_timestamp_batches_are_equivalent() {
+fn interleaved_duplicate_timestamp_batches_are_equivalent() {
     // Duplicate (start, target) keys split across interleaved batches: the
     // run tie-break (older run wins) must reproduce the row store's stable
-    // sort even when consolidation is forced after every ingest
-    // (run_threshold 1) and events are routed across shards.
+    // sort both when a read consolidates after every ingest and when the
+    // runs stay pending until the final read.
     let mut tele = Vec::new();
     let mut hp = Vec::new();
     for i in 0..24u64 {
@@ -581,19 +568,21 @@ fn sharded_duplicate_timestamp_batches_are_equivalent() {
         tele.push(tele_at(&ip, 1000, 2000 + i));
         hp.push(hp_at(&ip, 1000, 3000 + i));
     }
-    for threshold in [1usize, 16] {
+    for read_every_batch in [true, false] {
         let mut rows = RowStore::default();
-        let mut sharded = ShardedEventStore::new(3);
-        sharded.set_run_threshold(threshold);
+        let mut store = EventStore::new();
         for k in 0..3 {
             let tc: Vec<AttackEvent> = tele.iter().skip(k).step_by(3).cloned().collect();
             let hc: Vec<AttackEvent> = hp.iter().skip(k).step_by(3).cloned().collect();
             rows.ingest_telescope(tc.clone());
-            sharded.ingest_telescope(tc);
+            store.ingest_telescope(tc);
             rows.ingest_honeypot(hc.clone());
-            sharded.ingest_honeypot(hc);
+            store.ingest_honeypot(hc);
+            if read_every_batch {
+                read_both(&store);
+            }
         }
-        assert_equivalent(&rows, &sharded.into_store());
+        assert_equivalent(&rows, &store);
     }
 }
 
@@ -615,30 +604,26 @@ fn single_event_batches_are_equivalent() {
         .collect();
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
-    let mut sharded = ShardedEventStore::new(4);
     for e in &events {
         match e.source() {
             EventSource::Telescope => {
                 rows.ingest_telescope(vec![e.clone()]);
                 store.ingest_telescope(vec![e.clone()]);
-                sharded.ingest_telescope(vec![e.clone()]);
             }
             EventSource::Honeypot => {
                 rows.ingest_honeypot(vec![e.clone()]);
                 store.ingest_honeypot(vec![e.clone()]);
-                sharded.ingest_honeypot(vec![e.clone()]);
             }
         }
     }
     assert_equivalent(&rows, &store);
-    assert_equivalent(&rows, &sharded.into_store());
 }
 
 #[test]
-fn run_threshold_matrix_is_equivalent() {
-    // Every consolidation cadence — from "collapse after every
-    // out-of-order batch" (threshold 1) through the lazy default — must be
-    // observationally identical, serial and sharded.
+fn read_cadence_matrix_is_equivalent() {
+    // Every consolidation cadence — a read after every batch, every 2nd,
+    // every 5th, or none until the final comparison — must be
+    // observationally identical.
     let (tele, hp) = split(
         (0..150u64)
             .map(|i| {
@@ -652,54 +637,24 @@ fn run_threshold_matrix_is_equivalent() {
             })
             .collect(),
     );
-    for threshold in [1usize, 2, 5, 16] {
+    const BATCHES: usize = 10;
+    for read_every in [Some(1usize), Some(2), Some(5), None] {
         let mut rows = RowStore::default();
         let mut store = EventStore::new();
-        store.set_run_threshold(threshold);
-        let mut sharded = ShardedEventStore::new(3);
-        sharded.set_run_threshold(threshold);
-        for k in 0..4 {
-            let tc: Vec<AttackEvent> = tele.iter().skip(k).step_by(4).cloned().collect();
-            let hc: Vec<AttackEvent> = hp.iter().skip(k).step_by(4).cloned().collect();
+        for k in 0..BATCHES {
+            let tc: Vec<AttackEvent> = tele.iter().skip(k).step_by(BATCHES).cloned().collect();
+            let hc: Vec<AttackEvent> = hp.iter().skip(k).step_by(BATCHES).cloned().collect();
             rows.ingest_telescope(tc.clone());
-            store.ingest_telescope(tc.clone());
-            sharded.ingest_telescope(tc);
+            store.ingest_telescope(tc);
             rows.ingest_honeypot(hc.clone());
-            store.ingest_honeypot(hc.clone());
-            sharded.ingest_honeypot(hc);
+            store.ingest_honeypot(hc);
+            if read_every.is_some_and(|n| (k + 1) % n == 0) {
+                read_both(&store);
+            }
+        }
+        if read_every.is_none() {
+            assert!(store.pending_runs() > 0, "unread batches stay as runs");
         }
         assert_equivalent(&rows, &store);
-        assert_equivalent(&rows, &sharded.into_store());
-    }
-}
-
-#[test]
-fn parallel_consolidation_is_deterministic_across_thread_counts() {
-    // Enough rows to cross the parallel-consolidation floor (1 << 16),
-    // ingested as two interleaved out-of-order halves so the read-side
-    // consolidation has multiple runs to k-way merge. The pivot-split
-    // parallel merge must be byte-identical to the serial one for any
-    // thread count.
-    let total = 70_000u64;
-    let mk = |i: u64| {
-        let ip = format!("10.{}.{}.{}", i % 13, (i / 13) % 251, 1 + i % 3);
-        let start = (total - i) * 7;
-        tele_at(&ip, start, start + 900)
-    };
-    let evens: Vec<AttackEvent> = (0..total).step_by(2).map(mk).collect();
-    let odds: Vec<AttackEvent> = (1..total).step_by(2).map(mk).collect();
-    let build = |threads: usize| -> EventStore {
-        let mut s = EventStore::new();
-        s.set_consolidation_threads(threads);
-        s.ingest_telescope(evens.clone());
-        s.ingest_telescope(odds.clone());
-        s
-    };
-    let base = build(1);
-    let base_view = base.telescope();
-    for threads in [2usize, 8] {
-        let s = build(threads);
-        assert!(s.telescope() == base_view, "threads={threads} diverged");
-        assert_eq!(s.summary_combined(), base.summary_combined());
     }
 }
