@@ -30,6 +30,12 @@ echo "==> telemetry smoke (repro --smoke --telemetry --threads 8 + validator)"
     --telemetry-out "$telemetry_out" > /dev/null
 ./target/release/repro --validate-telemetry "$telemetry_out"
 
+echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000)"
+# Both run the Web and mail/NS joins end to end on a generated world and
+# fail on a panic.
+cargo run --release --locked -q -p dosscope-harness --example web_impact > /dev/null
+cargo run --release --locked -q -p dosscope-harness --example mail_infrastructure > /dev/null
+
 echo "==> lint: no bare println!/eprintln! in library crates"
 # Library code reports through dosscope-obs (leveled logger, counters,
 # spans) — never straight to stdio. Binaries (src/bin/) and tests are

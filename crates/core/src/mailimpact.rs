@@ -11,8 +11,9 @@
 //! on the DNS itself".
 
 use crate::Framework;
-use dosscope_types::{DayIndex, TimeSeries};
-use std::collections::{HashMap, HashSet};
+use dosscope_dns::{OrgCatalog, OrgId, ZoneStore};
+use dosscope_types::{BitSet, DayIndex, FastSet, TimeSeries};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Impact on one class of shared infrastructure (mail or DNS).
@@ -41,32 +42,33 @@ pub struct InfrastructureImpact {
 impl InfrastructureImpact {
     /// Run the infrastructure join. Returns `None` when the framework has
     /// no DNS data attached.
+    ///
+    /// Every event on one organisation's MX (NS) addresses on one day
+    /// affects the same domains, so each (organisation, day) pair is
+    /// expanded once and its domain count weighted by the pair's events.
     pub fn analyze(fw: &Framework<'_>) -> Option<InfrastructureImpact> {
         let zone = fw.zone?;
         let catalog = fw.catalog?;
         let days = fw.days;
 
-        let mut mail = Accum::new(days);
-        let mut dns = Accum::new(days);
-
+        let mut mail = Accum::default();
+        let mut dns = Accum::default();
         for e in fw.store.all() {
             let day = e.when.start.day();
             if day.0 >= days {
                 continue;
             }
             if let Some(org) = zone.mail_org_at(e.target) {
-                let domains = zone.domains_of_org(org, day);
-                mail.record(e.target, day, &domains, &catalog.get(org).name);
+                mail.record(e.target, org, day);
             }
             if let Some(org) = zone.ns_org_at(e.target) {
-                let domains = zone.domains_of_org(org, day);
-                dns.record(e.target, day, &domains, &catalog.get(org).name);
+                dns.record(e.target, org, day);
             }
         }
 
         Some(InfrastructureImpact {
-            mail: mail.finish(),
-            dns: dns.finish(),
+            mail: mail.finish(zone, catalog, days),
+            dns: dns.finish(zone, catalog, days),
         })
     }
 
@@ -89,54 +91,48 @@ impl InfrastructureImpact {
     }
 }
 
+/// One infrastructure class's events, grouped by (organisation, day)
+/// when finished.
+#[derive(Default)]
 struct Accum {
-    events: u64,
-    ips: HashSet<Ipv4Addr>,
-    affected: HashSet<u32>,
-    daily: TimeSeries,
-    per_org: HashMap<String, HashSet<u32>>,
+    ips: FastSet<Ipv4Addr>,
+    org_days: Vec<(OrgId, DayIndex)>,
 }
 
 impl Accum {
-    fn new(days: u32) -> Accum {
-        Accum {
-            events: 0,
-            ips: HashSet::new(),
-            affected: HashSet::new(),
-            daily: TimeSeries::zeros(days),
-            per_org: HashMap::new(),
-        }
-    }
-
-    fn record(
-        &mut self,
-        target: Ipv4Addr,
-        day: DayIndex,
-        domains: &[dosscope_dns::DomainId],
-        org: &str,
-    ) {
-        self.events += 1;
+    fn record(&mut self, target: Ipv4Addr, org: OrgId, day: DayIndex) {
         self.ips.insert(target);
-        self.daily.add(day, domains.len() as f64);
-        let org_set = self.per_org.entry(org.to_string()).or_default();
-        for d in domains {
-            self.affected.insert(d.0);
-            org_set.insert(d.0);
-        }
+        self.org_days.push((org, day));
     }
 
-    fn finish(self) -> InfraImpact {
-        let mut top_orgs: Vec<(String, u64)> = self
-            .per_org
+    fn finish(mut self, zone: &ZoneStore, catalog: &OrgCatalog, days: u32) -> InfraImpact {
+        self.org_days.sort_unstable();
+        let mut daily = TimeSeries::zeros(days);
+        let mut affected = BitSet::new();
+        // Tallied per organisation name: organisations sharing a name
+        // share a tally.
+        let mut per_org: BTreeMap<&str, BitSet> = BTreeMap::new();
+        for group in self.org_days.chunk_by(|a, b| a == b) {
+            let (org, day) = group[0];
+            let domains = zone.domains_of_org(org, day);
+            // Domain counts are summed per event, not per distinct domain.
+            daily.add(day, (group.len() * domains.len()) as f64);
+            let org_set = per_org.entry(&catalog.get(org).name).or_default();
+            for d in domains {
+                affected.insert(d.0);
+                org_set.insert(d.0);
+            }
+        }
+        let mut top_orgs: Vec<(String, u64)> = per_org
             .into_iter()
-            .map(|(k, v)| (k, v.len() as u64))
+            .map(|(name, set)| (name.to_string(), set.len() as u64))
             .collect();
         top_orgs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         InfraImpact {
-            events: self.events,
+            events: self.org_days.len() as u64,
             targeted_ips: self.ips.len() as u64,
-            affected_domains: self.affected.len() as u64,
-            daily_domains: self.daily,
+            affected_domains: affected.len() as u64,
+            daily_domains: daily,
             top_orgs,
         }
     }
@@ -146,11 +142,10 @@ impl Accum {
 mod tests {
     use super::*;
     use crate::EventStore;
-    use dosscope_dns::{DayRange, OrgCatalog, OrgInfra, OrgRole, Placement, Tld, ZoneStore};
+    use dosscope_dns::{DayRange, OrgInfra, OrgRole, Placement, Tld};
     use dosscope_geo::{AsDb, GeoDb};
     use dosscope_types::{
-        AttackEvent, AttackVector, PortSignature, SimTime, TimeRange, TransportProto,
-        SECS_PER_DAY,
+        AttackEvent, AttackVector, PortSignature, SimTime, TimeRange, TransportProto, SECS_PER_DAY,
     };
 
     fn tele(ip: &str, day: u64) -> AttackEvent {
@@ -264,6 +259,56 @@ mod tests {
         let text = impact.render();
         assert!(text.contains("MailHost"));
         assert!(text.contains("5 domains"));
+    }
+
+    #[test]
+    fn repeated_events_weight_daily_domains_per_event() {
+        let w = world();
+        let mut store = EventStore::new();
+        store.ingest_telescope(vec![
+            tele("10.9.9.9", 3),
+            tele("10.9.9.9", 3),
+            tele("10.9.9.9", 4),
+        ]);
+        let fw = Framework::new(&store, &w.geo, &w.asdb, 30).with_dns(&w.zone, &w.catalog);
+        let impact = InfrastructureImpact::analyze(&fw).unwrap();
+        assert_eq!(impact.mail.events, 3);
+        assert_eq!(impact.mail.targeted_ips, 1);
+        assert_eq!(
+            impact.mail.daily_domains.get(DayIndex(3)),
+            10.0,
+            "two events x five domains"
+        );
+        assert_eq!(impact.mail.daily_domains.get(DayIndex(4)), 5.0);
+        assert_eq!(impact.mail.affected_domains, 5);
+        assert_eq!(impact.mail.top_orgs, vec![("MailHost".to_string(), 5)]);
+    }
+
+    #[test]
+    fn orgs_sharing_a_name_share_a_tally() {
+        let mut w = world();
+        let twin = w.catalog.add("MailHost", None, OrgRole::Hoster, false);
+        let d = w
+            .zone
+            .add_domain(Tld::Org, DayRange::new(DayIndex(0), DayIndex(30)));
+        w.zone.place(Placement {
+            domain: d,
+            ip: "10.0.2.1".parse().unwrap(),
+            days: DayRange::new(DayIndex(0), DayIndex(30)),
+            ns: twin,
+            cname: None,
+        });
+        w.zone.register_infra(OrgInfra {
+            org: twin,
+            mx_ips: vec!["10.9.9.11".parse().unwrap()],
+            ns_ips: Vec::new(),
+        });
+        let mut store = EventStore::new();
+        store.ingest_telescope(vec![tele("10.9.9.9", 3), tele("10.9.9.11", 3)]);
+        let fw = Framework::new(&store, &w.geo, &w.asdb, 30).with_dns(&w.zone, &w.catalog);
+        let impact = InfrastructureImpact::analyze(&fw).unwrap();
+        assert_eq!(impact.mail.affected_domains, 6);
+        assert_eq!(impact.mail.top_orgs, vec![("MailHost".to_string(), 6)]);
     }
 
     #[test]

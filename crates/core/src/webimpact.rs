@@ -7,9 +7,22 @@
 //! sites on attacked IPs per day), the "isolating Web targets" protocol
 //! shifts, and the per-site attack records that Section 6's migration
 //! analyses consume.
+//!
+//! Two results depend on event order, and both use the order of
+//! [`EventStore::all`](crate::EventStore::all) (every telescope event,
+//! then every honeypot event, each source sorted by start):
+//!
+//! * Figure 6 and [`WebImpact::biggest_cohost`] take each attacked IP's
+//!   site count on the day of its *first event in `all()` order*. That is
+//!   not always the IP's earliest attack day: an IP attacked by a
+//!   honeypot event on day 2 and a telescope event on day 8 is counted
+//!   with its day-8 sites.
+//! * [`SiteAttackRecord::best_intensity_day`] is the day of the first
+//!   event in `all()` order that reaches the site's maximum normalized
+//!   intensity.
 
 use crate::Framework;
-use dosscope_dns::DomainId;
+use dosscope_dns::{DomainId, Tld};
 use dosscope_types::{
     AttackEvent, DayIndex, EventSource, FastMap, FastSet, LogHistogram, PortSignature,
     ReflectionProtocol, TimeSeries, TransportProto,
@@ -27,11 +40,17 @@ pub struct SiteAttackRecord {
     /// Highest normalized intensity over associated attacks (see
     /// [`IntensityNormalizer`]).
     pub best_norm_intensity: f64,
-    /// Day of that most intense attack.
+    /// Day of that most intense attack: the first associated event in
+    /// [`EventStore::all`](crate::EventStore::all) order that reaches
+    /// `best_norm_intensity`. Normalization is per source and clamps to
+    /// 1.0, so a telescope and a honeypot attack can tie at 1.0 on
+    /// different days; the telescope attack then wins even when the
+    /// honeypot attack came first in time.
     pub best_intensity_day: DayIndex,
     /// Day of an associated honeypot attack lasting ≥ 4 h, if any
     /// (Figure 11's duration class; telescope durations are excluded
-    /// because successful attacks suppress backscatter).
+    /// because successful attacks suppress backscatter). The first such
+    /// attack in `all()` order.
     pub long4h_day: Option<DayIndex>,
 }
 
@@ -125,27 +144,68 @@ pub struct WebImpact {
 impl WebImpact {
     /// Run the Web-association join. Returns `None` when the framework has
     /// no DNS data attached.
+    ///
+    /// Every event on one IP on one day hits the same sites, so the join
+    /// walks the IP's placements once per distinct (IP, day) and applies
+    /// that group's events to each site together. Per-site state lives in
+    /// arrays indexed by [`DomainId`]; events keep their position in
+    /// `all()` so the order-dependent results (see the module docs) come
+    /// out as if the events were applied one by one in that order.
     pub fn analyze(fw: &Framework<'_>) -> Option<WebImpact> {
         let zone = fw.zone?;
         let days = fw.days;
+        assert!(
+            days < u32::from(u16::MAX),
+            "the Web join stamps days as u16; a {days}-day window is too long"
+        );
         let normalizer = IntensityNormalizer::fit(fw.store);
         let tele_cutoff = crate::timeseries::mean_intensity(fw.store.telescope().iter());
         let hp_cutoff = crate::timeseries::mean_intensity(fw.store.honeypot().iter());
 
-        let mut daily: Vec<FastSet<u32>> = vec![FastSet::default(); days as usize];
-        let mut daily_medium: Vec<FastSet<u32>> = vec![FastSet::default(); days as usize];
-        let mut affected: FastSet<u32> = FastSet::default();
-        let mut records: FastMap<DomainId, SiteAttackRecord> = FastMap::default();
-        let mut target_ips: FastSet<Ipv4Addr> = FastSet::default();
-        let mut web_ips: FastSet<Ipv4Addr> = FastSet::default();
-        let mut first_seen_ip: FastMap<Ipv4Addr, usize> = FastMap::default();
+        // The in-window events as small records. IPs are interned in
+        // first-seen order, so the record that interns an IP is its first
+        // event in `all()` order.
+        let mut ip_index: FastMap<Ipv4Addr, u32> = FastMap::default();
+        let mut ips: Vec<Ipv4Addr> = Vec::new();
+        let mut hits: Vec<Hit> = Vec::new();
+        for (pos, e) in fw.store.all().enumerate() {
+            let day = e.when.start.day();
+            if day.0 >= days {
+                continue;
+            }
+            let mut flags = Hit::flags(&e, tele_cutoff, hp_cutoff);
+            let ip = *ip_index.entry(e.target).or_insert_with(|| {
+                flags |= Hit::FIRST;
+                ips.push(e.target);
+                ips.len() as u32 - 1
+            });
+            hits.push(Hit {
+                norm: normalizer.normalize(&e),
+                day: day.0,
+                ip,
+                pos: u32::try_from(pos).expect("fewer than 2^32 events"),
+                flags,
+            });
+        }
+        hits.sort_unstable_by_key(|h| (h.day, h.ip, h.pos));
+
+        // Per-domain state: the last day (+1, so 0 is "never") each site
+        // was counted in the daily and medium series, and the slot of its
+        // record in `accs` (touched sites only).
+        let n_domains = zone.domain_count();
+        let mut counted_day = vec![0u16; n_domains];
+        let mut counted_medium_day = vec![0u16; n_domains];
+        let mut slot = vec![NONE; n_domains];
+        let mut accs: Vec<SiteAcc> = Vec::new();
+
+        let mut daily_sites = TimeSeries::zeros(days);
+        let mut daily_sites_medium = TimeSeries::zeros(days);
+        let mut is_web_ip = vec![false; ips.len()];
+        let mut web_ip_count = 0u64;
         let mut cohosting = LogHistogram::new(7);
-        let mut cohosting_by_tld = [
-            (dosscope_dns::Tld::Com, LogHistogram::new(7)),
-            (dosscope_dns::Tld::Net, LogHistogram::new(7)),
-            (dosscope_dns::Tld::Org, LogHistogram::new(7)),
-        ];
+        let mut cohosting_by_tld = Tld::ALL.map(|tld| (tld, LogHistogram::new(7)));
         let mut biggest_cohost: Option<(Ipv4Addr, u64)> = None;
+        let mut biggest_ip = u32::MAX;
 
         // Protocol-shift counters over events on Web-hosting IPs.
         let mut tele_web_events = 0u64;
@@ -155,107 +215,118 @@ impl WebImpact {
         let mut hp_web_events = 0u64;
         let mut hp_web_ntp = 0u64;
 
-        for e in fw.store.all() {
-            let day = e.when.start.day();
-            if day.0 >= days {
-                continue;
+        for group in hits.chunk_by(|a, b| a.day == b.day && a.ip == b.ip) {
+            let (day, ip) = (group[0].day, group[0].ip);
+            // Sorted by position, so an IP's first event leads its group.
+            let first = group[0].flags & Hit::FIRST != 0;
+            let medium = group.iter().any(|h| h.flags & Hit::MEDIUM != 0);
+            // Strict `>` keeps the first event reaching the maximum.
+            let best = group
+                .iter()
+                .fold(&group[0], |b, h| if h.norm > b.norm { h } else { b });
+            let long4h_pos = group
+                .iter()
+                .find(|h| h.flags & Hit::LONG4H != 0)
+                .map_or(NONE, |h| h.pos);
+            // What the group adds to each of its sites' records.
+            let add = SiteAcc {
+                domain: 0,
+                count: group.len() as u32,
+                first_day: day,
+                best_norm: best.norm,
+                best_day: day,
+                best_pos: best.pos,
+                long4h_day: day,
+                long4h_pos,
+            };
+            let stamp = day as u16 + 1;
+
+            let mut n_sites = 0u64;
+            let mut n_new_daily = 0u32;
+            let mut n_new_medium = 0u32;
+            let mut by_tld = [0u64; 3];
+            for p in zone.placements_on_ip(ips[ip as usize], DayIndex(day)) {
+                let d = p.domain.0 as usize;
+                n_sites += 1;
+                if first {
+                    // `Tld` discriminants follow `Tld::ALL`.
+                    by_tld[zone.tld_of(p.domain) as usize] += 1;
+                }
+                if counted_day[d] != stamp {
+                    counted_day[d] = stamp;
+                    n_new_daily += 1;
+                }
+                if medium && counted_medium_day[d] != stamp {
+                    counted_medium_day[d] = stamp;
+                    n_new_medium += 1;
+                }
+                match slot[d] {
+                    NONE => {
+                        slot[d] = accs.len() as u32;
+                        accs.push(SiteAcc {
+                            domain: p.domain.0,
+                            ..add
+                        });
+                    }
+                    s => accs[s as usize].absorb(&add),
+                }
             }
-            target_ips.insert(e.target);
-            let sites = zone.domains_on_ip(e.target, day);
+            daily_sites.add(DayIndex(day), f64::from(n_new_daily));
+            daily_sites_medium.add(DayIndex(day), f64::from(n_new_medium));
 
             // Figure 6: each target IP contributes once, with its site
-            // count at the time of its first observed attack.
-            if let std::collections::hash_map::Entry::Vacant(slot) = first_seen_ip.entry(e.target) {
-                slot.insert(sites.len());
-                cohosting.push(sites.len() as u64);
-                for (tld, hist) in cohosting_by_tld.iter_mut() {
-                    let n = sites.iter().filter(|d| zone.tld_of(**d) == *tld).count();
-                    hist.push(n as u64);
+            // count on the day of its first event; ties for the biggest
+            // group go to the IP seen first.
+            if first {
+                cohosting.push(n_sites);
+                for ((_, hist), n) in cohosting_by_tld.iter_mut().zip(by_tld) {
+                    hist.push(n);
                 }
-                if sites.len() as u64 > biggest_cohost.map_or(0, |(_, n)| n) {
-                    biggest_cohost = Some((e.target, sites.len() as u64));
+                let biggest = biggest_cohost.map_or(0, |(_, n)| n);
+                if n_sites > biggest || (n_sites > 0 && n_sites == biggest && ip < biggest_ip) {
+                    biggest_cohost = Some((ips[ip as usize], n_sites));
+                    biggest_ip = ip;
                 }
             }
-            if sites.is_empty() {
+            if n_sites == 0 {
                 continue;
             }
-            web_ips.insert(e.target);
+            if !is_web_ip[ip as usize] {
+                is_web_ip[ip as usize] = true;
+                web_ip_count += 1;
+            }
 
             // Protocol shifts for Web targets.
-            match e.source() {
-                EventSource::Telescope => {
-                    tele_web_events += 1;
-                    if e.transport_proto() == Some(TransportProto::Tcp) {
-                        tele_web_tcp += 1;
-                        if let Some(PortSignature::Single(p)) = e.port_signature() {
-                            tele_web_tcp_single += 1;
-                            if dosscope_types::service::is_web_port(p) {
-                                tele_web_tcp_single_webport += 1;
-                            }
-                        }
-                    }
-                }
-                EventSource::Honeypot => {
-                    hp_web_events += 1;
-                    if e.reflection_protocol() == Some(ReflectionProtocol::Ntp) {
-                        hp_web_ntp += 1;
-                    }
-                }
-            }
-
-            let medium = match e.source() {
-                EventSource::Telescope => e.intensity_pps >= tele_cutoff,
-                EventSource::Honeypot => e.intensity_pps >= hp_cutoff,
-            };
-            let norm = normalizer.normalize(&e);
-            let long4h = e.source() == EventSource::Honeypot
-                && e.duration_secs() >= 4 * dosscope_types::SECS_PER_HOUR;
-
-            for site in sites {
-                daily[day.0 as usize].insert(site.0);
-                if medium {
-                    daily_medium[day.0 as usize].insert(site.0);
-                }
-                affected.insert(site.0);
-                let rec = records.entry(site).or_insert(SiteAttackRecord {
-                    count: 0,
-                    first_attack_day: day,
-                    best_norm_intensity: -1.0,
-                    best_intensity_day: day,
-                    long4h_day: None,
-                });
-                rec.count += 1;
-                rec.first_attack_day = rec.first_attack_day.min(day);
-                if norm > rec.best_norm_intensity {
-                    rec.best_norm_intensity = norm;
-                    rec.best_intensity_day = day;
-                }
-                if long4h && rec.long4h_day.is_none() {
-                    rec.long4h_day = Some(day);
-                }
-            }
+            let count = |flag: u8| group.iter().filter(|h| h.flags & flag != 0).count() as u64;
+            let honeypot = count(Hit::HONEYPOT);
+            tele_web_events += group.len() as u64 - honeypot;
+            tele_web_tcp += count(Hit::TCP);
+            tele_web_tcp_single += count(Hit::TCP_SINGLE);
+            tele_web_tcp_single_webport += count(Hit::WEB_PORT);
+            hp_web_events += honeypot;
+            hp_web_ntp += count(Hit::NTP);
         }
+        // Free the per-domain arrays before the map is built: lower peak.
+        drop((counted_day, counted_medium_day, slot));
 
-        let to_series = |sets: Vec<FastSet<u32>>| {
-            let mut ts = TimeSeries::zeros(days);
-            for (i, s) in sets.into_iter().enumerate() {
-                ts.set(DayIndex(i as u32), s.len() as f64);
-            }
-            ts
-        };
+        // `collect` sizes the map once from the exact length.
+        let site_records: FastMap<DomainId, SiteAttackRecord> = accs
+            .iter()
+            .map(|a| (DomainId(a.domain), a.record()))
+            .collect();
         let share = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
 
         Some(WebImpact {
-            affected_total: affected.len() as u64,
+            affected_total: accs.len() as u64,
             total_sites: zone.domain_count() as u64,
-            daily_sites: to_series(daily),
-            daily_sites_medium: to_series(daily_medium),
-            web_ip_count: web_ips.len() as u64,
-            target_ip_count: target_ips.len() as u64,
+            daily_sites,
+            daily_sites_medium,
+            web_ip_count,
+            target_ip_count: ips.len() as u64,
             cohosting,
             cohosting_by_tld,
             biggest_cohost,
-            site_records: records,
+            site_records,
             web_tcp_share: share(tele_web_tcp, tele_web_events),
             web_port_share: share(tele_web_tcp_single_webport, tele_web_tcp_single),
             web_ntp_share: share(hp_web_ntp, hp_web_events),
@@ -291,6 +362,116 @@ impl WebImpact {
         match self.daily_sites.peak() {
             Some((day, v)) if self.total_sites > 0 => (day, v / self.total_sites as f64),
             _ => (DayIndex(0), 0.0),
+        }
+    }
+}
+
+/// An absent record slot or `all()` position.
+const NONE: u32 = u32::MAX;
+
+/// One in-window event, reduced to what the Web join reads.
+struct Hit {
+    norm: f64,
+    day: u32,
+    /// Interned target IP.
+    ip: u32,
+    /// Position in `EventStore::all()`.
+    pos: u32,
+    flags: u8,
+}
+
+impl Hit {
+    /// The IP's first event in `all()` order.
+    const FIRST: u8 = 1;
+    /// At or above its source's mean intensity (Figure 7 bottom).
+    const MEDIUM: u8 = 1 << 1;
+    /// A honeypot event lasting ≥ 4 h.
+    const LONG4H: u8 = 1 << 2;
+    const HONEYPOT: u8 = 1 << 3;
+    /// A TCP telescope event.
+    const TCP: u8 = 1 << 4;
+    /// ... on a single port.
+    const TCP_SINGLE: u8 = 1 << 5;
+    /// ... that is a Web port.
+    const WEB_PORT: u8 = 1 << 6;
+    /// An NTP honeypot event.
+    const NTP: u8 = 1 << 7;
+
+    fn flags(e: &AttackEvent, tele_cutoff: f64, hp_cutoff: f64) -> u8 {
+        let mut flags = 0;
+        match e.source() {
+            EventSource::Telescope => {
+                if e.intensity_pps >= tele_cutoff {
+                    flags |= Hit::MEDIUM;
+                }
+                if e.transport_proto() == Some(TransportProto::Tcp) {
+                    flags |= Hit::TCP;
+                    if let Some(PortSignature::Single(p)) = e.port_signature() {
+                        flags |= Hit::TCP_SINGLE;
+                        if dosscope_types::service::is_web_port(p) {
+                            flags |= Hit::WEB_PORT;
+                        }
+                    }
+                }
+            }
+            EventSource::Honeypot => {
+                flags |= Hit::HONEYPOT;
+                if e.intensity_pps >= hp_cutoff {
+                    flags |= Hit::MEDIUM;
+                }
+                if e.duration_secs() >= 4 * dosscope_types::SECS_PER_HOUR {
+                    flags |= Hit::LONG4H;
+                }
+                if e.reflection_protocol() == Some(ReflectionProtocol::Ntp) {
+                    flags |= Hit::NTP;
+                }
+            }
+        }
+        flags
+    }
+}
+
+/// A touched site's record while the join runs. The `*_pos` fields are
+/// `all()` positions, which break ties as event-by-event application in
+/// that order would.
+#[derive(Clone, Copy)]
+struct SiteAcc {
+    domain: u32,
+    count: u32,
+    first_day: u32,
+    best_norm: f64,
+    best_day: u32,
+    best_pos: u32,
+    long4h_day: u32,
+    /// [`NONE`] when no ≥ 4 h attack was seen.
+    long4h_pos: u32,
+}
+
+impl SiteAcc {
+    /// Fold in a later (day, IP) group's contribution. Groups arrive in
+    /// day order, so `first_day` stands.
+    fn absorb(&mut self, g: &SiteAcc) {
+        self.count += g.count;
+        if g.best_norm > self.best_norm
+            || (g.best_norm == self.best_norm && g.best_pos < self.best_pos)
+        {
+            self.best_norm = g.best_norm;
+            self.best_day = g.best_day;
+            self.best_pos = g.best_pos;
+        }
+        if g.long4h_pos < self.long4h_pos {
+            self.long4h_day = g.long4h_day;
+            self.long4h_pos = g.long4h_pos;
+        }
+    }
+
+    fn record(&self) -> SiteAttackRecord {
+        SiteAttackRecord {
+            count: self.count,
+            first_attack_day: DayIndex(self.first_day),
+            best_norm_intensity: self.best_norm,
+            best_intensity_day: DayIndex(self.best_day),
+            long4h_day: (self.long4h_pos != NONE).then_some(DayIndex(self.long4h_day)),
         }
     }
 }

@@ -9,7 +9,7 @@ use dosscope_dns::OrgRole;
 use dosscope_harness::cli::{self, Command};
 use dosscope_harness::Scenario;
 use dosscope_obs::{obs_debug, obs_error};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn main() {
     let opts = match cli::parse(std::env::args().skip(1)) {
@@ -56,7 +56,8 @@ fn main() {
     for e in world.store.telescope().iter().chain(world.store.honeypot()) {
         *hits.entry(e.target).or_default() += 1;
     }
-    let mut tier_stats: HashMap<&str, (u32, u32, u64)> = HashMap::new(); // slots, hit slots, hits
+    // Tiers print in sorted order, so the output is the same on every run.
+    let mut tier_stats: BTreeMap<&str, (u32, u32, u64)> = BTreeMap::new(); // slots, hit slots, hits
     for slot in &world.synth.slots {
         let org = world.synth.catalog.get(slot.org);
         let tier = match org.role {
@@ -110,7 +111,7 @@ fn main() {
         };
         tier_of_ip.insert(slot.ip, tier);
     }
-    let mut by_tier: HashMap<&str, (u64, u64, u64)> = HashMap::new(); // sites, >5, total count
+    let mut by_tier: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new(); // sites, >5, total count
     for (domain, rec) in &web.site_records {
         let day = rec.first_attack_day;
         let ip = world.synth.zone.ip_of(*domain, day).unwrap_or([0,0,0,0].into());
