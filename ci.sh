@@ -21,14 +21,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 telemetry_out="$(mktemp)"
 trap 'rm -f "$telemetry_out"' EXIT
 
-echo "==> telemetry smoke (repro --smoke --telemetry --threads 8 + validator)"
+echo "==> telemetry smoke (repro --smoke --telemetry --threads 1 and 8 + validator)"
 # A full reduced-scale reproduction with collection on must emit a
 # schema-valid TELEMETRY.json: every pipeline stage span present, every
-# engine counter nonzero, and all 8 workers of both measurement pools
-# showing nonzero busy time and queue high-water marks.
-./target/release/repro --smoke --telemetry --threads 8 --quiet \
-    --telemetry-out "$telemetry_out" > /dev/null
-./target/release/repro --validate-telemetry "$telemetry_out"
+# engine counter nonzero, and every worker of both measurement pools
+# (8 threads, or the one inline worker at --threads 1) showing nonzero
+# busy time and queue high-water marks.
+for threads in 1 8; do
+    ./target/release/repro --smoke --telemetry --threads "$threads" --quiet \
+        --telemetry-out "$telemetry_out" > /dev/null
+    ./target/release/repro --validate-telemetry "$telemetry_out"
+done
 
 echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000)"
 # Both run the Web and mail/NS joins end to end on a generated world and

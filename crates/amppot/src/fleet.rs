@@ -73,8 +73,9 @@ impl Default for FleetConfig {
     }
 }
 
-/// Ingestion statistics.
-#[derive(Debug, Clone, Copy, Default)]
+/// Ingestion statistics. The sharded engine sums them over shards and
+/// publishes them as the `fleet.*` telemetry counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Batches that failed packet parsing.
     pub malformed: u64,
@@ -91,6 +92,18 @@ pub struct FleetStats {
     pub scan_filtered: u64,
     /// Fleet-level attack events emitted.
     pub events: u64,
+}
+
+impl std::ops::AddAssign for FleetStats {
+    fn add_assign(&mut self, other: FleetStats) {
+        self.malformed += other.malformed;
+        self.unrecognised += other.unrecognised;
+        self.requests += other.requests;
+        self.replies_sent += other.replies_sent;
+        self.pot_events += other.pot_events;
+        self.scan_filtered += other.scan_filtered;
+        self.events += other.events;
+    }
 }
 
 /// The fleet: 24 honeypots plus event-inference state.
@@ -189,16 +202,12 @@ impl AmpPotFleet {
             Classified::Request(victim, protocol) => (victim, protocol),
         };
         self.stats.requests += batch.count as u64;
-        // Telemetry mirror; same site on the serial and sharded paths,
-        // so totals are thread-count invariant for a fixed seed.
-        dosscope_obs::counter!("fleet.requests").add(batch.count as u64);
 
         // Reply rate limiting: at most the first few requests per source
         // and minute would be answered; everything is logged either way.
         if let Some(pot) = self.honeypots.get_mut(batch.honeypot.0 as usize) {
             if pot.would_reply(victim, batch.ts.minute()) {
                 self.stats.replies_sent += 1;
-                dosscope_obs::counter!("fleet.replies").inc();
             }
         }
 
@@ -349,7 +358,6 @@ impl AmpPotFleet {
             distinct_sources: merged.honeypots,
         });
         self.stats.events += 1;
-        dosscope_obs::counter!("fleet.events").inc();
     }
 }
 

@@ -32,4 +32,4 @@ pub mod sharded;
 pub use event::RequestBatch;
 pub use fleet::{AmpPotFleet, FleetConfig, FleetStats};
 pub use honeypot::{Honeypot, HoneypotId, Region};
-pub use sharded::{request_shard, route_requests, ShardedFleet};
+pub use sharded::{route_requests, ShardedFleet};

@@ -1,5 +1,6 @@
-//! Sharded parallel variant of the honeypot-fleet event inference, on the
-//! persistent worker pool.
+//! The honeypot-fleet engine every scenario run drives: fleet shards on
+//! the persistent worker pool (one shard, at `threads = 1`, runs on the
+//! caller thread).
 //!
 //! Request batches are routed by the *victim's* address (the spoofed
 //! source of an abuse request IS the victim) and each shard's
@@ -17,37 +18,20 @@
 
 use crate::event::RequestBatch;
 use crate::fleet::{AmpPotFleet, FleetStats};
-use dosscope_types::{shard_of_addr, AttackEvent, Routed, ShardPool};
-use std::net::Ipv4Addr;
+use dosscope_types::{shard_of_source, AttackEvent, Routed, ShardPool};
 use std::sync::Arc;
 
 /// Bounded per-worker queue depth (see `dosscope_types::pool`).
 const QUEUE_DEPTH: usize = 4;
 
-/// The shard owning a raw request, by victim (= spoofed source) address.
-/// Like `dosscope_telescope::victim_shard`, this reads the source address
-/// straight from the fixed header offset — routing needs a deterministic,
-/// victim-local assignment, not a validated packet; the shard's fleet
-/// re-validates and counts malformed batches exactly as the serial fleet
-/// would. Fleet state is keyed by the complete victim address and the
-/// merge only sums counters, so the full-address key
-/// ([`shard_of_addr`]) is safe here and spreads a hot hosting /16 across
-/// all shards. Batches too short to carry an IPv4 source go to shard 0.
-pub fn request_shard(bytes: &[u8], shards: usize) -> usize {
-    match bytes.get(12..16) {
-        Some(src) if bytes[0] >> 4 == 4 => {
-            shard_of_addr(Ipv4Addr::new(src[0], src[1], src[2], src[3]), shards)
-        }
-        _ => 0,
-    }
-}
-
-/// Route a time-ordered chunk of the request stream by victim shard,
-/// without copying any batch. Relative order within each shard is
-/// preserved.
+/// Route a time-ordered chunk of the request stream by victim (= spoofed
+/// packet source) shard, without copying any batch. Relative order
+/// within each shard is preserved. Fleet state is keyed by the complete
+/// victim address and the merge only sums counters, so the full-address
+/// key spreads a hot hosting /16 across all shards.
 pub fn route_requests(batches: Arc<Vec<RequestBatch>>, shards: usize) -> Routed<RequestBatch> {
     let shards = shards.max(1);
-    Routed::build(batches, shards, |b| request_shard(&b.bytes, shards))
+    Routed::build(batches, shards, |b| shard_of_source(&b.bytes, shards))
 }
 
 /// One shard: its own fleet replica plus a peak open-event sample. Each
@@ -62,8 +46,8 @@ struct FleetLane {
 /// Per-shard result: events, statistics, peak open events.
 type LaneOutput = (Vec<AttackEvent>, FleetStats, u64);
 
-/// The parallel fleet engine: N independent fleets over victim shards,
-/// each living on a persistent pool worker.
+/// The fleet engine: N independent fleets over victim shards on one
+/// [`ShardPool`] (one shard runs on the caller thread).
 pub struct ShardedFleet {
     pool: ShardPool<Routed<RequestBatch>, LaneOutput>,
     shards: usize,
@@ -121,11 +105,13 @@ impl ShardedFleet {
         self.ingest_routed(route_requests(Arc::new(batches), self.shards));
     }
 
-    /// End of trace: drain and finish every shard on its own worker, then
-    /// merge once — events into the canonical `(start, target, protocol)`
-    /// order, statistics summed, and the peak open-event working set
-    /// summed over shards (the shards run concurrently, so the sum bounds
-    /// the process-wide peak).
+    /// End of trace: drain and finish every shard, then merge once —
+    /// events into the canonical `(start, target, protocol)` order,
+    /// statistics summed, and the peak open-event working set summed over
+    /// shards (the shards run concurrently, so the sum bounds the
+    /// process-wide peak). The merged statistics and the peak are
+    /// published here, once, as the `fleet.*` telemetry counters and
+    /// gauge.
     pub fn finish(mut self) -> (Vec<AttackEvent>, FleetStats, u64) {
         let results = self
             .pool
@@ -136,17 +122,13 @@ impl ShardedFleet {
         let mut peak = 0u64;
         for (ev, st, pk) in results {
             events.extend(ev);
-            stats.malformed += st.malformed;
-            stats.unrecognised += st.unrecognised;
-            stats.requests += st.requests;
-            stats.replies_sent += st.replies_sent;
-            stats.pot_events += st.pot_events;
-            stats.scan_filtered += st.scan_filtered;
-            stats.events += st.events;
+            stats += st;
             peak += pk;
         }
         events.sort_by_key(|e| (e.when.start, e.target, e.reflection_protocol()));
-        // Peak working set: summed per-shard maxima of open pot events.
+        dosscope_obs::counter!("fleet.requests").add(stats.requests);
+        dosscope_obs::counter!("fleet.replies").add(stats.replies_sent);
+        dosscope_obs::counter!("fleet.events").add(stats.events);
         dosscope_obs::gauge!("fleet.peak_open_events").raise(peak);
         (events, stats, peak)
     }
@@ -222,12 +204,7 @@ mod tests {
             engine.ingest(mixed_stream());
             let (events, stats, peak) = engine.finish();
             assert_eq!(events, serial_events, "{shards} shards: events differ");
-            assert_eq!(stats.malformed, serial_stats.malformed);
-            assert_eq!(stats.unrecognised, serial_stats.unrecognised);
-            assert_eq!(stats.requests, serial_stats.requests);
-            assert_eq!(stats.replies_sent, serial_stats.replies_sent);
-            assert_eq!(stats.scan_filtered, serial_stats.scan_filtered);
-            assert_eq!(stats.events, serial_stats.events);
+            assert_eq!(stats, serial_stats, "{shards} shards: stats differ");
             assert!(peak > 0, "{shards} shards: peak working set sampled");
         }
     }
@@ -249,7 +226,6 @@ mod tests {
 
     #[test]
     fn malformed_requests_route_to_shard_zero() {
-        assert_eq!(request_shard(&[0x01; 4], 6), 0);
         let routed = route_requests(
             Arc::new(vec![RequestBatch::repeated(HoneypotId(0), SimTime(0), 1, vec![0x01; 4])]),
             6,

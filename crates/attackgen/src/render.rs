@@ -421,7 +421,7 @@ mod tests {
         let r = Renderer::new(&truth, Telescope::default_slash8(), fleet_addrs(), 7, 2);
         let batches = r.telescope_day(DayIndex(0));
         let detector = RsdosDetector::with_defaults(Telescope::default_slash8());
-        let (events, _) = run_rsdos(detector, batches, 60);
+        let (events, _) = run_rsdos(detector, batches);
         assert_eq!(events.len(), 1, "rendered attack is detected");
         let e = &events[0];
         assert_eq!(e.target, "203.0.113.8".parse::<Ipv4Addr>().unwrap());

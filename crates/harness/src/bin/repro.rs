@@ -7,7 +7,7 @@
 //! [--validate-telemetry PATH]`
 //!
 //! `--threads` selects the measurement worker count; results are
-//! byte-identical for any value (the pipelines shard by target /16).
+//! byte-identical for any value (the pipelines shard by victim address).
 //! With `--telemetry` (or `DOSSCOPE_TELEMETRY=1`) the run collects
 //! spans, counters and pool profiles, writes `TELEMETRY.json` and
 //! appends the ASCII dashboard to the report.

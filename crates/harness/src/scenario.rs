@@ -6,16 +6,15 @@
 //! renders day `d+1` while the main thread feeds day `d` into the
 //! detectors — the same overlap a real capture/processing deployment has.
 
-use dosscope_amppot::{AmpPotFleet, RequestBatch, ShardedFleet};
+use dosscope_amppot::honeypot::standard_fleet;
+use dosscope_amppot::{RequestBatch, ShardedFleet};
 use dosscope_attackgen::config::Calibration;
 use dosscope_attackgen::{GenConfig, Generator, GroundTruth, MigrationModel, Renderer};
 use dosscope_core::{EventStore, Framework};
 use dosscope_dns::synth::{synthesize, SynthConfig, SynthOutput};
 use dosscope_dps::DpsDataset;
 use dosscope_geo::{AsDb, AsRegistry, GeoDb, RegistryConfig};
-use dosscope_telescope::{
-    PacketBatch, RsdosDetector, RsdosPlugin, ShardedRsdos, Telescope, TelescopePlugin,
-};
+use dosscope_telescope::{PacketBatch, ShardedRsdos, Telescope};
 use dosscope_types::DayIndex;
 use std::sync::mpsc::sync_channel;
 
@@ -30,10 +29,10 @@ pub struct ScenarioConfig {
     pub scale: f64,
     /// Window length in days (731).
     pub days: u32,
-    /// Measurement worker threads. 1 runs the original serial pipeline;
-    /// larger values shard the detectors by the target's /16 with one
-    /// worker per shard. The output is byte-identical either way (see
-    /// DESIGN.md, "Concurrency model").
+    /// Measurement shards: the detectors are sharded by the full victim
+    /// address, one pool worker per shard; 1 runs the one shard on the
+    /// detection thread itself. The output is byte-identical for any
+    /// value (see DESIGN.md, "Concurrency model").
     pub threads: usize,
 }
 
@@ -150,13 +149,12 @@ impl Scenario {
 
         // 4. Render observations and drive both measurement pipelines.
         let telescope = Telescope::default_slash8();
-        let fleet = AmpPotFleet::standard();
         let pot_addrs: Vec<std::net::Ipv4Addr> =
-            fleet.honeypots().iter().map(|h| h.addr).collect();
+            standard_fleet().iter().map(|h| h.addr).collect();
         let renderer = Renderer::new(&truth, telescope, pot_addrs, config.seed ^ 0x8E4, config.days);
 
         let (store, telescope_stats, fleet_stats) =
-            drive_pipelines(&renderer, telescope, fleet, config.days, config.threads);
+            drive_pipelines(&renderer, telescope, config.days, config.threads);
 
         // The third data source: botnet C&C monitoring (Section 8
         // extension). Commands are generated from the same ground truth
@@ -193,81 +191,15 @@ impl Scenario {
     }
 }
 
-/// Render days on a producer thread while the consumer feeds the
-/// detectors: a bounded two-stage pipeline. With `threads > 1` the
-/// consumer side fans out over target shards ([`drive_pipelines_sharded`]);
-/// the serial path below is kept verbatim so `threads = 1` is exactly the
-/// original pipeline.
+/// Render and route days on a producer thread while the consumer feeds
+/// the detectors: a bounded two-stage pipeline. The producer routes each
+/// day by victim address (index lists over one `Arc`'d chunk — no batch
+/// is copied or re-partitioned); the sharded engines carry the per-shard
+/// streams on their pools, which at `threads = 1` run the one shard on
+/// the consumer thread itself. Victim-keyed detector state makes the
+/// single merge at `finish` byte-identical for any shard count
+/// (DESIGN.md, "Concurrency model").
 fn drive_pipelines(
-    renderer: &Renderer<'_>,
-    telescope: Telescope,
-    mut fleet: AmpPotFleet,
-    days: u32,
-    threads: usize,
-) -> (
-    EventStore,
-    dosscope_telescope::detector::DetectorStats,
-    dosscope_amppot::FleetStats,
-) {
-    if threads > 1 {
-        return drive_pipelines_sharded(renderer, telescope, days, threads);
-    }
-    let detector = RsdosDetector::with_defaults(telescope);
-    let mut plugin = RsdosPlugin::new(detector);
-    let (tx, rx) = sync_channel::<(Vec<PacketBatch>, Vec<RequestBatch>)>(4);
-    let mut interval: Option<u64> = None;
-
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            for d in 0..days {
-                let _render = dosscope_obs::span!("stage.render");
-                let day = DayIndex(d);
-                let t = renderer.telescope_day(day);
-                let h = renderer.honeypot_day(day);
-                if tx.send((t, h)).is_err() {
-                    return;
-                }
-            }
-        });
-        for (tele_batches, hp_batches) in rx.iter() {
-            let _detect = dosscope_obs::span!("stage.detect");
-            for b in &tele_batches {
-                let iv = b.ts.secs() / 60;
-                match interval {
-                    None => interval = Some(iv),
-                    Some(cur) if iv > cur => {
-                        plugin.interval_end(dosscope_types::SimTime(iv * 60));
-                        interval = Some(iv);
-                    }
-                    _ => {}
-                }
-                plugin.process_batch(b);
-            }
-            for b in &hp_batches {
-                fleet.ingest(b);
-            }
-        }
-    });
-
-    let _fuse = dosscope_obs::span!("stage.fuse");
-    plugin.finish();
-    let (tele_events, tele_stats) = plugin.into_results();
-    let (hp_events, fleet_stats) = fleet.finish();
-
-    let mut store = EventStore::new();
-    store.ingest_telescope(tele_events);
-    store.ingest_honeypot(hp_events);
-    (store, tele_stats, fleet_stats)
-}
-
-/// The parallel consumer: the producer thread renders *and routes* each
-/// day by the victim's /16 shard (index lists over one `Arc`'d chunk — no
-/// batch is copied or re-partitioned), then the persistent sharded
-/// engines carry the per-shard streams on their long-lived pool workers.
-/// Victim-keyed detector state makes the single merge at `finish`
-/// byte-identical to the serial path for any shard count (DESIGN.md,
-/// "Concurrency model").
-fn drive_pipelines_sharded(
     renderer: &Renderer<'_>,
     telescope: Telescope,
     days: u32,

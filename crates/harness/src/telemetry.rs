@@ -1,8 +1,8 @@
 //! Validation of emitted `TELEMETRY.json` artifacts against the
 //! harness's expectations: the versioned schema marker, every pipeline
 //! stage span, and per-worker pool utilization. The CI gate runs
-//! `repro --smoke --telemetry --threads 8` and then
-//! `repro --validate-telemetry TELEMETRY.json`.
+//! `repro --smoke --telemetry` at `--threads 1` and `--threads 8` and
+//! then `repro --validate-telemetry TELEMETRY.json` on each output.
 
 /// Counters a full scenario run must have incremented.
 const REQUIRED_COUNTERS: &[&str] = &[
@@ -27,9 +27,7 @@ const REQUIRED_STORE_INSTRUMENTS: &[&str] = &[
     "store.runs",
 ];
 
-/// Stage spans a multi-threaded scenario run must have recorded
-/// (`stage.route` only exists on the sharded path, which is why the
-/// validator is specified for `--threads` > 1 runs).
+/// Stage spans a scenario run must have recorded.
 const REQUIRED_SPANS: &[&str] = &[
     "stage.world",
     "stage.truth",
@@ -41,7 +39,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "report.render",
 ];
 
-/// Pools the sharded pipeline always spins up.
+/// Pools every scenario run spins up (one inline worker at `--threads 1`).
 const REQUIRED_POOLS: &[&str] = &["telescope", "fleet"];
 
 /// Extract the integer following `"name": ` anywhere in the text.
@@ -54,9 +52,9 @@ fn extract_num(text: &str, name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Validate an emitted `TELEMETRY.json` from a `--threads > 1` scenario
-/// run. Returns a human-readable summary on success and the full list
-/// of violations on failure.
+/// Validate an emitted `TELEMETRY.json` from a scenario run at any
+/// `--threads`. Returns a human-readable summary on success and the full
+/// list of violations on failure.
 pub fn validate(text: &str) -> Result<String, String> {
     let mut problems: Vec<String> = Vec::new();
 

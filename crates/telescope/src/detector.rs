@@ -41,13 +41,17 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Counters describing what the detector saw and dropped.
+/// Counters describing what the detector saw and dropped. The sharded
+/// engine sums them over shards and publishes them as the `telescope.*`
+/// telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectorStats {
     /// Batches whose bytes failed IPv4 parsing.
     pub malformed: u64,
     /// Batches parsed but not classified as backscatter.
     pub non_backscatter: u64,
+    /// Backscatter batches accepted into flows.
+    pub backscatter_batches: u64,
     /// Backscatter packets accepted into flows.
     pub backscatter_packets: u64,
     /// Flows finalized in total.
@@ -56,6 +60,18 @@ pub struct DetectorStats {
     pub flows_filtered: u64,
     /// Attack events emitted.
     pub events: u64,
+}
+
+impl std::ops::AddAssign for DetectorStats {
+    fn add_assign(&mut self, other: DetectorStats) {
+        self.malformed += other.malformed;
+        self.non_backscatter += other.non_backscatter;
+        self.backscatter_batches += other.backscatter_batches;
+        self.backscatter_packets += other.backscatter_packets;
+        self.flows_finalized += other.flows_finalized;
+        self.flows_filtered += other.flows_filtered;
+        self.events += other.events;
+    }
 }
 
 /// The randomly-spoofed-DoS detector: classifier + flow table + filter.
@@ -122,13 +138,8 @@ impl RsdosDetector {
             self.stats.non_backscatter += 1;
             return;
         }
+        self.stats.backscatter_batches += 1;
         self.stats.backscatter_packets += batch.count as u64;
-        // Telemetry mirrors of the per-detector stats: incremented at
-        // the same sites on both the serial and the sharded path, so
-        // their totals are identical for a fixed seed at any thread
-        // count.
-        dosscope_obs::counter!("telescope.batches").inc();
-        dosscope_obs::counter!("telescope.backscatter_packets").add(batch.count as u64);
         if let Some(expired) = self
             .flows
             .offer(&bs, batch.ts, batch.count, batch.total_bytes())
@@ -170,10 +181,9 @@ impl RsdosDetector {
     }
 
     fn finalize(&mut self, flow: Flow) {
-        self.stats.flows_finalized += 1;
         // Flow expiry is decided per flow by its own idle gap, never by
         // the sweep cadence, so this count is thread-count invariant.
-        dosscope_obs::counter!("telescope.flows_expired").inc();
+        self.stats.flows_finalized += 1;
         let duration = flow.duration_secs();
         let max_pps = flow.max_pps();
         if flow.packets < self.config.min_packets
@@ -200,7 +210,6 @@ impl RsdosDetector {
             distinct_sources: flow.distinct_sources(),
         });
         self.stats.events += 1;
-        dosscope_obs::counter!("telescope.events").inc();
     }
 }
 
@@ -247,6 +256,7 @@ mod tests {
         assert_eq!(e.duration_secs(), 119);
         assert_eq!(stats.events, 1);
         assert_eq!(stats.flows_filtered, 0);
+        assert_eq!(stats.backscatter_batches, 120);
     }
 
     #[test]
@@ -390,6 +400,7 @@ mod tests {
         assert!(events.is_empty());
         assert_eq!(stats.malformed, 1);
         assert_eq!(stats.non_backscatter, 2);
+        assert_eq!(stats.backscatter_batches, 0);
         assert_eq!(stats.backscatter_packets, 0);
     }
 

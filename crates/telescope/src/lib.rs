@@ -33,7 +33,7 @@
 //!     PacketBatch::repeated(SimTime(s), 2, pkt)
 //! });
 //! let detector = RsdosDetector::with_defaults(Telescope::default_slash8());
-//! let (events, _) = run_rsdos(detector, batches, 60);
+//! let (events, _) = run_rsdos(detector, batches);
 //! assert_eq!(events.len(), 1);
 //! assert_eq!(events[0].target, victim);
 //! ```
@@ -51,8 +51,8 @@ pub mod sharded;
 pub use classify::{classify, classify_batch, Backscatter, BatchClass};
 pub use detector::{DetectorConfig, RsdosDetector};
 pub use packet::PacketBatch;
-pub use plugin::{drive_plugin, run_rsdos, Corsaro, RsdosPlugin, StatsPlugin, TelescopePlugin};
-pub use sharded::{route_batches, victim_shard, ShardedRsdos};
+pub use plugin::{run_rsdos, RsdosPlugin, TelescopePlugin};
+pub use sharded::{route_batches, ShardedRsdos};
 
 use dosscope_types::Ipv4Cidr;
 use std::net::Ipv4Addr;

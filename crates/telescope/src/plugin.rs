@@ -1,5 +1,5 @@
 //! A Corsaro-like processing architecture: time-ordered capture batches are
-//! fed to a set of plugins, with interval-end callbacks at fixed boundaries
+//! fed to a plugin, with interval-end callbacks at fixed boundaries
 //! (Corsaro's interval model), which is where the RSDoS plugin expires idle
 //! flows.
 //!
@@ -11,7 +11,10 @@ use crate::detector::{DetectorStats, RsdosDetector};
 use crate::packet::PacketBatch;
 use dosscope_types::{AttackEvent, SimTime};
 
-/// A processing plugin fed by the [`Corsaro`] driver.
+/// The interval length every driver uses: Corsaro's customary 60 s.
+pub const INTERVAL_SECS: u64 = 60;
+
+/// A processing plugin, fed time-ordered batches by an [`IntervalClock`].
 pub trait TelescopePlugin {
     /// Human-readable plugin name (for reports/diagnostics).
     fn name(&self) -> &'static str;
@@ -28,62 +31,27 @@ pub trait TelescopePlugin {
     fn finish(&mut self);
 }
 
-/// The driver: dispatches batches to plugins and fires interval callbacks.
-pub struct Corsaro {
-    plugins: Vec<Box<dyn TelescopePlugin>>,
-    interval_secs: u64,
-    current_interval: Option<u64>,
-    batches: u64,
+/// Corsaro's interval model: feeds batches to a plugin and fires
+/// `interval_end` whenever a batch opens a later [`INTERVAL_SECS`]
+/// interval than the one before it.
+#[derive(Debug, Default)]
+pub struct IntervalClock {
+    current: Option<u64>,
 }
 
-impl Corsaro {
-    /// A driver with the given interval length (Corsaro commonly uses 60 s).
-    pub fn new(interval_secs: u64) -> Corsaro {
-        Corsaro {
-            plugins: Vec::new(),
-            interval_secs: interval_secs.max(1),
-            current_interval: None,
-            batches: 0,
-        }
-    }
-
-    /// Attach a plugin.
-    pub fn attach(&mut self, plugin: Box<dyn TelescopePlugin>) {
-        self.plugins.push(plugin);
-    }
-
-    /// Feed one batch (must be in non-decreasing time order).
-    pub fn feed(&mut self, batch: &PacketBatch) {
-        let interval = batch.ts.secs() / self.interval_secs;
-        match self.current_interval {
-            None => self.current_interval = Some(interval),
+impl IntervalClock {
+    /// Feed one batch (batches must arrive in non-decreasing time order).
+    pub fn feed<P: TelescopePlugin>(&mut self, plugin: &mut P, batch: &PacketBatch) {
+        let interval = batch.ts.secs() / INTERVAL_SECS;
+        match self.current {
             Some(cur) if interval > cur => {
-                let boundary = SimTime(interval * self.interval_secs);
-                for p in &mut self.plugins {
-                    p.interval_end(boundary);
-                }
-                self.current_interval = Some(interval);
+                plugin.interval_end(SimTime(interval * INTERVAL_SECS));
+                self.current = Some(interval);
             }
+            None => self.current = Some(interval),
             _ => {}
         }
-        for p in &mut self.plugins {
-            p.process_batch(batch);
-        }
-        self.batches += 1;
-    }
-
-    /// End of trace: notify all plugins and return them for result
-    /// extraction.
-    pub fn finish(mut self) -> Vec<Box<dyn TelescopePlugin>> {
-        for p in &mut self.plugins {
-            p.finish();
-        }
-        self.plugins
-    }
-
-    /// Number of batches fed so far.
-    pub fn batches_fed(&self) -> u64 {
-        self.batches
+        plugin.process_batch(batch);
     }
 }
 
@@ -142,77 +110,18 @@ impl TelescopePlugin for RsdosPlugin {
     }
 }
 
-/// A simple traffic-accounting plugin (packets/bytes per interval), in the
-/// spirit of Corsaro's flowtuple statistics; useful for sanity checks and
-/// the component benchmarks.
-#[derive(Debug, Default)]
-pub struct StatsPlugin {
-    /// Total packets seen (batch counts expanded).
-    pub packets: u64,
-    /// Total bytes seen.
-    pub bytes: u64,
-    /// Number of interval boundaries observed.
-    pub intervals: u64,
-}
-
-impl StatsPlugin {
-    /// New zeroed plugin.
-    pub fn new() -> StatsPlugin {
-        StatsPlugin::default()
-    }
-}
-
-impl TelescopePlugin for StatsPlugin {
-    fn name(&self) -> &'static str {
-        "stats"
-    }
-
-    fn process_batch(&mut self, batch: &PacketBatch) {
-        self.packets += batch.count as u64;
-        self.bytes += batch.total_bytes();
-    }
-
-    fn interval_end(&mut self, _now: SimTime) {
-        self.intervals += 1;
-    }
-
-    fn finish(&mut self) {}
-}
-
-/// Convenience: drive a single typed plugin over a batch stream with
-/// interval callbacks, without the `dyn` driver (which is for mixed plugin
-/// sets).
-pub fn drive_plugin<P: TelescopePlugin>(
-    plugin: &mut P,
-    batches: impl IntoIterator<Item = PacketBatch>,
-    interval_secs: u64,
-) {
-    let interval_secs = interval_secs.max(1);
-    let mut current: Option<u64> = None;
-    for batch in batches {
-        let interval = batch.ts.secs() / interval_secs;
-        match current {
-            None => current = Some(interval),
-            Some(cur) if interval > cur => {
-                plugin.interval_end(SimTime(interval * interval_secs));
-                current = Some(interval);
-            }
-            _ => {}
-        }
-        plugin.process_batch(&batch);
-    }
-    plugin.finish();
-}
-
-/// Convenience: run a full batch stream through an RSDoS plugin and return
-/// the detected events plus stats.
+/// Convenience: run a full batch stream through an RSDoS plugin on one
+/// [`IntervalClock`] and return the detected events plus stats.
 pub fn run_rsdos(
     detector: RsdosDetector,
     batches: impl IntoIterator<Item = PacketBatch>,
-    interval_secs: u64,
 ) -> (Vec<AttackEvent>, DetectorStats) {
     let mut plugin = RsdosPlugin::new(detector);
-    drive_plugin(&mut plugin, batches, interval_secs);
+    let mut clock = IntervalClock::default();
+    for batch in batches {
+        clock.feed(&mut plugin, &batch);
+    }
+    plugin.finish();
     plugin.into_results()
 }
 
@@ -242,25 +151,43 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn driver_fires_interval_ends() {
-        let mut driver = Corsaro::new(60);
-        driver.attach(Box::new(StatsPlugin::new()));
-        for b in flood_batches(0, 180, 1) {
-            driver.feed(&b);
+    /// Records every interval boundary and batch it is fed.
+    #[derive(Default)]
+    struct Recorder {
+        boundaries: Vec<u64>,
+        batches: usize,
+    }
+
+    impl TelescopePlugin for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
         }
-        let plugins = driver.finish();
-        let _ = plugins; // StatsPlugin checked via the typed test below
+
+        fn process_batch(&mut self, _batch: &PacketBatch) {
+            self.batches += 1;
+        }
+
+        fn interval_end(&mut self, now: SimTime) {
+            self.boundaries.push(now.secs());
+        }
+
+        fn finish(&mut self) {}
     }
 
     #[test]
-    fn stats_plugin_counts() {
-        let mut s = StatsPlugin::new();
-        for b in flood_batches(0, 120, 2) {
-            s.process_batch(&b);
+    fn driver_fires_interval_ends() {
+        let mut clock = IntervalClock::default();
+        let mut plugin = Recorder::default();
+        // Three minutes from t=30, then a jump over four idle intervals.
+        let mut batches = flood_batches(30, 180, 1);
+        batches.extend(flood_batches(600, 1, 1));
+        for b in &batches {
+            clock.feed(&mut plugin, b);
         }
-        assert_eq!(s.packets, 240);
-        assert!(s.bytes > 0);
+        assert_eq!(plugin.batches, 181);
+        // The first batch opens an interval without ending one; a gap
+        // fires one boundary, at the start of the interval it lands in.
+        assert_eq!(plugin.boundaries, vec![60, 120, 180, 600]);
     }
 
     #[test]

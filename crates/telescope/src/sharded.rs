@@ -1,5 +1,6 @@
-//! Sharded parallel variant of the RSDoS pipeline, on the persistent
-//! worker pool.
+//! The RSDoS engine every scenario run drives: detector shards on the
+//! persistent worker pool (one shard, at `threads = 1`, runs on the
+//! caller thread).
 //!
 //! Batches are routed by the *victim's* address (backscatter is sent by
 //! the victim, so the victim is the packet source) and each shard's
@@ -17,80 +18,47 @@
 //!   change event content;
 //! * the final ordering is the canonical `(start, target)` sort the serial
 //!   detector already produces;
-//! * every [`DetectorStats`] counter is a per-batch or per-flow sum.
+//! * every [`DetectorStats`] counter is a per-batch or per-flow sum, so
+//!   the merged statistics — and the `telescope.*` telemetry counters
+//!   published from them — do not depend on the shard count.
 
 use crate::detector::{DetectorConfig, DetectorStats, RsdosDetector};
 use crate::packet::PacketBatch;
-use crate::plugin::{RsdosPlugin, TelescopePlugin};
+use crate::plugin::{IntervalClock, RsdosPlugin, TelescopePlugin};
 use crate::Telescope;
-use dosscope_types::{shard_of_addr, AttackEvent, Routed, ShardPool, SimTime};
-use std::net::Ipv4Addr;
+use dosscope_types::{shard_of_source, AttackEvent, Routed, ShardPool};
 use std::sync::Arc;
 
 /// Bounded per-worker queue depth: one chunk in flight, a few queued —
 /// enough to overlap rendering with detection without unbounded growth.
 const QUEUE_DEPTH: usize = 4;
 
-/// The shard owning a raw packet, by victim (= source) address. Routing
-/// sits on the producer's critical path, so it reads the source address
-/// straight from the fixed header offset instead of fully validating the
-/// packet — correctness only needs a deterministic, victim-local
-/// assignment, and the shard's detector re-validates and counts malformed
-/// batches exactly as the serial detector would. Detector state is keyed
-/// by the complete victim address and the merge only sums counters, so
-/// the full-address key ([`shard_of_addr`]) is safe here and spreads a
-/// hot hosting /16 across all shards instead of serialising it on one.
-/// Batches too short to carry an IPv4 source go to shard 0.
-pub fn victim_shard(bytes: &[u8], shards: usize) -> usize {
-    match bytes.get(12..16) {
-        Some(src) if bytes[0] >> 4 == 4 => {
-            shard_of_addr(Ipv4Addr::new(src[0], src[1], src[2], src[3]), shards)
-        }
-        _ => 0,
-    }
-}
-
-/// Route a time-ordered chunk of the stream by victim shard, without
-/// copying any batch. Relative order within each shard is preserved,
-/// which is all the per-victim flow logic needs.
+/// Route a time-ordered chunk of the stream by victim (= packet source)
+/// shard, without copying any batch. Relative order within each shard is
+/// preserved, which is all the per-victim flow logic needs. Detector
+/// state is keyed by the complete victim address and the merge only sums
+/// counters, so the full-address key spreads a hot hosting /16 across all
+/// shards instead of serialising it on one.
 pub fn route_batches(batches: Arc<Vec<PacketBatch>>, shards: usize) -> Routed<PacketBatch> {
     let shards = shards.max(1);
-    Routed::build(batches, shards, |b| victim_shard(&b.bytes, shards))
+    Routed::build(batches, shards, |b| shard_of_source(&b.bytes, shards))
 }
 
-/// One shard: a detector plugin plus its own interval tracker (interval
-/// boundaries are derived from the shard's batch stream, mirroring what a
-/// per-shard Corsaro driver would do) and a peak working-set sample.
+/// One shard: a detector plugin on its own interval clock (interval
+/// boundaries come from the shard's own batch stream) and a peak
+/// working-set sample.
 struct ShardLane {
     plugin: RsdosPlugin,
-    current_interval: Option<u64>,
+    clock: IntervalClock,
     peak_live_flows: usize,
-}
-
-impl ShardLane {
-    fn drive<'a>(&mut self, batches: impl Iterator<Item = &'a PacketBatch>, interval_secs: u64) {
-        for b in batches {
-            let interval = b.ts.secs() / interval_secs;
-            match self.current_interval {
-                None => self.current_interval = Some(interval),
-                Some(cur) if interval > cur => {
-                    self.plugin.interval_end(SimTime(interval * interval_secs));
-                    self.current_interval = Some(interval);
-                }
-                _ => {}
-            }
-            self.plugin.process_batch(b);
-        }
-        self.peak_live_flows = self.peak_live_flows.max(self.plugin.live_flows());
-    }
 }
 
 /// Per-shard result: events, statistics, and the shard's peak live-flow
 /// count (sampled once per ingested chunk).
 type LaneOutput = (Vec<AttackEvent>, DetectorStats, u64);
 
-/// The parallel RSDoS engine: N independent detectors over victim shards,
-/// each living on a persistent pool worker.
+/// The RSDoS engine: N independent detectors over victim shards on one
+/// [`ShardPool`] (one shard runs on the caller thread).
 pub struct ShardedRsdos {
     pool: ShardPool<Routed<PacketBatch>, LaneOutput>,
     shards: usize,
@@ -100,14 +68,8 @@ impl ShardedRsdos {
     /// An engine with `shards` detector shards (0 is treated as 1), all
     /// observing the same darknet with the same thresholds, one pool
     /// worker per shard.
-    pub fn new(
-        telescope: Telescope,
-        config: DetectorConfig,
-        interval_secs: u64,
-        shards: usize,
-    ) -> ShardedRsdos {
+    pub fn new(telescope: Telescope, config: DetectorConfig, shards: usize) -> ShardedRsdos {
         let shards = shards.max(1);
-        let interval_secs = interval_secs.max(1);
         let pool = ShardPool::new(
             "telescope",
             shards,
@@ -115,11 +77,14 @@ impl ShardedRsdos {
             QUEUE_DEPTH,
             |_| ShardLane {
                 plugin: RsdosPlugin::new(RsdosDetector::new(telescope, config)),
-                current_interval: None,
+                clock: IntervalClock::default(),
                 peak_live_flows: 0,
             },
-            move |lane: &mut ShardLane, shard, _shards, routed: &Routed<PacketBatch>| {
-                lane.drive(routed.owned(shard), interval_secs);
+            |lane: &mut ShardLane, shard, _shards, routed: &Routed<PacketBatch>| {
+                for b in routed.owned(shard) {
+                    lane.clock.feed(&mut lane.plugin, b);
+                }
+                lane.peak_live_flows = lane.peak_live_flows.max(lane.plugin.live_flows());
             },
             |mut lane: ShardLane| {
                 lane.plugin.finish();
@@ -130,9 +95,9 @@ impl ShardedRsdos {
         ShardedRsdos { pool, shards }
     }
 
-    /// An engine with the published default thresholds and a 60 s interval.
+    /// An engine with the published default thresholds.
     pub fn with_defaults(telescope: Telescope, shards: usize) -> ShardedRsdos {
-        ShardedRsdos::new(telescope, DetectorConfig::default(), 60, shards)
+        ShardedRsdos::new(telescope, DetectorConfig::default(), shards)
     }
 
     /// Number of shards.
@@ -159,11 +124,12 @@ impl ShardedRsdos {
         self.ingest_routed(route_batches(Arc::new(batches), self.shards));
     }
 
-    /// End of trace: drain and finish every shard on its own worker, then
-    /// merge once — events into the canonical `(start, target)` order,
-    /// statistics summed, and the peak live-flow working set summed over
-    /// shards (the shards run concurrently, so the sum bounds the
-    /// process-wide peak).
+    /// End of trace: drain and finish every shard, then merge once —
+    /// events into the canonical `(start, target)` order, statistics
+    /// summed, and the peak live-flow working set summed over shards (the
+    /// shards run concurrently, so the sum bounds the process-wide peak).
+    /// The merged statistics and the peak are published here, once, as
+    /// the `telescope.*` telemetry counters and gauge.
     pub fn finish(mut self) -> (Vec<AttackEvent>, DetectorStats, u64) {
         let results = self
             .pool
@@ -174,17 +140,14 @@ impl ShardedRsdos {
         let mut peak = 0u64;
         for (ev, st, pk) in results {
             events.extend(ev);
-            stats.malformed += st.malformed;
-            stats.non_backscatter += st.non_backscatter;
-            stats.backscatter_packets += st.backscatter_packets;
-            stats.flows_finalized += st.flows_finalized;
-            stats.flows_filtered += st.flows_filtered;
-            stats.events += st.events;
+            stats += st;
             peak += pk;
         }
         events.sort_by_key(|e| (e.when.start, e.target));
-        // Peak working set: summed per-shard maxima of live flows (each
-        // shard's pool gauges carry the per-worker detail).
+        dosscope_obs::counter!("telescope.batches").add(stats.backscatter_batches);
+        dosscope_obs::counter!("telescope.backscatter_packets").add(stats.backscatter_packets);
+        dosscope_obs::counter!("telescope.flows_expired").add(stats.flows_finalized);
+        dosscope_obs::counter!("telescope.events").add(stats.events);
         dosscope_obs::gauge!("telescope.peak_live_flows").raise(peak);
         (events, stats, peak)
     }
@@ -194,6 +157,7 @@ impl ShardedRsdos {
 mod tests {
     use super::*;
     use crate::plugin::run_rsdos;
+    use dosscope_types::SimTime;
     use dosscope_wire::builder;
     use std::net::Ipv4Addr;
 
@@ -228,18 +192,14 @@ mod tests {
     fn sharded_matches_serial() {
         let telescope = Telescope::default_slash8();
         let (serial_events, serial_stats) =
-            run_rsdos(RsdosDetector::with_defaults(telescope), mixed_stream(), 60);
+            run_rsdos(RsdosDetector::with_defaults(telescope), mixed_stream());
         assert!(!serial_events.is_empty());
         for shards in [1, 2, 3, 8] {
             let mut engine = ShardedRsdos::with_defaults(telescope, shards);
             engine.ingest(mixed_stream());
             let (events, stats, peak) = engine.finish();
             assert_eq!(events, serial_events, "{shards} shards: events differ");
-            assert_eq!(stats.malformed, serial_stats.malformed);
-            assert_eq!(stats.non_backscatter, serial_stats.non_backscatter);
-            assert_eq!(stats.backscatter_packets, serial_stats.backscatter_packets);
-            assert_eq!(stats.flows_filtered, serial_stats.flows_filtered);
-            assert_eq!(stats.events, serial_stats.events);
+            assert_eq!(stats, serial_stats, "{shards} shards: stats differ");
             assert!(peak > 0, "{shards} shards: peak working set sampled");
         }
     }
@@ -264,7 +224,6 @@ mod tests {
 
     #[test]
     fn malformed_batches_route_to_shard_zero() {
-        assert_eq!(victim_shard(&[0xAB; 3], 8), 0);
         let routed = route_batches(
             Arc::new(vec![PacketBatch::repeated(SimTime(0), 1, vec![0xAB; 3])]),
             8,

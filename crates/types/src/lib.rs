@@ -37,7 +37,7 @@ pub use intern::Interner;
 pub use kway::{merge_sorted, LoserTree};
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
 pub use pool::{PoolError, PoolMetricsSnapshot, Routed, ShardPool, WorkerMetricsSnapshot};
-pub use shard::shard_of_addr;
+pub use shard::shard_of_source;
 pub use stats::{Ecdf, FrozenEcdf, LogHistogram, RunningStats, TimeSeries};
 pub use time::{
     CalendarDate, DayIndex, SimTime, TimeRange, SECS_PER_DAY, SECS_PER_HOUR, SECS_PER_MINUTE,

@@ -1,12 +1,5 @@
-//! The persistent worker pool every parallel pipeline stage runs on.
-//!
-//! The first sharded pipeline (PR 3) spawned a fresh `std::thread::scope`
-//! per ingested chunk and re-partitioned every chunk into per-shard
-//! `Vec` clones. Correct, but the bench showed it *negatively* scaling:
-//! thread spawn/join per chunk, an allocation per (chunk × shard), and a
-//! reference-count bump plus cross-thread drop per batch. This module
-//! replaces that design with the architecture both sharded detectors
-//! (telescope and honeypot fleet) share:
+//! The persistent worker pool both sharded detectors (telescope and
+//! honeypot fleet) run on:
 //!
 //! * **long-lived workers** — [`ShardPool::new`] spawns the worker
 //!   threads once; each worker *owns* a slice of the per-shard states for
@@ -17,17 +10,23 @@
 //!   dispatcher instead of letting queues grow without bound;
 //! * **zero-copy batch routing** — a chunk is shared as one
 //!   [`Routed`] view (`Arc`'d item vector + per-shard index lists built
-//!   by the stage's `shard_of_addr` key); dispatch hands every worker the
-//!   same two pointers instead of cloning batches into per-shard vectors;
+//!   by the stage's `shard_of_source` key); dispatch hands every worker
+//!   the same two pointers instead of cloning batches into per-shard
+//!   vectors;
 //! * **one barrier** — [`ShardPool::shutdown`] drains every queue, joins
 //!   every worker and returns every shard's finished output, so
-//!   per-shard results merge exactly once per run.
+//!   per-shard results merge exactly once per run;
+//! * **one worker runs inline** — a pool with a single worker (`threads
+//!   = 1`, or one shard) spawns no thread and has no channel: the caller
+//!   thread runs the same owned-shards `process`/`finish` loop inside
+//!   [`ShardPool::dispatch`] and [`ShardPool::shutdown`].
 //!
 //! A panicking shard must fail the run, not hang it: every send failure
 //! is treated as a dead worker, the pool tears all channels down,
 //! joins every thread and re-raises the original panic payload on the
-//! caller thread ([`std::panic::resume_unwind`]). Operations on a pool
-//! that was already shut down return [`PoolError::ShutDown`] instead.
+//! caller thread ([`std::panic::resume_unwind`]); an inline shard's panic
+//! re-raises straight from the `dispatch` that hit it. Operations on a
+//! pool that was already shut down return [`PoolError::ShutDown`] instead.
 //!
 //! ## Profiling
 //!
@@ -36,12 +35,15 @@
 //! high-water marks. Queue and job counts are always-on relaxed atomics
 //! (a handful per *batch*, never per item); the wall-clock measurements
 //! additionally require `dosscope_obs::enabled()` so the disabled
-//! pipeline never reads the clock. On shutdown — including the panic-propagation path, so a
+//! pipeline never reads the clock. An inline worker's queue depth is 1
+//! while it processes and its idle time is zero: it never waits on a
+//! channel. On shutdown — including the panic-propagation path, so a
 //! failed run still leaves a coherent partial snapshot — the metrics
 //! are published to the global `obs` registry as `pool.<name>.*`
 //! gauges ([`PoolMetricsSnapshot::gauges`] lists them);
 //! [`ShardPool::metrics`] exposes the same numbers directly.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -72,20 +74,30 @@ impl std::error::Error for PoolError {}
 /// Building a `Routed` is the only per-item routing work the pipeline
 /// does — one key evaluation and one `u32` push per item. Workers then
 /// walk their own index list and read the items in place through the
-/// shared vector; nothing is cloned or re-partitioned.
+/// shared vector; nothing is cloned or re-partitioned. A single shard
+/// owns the whole chunk, so it gets no index list and walks the chunk
+/// itself.
 #[derive(Debug, Clone)]
 pub struct Routed<T> {
     items: Arc<Vec<T>>,
+    /// One index list per shard; empty when a single shard owns all.
     owners: Vec<Vec<u32>>,
 }
 
 impl<T> Routed<T> {
     /// Route a shared chunk across `shards` shards with the stage's key
-    /// function (`shards = 0` is treated as 1). Relative order within a
-    /// shard is the chunk order, which is what per-victim state needs.
+    /// function (`shards = 0` is treated as 1; one shard owns every item
+    /// without evaluating the key). Relative order within a shard is the
+    /// chunk order, which is what per-victim state needs.
     pub fn build(items: Arc<Vec<T>>, shards: usize, key: impl Fn(&T) -> usize) -> Routed<T> {
         let shards = shards.max(1);
         debug_assert!(items.len() <= u32::MAX as usize, "chunk too large to index");
+        if shards == 1 {
+            return Routed {
+                items,
+                owners: Vec::new(),
+            };
+        }
         let mut owners: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
         for (i, item) in items.iter().enumerate() {
             let s = key(item);
@@ -97,7 +109,7 @@ impl<T> Routed<T> {
 
     /// Number of shards this chunk was routed across.
     pub fn shards(&self) -> usize {
-        self.owners.len()
+        self.owners.len().max(1)
     }
 
     /// All items of the chunk, in chunk order.
@@ -107,12 +119,23 @@ impl<T> Routed<T> {
 
     /// The items one shard owns, in chunk order.
     pub fn owned(&self, shard: usize) -> impl Iterator<Item = &T> {
-        self.owners[shard].iter().map(|&i| &self.items[i as usize])
+        let (all, picks): (&[T], &[u32]) = match self.owners.get(shard) {
+            Some(picks) => (&[], picks),
+            None => {
+                debug_assert!(self.owners.is_empty() && shard == 0, "no shard {shard}");
+                (&self.items, &[])
+            }
+        };
+        all.iter()
+            .chain(picks.iter().map(|&i| &self.items[i as usize]))
     }
 
     /// How many items one shard owns.
     pub fn owned_len(&self, shard: usize) -> usize {
-        self.owners[shard].len()
+        match self.owners.get(shard) {
+            Some(picks) => picks.len(),
+            None => self.items.len(),
+        }
     }
 }
 
@@ -190,6 +213,20 @@ impl PoolMetricsSnapshot {
     }
 }
 
+impl WorkerMetrics {
+    /// Run one batch through `work`: count it, and time it while
+    /// telemetry is enabled.
+    fn run(&self, work: impl FnOnce()) {
+        let start = dosscope_obs::enabled().then(Instant::now);
+        work();
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = start {
+            self.busy_ns
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+}
+
 impl PoolMetrics {
     fn new(name: &'static str, shards: usize, workers: usize) -> PoolMetrics {
         PoolMetrics {
@@ -238,14 +275,104 @@ impl PoolMetrics {
     }
 }
 
+/// The per-shard states one worker owns, with the stage's `process` and
+/// `finish` functions.
+struct OwnedShards<S, P, F> {
+    shards: usize,
+    owned: Vec<(usize, S)>,
+    process: P,
+    finish: F,
+}
+
+/// One worker's [`OwnedShards`], with the state and function types
+/// erased. A worker thread runs `process` once per received batch and
+/// `finish` when its channel closes; an inline pool runs the same two
+/// calls on the caller thread.
+trait ShardSet<B, O>: Send {
+    /// Process one batch against every owned shard, in shard order.
+    fn process(&mut self, batch: &B);
+    /// Finish every owned shard: `(shard, output)` pairs.
+    fn finish(self: Box<Self>) -> Vec<(usize, O)>;
+}
+
+impl<B, O, S, P, F> ShardSet<B, O> for OwnedShards<S, P, F>
+where
+    S: Send,
+    P: Fn(&mut S, usize, usize, &B) + Send,
+    F: Fn(S) -> O + Send,
+{
+    fn process(&mut self, batch: &B) {
+        for (shard, state) in self.owned.iter_mut() {
+            (self.process)(state, *shard, self.shards, batch);
+        }
+    }
+
+    fn finish(self: Box<Self>) -> Vec<(usize, O)> {
+        let finish = self.finish;
+        self.owned
+            .into_iter()
+            .map(|(shard, state)| (shard, finish(state)))
+            .collect()
+    }
+}
+
 /// One worker's channel (a shared batch per message) and thread.
 struct Lane<B, O> {
     tx: Option<SyncSender<Arc<B>>>,
     handle: Option<JoinHandle<Vec<(usize, O)>>>,
 }
 
-/// A persistent pool of worker threads, each owning a fixed slice of
-/// per-shard states.
+impl<B: Send + Sync + 'static, O: Send + 'static> Lane<B, O> {
+    /// Spawn worker `w` over its owned shards, behind a channel of
+    /// `depth` batches.
+    fn spawn(
+        w: usize,
+        mut owned: Box<dyn ShardSet<B, O>>,
+        depth: usize,
+        metrics: Arc<PoolMetrics>,
+    ) -> Lane<B, O> {
+        let (tx, rx) = sync_channel::<Arc<B>>(depth);
+        let handle = std::thread::Builder::new()
+            .name(format!("shard-worker-{w}"))
+            .spawn(move || {
+                let wm = &metrics.workers[w];
+                loop {
+                    // Clock reads only happen while telemetry is enabled;
+                    // the counters are always on.
+                    let wait = dosscope_obs::enabled().then(Instant::now);
+                    let Ok(batch) = rx.recv() else { break };
+                    wm.queue_len.fetch_sub(1, Ordering::Relaxed);
+                    if let Some(t) = wait {
+                        wm.idle_ns
+                            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    }
+                    wm.run(|| owned.process(&batch));
+                }
+                owned.finish()
+            })
+            .expect("spawn shard worker");
+        Lane {
+            tx: Some(tx),
+            handle: Some(handle),
+        }
+    }
+}
+
+/// Where a pool's shards run.
+enum Engine<B, O> {
+    /// Two or more worker threads, each behind its own channel.
+    Threads(Vec<Lane<B, O>>),
+    /// One worker: the caller thread itself runs every shard inside
+    /// [`ShardPool::dispatch`]. `None` once the shards were finished or
+    /// dropped.
+    Inline(Option<Box<dyn ShardSet<B, O>>>),
+}
+
+/// The first panic payload a pool caught from a shard.
+type PanicPayload = Box<dyn std::any::Any + Send>;
+
+/// A persistent pool of workers, each owning a fixed slice of per-shard
+/// states.
 ///
 /// Type parameters: `B` is the dispatched batch type (shared read-only
 /// across workers), `O` the per-shard output [`ShardPool::shutdown`]
@@ -253,7 +380,7 @@ struct Lane<B, O> {
 /// its worker, so it is a parameter of [`ShardPool::new`] only.
 pub struct ShardPool<B, O> {
     shards: usize,
-    lanes: Vec<Lane<B, O>>,
+    engine: Engine<B, O>,
     metrics: Arc<PoolMetrics>,
     down: bool,
 }
@@ -263,11 +390,13 @@ where
     B: Send + Sync + 'static,
     O: Send + 'static,
 {
-    /// Spawn the pool: `shards` states (built by `init`, in shard order,
+    /// Build the pool: `shards` states (built by `init`, in shard order,
     /// on the calling thread) distributed over `min(threads, shards)`
     /// long-lived workers (`threads > shards` simply caps at one worker
     /// per shard; 0 of either is treated as 1). `name` identifies the
-    /// pool in telemetry (`pool.<name>.*`).
+    /// pool in telemetry (`pool.<name>.*`). With one worker no thread is
+    /// spawned: the caller thread runs every shard inside
+    /// [`ShardPool::dispatch`] and [`ShardPool::shutdown`].
     ///
     /// For every dispatched batch a worker calls
     /// `process(state, shard, shards, &batch)` once per shard it owns, in
@@ -294,58 +423,31 @@ where
         let metrics = Arc::new(PoolMetrics::new(name, shards, workers));
         let mut states: Vec<Option<(usize, S)>> =
             (0..shards).map(|s| Some((s, init(s)))).collect();
-        let lanes = (0..workers)
-            .map(|w| {
-                let owned: Vec<(usize, S)> = states
+        let mut owned_by = |w: usize| -> Box<dyn ShardSet<B, O>> {
+            Box::new(OwnedShards {
+                shards,
+                owned: states
                     .iter_mut()
                     .skip(w)
                     .step_by(workers)
                     .map(|slot| slot.take().expect("each shard is owned exactly once"))
-                    .collect();
-                let (tx, rx) = sync_channel::<Arc<B>>(depth);
-                let process = process.clone();
-                let finish = finish.clone();
-                let metrics = metrics.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("shard-worker-{w}"))
-                    .spawn(move || {
-                        let mut owned = owned;
-                        let wm = &metrics.workers[w];
-                        loop {
-                            // Clock reads only happen while telemetry is
-                            // enabled; the counters below are always on.
-                            let wait = dosscope_obs::enabled().then(Instant::now);
-                            let Ok(batch) = rx.recv() else { break };
-                            wm.queue_len.fetch_sub(1, Ordering::Relaxed);
-                            if let Some(t) = wait {
-                                wm.idle_ns
-                                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            }
-                            let work = dosscope_obs::enabled().then(Instant::now);
-                            for (shard, state) in owned.iter_mut() {
-                                process(state, *shard, shards, &batch);
-                            }
-                            wm.batches.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = work {
-                                wm.busy_ns
-                                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            }
-                        }
-                        owned
-                            .into_iter()
-                            .map(|(shard, state)| (shard, finish(state)))
-                            .collect()
-                    })
-                    .expect("spawn shard worker");
-                Lane {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                }
+                    .collect(),
+                process: process.clone(),
+                finish: finish.clone(),
             })
-            .collect();
+        };
+        let engine = if workers == 1 {
+            Engine::Inline(Some(owned_by(0)))
+        } else {
+            Engine::Threads(
+                (0..workers)
+                    .map(|w| Lane::spawn(w, owned_by(w), depth, metrics.clone()))
+                    .collect(),
+            )
+        };
         ShardPool {
             shards,
-            lanes,
+            engine,
             metrics,
             down: false,
         }
@@ -356,9 +458,10 @@ where
         self.shards
     }
 
-    /// Number of worker threads actually spawned.
+    /// Number of workers: spawned threads, or 1 for a pool that runs on
+    /// the caller thread.
     pub fn workers(&self) -> usize {
-        self.lanes.len()
+        self.metrics.workers.len()
     }
 
     /// True once [`ShardPool::shutdown`] has consumed the states.
@@ -376,111 +479,116 @@ where
 
     /// Dispatch one batch to every worker (each processes it against all
     /// of its shards). Returns [`PoolError::ShutDown`] after `shutdown`;
-    /// re-raises the worker's panic if one died processing earlier work.
+    /// re-raises a shard's panic, on an inline pool straight from this
+    /// call and on a threaded pool once a send finds the worker dead.
     pub fn dispatch(&mut self, batch: B) -> Result<(), PoolError> {
-        self.dispatch_shared(Arc::new(batch))
-    }
-
-    /// [`ShardPool::dispatch`] for a batch that is already shared.
-    pub fn dispatch_shared(&mut self, batch: Arc<B>) -> Result<(), PoolError> {
         if self.down {
             return Err(PoolError::ShutDown);
         }
         self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
-        let mut dead = false;
-        for (w, lane) in self.lanes.iter().enumerate() {
-            let tx = lane.tx.as_ref().expect("live pool lane has a sender");
-            self.metrics.enqueue(w);
-            if tx.send(batch.clone()).is_err() {
-                dead = true;
+        match &mut self.engine {
+            Engine::Inline(slot) => {
+                let set = slot.as_mut().expect("live inline pool has its shards");
+                let wm = &self.metrics.workers[0];
+                self.metrics.enqueue(0);
+                let ran = catch_unwind(AssertUnwindSafe(|| wm.run(|| set.process(&batch))));
+                wm.queue_len.fetch_sub(1, Ordering::Relaxed);
+                if let Err(payload) = ran {
+                    // The shards are half-updated: drop them unfinished,
+                    // as a dead worker thread does.
+                    *slot = None;
+                    self.close();
+                    std::panic::resume_unwind(payload);
+                }
             }
-        }
-        if dead {
-            self.propagate_worker_panic();
+            Engine::Threads(lanes) => {
+                let batch = Arc::new(batch);
+                let mut dead = false;
+                for (w, lane) in lanes.iter().enumerate() {
+                    let tx = lane.tx.as_ref().expect("live pool lane has a sender");
+                    self.metrics.enqueue(w);
+                    if tx.send(batch.clone()).is_err() {
+                        dead = true;
+                    }
+                }
+                if dead {
+                    // A send failed, so a worker is gone — and workers
+                    // only leave by panicking.
+                    let (_, payload) = self.close();
+                    std::panic::resume_unwind(
+                        payload.expect("worker disconnected without panicking"),
+                    );
+                }
+            }
         }
         Ok(())
     }
 
-    /// Close every channel, join every worker and return
-    /// the finished per-shard outputs in shard order. The pool is
-    /// unusable afterwards (further calls return
-    /// [`PoolError::ShutDown`]); a worker that panicked re-raises here.
+    /// Drain every queue, finish every shard and return the per-shard
+    /// outputs in shard order. The pool is unusable afterwards (further
+    /// calls return [`PoolError::ShutDown`]); a shard that panicked
+    /// re-raises here.
     pub fn shutdown(&mut self) -> Result<Vec<O>, PoolError> {
         if self.down {
             return Err(PoolError::ShutDown);
         }
-        self.down = true;
-        for lane in &mut self.lanes {
-            lane.tx = None;
+        match self.close() {
+            (outputs, None) => Ok(outputs),
+            (_, Some(payload)) => std::panic::resume_unwind(payload),
         }
+    }
+}
+
+impl<B, O> ShardPool<B, O> {
+    /// Tear the pool down: close every channel and join every worker, or
+    /// finish the inline shards, then publish the metrics — also on a
+    /// failed run, so it still leaves a coherent (partial) telemetry
+    /// snapshot. Returns the outputs in shard order and the first panic
+    /// payload, if a shard panicked.
+    fn close(&mut self) -> (Vec<O>, Option<PanicPayload>) {
+        self.down = true;
         let mut outputs: Vec<(usize, O)> = Vec::with_capacity(self.shards);
         let mut panic_payload = None;
-        for lane in &mut self.lanes {
-            if let Some(handle) = lane.handle.take() {
-                match handle.join() {
-                    Ok(part) => outputs.extend(part),
-                    Err(payload) => {
-                        panic_payload.get_or_insert(payload);
+        match &mut self.engine {
+            Engine::Inline(set) => {
+                if let Some(set) = set.take() {
+                    match catch_unwind(AssertUnwindSafe(|| set.finish())) {
+                        Ok(part) => outputs.extend(part),
+                        Err(payload) => panic_payload = Some(payload),
+                    }
+                }
+            }
+            Engine::Threads(lanes) => {
+                for lane in lanes.iter_mut() {
+                    lane.tx = None;
+                }
+                for lane in lanes.iter_mut() {
+                    if let Some(handle) = lane.handle.take() {
+                        match handle.join() {
+                            Ok(part) => outputs.extend(part),
+                            Err(payload) => {
+                                panic_payload.get_or_insert(payload);
+                            }
+                        }
                     }
                 }
             }
         }
         self.metrics.publish();
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
         outputs.sort_by_key(|(shard, _)| *shard);
-        Ok(outputs.into_iter().map(|(_, o)| o).collect())
-    }
-
-    /// Tear everything down and re-raise the first worker panic. Only
-    /// called when a send failed, which means a worker is gone — and
-    /// workers only leave by panicking.
-    fn propagate_worker_panic(&mut self) -> ! {
-        self.down = true;
-        for lane in &mut self.lanes {
-            lane.tx = None;
-        }
-        let mut panic_payload = None;
-        for lane in &mut self.lanes {
-            if let Some(handle) = lane.handle.take() {
-                if let Err(payload) = handle.join() {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        // Publish whatever was recorded up to the failure so a crashed
-        // run still leaves a coherent (partial) telemetry snapshot.
-        self.metrics.publish();
-        match panic_payload {
-            Some(payload) => std::panic::resume_unwind(payload),
-            None => unreachable!("worker disconnected without panicking"),
-        }
+        (outputs.into_iter().map(|(_, o)| o).collect(), panic_payload)
     }
 }
 
-/// Dropping a live pool joins its workers (so no thread outlives the
-/// stage that owns it) and re-raises a worker panic unless the thread is
+/// Dropping a live pool finishes its shards (so no thread outlives the
+/// stage that owns it) and re-raises a shard panic unless the thread is
 /// already unwinding.
 impl<B, O> Drop for ShardPool<B, O> {
     fn drop(&mut self) {
         if self.down {
             return;
         }
-        self.down = true;
-        for lane in &mut self.lanes {
-            lane.tx = None;
-        }
-        let mut panic_payload = None;
-        for lane in &mut self.lanes {
-            if let Some(handle) = lane.handle.take() {
-                if let Err(payload) = handle.join() {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        self.metrics.publish();
-        if let Some(payload) = panic_payload {
+        if let (_, Some(payload)) = self.close() {
             if !std::thread::panicking() {
                 std::panic::resume_unwind(payload);
             }
@@ -578,6 +686,77 @@ mod tests {
         assert_eq!(outs[0].2, outs[4].2);
         assert_eq!(outs[1].2, outs[3].2);
         assert_ne!(outs[0].2, outs[1].2);
+    }
+
+    #[test]
+    fn one_thread_pool_runs_on_the_caller_thread() {
+        let _t = dosscope_obs::testing::scoped_enable();
+        let chunks = [vec![0, 1, 2, 3, 4], vec![5, 6, 7], vec![8, 9, 10, 11]];
+        let run = |threads: usize| {
+            let mut pool = probe_pool(3, threads);
+            for chunk in &chunks {
+                pool.dispatch(route(chunk.clone(), 3)).unwrap();
+            }
+            let outs = pool.shutdown().unwrap();
+            (outs, pool.workers())
+        };
+        let (inline, workers) = run(1);
+        assert_eq!(workers, 1);
+        let here = std::thread::current().id();
+        assert!(inline.iter().all(|(_, _, thread)| *thread == Some(here)));
+        let (threaded, workers) = run(2);
+        assert_eq!(workers, 2);
+        assert!(threaded.iter().all(|(_, _, thread)| *thread != Some(here)));
+        let strip = |outs: Vec<ProbeOutput>| -> Vec<(Vec<u32>, usize)> {
+            outs.into_iter().map(|(seen, batches, _)| (seen, batches)).collect()
+        };
+        assert_eq!(strip(inline), strip(threaded), "same outputs as a 2-thread pool");
+
+        // The inline worker is profiled like a thread: busy time while
+        // it processes, and a queue depth of one per batch.
+        let mut pool = slow_pool(2, 1, 2);
+        for _ in 0..2 {
+            pool.dispatch(route(vec![0, 1], 2)).unwrap();
+        }
+        assert_eq!(pool.shutdown().unwrap(), vec![2, 2]);
+        let gauges = pool.metrics().gauges();
+        let get = |name: &str| gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        assert_eq!(get("pool.slow.workers"), Some(1));
+        assert_eq!(get("pool.slow.w0.batches"), Some(2));
+        assert_eq!(get("pool.slow.w0.queue_hwm"), Some(1));
+        assert!(get("pool.slow.w0.busy_us").unwrap() >= 4_000);
+    }
+
+    #[test]
+    fn inline_panic_reaches_the_caller_directly() {
+        let mut pool: ShardPool<Routed<u32>, u32> = ShardPool::new(
+            "inline-poison",
+            2,
+            1,
+            2,
+            |_| 0,
+            |state, shard, _shards, routed: &Routed<u32>| {
+                for v in routed.owned(shard) {
+                    assert!(*v != 13, "poison item reached shard {shard}");
+                    *state += v;
+                }
+            },
+            |s| s,
+        );
+        pool.dispatch(route(vec![1, 2], 2)).unwrap();
+        // The very dispatch carrying the poison raises the panic.
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _ = pool.dispatch(route(vec![13], 2));
+        }))
+        .expect_err("inline panic must reach the caller");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic".into());
+        assert!(msg.contains("poison item"), "original payload kept: {msg}");
+        assert!(pool.is_shut_down());
+        assert_eq!(pool.dispatch(route(vec![3], 2)).unwrap_err(), PoolError::ShutDown);
+        assert_eq!(pool.metrics().dispatches, 2);
     }
 
     #[test]

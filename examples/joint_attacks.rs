@@ -29,7 +29,7 @@ fn main() {
         backscatter.push(PacketBatch::repeated(SimTime(1_000 + s), 2, pkt));
     }
     let detector = RsdosDetector::with_defaults(telescope);
-    let (tele_events, stats) = run_rsdos(detector, backscatter, 60);
+    let (tele_events, stats) = run_rsdos(detector, backscatter);
     println!(
         "telescope: {} backscatter packets -> {} attack event(s)",
         stats.backscatter_packets,

@@ -1,8 +1,9 @@
 //! Telemetry counters are part of the serial-equivalence guarantee: the
-//! engine counters (`telescope.*`, `fleet.*`, `fusion.*`) count domain
-//! facts — batches ingested, flows expired, events emitted — at sites
-//! the serial and sharded paths share byte for byte, so for a fixed seed
-//! the whole counter map must be identical for any thread count.
+//! engine counters (`telescope.*`, `fleet.*`) count domain facts —
+//! batches ingested, flows expired, events emitted — and are published
+//! once from the shard-merged `DetectorStats`/`FleetStats`, so for a
+//! fixed seed the whole counter map must be identical for any thread
+//! count.
 //!
 //! This lives in its own test binary on purpose: the counter registry is
 //! process-global, so the comparison needs a process where no concurrent
@@ -42,5 +43,31 @@ fn telemetry_counters_are_identical_across_thread_counts() {
             threaded, serial,
             "{threads} threads: counter map differs from serial"
         );
+    }
+}
+
+/// `threads = 1` drives the same sharded engines as any other thread
+/// count (one inline shard each), so its telemetry carries the peak
+/// working-set gauges and both pools' profiles too.
+#[test]
+fn single_thread_run_registers_peak_and_pool_gauges() {
+    let _telemetry = dosscope_obs::testing::scoped_enable();
+    let _world = Scenario::run(&ScenarioConfig {
+        scale: 50_000.0,
+        threads: 1,
+        ..ScenarioConfig::default()
+    });
+    let gauges = dosscope_obs::registry::gauges_snapshot();
+    let get = |name: &str| gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+    for name in ["telescope.peak_live_flows", "fleet.peak_open_events"] {
+        assert!(get(name) > Some(0), "{name} registered: {gauges:?}");
+    }
+    for pool in ["telescope", "fleet"] {
+        assert_eq!(get(&format!("pool.{pool}.workers")), Some(1));
+        assert_eq!(get(&format!("pool.{pool}.shards")), Some(1));
+        for field in ["dispatches", "w0.batches", "w0.busy_us", "w0.queue_hwm"] {
+            let name = format!("pool.{pool}.{field}");
+            assert!(get(&name) > Some(0), "{name} registered: {gauges:?}");
+        }
     }
 }
