@@ -33,11 +33,13 @@ for threads in 1 8; do
     ./target/release/repro --validate-telemetry "$telemetry_out"
 done
 
-echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000)"
-# Both run the Web and mail/NS joins end to end on a generated world and
-# fail on a panic.
+echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000) + streaming_fusion"
+# The first two run the Web and mail/NS joins end to end on a generated
+# world and fail on a panic. streaming_fusion ingests a whole world in
+# day batches and asserts the result equals the batch store.
 cargo run --release --locked -q -p dosscope-harness --example web_impact > /dev/null
 cargo run --release --locked -q -p dosscope-harness --example mail_infrastructure > /dev/null
+cargo run --release --locked -q -p dosscope-harness --example streaming_fusion > /dev/null
 
 echo "==> lint: no bare println!/eprintln! in library crates"
 # Library code reports through dosscope-obs (leveled logger, counters,

@@ -1,78 +1,65 @@
 //! Event ingestion and the per-source aggregates of Table 1, on a
-//! columnar struct-of-arrays store with LSM-style sorted-run ingest.
+//! columnar struct-of-arrays store that is kept sorted at ingest.
 //!
 //! # Layout
 //!
-//! Events are *stored* as parallel column vectors. Each source owns a
-//! consolidated `main` block sorted by `(start, target)` plus a stack of
-//! pending *sorted runs* — batches that arrived out of order and have
-//! not been merged yet:
+//! Events are *stored* as parallel column vectors. Each source owns one
+//! block sorted by `(start, target)` and a kind index over it:
 //!
 //! ```text
 //!                    shared Interner<Ipv4Addr> (victim ⇄ u32 id)
 //!                                   ▲        ▲
 //!            telescope source       │        │        honeypot source
-//!   main ──▶ victim  : Vec<u32> ────┘        └──── main: (same columns)
-//!            start   : Vec<u64>                    runs: [sorted batch,
-//!            end     : Vec<u64>                           sorted batch,
-//!            kind    : Vec<u8>                            ...]
+//!   block ─▶ victim  : Vec<u32> ────┘        └──── block: (same columns)
+//!            start   : Vec<u64>                    + RunIndex
+//!            end     : Vec<u64>
+//!            kind    : Vec<u8>
 //!            aux     : Vec<u32>
-//!            packets : Vec<u64>      each run is one ColumnBlock with
-//!            bytes   : Vec<u64>      the same nine columns, sorted by
-//!            intensity:Vec<f64>      (start, target) within itself
+//!            packets : Vec<u64>
+//!            bytes   : Vec<u64>
+//!            intensity:Vec<f64>
 //!            sources : Vec<u32>
-//!            + RunIndex (kind → ascending row ids) over `main` only
+//!            + RunIndex (kind → ascending row ids)
 //! ```
 //!
-//! # Sorted-run ingest
+//! # Ingest
 //!
-//! The old store merged *every* out-of-order batch into the full block —
-//! an O(total) column rewrite per batch that made ingest quadratic at
-//! tens of millions of rows. Ingest now costs O(batch log batch):
+//! A batch is key-sorted on compact 16-byte `(start, target, seq)` keys
+//! (`seq` makes the unstable sort order-identical to a stable sort, and
+//! wide rows never move during the sort). Then:
 //!
-//! * a batch is key-sorted (16-byte `(start, target, seq)` keys, so the
-//!   unstable sort is order-identical to the old stable sort and never
-//!   shuffles wide rows) and appended as a new run;
-//! * in-order batches — detector output, the common case — append
-//!   straight onto `main` (or the newest run) with zero extra cost;
-//! * a binary-counter policy merges the two newest runs while the older
-//!   one is no larger, so total merge traffic is O(n log n) and the run
-//!   count stays logarithmic in the batch count;
-//! * reads *consolidate lazily*: the first query (or an ingest that
-//!   drives the run count to `DEFAULT_RUN_THRESHOLD`) k-way-merges `main`
-//!   and all runs through a [`LoserTree`] and rebuilds the kind index.
+//! * a batch whose first key is at or after the last stored key — the
+//!   detectors' output, the common case — appends in place and extends
+//!   the kind index row by row;
+//! * a *late* batch — one that starts before the last stored key — is
+//!   encoded in key order and merged into the block with one two-pointer
+//!   pass, stored rows winning ties. The kind index is then rebuilt.
 //!
-//! Every observable order is *still* exactly the old store's
-//! `extend + stable sort_by_key(start, target)`: runs are merged
-//! oldest-first and the loser tree breaks key ties toward the older
-//! source, so existing rows win ties bit-for-bit.
+//! Either way every observable order is exactly the row store's
+//! `extend + stable sort_by_key(start, target)`, and every read sees a
+//! sorted block with no pending work. The `store.consolidations` and
+//! `store.consolidation_rows` counters count late batches and the rows
+//! their merges rewrote.
 //!
 //! The [`AttackVector`] sum type is flattened into a `(kind, aux)` pair
 //! (see `encode_vector`): a one-byte predicate key that the per-source
-//! [`RunIndex`] turns into posting lists over `main`. Victims are
-//! interned to dense `u32` ids in a table *shared by both sources* —
-//! ids are assigned in per-batch sorted order at ingest (runs carry
-//! final ids, so consolidation never re-interns) — and the Table 1
-//! aggregates are [`BitSet`]s over those ids, maintained at ingest.
+//! [`RunIndex`] turns into posting lists. Victims are interned to dense
+//! `u32` ids in a table *shared by both sources* — ids are assigned in
+//! per-batch sorted order at ingest — and the Table 1 aggregates are
+//! [`BitSet`]s over those ids, maintained at ingest.
 //!
 //! # Boundaries
 //!
 //! The public API still speaks [`AttackEvent`]: ingest takes the same
 //! event vectors, and queries hand back [`EventsView`]s that decode rows
-//! on the fly. Because consolidation happens on first read, the column
-//! state sits behind a [`RwLock`]; views hold a read guard for their
-//! lifetime (ingest takes `&mut self`, so a live view implies the store
-//! is already consolidated and quiescent). A poisoned lock is recovered
-//! (`PoisonError::into_inner`) rather than propagated.
+//! on the fly. Ingest takes `&mut self`, so the rows a view borrows can
+//! never shift under it.
 
 use dosscope_types::{
-    AttackEvent, AttackVector, BitSet, EventSource, FastSet, Interner, LoserTree, PortSignature,
-    Prefix16, Prefix24, ReflectionProtocol, RunIndex, SimTime, TimeRange, TransportProto,
+    AttackEvent, AttackVector, BitSet, EventSource, Interner, PortSignature, ReflectionProtocol,
+    RunIndex, SimTime, TimeRange, TransportProto,
 };
-use std::borrow::Borrow;
 use std::net::Ipv4Addr;
-use std::ops::Deref;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of distinct `(vector kind)` codes: 4 transports × 3 port-signature
 /// classes for telescope floods, plus 8 reflection protocols.
@@ -80,28 +67,6 @@ pub(crate) const KINDS: usize = 12 + ReflectionProtocol::ALL.len();
 
 /// First kind code used by reflection vectors.
 pub(crate) const KIND_REFLECTION: u8 = 12;
-
-/// Pending-run ceiling: an ingest that leaves this many runs
-/// consolidates immediately. The binary-counter merge keeps the live run
-/// count logarithmic in the batch count, so this is a backstop for
-/// adversarial batch patterns, not the steady-state trigger (reads
-/// consolidate whatever is pending).
-const DEFAULT_RUN_THRESHOLD: usize = 16;
-
-/// Shared access to one source's columns.
-fn read(lock: &RwLock<SourceCols>) -> RwLockReadGuard<'_, SourceCols> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Exclusive access to one source's columns.
-fn write(lock: &RwLock<SourceCols>) -> RwLockWriteGuard<'_, SourceCols> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Exclusive access to one source's columns through `&mut`.
-fn get_mut(lock: &mut RwLock<SourceCols>) -> &mut SourceCols {
-    lock.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Flatten an [`AttackVector`] into its `(kind, aux)` column encoding.
 ///
@@ -141,8 +106,7 @@ pub(crate) fn decode_vector(kind: u8, aux: u32) -> AttackVector {
     }
 }
 
-/// Parallel column vectors holding rows sorted by `(start, victim)` —
-/// either a source's consolidated block or one pending sorted run.
+/// Parallel column vectors holding rows sorted by `(start, victim)`.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnBlock {
     /// Interned victim id per row (resolve via the store's interner).
@@ -168,10 +132,6 @@ pub(crate) struct ColumnBlock {
 impl ColumnBlock {
     pub(crate) fn len(&self) -> usize {
         self.victim.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.victim.is_empty()
     }
 
     /// Decode row `i` back into the boundary [`AttackEvent`] type.
@@ -202,8 +162,8 @@ impl ColumnBlock {
     }
 
     /// Copy row `i` of `other` onto the end of `self`.
-    pub(crate) fn push_from(&mut self, other: &ColumnBlock, i: usize, victim_id: u32) {
-        self.victim.push(victim_id);
+    fn push_from(&mut self, other: &ColumnBlock, i: usize) {
+        self.victim.push(other.victim[i]);
         self.start.push(other.start[i]);
         self.end.push(other.end[i]);
         self.kind.push(other.kind[i]);
@@ -239,12 +199,6 @@ impl ColumnBlock {
     }
 }
 
-/// The sort/merge key of the last row of `block`, or `None` when empty.
-fn last_key(block: &ColumnBlock, victims: &Interner<Ipv4Addr>) -> Option<(u64, u32)> {
-    let n = block.len();
-    (n > 0).then(|| (block.start[n - 1], u32::from(victims.resolve(block.victim[n - 1]))))
-}
-
 /// Per-source incremental aggregates, maintained at ingest so every
 /// Table 1 query is O(1) and never re-scans the columns.
 #[derive(Debug, Default)]
@@ -263,6 +217,10 @@ impl SourceStats {
         self.blocks24.insert(addr >> 8);
         self.blocks16.insert(addr >> 16);
     }
+
+    fn memory_bytes(&self) -> usize {
+        self.victims.memory_bytes() + self.blocks24.memory_bytes() + self.blocks16.memory_bytes()
+    }
 }
 
 /// Aggregate counts for one source (a row of Table 1). ASN counting needs
@@ -279,37 +237,36 @@ pub struct SourceSummary {
     pub blocks16: u64,
 }
 
-/// One source's column state: the consolidated block, the pending sorted
-/// runs (oldest first), and the kind index over the consolidated block.
-#[derive(Debug, Default)]
-struct SourceCols {
-    main: ColumnBlock,
-    runs: Vec<ColumnBlock>,
+/// One source's state: the sorted block, the kind index over it, and the
+/// Table 1 aggregates.
+#[derive(Debug)]
+struct Source {
+    block: ColumnBlock,
     index: RunIndex,
+    stats: SourceStats,
 }
 
-impl SourceCols {
-    /// Total rows including pending runs.
-    fn len(&self) -> usize {
-        self.main.len() + self.runs.iter().map(ColumnBlock::len).sum::<usize>()
+impl Source {
+    fn new() -> Source {
+        Source {
+            block: ColumnBlock::default(),
+            index: RunIndex::new(KINDS),
+            stats: SourceStats::default(),
+        }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.main.memory_bytes()
-            + self.runs.iter().map(ColumnBlock::memory_bytes).sum::<usize>()
-            + self.index.memory_bytes()
+        self.block.memory_bytes() + self.index.memory_bytes() + self.stats.memory_bytes()
     }
 }
 
 /// The ingested event sets as a columnar, time-sorted store (see the
-/// module docs for the sorted-run layout and consolidation lifecycle).
+/// module docs for the layout and the ingest paths).
 #[derive(Debug)]
 pub struct EventStore {
     victims: Interner<Ipv4Addr>,
-    tele: RwLock<SourceCols>,
-    hp: RwLock<SourceCols>,
-    tele_stats: SourceStats,
-    hp_stats: SourceStats,
+    tele: Source,
+    hp: Source,
 }
 
 impl Default for EventStore {
@@ -321,38 +278,25 @@ impl Default for EventStore {
 impl EventStore {
     /// Empty store.
     pub fn new() -> EventStore {
-        // Register the store's run-lifecycle instruments up front so a
-        // run that never consolidates still exports them (as zeros).
+        // Register the store's instruments up front so a run whose
+        // batches all arrive in order still exports them (as zeros).
         dosscope_obs::counter!("store.rows");
         dosscope_obs::counter!("store.consolidations");
         dosscope_obs::counter!("store.consolidation_rows");
         EventStore {
             victims: Interner::new(),
-            tele: RwLock::new(SourceCols {
-                index: RunIndex::new(KINDS),
-                ..SourceCols::default()
-            }),
-            hp: RwLock::new(SourceCols {
-                index: RunIndex::new(KINDS),
-                ..SourceCols::default()
-            }),
-            tele_stats: SourceStats::default(),
-            hp_stats: SourceStats::default(),
+            tele: Source::new(),
+            hp: Source::new(),
         }
     }
 
-    /// Number of pending (unconsolidated) sorted runs across sources.
-    pub fn pending_runs(&self) -> usize {
-        read(&self.tele).runs.len() + read(&self.hp).runs.len()
-    }
-
-    /// Ingest the telescope detector's events (any order; run-appended).
+    /// Ingest the telescope detector's events (any order).
     pub fn ingest_telescope(&mut self, events: Vec<AttackEvent>) {
         debug_assert!(events.iter().all(|e| e.source() == EventSource::Telescope));
         self.ingest_batch(EventSource::Telescope, &events);
     }
 
-    /// Ingest the honeypot fleet's events (any order; run-appended).
+    /// Ingest the honeypot fleet's events (any order).
     pub fn ingest_honeypot(&mut self, events: Vec<AttackEvent>) {
         debug_assert!(events.iter().all(|e| e.source() == EventSource::Honeypot));
         self.ingest_batch(EventSource::Honeypot, &events);
@@ -366,9 +310,8 @@ impl EventStore {
         dosscope_obs::counter!("store.rows").add(n as u64);
 
         // Sort compact 16-byte (start, target, seq) keys instead of wide
-        // rows: seq makes the unstable sort order-identical to the old
-        // stable sort on (start, target), and the key vector is the only
-        // fresh allocation the sort touches at 100M-row scale.
+        // rows: seq makes the unstable sort order-identical to a stable
+        // sort on (start, target).
         let mut keys: Vec<(u64, u32, u32)> = events
             .iter()
             .enumerate()
@@ -379,160 +322,74 @@ impl EventStore {
         }
         let first = (keys[0].0, keys[0].1);
 
-        let (cols, stats) = match source {
-            EventSource::Telescope => (get_mut(&mut self.tele), &mut self.tele_stats),
-            EventSource::Honeypot => (get_mut(&mut self.hp), &mut self.hp_stats),
+        let victims = &mut self.victims;
+        let src = match source {
+            EventSource::Telescope => &mut self.tele,
+            EventSource::Honeypot => &mut self.hp,
         };
+        let key = |block: &ColumnBlock, victims: &Interner<Ipv4Addr>, i: usize| {
+            (block.start[i], u32::from(victims.resolve(block.victim[i])))
+        };
+        let rows = src.block.len();
 
-        // Fast path: a batch that starts at or after the newest stored
-        // key appends in place — onto `main` while no runs are pending
-        // (today's common case: detector output arrives in time order),
-        // or onto the newest run. `<=` keeps the stable tie order:
-        // already-stored rows sort first on equal keys either way.
-        if cols.runs.is_empty() && last_key(&cols.main, &self.victims).is_none_or(|k| k <= first)
-        {
-            cols.main.reserve(n);
+        // `<=` keeps the stable tie order: stored rows sort first on
+        // equal keys.
+        if rows == 0 || key(&src.block, victims, rows - 1) <= first {
+            src.block.reserve(n);
             for &(_, addr, i) in &keys {
-                let id = self.victims.intern(Ipv4Addr::from(addr));
-                stats.admit(addr, id);
-                let row = cols.main.len() as u32;
-                cols.main.push_event(&events[i as usize], id);
-                cols.index.push(cols.main.kind[row as usize], row);
+                let id = victims.intern(Ipv4Addr::from(addr));
+                src.stats.admit(addr, id);
+                let row = src.block.len() as u32;
+                src.block.push_event(&events[i as usize], id);
+                src.index.push(src.block.kind[row as usize], row);
             }
         } else {
-            let onto_newest = cols
-                .runs
-                .last()
-                .is_some_and(|r| last_key(r, &self.victims).is_none_or(|k| k <= first));
-            if !onto_newest {
-                cols.runs.push(ColumnBlock::default());
-            }
-            let run = cols.runs.last_mut().expect("a run was just ensured");
-            run.reserve(n);
+            let mut late = ColumnBlock::default();
+            late.reserve(n);
             for &(_, addr, i) in &keys {
-                let id = self.victims.intern(Ipv4Addr::from(addr));
-                stats.admit(addr, id);
-                run.push_event(&events[i as usize], id);
+                let id = victims.intern(Ipv4Addr::from(addr));
+                src.stats.admit(addr, id);
+                late.push_event(&events[i as usize], id);
             }
-            // Binary-counter run maintenance: merge the two newest runs
-            // while the older is no larger. Every row is merged at most
-            // log2(batches) times, so total ingest traffic is
-            // O(n log n) even for single-event batches, and the live
-            // run count stays logarithmic.
-            while cols.runs.len() >= 2
-                && cols.runs[cols.runs.len() - 2].len() <= cols.runs[cols.runs.len() - 1].len()
-            {
-                let newer = cols.runs.pop().expect("len checked");
-                let older = cols.runs.pop().expect("len checked");
-                let parts = [&older, &newer];
-                cols.runs.push(Self::merge_blocks(&parts, &self.victims));
+            // One two-pointer merge, stored rows first on equal keys.
+            let stored = std::mem::take(&mut src.block);
+            src.block.reserve(rows + n);
+            let (mut i, mut j) = (0, 0);
+            while i < rows || j < n {
+                if j == n || (i < rows && key(&stored, victims, i) <= (keys[j].0, keys[j].1)) {
+                    src.block.push_from(&stored, i);
+                    i += 1;
+                } else {
+                    src.block.push_from(&late, j);
+                    j += 1;
+                }
             }
-            if cols.runs.len() >= DEFAULT_RUN_THRESHOLD {
-                Self::consolidate_cols(cols, &self.victims);
+            dosscope_obs::counter!("store.consolidations").inc();
+            dosscope_obs::counter!("store.consolidation_rows").add((rows + n) as u64);
+            src.index.clear();
+            for (row, &kind) in src.block.kind.iter().enumerate() {
+                src.index.push(kind, row as u32);
             }
         }
 
-        dosscope_obs::gauge!("store.victims").set(self.victims.len() as u64);
-        let pending = get_mut(&mut self.tele).runs.len() + get_mut(&mut self.hp).runs.len();
-        dosscope_obs::gauge!("store.runs").set(pending as u64);
+        dosscope_obs::gauge!("store.victims").set(victims.len() as u64);
     }
 
-    /// Consolidate any pending runs of `lock` into its `main` block.
-    ///
-    /// Reads call this before taking a view. Re-entrancy is safe by
-    /// construction: a held view guard implies this already ran (views
-    /// are only handed out consolidated) and ingest requires `&mut
-    /// self`, so the read-check below can never race a run append.
-    fn ensure(&self, lock: &RwLock<SourceCols>) {
-        if read(lock).runs.is_empty() {
-            return;
-        }
-        let mut cols = write(lock);
-        // Re-check under the write lock: another reader may have
-        // consolidated between our read probe and the write acquire.
-        Self::consolidate_cols(&mut cols, &self.victims);
-    }
-
-    fn consolidate_cols(cols: &mut SourceCols, victims: &Interner<Ipv4Addr>) {
-        if cols.runs.is_empty() {
-            return;
-        }
-        let total = cols.len();
-        dosscope_obs::counter!("store.consolidations").inc();
-        dosscope_obs::counter!("store.consolidation_rows").add(total as u64);
-        if cols.main.is_empty() && cols.runs.len() == 1 {
-            // Single-run adoption: the run becomes `main` by move — the
-            // single-out-of-order-batch case costs no row copies.
-            cols.main = cols.runs.pop().expect("len checked");
-        } else {
-            let parts: Vec<&ColumnBlock> = std::iter::once(&cols.main)
-                .filter(|b| !b.is_empty())
-                .chain(cols.runs.iter())
-                .collect();
-            cols.main = Self::merge_blocks(&parts, victims);
-            cols.runs.clear();
-        }
-        // The kind index only covers consolidated rows; rebuild it over
-        // the merged block.
-        cols.index.clear();
-        for (row, &kind) in cols.main.kind.iter().enumerate() {
-            cols.index.push(kind, row as u32);
+    fn source(&self, source: EventSource) -> &Source {
+        match source {
+            EventSource::Telescope => &self.tele,
+            EventSource::Honeypot => &self.hp,
         }
     }
 
-    /// k-way merge sorted blocks (oldest first — ties resolve toward the
-    /// lower part index, i.e. earlier-ingested rows) into one block
-    /// through a [`LoserTree`]. Victim ids are already final, so rows
-    /// copy without re-interning.
-    fn merge_blocks(parts: &[&ColumnBlock], victims: &Interner<Ipv4Addr>) -> ColumnBlock {
-        // Resolve each part's merge keys once: the hot loop compares
-        // plain (u64, u32) pairs, never the interner.
-        let addrs: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|b| {
-                b.victim
-                    .iter()
-                    .map(|&id| u32::from(victims.resolve(id)))
-                    .collect()
-            })
-            .collect();
-        let mut out = ColumnBlock::default();
-        out.reserve(parts.iter().map(|b| b.len()).sum());
-        let mut cursors = vec![0usize; parts.len()];
-        let heads: Vec<Option<(u64, u32)>> = parts
-            .iter()
-            .enumerate()
-            .map(|(k, b)| (!b.is_empty()).then(|| (b.start[0], addrs[k][0])))
-            .collect();
-        let mut tree = LoserTree::new(heads);
-        while let Some(k) = tree.winner() {
-            let i = cursors[k];
-            out.push_from(parts[k], i, parts[k].victim[i]);
-            cursors[k] += 1;
-            let next = (cursors[k] < parts[k].len())
-                .then(|| (parts[k].start[cursors[k]], addrs[k][cursors[k]]));
-            tree.replace(k, next);
-        }
-        out
-    }
-
-    /// Telescope events, sorted by start (consolidates pending runs).
+    /// Telescope events, sorted by start.
     pub fn telescope(&self) -> EventsView<'_> {
-        self.view_of(&self.tele)
+        self.of(EventSource::Telescope)
     }
 
-    /// Honeypot events, sorted by start (consolidates pending runs).
+    /// Honeypot events, sorted by start.
     pub fn honeypot(&self) -> EventsView<'_> {
-        self.view_of(&self.hp)
-    }
-
-    fn view_of<'a>(&'a self, lock: &'a RwLock<SourceCols>) -> EventsView<'a> {
-        self.ensure(lock);
-        EventsView {
-            lock,
-            cols: read(lock),
-            victims: &self.victims,
-        }
+        self.of(EventSource::Honeypot)
     }
 
     /// Both sources chained (telescope first; not globally sorted).
@@ -542,15 +399,15 @@ impl EventStore {
 
     /// Events of one source.
     pub fn of(&self, source: EventSource) -> EventsView<'_> {
-        match source {
-            EventSource::Telescope => self.telescope(),
-            EventSource::Honeypot => self.honeypot(),
+        EventsView {
+            block: self.block(source),
+            victims: &self.victims,
         }
     }
 
-    /// Total event count (pending runs included).
+    /// Total event count.
     pub fn len(&self) -> usize {
-        read(&self.tele).len() + read(&self.hp).len()
+        self.tele.block.len() + self.hp.block.len()
     }
 
     /// True when nothing was ingested.
@@ -558,76 +415,49 @@ impl EventStore {
         self.len() == 0
     }
 
-    /// Per-source aggregates over an arbitrary event set. Works for both
-    /// borrowed and owned event iterators.
-    pub fn summarize<E: Borrow<AttackEvent>>(events: impl Iterator<Item = E>) -> SourceSummary {
-        let mut targets: FastSet<Ipv4Addr> = FastSet::default();
-        let mut blocks24: FastSet<Prefix24> = FastSet::default();
-        let mut blocks16: FastSet<Prefix16> = FastSet::default();
-        let mut n = 0u64;
-        for e in events {
-            let e = e.borrow();
-            n += 1;
-            targets.insert(e.target);
-            blocks24.insert(Prefix24::of(e.target));
-            blocks16.insert(Prefix16::of(e.target));
-        }
-        SourceSummary {
-            events: n,
-            targets: targets.len() as u64,
-            blocks24: blocks24.len() as u64,
-            blocks16: blocks16.len() as u64,
-        }
-    }
-
-    /// The Table 1 aggregate for one source — O(1), maintained at
-    /// ingest, and valid whether or not runs are consolidated.
+    /// The Table 1 aggregate for one source — O(1), maintained at ingest.
     pub fn summary(&self, source: EventSource) -> SourceSummary {
-        let (lock, stats) = match source {
-            EventSource::Telescope => (&self.tele, &self.tele_stats),
-            EventSource::Honeypot => (&self.hp, &self.hp_stats),
-        };
+        let src = self.source(source);
         SourceSummary {
-            events: read(lock).len() as u64,
-            targets: stats.victims.len() as u64,
-            blocks24: stats.blocks24.len() as u64,
-            blocks16: stats.blocks16.len() as u64,
+            events: src.block.len() as u64,
+            targets: src.stats.victims.len() as u64,
+            blocks24: src.stats.blocks24.len() as u64,
+            blocks16: src.stats.blocks16.len() as u64,
         }
     }
 
     /// The Table 1 aggregate for the combined data: union popcounts over
     /// the per-source bitsets — no re-scan of either column block.
     pub fn summary_combined(&self) -> SourceSummary {
+        let (t, h) = (&self.tele.stats, &self.hp.stats);
         SourceSummary {
             events: self.len() as u64,
-            targets: self.tele_stats.victims.union_count(&self.hp_stats.victims) as u64,
-            blocks24: self.tele_stats.blocks24.union_count(&self.hp_stats.blocks24) as u64,
-            blocks16: self.tele_stats.blocks16.union_count(&self.hp_stats.blocks16) as u64,
+            targets: t.victims.union_count(&h.victims) as u64,
+            blocks24: t.blocks24.union_count(&h.blocks24) as u64,
+            blocks16: t.blocks16.union_count(&h.blocks16) as u64,
         }
     }
 
     /// Unique targets common to both sources (the paper's 282 k): an
     /// AND-popcount over the shared-interner victim bitsets.
     pub fn common_targets(&self) -> u64 {
-        self.tele_stats
+        self.tele
+            .stats
             .victims
-            .intersection_count(&self.hp_stats.victims) as u64
+            .intersection_count(&self.hp.stats.victims) as u64
     }
 
     /// Every distinct victim of one source, in interning (first-seen)
     /// order — the columnar feed for per-target enrichment counts.
     pub fn distinct_targets(&self, source: EventSource) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        let stats = match source {
-            EventSource::Telescope => &self.tele_stats,
-            EventSource::Honeypot => &self.hp_stats,
-        };
+        let stats = &self.source(source).stats;
         stats.victims.iter().map(|id| self.victims.resolve(id))
     }
 
     /// Every distinct victim across both sources.
     pub fn distinct_targets_combined(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        let mut union = self.tele_stats.victims.clone();
-        union.union_with(&self.hp_stats.victims);
+        let mut union = self.tele.stats.victims.clone();
+        union.union_with(&self.hp.stats.victims);
         union
             .iter()
             .map(|id| self.victims.resolve(id))
@@ -641,13 +471,15 @@ impl EventStore {
         let Some(id) = self.victims.get(target) else {
             return Vec::new();
         };
-        let tele = self.block(EventSource::Telescope);
-        let hp = self.block(EventSource::Honeypot);
+        let tele = &self.tele.block;
+        let hp = &self.hp.block;
         let collect = |block: &ColumnBlock| -> Vec<usize> {
-            (0..block.len()).filter(|&i| block.victim[i] == id).collect()
+            (0..block.len())
+                .filter(|&i| block.victim[i] == id)
+                .collect()
         };
-        let t_rows = collect(&tele);
-        let h_rows = collect(&hp);
+        let t_rows = collect(tele);
+        let h_rows = collect(hp);
         let mut out = Vec::with_capacity(t_rows.len() + h_rows.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < t_rows.len() || j < h_rows.len() {
@@ -664,68 +496,26 @@ impl EventStore {
         out
     }
 
-    /// Approximate heap footprint of the store in bytes: column vectors
-    /// (consolidated and pending runs), interner, indexes and aggregate
-    /// bitsets. This is the "peak working set" the scale sweep records.
+    /// Approximate heap footprint of the store in bytes: column vectors,
+    /// interner, indexes and aggregate bitsets. This is the "peak working
+    /// set" the scale sweep records.
     pub fn memory_bytes(&self) -> usize {
-        read(&self.tele).memory_bytes()
-            + read(&self.hp).memory_bytes()
-            + self.victims.memory_bytes()
-            + self.tele_stats.victims.memory_bytes()
-            + self.tele_stats.blocks24.memory_bytes()
-            + self.tele_stats.blocks16.memory_bytes()
-            + self.hp_stats.victims.memory_bytes()
-            + self.hp_stats.blocks24.memory_bytes()
-            + self.hp_stats.blocks16.memory_bytes()
+        self.tele.memory_bytes() + self.hp.memory_bytes() + self.victims.memory_bytes()
     }
 
-    /// The consolidated column block of one source (crate-internal scan
-    /// surface; consolidates pending runs first).
-    pub(crate) fn block(&self, source: EventSource) -> BlockRef<'_> {
-        let lock = match source {
-            EventSource::Telescope => &self.tele,
-            EventSource::Honeypot => &self.hp,
-        };
-        self.ensure(lock);
-        BlockRef(read(lock))
+    /// The sorted column block of one source (crate-internal scan surface).
+    pub(crate) fn block(&self, source: EventSource) -> &ColumnBlock {
+        &self.source(source).block
     }
 
-    /// The kind-predicate index of one source (consolidates first — the
-    /// index only covers consolidated rows).
-    pub(crate) fn kind_index(&self, source: EventSource) -> IndexRef<'_> {
-        let lock = match source {
-            EventSource::Telescope => &self.tele,
-            EventSource::Honeypot => &self.hp,
-        };
-        self.ensure(lock);
-        IndexRef(read(lock))
+    /// The kind-predicate index of one source.
+    pub(crate) fn kind_index(&self, source: EventSource) -> &RunIndex {
+        &self.source(source).index
     }
 
     /// The shared victim interner.
     pub(crate) fn victim_ids(&self) -> &Interner<Ipv4Addr> {
         &self.victims
-    }
-}
-
-/// Guard handing out one source's consolidated [`ColumnBlock`].
-pub(crate) struct BlockRef<'a>(RwLockReadGuard<'a, SourceCols>);
-
-impl Deref for BlockRef<'_> {
-    type Target = ColumnBlock;
-
-    fn deref(&self) -> &ColumnBlock {
-        &self.0.main
-    }
-}
-
-/// Guard handing out one source's kind-predicate [`RunIndex`].
-pub(crate) struct IndexRef<'a>(RwLockReadGuard<'a, SourceCols>);
-
-impl Deref for IndexRef<'_> {
-    type Target = RunIndex;
-
-    fn deref(&self) -> &RunIndex {
-        &self.0.index
     }
 }
 
@@ -737,30 +527,16 @@ impl Deref for IndexRef<'_> {
 /// dropped `&`/`.cloned()`. Equality against other views and against
 /// event slices compares decoded rows, which keeps the store-equivalence
 /// assertions byte-for-byte meaningful.
-///
-/// A view pins the source consolidated: it holds a read guard on the
-/// column state (cloning a view re-acquires a guard), and ingest takes
-/// `&mut self`, so the rows a view exposes can never shift under it.
+#[derive(Clone, Copy)]
 pub struct EventsView<'a> {
-    lock: &'a RwLock<SourceCols>,
-    cols: RwLockReadGuard<'a, SourceCols>,
+    block: &'a ColumnBlock,
     victims: &'a Interner<Ipv4Addr>,
-}
-
-impl Clone for EventsView<'_> {
-    fn clone(&self) -> Self {
-        EventsView {
-            lock: self.lock,
-            cols: read(self.lock),
-            victims: self.victims,
-        }
-    }
 }
 
 impl<'a> EventsView<'a> {
     /// Number of events in the view.
     pub fn len(&self) -> usize {
-        self.cols.main.len()
+        self.block.len()
     }
 
     /// Whether the view is empty.
@@ -770,14 +546,14 @@ impl<'a> EventsView<'a> {
 
     /// Decode the event at row `i` (panics when out of bounds).
     pub fn get(&self, i: usize) -> AttackEvent {
-        self.cols.main.event(i, self.victims)
+        self.block.event(i, self.victims)
     }
 
     /// Iterate the events in store order, decoding each row.
     pub fn iter(&self) -> EventsIter<'a> {
         EventsIter {
             back: self.len(),
-            view: self.clone(),
+            view: *self,
             next: 0,
         }
     }
@@ -991,9 +767,8 @@ mod tests {
 
     #[test]
     fn out_of_order_ingest_matches_row_semantics() {
-        // Second batch starts before the first ends: lands as a pending
-        // run, and the lazy consolidation must reproduce the old
-        // extend-and-stable-sort byte-for-byte.
+        // Second batch starts before the first ends: the merge at ingest
+        // must reproduce extend-and-stable-sort byte-for-byte.
         let mut s = EventStore::new();
         let b1 = vec![tele("10.0.0.9", 300), tele("10.0.0.1", 700)];
         let b2 = vec![tele("10.0.0.3", 100), tele("10.0.0.1", 300), tele("10.0.0.9", 300)];
@@ -1006,13 +781,40 @@ mod tests {
     }
 
     #[test]
-    fn in_order_batches_never_open_runs() {
+    fn late_batch_leaves_block_and_index_complete() {
         let mut s = EventStore::new();
-        s.ingest_telescope(vec![tele("10.0.0.1", 10), tele("10.0.0.2", 20)]);
-        s.ingest_telescope(vec![tele("10.0.0.3", 20), tele("10.0.0.4", 30)]);
-        s.ingest_telescope(vec![tele("10.0.0.9", 30)]);
-        assert_eq!(s.pending_runs(), 0, "in-order appends bypass the run stack");
-        assert_eq!(s.telescope().len(), 5);
+        s.ingest_telescope(vec![tele("10.0.0.1", 1000), tele("10.0.0.2", 1500)]);
+        s.ingest_honeypot(vec![hp("10.0.0.5", 900)]);
+        s.ingest_telescope(vec![tele("10.0.0.3", 1200), tele("10.0.0.1", 500)]);
+        s.ingest_honeypot(vec![hp("10.0.0.4", 100)]);
+        // Straight after the late batches, before any other read.
+        let mut postings = 0;
+        for source in [EventSource::Telescope, EventSource::Honeypot] {
+            let block = s.block(source);
+            let keys: Vec<(u64, Ipv4Addr)> = (0..block.len())
+                .map(|i| (block.start[i], s.victims.resolve(block.victim[i])))
+                .collect();
+            assert!(keys.is_sorted(), "{source:?} block sorted at ingest");
+            postings += s.kind_index(source).postings();
+        }
+        assert_eq!(postings, s.len(), "the kind index covers every row");
+        let starts: Vec<u64> = s.telescope().iter().map(|e| e.when.start.0).collect();
+        assert_eq!(starts, vec![500, 1000, 1200, 1500]);
+    }
+
+    #[test]
+    fn in_order_batches_never_open_runs() {
+        let b1 = vec![tele("10.0.0.1", 10), tele("10.0.0.2", 20)];
+        let b2 = vec![tele("10.0.0.3", 20), tele("10.0.0.4", 30)];
+        let b3 = vec![tele("10.0.0.9", 30)];
+        let mut s = EventStore::new();
+        for b in [&b1, &b2, &b3] {
+            s.ingest_telescope(b.clone());
+        }
+        // In-order batches append: the store holds them in arrival order.
+        let rows: Vec<AttackEvent> = [b1, b2, b3].concat();
+        assert_eq!(s.telescope(), rows);
+        assert_eq!(s.kind_index(EventSource::Telescope).postings(), 5);
     }
 
     #[test]
@@ -1020,50 +822,12 @@ mod tests {
         let mut s = EventStore::new();
         s.ingest_telescope(vec![tele("10.0.0.1", 1000)]);
         s.ingest_telescope(vec![tele("10.0.0.1", 500)]);
-        assert_eq!(s.pending_runs(), 1, "out-of-order batch opened a run");
-        // Summaries never force consolidation.
+        // The late batch is merged at ingest: the block is sorted before
+        // any view is taken, and summaries see both rows.
+        assert_eq!(s.block(EventSource::Telescope).start, vec![500, 1000]);
         assert_eq!(s.summary(EventSource::Telescope).events, 2);
-        assert_eq!(s.pending_runs(), 1);
-        // A view does.
         let starts: Vec<u64> = s.telescope().iter().map(|e| e.when.start.0).collect();
         assert_eq!(starts, vec![500, 1000]);
-        assert_eq!(s.pending_runs(), 0, "read consolidated the runs");
-    }
-
-    #[test]
-    fn run_threshold_forces_consolidation_at_ingest() {
-        // Batches of strictly shrinking size, each older than the last:
-        // the binary counter never merges them, so only the ceiling
-        // keeps the run stack bounded.
-        let mut s = EventStore::new();
-        s.ingest_telescope(vec![tele("10.0.0.1", 100_000)]);
-        let mut start = 100_000u64;
-        for size in (1..=DEFAULT_RUN_THRESHOLD as u64 + 4).rev() {
-            start -= size;
-            s.ingest_telescope((0..size).map(|i| tele("10.0.0.2", start + i)).collect());
-            assert!(s.pending_runs() < DEFAULT_RUN_THRESHOLD, "ceiling consolidates at ingest");
-        }
-        assert!(s.summary(EventSource::Telescope).events > DEFAULT_RUN_THRESHOLD as u64);
-        let starts: Vec<u64> = s.telescope().iter().map(|e| e.when.start.0).collect();
-        assert!(starts.is_sorted());
-    }
-
-    #[test]
-    fn binary_counter_keeps_run_count_logarithmic() {
-        let mut s = EventStore::new();
-        // 64 adversarial single-event batches in strictly reverse time
-        // order: every batch opens a run, the counter keeps only
-        // O(log n) of them alive.
-        for i in (0..64u64).rev() {
-            s.ingest_telescope(vec![tele("10.0.0.7", 10 + i)]);
-        }
-        assert!(
-            s.pending_runs() <= 7,
-            "{} runs pending after 64 singleton batches",
-            s.pending_runs()
-        );
-        let starts: Vec<u64> = s.telescope().iter().map(|e| e.when.start.0).collect();
-        assert_eq!(starts, (10..74).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1087,7 +851,6 @@ mod tests {
         assert_eq!(s.common_targets(), 0);
         assert_eq!(s.telescope().len(), 0);
         assert!(s.all().next().is_none());
-        assert_eq!(s.pending_runs(), 0);
     }
 
     #[test]

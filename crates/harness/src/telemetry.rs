@@ -15,17 +15,15 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "store.rows",
 ];
 
-/// Store run-lifecycle instruments that must be *present* (registered)
-/// but may legitimately read zero — a smoke run whose batches all arrive
-/// in time order never consolidates, yet the instruments must export so
-/// dashboards can tell "no consolidation" from "not instrumented".
-/// `store.victims` is the interner-size gauge and must be nonzero on any
-/// run that ingested events.
-const REQUIRED_STORE_INSTRUMENTS: &[&str] = &[
-    "store.consolidations",
-    "store.consolidation_rows",
-    "store.runs",
-];
+/// Store late-batch instruments that must be *present* (registered) but
+/// may legitimately read zero: `store.consolidations` counts batches that
+/// arrived before the last stored key and were merged at ingest, and
+/// `store.consolidation_rows` the rows those merges rewrote. A smoke run
+/// whose batches all arrive in time order merges nothing, yet the
+/// instruments must export so dashboards can tell "no late batch" from
+/// "not instrumented". `store.victims` is the interner-size gauge and
+/// must be nonzero on any run that ingested events.
+const REQUIRED_STORE_INSTRUMENTS: &[&str] = &["store.consolidations", "store.consolidation_rows"];
 
 /// Stage spans a scenario run must have recorded.
 const REQUIRED_SPANS: &[&str] = &[

@@ -19,7 +19,6 @@ pub mod event;
 pub mod fasthash;
 pub mod index;
 pub mod intern;
-pub mod kway;
 pub mod net;
 pub mod pool;
 pub mod service;
@@ -34,7 +33,6 @@ pub use event::{
 pub use fasthash::{FastBuildHasher, FastMap, FastSet, FxHasher};
 pub use index::{BitSet, RunIndex};
 pub use intern::Interner;
-pub use kway::{merge_sorted, LoserTree};
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
 pub use pool::{PoolError, PoolMetricsSnapshot, Routed, ShardPool, WorkerMetricsSnapshot};
 pub use shard::shard_of_source;

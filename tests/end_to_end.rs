@@ -4,12 +4,24 @@
 
 use dosscope_core::report::{Table1, Table2, Table3, Table4, Table5, Table6, Table7, Table8};
 use dosscope_core::{Enricher, EventStore, EventsView, Framework, JointAnalysis};
-use dosscope_harness::{Scenario, ScenarioConfig};
+use dosscope_harness::experiments::Experiments;
+use dosscope_harness::{Scenario, ScenarioConfig, World};
 use dosscope_types::{AttackEvent, EventSource, SECS_PER_DAY};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-fn world() -> dosscope_harness::World {
+fn world() -> World {
     Scenario::run(&ScenarioConfig::test_small())
+}
+
+/// One source's events grouped into per-day batches by start day.
+fn by_day(events: EventsView<'_>) -> BTreeMap<u32, Vec<AttackEvent>> {
+    let mut days: BTreeMap<u32, Vec<AttackEvent>> = BTreeMap::new();
+    for e in events {
+        days.entry(e.when.start.day().0).or_default().push(e);
+    }
+    days
 }
 
 #[test]
@@ -184,13 +196,6 @@ fn incremental_store_matches_batch() {
     // reversed — must land on exactly the batch store's views, Table 1
     // and joint correlation.
     let world = world();
-    let by_day = |events: EventsView<'_>| {
-        let mut days: BTreeMap<u32, Vec<AttackEvent>> = BTreeMap::new();
-        for e in events {
-            days.entry(e.when.start.day().0).or_default().push(e);
-        }
-        days
-    };
     let tele = by_day(world.store.telescope());
     let hp = by_day(world.store.honeypot());
     let mut days: Vec<u32> = tele.keys().chain(hp.keys()).copied().collect();
@@ -220,6 +225,51 @@ fn incremental_store_matches_batch() {
         let fw = Framework::new(&store, &world.geo, &world.asdb, world.days);
         assert_eq!(Table1::build(&fw).rows, want_t1.rows, "Table 1, reversed={reversed}");
         assert_eq!(JointAnalysis::run(&store, &enricher), want_joint, "reversed={reversed}");
+    }
+}
+
+#[test]
+fn report_is_independent_of_batch_order() {
+    // Whole-report metamorphic check: the world's events re-fed as
+    // per-day batches in shuffled day order, each batch reversed and
+    // split in two, honeypot before telescope, must render every table,
+    // figure and paper check byte-identical to the batch store.
+    let mut world = world();
+    let scale = ScenarioConfig::test_small().scale;
+    let render = |world: &World| {
+        let experiments = Experiments::run(world, scale);
+        experiments.render_report() + &Experiments::render_comparison(&experiments.compare())
+    };
+    let want = render(&world);
+    let tele = by_day(world.store.telescope());
+    let hp = by_day(world.store.honeypot());
+    let mut days: Vec<u32> = tele.keys().chain(hp.keys()).copied().collect();
+    days.sort_unstable();
+    days.dedup();
+
+    for seed in 0..3u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut order = days.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let mut store = EventStore::new();
+        for d in order {
+            for (source, batches) in [(EventSource::Honeypot, &hp), (EventSource::Telescope, &tele)]
+            {
+                let mut batch = batches.get(&d).cloned().unwrap_or_default();
+                batch.reverse();
+                let second = batch.split_off(batch.len() / 2);
+                for part in [batch, second] {
+                    match source {
+                        EventSource::Telescope => store.ingest_telescope(part),
+                        EventSource::Honeypot => store.ingest_honeypot(part),
+                    }
+                }
+            }
+        }
+        world.store = store;
+        assert!(render(&world) == want, "report differs for day-order seed {seed}");
     }
 }
 

@@ -390,7 +390,7 @@ fn build_rotated(
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
     // Split each source into `batches` interleaved chunks so multi-ingest
-    // paths (append fast path, sorted runs and k-way consolidation) are
+    // paths (in-order append and late-batch merge) are
     // exercised, not just the single sorted bulk load.
     let chunk = |v: &[AttackEvent], k: usize| -> Vec<AttackEvent> {
         v.iter().skip(k).step_by(batches).cloned().collect()
@@ -509,17 +509,15 @@ fn duplicate_timestamps_are_equivalent() {
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial ingest orderings for the sorted-run layout: batch sequences
-// chosen to defeat the in-order fast path so every read goes through the
-// k-way consolidation.
+// Adversarial ingest orderings: batch sequences chosen to defeat the
+// in-order append so every batch goes through the late-batch merge.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn reverse_time_batches_are_equivalent() {
     // Batches arrive newest-first: every batch after the first lands
     // entirely before the rows already in the store, so nothing can take
-    // the in-order append fast path and sorted runs stack until the first
-    // read consolidates them.
+    // the in-order append fast path and every batch merges at ingest.
     let batch = |b: u64| -> (Vec<AttackEvent>, Vec<AttackEvent>) {
         let tele = (0..20u64)
             .map(|i| {
@@ -545,22 +543,19 @@ fn reverse_time_batches_are_equivalent() {
         rows.ingest_honeypot(hp.clone());
         store.ingest_honeypot(hp);
     }
-    assert!(store.pending_runs() > 0, "reverse batches must stack runs");
     assert_equivalent(&rows, &store);
 }
 
-/// Read both sources, which consolidates every pending run.
+/// Read both sources between ingests.
 fn read_both(store: &EventStore) {
     let _ = (store.telescope().len(), store.honeypot().len());
-    assert_eq!(store.pending_runs(), 0, "a read consolidates");
 }
 
 #[test]
 fn interleaved_duplicate_timestamp_batches_are_equivalent() {
     // Duplicate (start, target) keys split across interleaved batches: the
-    // run tie-break (older run wins) must reproduce the row store's stable
-    // sort both when a read consolidates after every ingest and when the
-    // runs stay pending until the final read.
+    // merge tie-break (stored rows win) must reproduce the row store's
+    // stable sort whether or not the store is read between ingests.
     let mut tele = Vec::new();
     let mut hp = Vec::new();
     for i in 0..24u64 {
@@ -588,9 +583,8 @@ fn interleaved_duplicate_timestamp_batches_are_equivalent() {
 
 #[test]
 fn single_event_batches_are_equivalent() {
-    // One event per ingest call, in descending time order: the degenerate
-    // worst case for run accumulation (every batch is a new 1-row run
-    // until the binary counter folds it).
+    // One event per ingest call, in descending time order: every batch
+    // is a 1-row late merge onto the front of the block.
     let events: Vec<AttackEvent> = (0..60u64)
         .map(|i| {
             let ip = format!("10.{}.{}.1", i % 4, i % 7);
@@ -621,9 +615,9 @@ fn single_event_batches_are_equivalent() {
 
 #[test]
 fn read_cadence_matrix_is_equivalent() {
-    // Every consolidation cadence — a read after every batch, every 2nd,
-    // every 5th, or none until the final comparison — must be
-    // observationally identical.
+    // Every read cadence — a read after every batch, every 2nd, every
+    // 5th, or none until the final comparison — must be observationally
+    // identical.
     let (tele, hp) = split(
         (0..150u64)
             .map(|i| {
@@ -651,9 +645,6 @@ fn read_cadence_matrix_is_equivalent() {
             if read_every.is_some_and(|n| (k + 1) % n == 0) {
                 read_both(&store);
             }
-        }
-        if read_every.is_none() {
-            assert!(store.pending_runs() > 0, "unread batches stay as runs");
         }
         assert_equivalent(&rows, &store);
     }
