@@ -15,6 +15,9 @@ cargo build --release --locked --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> migration oracle at scale 600 (release, ignored by the debug run)"
+cargo test --release --locked -q -p dosscope-harness --test migration_equivalence -- --ignored
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

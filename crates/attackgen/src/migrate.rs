@@ -23,11 +23,11 @@ use crate::config::{Calibration, GenConfig};
 use crate::dist::AnchorDist;
 use crate::model::{Episode, GroundTruth, GtKind};
 use dosscope_dns::synth::SynthOutput;
-use dosscope_dns::{DayRange, DomainId, OrgId, OrgRole, Placement};
-use dosscope_types::{DayIndex, SECS_PER_HOUR};
+use dosscope_dns::{DayRange, DomainId, OrgId, OrgRole, Placement, ZoneStore};
+use dosscope_types::{DayIndex, FastMap, SECS_PER_HOUR};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Why a ground-truth migration happened.
@@ -58,6 +58,12 @@ pub struct GtMigration {
 pub struct MigrationOutcome {
     /// All migrations actually applied to the zone, sorted by day.
     pub migrations: Vec<GtMigration>,
+    /// Distinct (IP, day) co-host counts the planning computed.
+    pub cohost_counts: u64,
+    /// Placements the planning read from the zone: the matches each
+    /// capped co-host count stopped at, each expanded co-host list, and
+    /// the whole placement slice once per platform move.
+    pub placements_walked: u64,
 }
 
 /// Market-share weights for provider choice at migration time (Table 3
@@ -141,9 +147,34 @@ impl DelayModel {
     }
 }
 
+/// Capped co-host counts per (IP, day), each walked once. Valid only while
+/// the zone is unchanged: the planning phases read it, the apply phase
+/// mutates it.
+struct CohostCounts {
+    cap: usize,
+    memo: FastMap<(u32, DayIndex), usize>,
+    placements_walked: u64,
+}
+
+impl CohostCounts {
+    /// Sites on `ip` on `day`, clamped to `cap + 1`.
+    fn get(&mut self, zone: &ZoneStore, ip: Ipv4Addr, day: DayIndex) -> usize {
+        *self.memo.entry((u32::from(ip), day)).or_insert_with(|| {
+            let n = zone.count_on_ip(ip, day, self.cap);
+            self.placements_walked += n as u64;
+            n
+        })
+    }
+}
+
 /// Apply the migration model: mutate the zone and return the ground-truth
 /// migration log.
-pub fn apply_migrations(
+///
+/// Planning reads the zone through one capped co-host count per distinct
+/// (IP, day) and expands a co-host list only for groups small enough to
+/// decide individually; each platform move is one pass over the placement
+/// slice. Per-domain state is dense (indexed by [`DomainId`]).
+fn apply_migrations(
     config: &GenConfig,
     cal: &Calibration,
     truth: &GroundTruth,
@@ -182,50 +213,53 @@ pub fn apply_migrations(
         })
         .collect();
 
+    let zone = &synth.zone;
+
     // Sites already protected from day one: initial placement carries a
     // DPS organisation.
-    let mut protected: HashSet<DomainId> = HashSet::new();
-    for d in synth.zone.domain_ids() {
-        let first = synth.zone.first_seen(d);
-        if let Some(p) = synth.zone.placement_of(d, first) {
-            let org = p.cname.unwrap_or(p.ns);
-            if synth.catalog.get(org).role == OrgRole::Dps {
-                protected.insert(d);
-            }
-        }
-    }
+    let protected: Vec<bool> = zone
+        .domain_ids()
+        .map(|d| {
+            zone.placement_of(d, zone.first_seen(d)).is_some_and(|p| {
+                synth.catalog.get(p.cname.unwrap_or(p.ns)).role == OrgRole::Dps
+            })
+        })
+        .collect();
 
-    // Planned migrations: earliest day wins per domain.
-    let mut planned: HashMap<DomainId, (DayIndex, MigrationTrigger)> = HashMap::new();
+    // Planned migrations per domain: earliest day wins.
+    let mut planned: Vec<Option<(DayIndex, MigrationTrigger)>> = vec![None; zone.domain_count()];
+    let mut cohosts = CohostCounts {
+        cap: config.individual_migration_max_cohost,
+        memo: FastMap::default(),
+        placements_walked: 0,
+    };
 
     // 1. Spontaneous baseline. Sites parked in huge co-hosting groups
     // (resellers, platforms) don't individually buy protection — their
     // operators decide for them.
-    for d in synth.zone.domain_ids() {
-        if protected.contains(&d) {
+    for d in zone.domain_ids() {
+        if protected[d.0 as usize] {
             continue;
         }
         if rng.gen_bool(config.spontaneous_migration_prob) {
-            let active = synth.zone.active_range(d);
+            let active = zone.active_range(d);
             if active.len() <= 2 {
                 continue;
             }
             let first = active.start;
-            let cohort = synth
-                .zone
+            let cohort = zone
                 .ip_of(d, first)
-                .map(|ip| synth.zone.domains_on_ip(ip, first).len())
-                .unwrap_or(0);
+                .map_or(0, |ip| cohosts.get(zone, ip, first));
             if cohort > config.individual_migration_max_cohost {
                 continue;
             }
             let day = DayIndex(rng.gen_range(active.start.0 + 1..active.end.0));
-            planned.insert(d, (day, MigrationTrigger::Spontaneous));
+            planned[d.0 as usize] = Some((day, MigrationTrigger::Spontaneous));
         }
     }
 
     // 2. Attack-triggered migrations and platform moves.
-    let mut platform_moves: Vec<(OrgId, OrgId, DayIndex)> = Vec::new(); // (from org, to org, day)
+    let mut platform_moves: Vec<(OrgId, DayIndex)> = Vec::new(); // (from org, day)
     let incapsula = synth.catalog.by_name("Incapsula").map(|o| o.id);
     let verisign = synth.catalog.by_name("Verisign").map(|o| o.id);
     let wix = synth.catalog.by_name("Wix").map(|o| o.id);
@@ -235,14 +269,14 @@ pub fn apply_migrations(
         let day = attack.window.start.day();
         match attack.episode {
             Episode::WixTakedown => {
-                if let (Some(w), Some(i)) = (wix, incapsula) {
-                    platform_moves.push((w, i, DayIndex(day.0 + 1)));
+                if let (Some(w), Some(_)) = (wix, incapsula) {
+                    platform_moves.push((w, DayIndex(day.0 + 1)));
                 }
                 continue;
             }
             Episode::EnomSlowBurn => {
-                if let (Some(e), Some(v)) = (enom, verisign) {
-                    platform_moves.push((e, v, DayIndex(day.0 + 101)));
+                if let (Some(e), Some(_)) = (enom, verisign) {
+                    platform_moves.push((e, DayIndex(day.0 + 101)));
                 }
                 continue;
             }
@@ -257,23 +291,22 @@ pub fn apply_migrations(
                 attack.window.duration_secs() >= 4 * SECS_PER_HOUR,
             ),
         };
-        let sites = synth.zone.domains_on_ip(attack.target, day);
-        if sites.is_empty() {
-            continue;
-        }
         // Large co-hosting groups don't make individual decisions: the
         // hoster owns mitigation (platform moves above); only small
         // groups' owners migrate on their own.
-        if sites.len() > config.individual_migration_max_cohost {
+        let cohort = cohosts.get(zone, attack.target, day);
+        if cohort == 0 || cohort > config.individual_migration_max_cohost {
             continue;
         }
+        let sites = zone.domains_on_ip(attack.target, day);
+        cohosts.placements_walked += sites.len() as u64;
         // Long (≥ 4 h) reflection attacks create the strongest urgency —
         // they drive both the probability and the fast delay profile of
         // Figure 11.
         let urgency = if long_attack { 2.6 } else { 1.0 };
         let prob = config.migration_base_prob * (0.5 + 2.5 * percentile.powi(4)) * urgency;
         for site in sites {
-            if protected.contains(&site) {
+            if protected[site.0 as usize] {
                 continue;
             }
             if !rng.gen_bool(prob.clamp(0.0, 1.0)) {
@@ -281,40 +314,42 @@ pub fn apply_migrations(
             }
             let delay = delays.sample_days(&mut rng, percentile, long_attack);
             let mig_day = DayIndex(day.0 + 1 + delay);
-            let entry = planned
-                .entry(site)
-                .or_insert((mig_day, MigrationTrigger::Attack));
-            if mig_day < entry.0 {
-                *entry = (mig_day, MigrationTrigger::Attack);
+            let entry = &mut planned[site.0 as usize];
+            if entry.is_none_or(|(planned_day, _)| mig_day < planned_day) {
+                *entry = Some((mig_day, MigrationTrigger::Attack));
             }
         }
     }
 
     // 3. Resolve platform moves into per-site migrations (they override
     // individual plans: the hoster decides for everyone on the platform).
-    platform_moves.sort_by_key(|&(_, _, day)| day);
-    for (from_org, to_org, day) in platform_moves {
-        for d in synth.zone.domain_ids() {
-            if protected.contains(&d) {
-                continue;
-            }
-            let Some(p) = synth.zone.placement_of(d, day.min(DayIndex(config.days - 1))) else {
-                continue;
-            };
-            if p.cname == Some(from_org) || p.ns == from_org {
-                planned.insert(d, (day, MigrationTrigger::PlatformMove));
+    // A domain's placements are disjoint, so at most one covers the probe
+    // day; one pass over all placements finds every member. The platform
+    // is matched on CNAME or NS (Wix fronts by CNAME).
+    platform_moves.sort_by_key(|&(_, day)| day);
+    let last_day = DayIndex(config.days - 1);
+    let placements = zone.placements();
+    for (from_org, day) in platform_moves {
+        let probe = day.min(last_day);
+        cohosts.placements_walked += placements.len() as u64;
+        for p in placements {
+            if (p.cname == Some(from_org) || p.ns == from_org)
+                && p.days.contains(probe)
+                && !protected[p.domain.0 as usize]
+            {
+                planned[p.domain.0 as usize] = Some((day, MigrationTrigger::PlatformMove));
             }
         }
-        // Destination (to_org) is re-derived in the apply step from the
-        // platform identity; only Wix→Incapsula and eNom→Verisign exist.
-        let _ = to_org;
     }
+    let cohost_counts = cohosts.memo.len() as u64;
+    let placements_walked = cohosts.placements_walked;
 
     // 4. Apply in day order.
     let mut migrations: Vec<GtMigration> = Vec::new();
     let mut ordered: Vec<(DomainId, DayIndex, MigrationTrigger)> = planned
         .into_iter()
-        .map(|(d, (day, t))| (d, day, t))
+        .enumerate()
+        .filter_map(|(d, plan)| plan.map(|(day, t)| (DomainId(d as u32), day, t)))
         .collect();
     ordered.sort_by_key(|&(d, day, _)| (day, d));
     let provider_weights: Vec<f64> = providers.iter().map(|&(_, w)| w).collect();
@@ -328,13 +363,12 @@ pub fn apply_migrations(
         }
         let provider = match trigger {
             MigrationTrigger::PlatformMove => {
-                // Destination fixed by the platform's choice.
+                // Destination fixed by the platform: Wix moves to
+                // Incapsula, eNom to Verisign.
                 let p = synth.zone.placement_of(domain, day).map(|p| p.cname.unwrap_or(p.ns));
                 match p {
-                    Some(org) if Some(org) == synth.catalog.by_name("Wix").map(|o| o.id) => {
-                        synth.catalog.by_name("Incapsula").expect("in catalog").id
-                    }
-                    _ => synth.catalog.by_name("Verisign").expect("in catalog").id,
+                    Some(org) if Some(org) == wix => incapsula.expect("in catalog"),
+                    _ => verisign.expect("in catalog"),
                 }
             }
             _ => {
@@ -356,7 +390,6 @@ pub fn apply_migrations(
             ns: old.ns,
             cname: Some(provider),
         });
-        protected.insert(domain);
         migrations.push(GtMigration {
             domain,
             day,
@@ -365,7 +398,11 @@ pub fn apply_migrations(
         });
     }
 
-    MigrationOutcome { migrations }
+    MigrationOutcome {
+        migrations,
+        cohost_counts,
+        placements_walked,
+    }
 }
 
 /// Piecewise-linear interpolation through `(x, y)` anchor points
@@ -384,14 +421,12 @@ fn piecewise(x: f64, anchors: &[(f64, f64)]) -> f64 {
     anchors.last().expect("non-empty").1
 }
 
-/// Convenience re-export: the migration model entry point.
-pub use apply_migrations as apply;
-
 /// Marker type so the public API reads `MigrationModel::apply(...)`.
 pub struct MigrationModel;
 
 impl MigrationModel {
-    /// See [`apply_migrations`].
+    /// Apply the migration model: mutate the zone and return the
+    /// ground-truth migration log.
     pub fn apply(
         config: &GenConfig,
         cal: &Calibration,

@@ -308,6 +308,15 @@ impl ZoneStore {
             .filter(move |p| p.days.contains(day))
     }
 
+    /// How many Web sites resolve to `ip` on `day`, counted no further
+    /// than `cap + 1`: equal to `min(domains_on_ip(ip, day).len(), cap + 1)`,
+    /// but the walk stops at the first match past the cap, so a caller
+    /// asking "more than `cap`?" of a mega co-host pays for `cap + 1`
+    /// matches rather than the whole group.
+    pub fn count_on_ip(&self, ip: Ipv4Addr, day: DayIndex, cap: usize) -> usize {
+        self.placements_on_ip(ip, day).take(cap.saturating_add(1)).count()
+    }
+
     /// The Web sites resolving to `ip` on `day` — the paper's core join
     /// ("A records on `www` labels that, at the time of an attack,
     /// resolved to the attacked IP addresses").
@@ -319,6 +328,12 @@ impl ZoneStore {
     /// the Web-association join).
     pub fn ip_ever_hosts(&self, ip: Ipv4Addr) -> bool {
         self.by_ip.contains_key(&u32::from(ip))
+    }
+
+    /// Every placement, in insertion order (truncated ones included, with
+    /// their shortened ranges).
+    pub fn placements(&self) -> &[Placement] {
+        &self.placements
     }
 
     /// All placements of a domain, in insertion order.
@@ -424,6 +439,59 @@ mod tests {
         }
         assert_eq!(z.domains_on_ip(shared, day(50)).len(), 5);
         assert_eq!(z.domain_count_in(Tld::Net), 5);
+    }
+
+    #[test]
+    fn count_on_ip_stops_past_the_cap() {
+        let mut z = ZoneStore::new();
+        let shared = ip("198.51.100.10");
+        for i in 0..6 {
+            let d = z.add_domain(Tld::Com, range(0, 100));
+            // The sixth site only arrives on day 50.
+            let start = if i == 5 { 50 } else { 0 };
+            z.place(Placement {
+                domain: d,
+                ip: shared,
+                days: range(start, 100),
+                ns: OrgId(1),
+                cname: None,
+            });
+        }
+        assert_eq!(z.count_on_ip(shared, day(10), 100), 5);
+        assert_eq!(z.count_on_ip(shared, day(60), 100), 6);
+        assert_eq!(z.count_on_ip(shared, day(60), 5), 6, "exactly cap + 1");
+        assert_eq!(z.count_on_ip(shared, day(60), 2), 3, "stops at cap + 1");
+        assert_eq!(z.count_on_ip(shared, day(60), 0), 1);
+        assert_eq!(z.count_on_ip(shared, day(100), 10), 0, "range is half-open");
+        assert_eq!(z.count_on_ip(ip("198.51.100.11"), day(10), 10), 0);
+        assert_eq!(z.count_on_ip(shared, day(10), usize::MAX), 5, "no overflow");
+    }
+
+    #[test]
+    fn placements_slice_follows_insertion_and_truncation() {
+        let mut z = ZoneStore::new();
+        let a = z.add_domain(Tld::Com, range(0, 100));
+        let b = z.add_domain(Tld::Net, range(0, 100));
+        for (d, host) in [(b, "203.0.113.2"), (a, "203.0.113.1")] {
+            z.place(Placement {
+                domain: d,
+                ip: ip(host),
+                days: range(0, 100),
+                ns: OrgId(0),
+                cname: None,
+            });
+        }
+        z.truncate_at(b, day(40)).expect("placement exists");
+        z.place(Placement {
+            domain: b,
+            ip: ip("198.51.100.2"),
+            days: range(40, 100),
+            ns: OrgId(0),
+            cname: Some(OrgId(2)),
+        });
+        let seen: Vec<(DomainId, DayRange)> =
+            z.placements().iter().map(|p| (p.domain, p.days)).collect();
+        assert_eq!(seen, vec![(b, range(0, 40)), (a, range(0, 100)), (b, range(40, 100))]);
     }
 
     #[test]

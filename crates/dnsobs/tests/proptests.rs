@@ -77,6 +77,57 @@ proptest! {
         }
     }
 
+    /// The capped co-host count equals the full co-host list's length
+    /// clamped to `cap + 1`, for arbitrary histories and after arbitrary
+    /// truncations (which leave shortened placements in the reverse index).
+    #[test]
+    fn count_on_ip_is_the_capped_list_length(
+        histories in proptest::collection::vec(arb_history(), 1..12),
+        cuts in proptest::collection::vec((0usize..12, 0u32..WINDOW), 0..6),
+        cap in 0usize..6,
+    ) {
+        let mut zone = ZoneStore::new();
+        for history in &histories {
+            let domain = zone.add_domain(Tld::Com, DayRange::new(DayIndex(0), DayIndex(WINDOW)));
+            let mut cursor = 0u32;
+            for &(len, gap, ip_idx) in history {
+                let start = cursor;
+                let end = (start + len).min(WINDOW);
+                if start >= end {
+                    break;
+                }
+                zone.place(Placement {
+                    domain,
+                    ip: Ipv4Addr::new(10, 0, 0, ip_idx + 1),
+                    days: DayRange::new(DayIndex(start), DayIndex(end)),
+                    ns: OrgId(0),
+                    cname: None,
+                });
+                cursor = end + gap;
+                if cursor >= WINDOW {
+                    break;
+                }
+            }
+        }
+        for &(d, day) in &cuts {
+            if d < histories.len() {
+                zone.truncate_at(dosscope_dns::DomainId(d as u32), DayIndex(day));
+            }
+        }
+        for ip_idx in 0u8..8 {
+            let ip = Ipv4Addr::new(10, 0, 0, ip_idx + 1);
+            for day in (0..WINDOW).step_by(3) {
+                let day = DayIndex(day);
+                let full = zone.domains_on_ip(ip, day).len();
+                prop_assert_eq!(
+                    zone.count_on_ip(ip, day, cap),
+                    full.min(cap + 1),
+                    "ip {} day {} cap {}", ip, day.0, cap
+                );
+            }
+        }
+    }
+
     /// Truncation behaves like ending the placement: after truncate_at(d),
     /// the domain resolves before d and not from d on; re-placing from d
     /// restores resolution with the new target.

@@ -140,7 +140,11 @@ impl Scenario {
         let cal = Calibration::default();
         let truth = Generator::new(gen_config.clone(), Calibration::default(), &registry, &synth)
             .generate();
+        let migrate_span = dosscope_obs::span!("stage.migrate");
         let migrations = MigrationModel::apply(&gen_config, &cal, &truth, &mut synth);
+        dosscope_obs::counter!("migrate.cohost_counts").add(migrations.cohost_counts);
+        dosscope_obs::counter!("migrate.placements_walked").add(migrations.placements_walked);
+        drop(migrate_span);
 
         // 3. Measure DPS adoption from the (mutated) zone — the inference
         // side of Section 3.3.

@@ -13,6 +13,8 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "fleet.requests",
     "fleet.events",
     "store.rows",
+    "migrate.cohost_counts",
+    "migrate.placements_walked",
 ];
 
 /// Store late-batch instruments that must be *present* (registered) but
@@ -29,6 +31,7 @@ const REQUIRED_STORE_INSTRUMENTS: &[&str] = &["store.consolidations", "store.con
 const REQUIRED_SPANS: &[&str] = &[
     "stage.world",
     "stage.truth",
+    "stage.migrate",
     "stage.render",
     "stage.route",
     "stage.detect",
