@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: everything the repository promises, in order.
 #
-#   ./ci.sh            # build + lock check + tests + clippy + smoke + lint
+#   ./ci.sh            # build + lock check + tests + clippy + smoke +
+#                      # repro goldens + lint
 #
 # All crates are path dependencies (the vendored stubs included), so the
 # whole script runs offline. The benchmark is dosbench (BENCHMARK.json);
@@ -22,7 +23,8 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 telemetry_out="$(mktemp)"
-trap 'rm -f "$telemetry_out"' EXIT
+repro_out="$(mktemp)"
+trap 'rm -f "$telemetry_out" "$repro_out"' EXIT
 
 echo "==> telemetry smoke (repro --smoke --telemetry --threads 1 and 8 + validator)"
 # A full reduced-scale reproduction with collection on must emit a
@@ -35,6 +37,27 @@ for threads in 1 8; do
         --telemetry-out "$telemetry_out" > /dev/null
     ./target/release/repro --validate-telemetry "$telemetry_out"
 done
+
+echo "==> repro goldens (release stdout cmp'd against tests/golden/repro/)"
+# The full reproduction report and paper comparison at four
+# configurations must stay byte-identical; the default one is checked at
+# one and two threads. A change that moves a golden on purpose replaces
+# the file and says which lines changed and why.
+check_repro() {
+    local golden="tests/golden/repro/$1"
+    shift
+    ./target/release/repro --quiet "$@" > "$repro_out"
+    if ! cmp "$repro_out" "$golden"; then
+        echo "ci.sh: repro $* differs from $golden:" >&2
+        diff "$golden" "$repro_out" | head -40 >&2 || true
+        exit 1
+    fi
+}
+check_repro smoke.txt --smoke
+check_repro scale2000.txt --scale 2000 --threads 1
+check_repro scale2000.txt --scale 2000 --threads 2
+check_repro scale600.txt --scale 600
+check_repro scale600-days120.txt --scale 600 --days 120
 
 echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000) + streaming_fusion"
 # The first two run the Web and mail/NS joins end to end on a generated

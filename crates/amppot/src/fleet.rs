@@ -122,13 +122,15 @@ pub struct AmpPotFleet {
     /// Hour of the last idle sweep; ingestion is time-ordered, so crossing
     /// an hour boundary is the trigger to expire idle open events.
     swept_hour: u64,
-    /// Parse memo keyed by the representative's allocation address. The
-    /// renderer builds one [`SharedBytes`] packet per (attack, honeypot)
-    /// and shares it across every batch, so each representative is parsed
-    /// and classified once instead of once per batch. The stored clone
-    /// pins the allocation, so an address can never be reused by different
-    /// bytes while its entry lives.
-    parse_memo: FastMap<usize, (SharedBytes, Classified)>,
+    /// Parse memo keyed by the representative's (start address, length).
+    /// The renderer builds one [`SharedBytes`] packet per (attack,
+    /// honeypot) and shares it across every batch, so each representative
+    /// is parsed and classified once instead of once per batch. The length
+    /// is part of the key because two views of one buffer can start at the
+    /// same address and end at different places. The stored clone pins the
+    /// buffer, so an address can never be reused by different bytes while
+    /// its entry lives.
+    parse_memo: FastMap<(usize, usize), (SharedBytes, Classified)>,
     closed: Vec<PotEvent>,
     stats: FleetStats,
 }
@@ -177,7 +179,7 @@ impl AmpPotFleet {
             self.swept_hour = hour;
             self.sweep_idle(batch.ts);
         }
-        let key = batch.bytes.as_slice().as_ptr() as usize;
+        let key = (batch.bytes.as_slice().as_ptr() as usize, batch.bytes.len());
         let classified = match self.parse_memo.get(&key) {
             Some((_pinned, c)) => *c,
             None => {
@@ -609,6 +611,26 @@ mod tests {
         let (es, _) = shared.finish();
         let (ef, _) = fresh.finish();
         assert_eq!(es, ef);
+    }
+
+    /// Two views of one buffer with the same start and different lengths
+    /// hold different bytes; the memo must classify each on its own.
+    #[test]
+    fn views_sharing_a_start_are_classified_separately() {
+        let mut f = fleet();
+        let pot_addr = f.honeypots()[0].addr;
+        let pkt =
+            builder::reflection_request(victim(), 40_000, pot_addr, ReflectionProtocol::Ntp);
+        let whole = SharedBytes::from(pkt);
+        let truncated = whole.slice(0..10);
+        assert_eq!(whole.as_slice().as_ptr(), truncated.as_slice().as_ptr());
+        f.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(0), 3, whole.clone()));
+        f.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(1), 1, truncated.clone()));
+        f.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(2), 3, whole));
+        f.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(3), 1, truncated));
+        let stats = f.stats();
+        assert_eq!(stats.requests, 6, "only the whole packet is a request");
+        assert_eq!(stats.malformed, 2, "the truncated view is malformed both times");
     }
 
     #[test]

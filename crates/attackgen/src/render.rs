@@ -70,14 +70,19 @@ impl<'a> Renderer<'a> {
     }
 
     /// Render all backscatter batches for `day`, sorted by timestamp.
+    ///
+    /// Every packet of the day is written into one arena, frozen into a
+    /// single [`SharedBytes`] buffer; each batch views its packet in it.
+    /// Packet bytes thus cost one shared buffer per day (plus the arena's
+    /// amortised growth), not an allocation per batch.
     pub fn telescope_day(&self, day: DayIndex) -> Vec<PacketBatch> {
         let Some(indices) = self.day_index.get(day.0 as usize) else {
             return Vec::new();
         };
         // Rough reservation: a short attack emits a handful of batches;
-        // marathon ones grow the vector a few times — still far fewer
+        // marathon ones grow the vectors a few times — still far fewer
         // reallocations than starting empty.
-        let mut out = Vec::with_capacity(indices.len() * 16);
+        let mut day_out = DayArena::with_batches(indices.len() * 16);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
             if let GtKind::RandomSpoofed {
@@ -88,7 +93,7 @@ impl<'a> Renderer<'a> {
             {
                 let mut rng = self.attack_rng(idx, day);
                 self.render_backscatter(
-                    &mut out,
+                    &mut day_out,
                     &mut rng,
                     attack.target,
                     attack.window,
@@ -99,8 +104,7 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        out.sort_by_key(|b| b.ts);
-        out
+        day_out.freeze()
     }
 
     /// The wall minute designated as the attack's peak: the first minute
@@ -118,7 +122,7 @@ impl<'a> Renderer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn render_backscatter(
         &self,
-        out: &mut Vec<PacketBatch>,
+        out: &mut DayArena,
         rng: &mut SmallRng,
         victim: Ipv4Addr,
         window: TimeRange,
@@ -186,15 +190,24 @@ impl<'a> Renderer<'a> {
                     GtPorts::Multi(list) => list[rng.gen_range(0..list.len())],
                     GtPorts::None => 0,
                 };
-                let bytes = match proto {
+                let buf = &mut out.scratch;
+                match proto {
                     TransportProto::Tcp => {
                         if rng.gen_bool(0.75) {
-                            builder::tcp_syn_ack(victim, port, spoofed, rng.gen(), rng.gen())
+                            builder::tcp_syn_ack_into(
+                                buf,
+                                victim,
+                                port,
+                                spoofed,
+                                rng.gen(),
+                                rng.gen(),
+                            )
                         } else {
-                            builder::tcp_rst(victim, port, spoofed, rng.gen(), rng.gen())
+                            builder::tcp_rst_into(buf, victim, port, spoofed, rng.gen(), rng.gen())
                         }
                     }
-                    TransportProto::Udp => builder::icmp_dest_unreachable(
+                    TransportProto::Udp => builder::icmp_dest_unreachable_into(
+                        buf,
                         victim,
                         spoofed,
                         IpProtocol::Udp,
@@ -203,13 +216,19 @@ impl<'a> Renderer<'a> {
                         3,
                     ),
                     TransportProto::Icmp => {
-                        builder::icmp_echo_reply(victim, spoofed, rng.gen(), rng.gen())
+                        builder::icmp_echo_reply_into(buf, victim, spoofed, rng.gen(), rng.gen())
                     }
-                    TransportProto::Other => {
-                        builder::icmp_dest_unreachable(victim, spoofed, IpProtocol::Igmp, 0, 0, 2)
-                    }
-                };
-                out.push(PacketBatch::repeated(ts, count as u32, bytes));
+                    TransportProto::Other => builder::icmp_dest_unreachable_into(
+                        buf,
+                        victim,
+                        spoofed,
+                        IpProtocol::Igmp,
+                        0,
+                        0,
+                        2,
+                    ),
+                }
+                out.push_scratch(ts, count as u32);
                 if remaining == 0 {
                     break;
                 }
@@ -336,6 +355,47 @@ impl<'a> Renderer<'a> {
                 out[i].count += (106 - emitted_today) as u32;
             }
         }
+    }
+}
+
+/// One day's backscatter under construction: each packet is built in
+/// `scratch` and appended to `bytes`, and `batches` records where it
+/// landed. [`DayArena::freeze`] turns the arena into one shared buffer.
+struct DayArena {
+    scratch: Vec<u8>,
+    bytes: Vec<u8>,
+    /// (timestamp, repeat count, start, end) per batch, in render order.
+    batches: Vec<(SimTime, u32, u32, u32)>,
+}
+
+impl DayArena {
+    fn with_batches(batches: usize) -> DayArena {
+        DayArena {
+            scratch: Vec::new(),
+            // Backscatter packets are 40–56 bytes.
+            bytes: Vec::with_capacity(batches * 48),
+            batches: Vec::with_capacity(batches),
+        }
+    }
+
+    /// Append the packet in `scratch` as one batch.
+    fn push_scratch(&mut self, ts: SimTime, count: u32) {
+        let start = self.bytes.len() as u32;
+        self.bytes.extend_from_slice(&self.scratch);
+        self.batches.push((ts, count, start, self.bytes.len() as u32));
+    }
+
+    /// Freeze the arena into one buffer and hand every batch a view of
+    /// it, sorted by timestamp (stable, so ties keep render order).
+    fn freeze(mut self) -> Vec<PacketBatch> {
+        self.batches.sort_by_key(|b| b.0);
+        let arena = SharedBytes::new(self.bytes);
+        self.batches
+            .into_iter()
+            .map(|(ts, count, start, end)| {
+                PacketBatch::repeated(ts, count, arena.slice(start as usize..end as usize))
+            })
+            .collect()
     }
 }
 
@@ -523,6 +583,36 @@ mod tests {
                 "all of a pot's batches share one representative allocation"
             );
         }
+    }
+
+    /// The telescope counterpart of the test above: every batch of a day
+    /// views one arena, so the day's packets tile a single buffer end to
+    /// end, whatever the attacks and protocols rendered that day.
+    #[test]
+    fn telescope_batches_view_one_day_arena() {
+        let mut udp = tele_attack(4000, 2400, 30.0);
+        udp.target = "198.51.100.7".parse().unwrap();
+        udp.kind = GtKind::RandomSpoofed {
+            proto: TransportProto::Udp,
+            ports: GtPorts::Multi(vec![53, 123]),
+            peak_pps: 30.0,
+        };
+        let truth = truth_with(vec![tele_attack(1000, 3000, 4.0), udp]);
+        let r = Renderer::new(&truth, Telescope::default_slash8(), fleet_addrs(), 7, 2);
+        let batches = r.telescope_day(DayIndex(0));
+        assert!(batches.len() > 100, "two long attacks yield many batches");
+        let mut spans: Vec<(usize, usize)> = batches
+            .iter()
+            .map(|b| {
+                let s = b.bytes.as_slice();
+                (s.as_ptr() as usize, s.len())
+            })
+            .collect();
+        spans.sort_unstable();
+        assert!(
+            spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
+            "batch bytes tile one contiguous buffer"
+        );
     }
 
     #[test]

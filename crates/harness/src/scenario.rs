@@ -196,13 +196,15 @@ impl Scenario {
 }
 
 /// Render and route days on a producer thread while the consumer feeds
-/// the detectors: a bounded two-stage pipeline. The producer routes each
-/// day by victim address (index lists over one `Arc`'d chunk — no batch
-/// is copied or re-partitioned); the sharded engines carry the per-shard
-/// streams on their pools, which at `threads = 1` run the one shard on
-/// the consumer thread itself. Victim-keyed detector state makes the
-/// single merge at `finish` byte-identical for any shard count
-/// (DESIGN.md, "Concurrency model").
+/// the detectors: a bounded two-stage pipeline. Each rendered day's
+/// backscatter lives in one shared arena, so handing a day over (and
+/// freeing it on the consumer) costs O(1) allocations, not O(batches).
+/// The producer routes each day by victim address (index lists over one
+/// `Arc`'d chunk — no batch is copied or re-partitioned); the sharded
+/// engines carry the per-shard streams on their pools, which at
+/// `threads = 1` run the one shard on the consumer thread itself.
+/// Victim-keyed detector state makes the single merge at `finish`
+/// byte-identical for any shard count (DESIGN.md, "Concurrency model").
 fn drive_pipelines(
     renderer: &Renderer<'_>,
     telescope: Telescope,
@@ -223,19 +225,33 @@ fn drive_pipelines(
 
     std::thread::scope(|s| {
         s.spawn(move || {
+            let (mut tele_batches, mut hp_batches, mut tele_bytes) = (0u64, 0u64, 0u64);
             for d in 0..days {
                 let day = DayIndex(d);
-                let rendered = {
+                let (tele, hp) = {
                     let _render = dosscope_obs::span!("stage.render");
                     (renderer.telescope_day(day), renderer.honeypot_day(day))
                 };
-                let _route = dosscope_obs::span!("stage.route");
-                let t = dosscope_telescope::route_batches(Arc::new(rendered.0), threads);
-                let h = dosscope_amppot::route_requests(Arc::new(rendered.1), threads);
-                if tx.send((t, h)).is_err() {
+                tele_batches += tele.len() as u64;
+                hp_batches += hp.len() as u64;
+                tele_bytes += tele.iter().map(|b| b.bytes.len() as u64).sum::<u64>();
+                let routed = {
+                    let _route = dosscope_obs::span!("stage.route");
+                    (
+                        dosscope_telescope::route_batches(Arc::new(tele), threads),
+                        dosscope_amppot::route_requests(Arc::new(hp), threads),
+                    )
+                };
+                // Waiting for the consumer (back-pressure) is its own span,
+                // so `stage.route` measures routing alone.
+                let _handoff = dosscope_obs::span!("stage.handoff");
+                if tx.send(routed).is_err() {
                     return;
                 }
             }
+            dosscope_obs::counter!("render.telescope_batches").add(tele_batches);
+            dosscope_obs::counter!("render.honeypot_batches").add(hp_batches);
+            dosscope_obs::counter!("render.telescope_bytes").add(tele_bytes);
         });
         for (tele_routed, hp_routed) in rx.iter() {
             let _detect = dosscope_obs::span!("stage.detect");

@@ -15,6 +15,9 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "store.rows",
     "migrate.cohost_counts",
     "migrate.placements_walked",
+    "render.telescope_batches",
+    "render.honeypot_batches",
+    "render.telescope_bytes",
 ];
 
 /// Store late-batch instruments that must be *present* (registered) but
@@ -34,6 +37,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "stage.migrate",
     "stage.render",
     "stage.route",
+    "stage.handoff",
     "stage.detect",
     "stage.fuse",
     "report.assemble",

@@ -7,9 +7,12 @@
 //! Every batch's bytes are parsed through `dosscope-wire`'s checked
 //! parsers, so the byte-level decode path is exercised on every batch.
 //!
-//! The representative bytes are [`SharedBytes`]: cloning a batch (stream
-//! partitioning, replayed test streams, bench workloads) bumps a
-//! reference count instead of copying the packet.
+//! The representative bytes are [`SharedBytes`], a view into a shared
+//! buffer: cloning a batch (stream partitioning, replayed test streams,
+//! bench workloads) bumps a reference count instead of copying the
+//! packet. The renderer packs a whole day's packets into one buffer and
+//! every batch of that day views it, so a cloned batch keeps its entire
+//! day arena alive until the clone is dropped.
 
 use dosscope_types::{SharedBytes, SimTime};
 
@@ -21,7 +24,8 @@ pub struct PacketBatch {
     pub ts: SimTime,
     /// How many identical packets the batch stands for (≥ 1).
     pub count: u32,
-    /// One representative packet, starting at the IPv4 header.
+    /// One representative packet, starting at the IPv4 header (a view
+    /// that may share its buffer with the other batches of its day).
     pub bytes: SharedBytes,
 }
 

@@ -1,9 +1,10 @@
 //! Telemetry counters are part of the serial-equivalence guarantee: the
 //! engine counters (`telescope.*`, `fleet.*`) count domain facts —
 //! batches ingested, flows expired, events emitted — and are published
-//! once from the shard-merged `DetectorStats`/`FleetStats`, so for a
-//! fixed seed the whole counter map must be identical for any thread
-//! count.
+//! once from the shard-merged `DetectorStats`/`FleetStats`, and the
+//! producer publishes the `render.*` counters once after its last day,
+//! so for a fixed seed the whole counter map must be identical for any
+//! thread count.
 //!
 //! This lives in its own test binary on purpose: the counter registry is
 //! process-global, so the comparison needs a process where no concurrent
@@ -31,12 +32,22 @@ fn telemetry_counters_are_identical_across_thread_counts() {
     };
 
     let serial = run_counters(1);
-    for required in ["telescope.events", "telescope.flows_expired", "fleet.events"] {
+    for required in [
+        "telescope.events",
+        "telescope.flows_expired",
+        "fleet.events",
+        "render.telescope_batches",
+        "render.honeypot_batches",
+        "render.telescope_bytes",
+    ] {
         assert!(
             serial.iter().any(|(n, v)| n == required && *v > 0),
             "serial run recorded {required}: {serial:?}"
         );
     }
+    // Every rendered backscatter batch reaches the telescope detector.
+    let get = |name: &str| serial.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert_eq!(get("render.telescope_batches"), get("telescope.batches"));
     for threads in [2, 8] {
         let threaded = run_counters(threads);
         assert_eq!(
