@@ -19,6 +19,9 @@ cargo test -q --workspace
 echo "==> migration oracle at scale 600 (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test migration_equivalence -- --ignored
 
+echo "==> DPS oracle at scale 600 (release, ignored by the debug run)"
+cargo test --release --locked -q -p dosscope-harness --test dps_equivalence -- --ignored
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -268,8 +268,7 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        out.sort_by_key(|b| b.ts);
-        out
+        in_ts_order(out)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -386,17 +385,46 @@ impl DayArena {
     }
 
     /// Freeze the arena into one buffer and hand every batch a view of
-    /// it, sorted by timestamp (stable, so ties keep render order).
-    fn freeze(mut self) -> Vec<PacketBatch> {
-        self.batches.sort_by_key(|b| b.0);
+    /// it, sorted by timestamp (ties keep render order).
+    fn freeze(self) -> Vec<PacketBatch> {
         let arena = SharedBytes::new(self.bytes);
-        self.batches
+        ts_order(&self.batches, |b| b.0)
             .into_iter()
-            .map(|(ts, count, start, end)| {
+            .map(|key| {
+                let (ts, count, start, end) = self.batches[key as u32 as usize];
                 PacketBatch::repeated(ts, count, arena.slice(start as usize..end as usize))
             })
             .collect()
     }
+}
+
+/// Request batches sorted by timestamp, ties in render order.
+fn in_ts_order(batches: Vec<RequestBatch>) -> Vec<RequestBatch> {
+    let order = ts_order(&batches, |b| b.ts);
+    let mut slots: Vec<Option<RequestBatch>> = batches.into_iter().map(Some).collect();
+    order
+        .into_iter()
+        .map(|key| slots[key as u32 as usize].take().expect("each index once"))
+        .collect()
+}
+
+/// The order of a stable sort of `items` by timestamp, as sorted keys
+/// `(ts − first ts) << 32 | index` whose low 32 bits index `items`. The
+/// keys are distinct, so an unstable integer sort gives exactly the
+/// stable order: by time, ties by index.
+fn ts_order<T>(items: &[T], ts: impl Fn(&T) -> SimTime) -> Vec<u64> {
+    let first = items.iter().map(&ts).min().unwrap_or_default();
+    let mut keys: Vec<u64> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let offset = u32::try_from(ts(item).0 - first.0).expect("batch times span < 2^32 s");
+            let index = u32::try_from(i).expect("fewer than 2^32 batches");
+            u64::from(offset) << 32 | u64::from(index)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// Round `x` to an integer such that the expectation equals `x` (floor,
@@ -613,6 +641,50 @@ mod tests {
             spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
             "batch bytes tile one contiguous buffer"
         );
+    }
+
+    /// Timestamps of a hand-built day: 300 batches over five seconds,
+    /// out of order, so every second holds a long run of ties.
+    fn tied_times() -> Vec<SimTime> {
+        (0..300u64).map(|i| SimTime(86_400 + (i * 7) % 5)).collect()
+    }
+
+    #[test]
+    fn day_arena_freeze_keeps_render_order_on_ties() {
+        let mut arena = DayArena::with_batches(0);
+        let mut reference = Vec::new();
+        for (i, ts) in tied_times().into_iter().enumerate() {
+            arena.scratch = (i as u16).to_be_bytes().to_vec();
+            arena.push_scratch(ts, i as u32 + 1);
+            reference.push(PacketBatch::repeated(
+                ts,
+                i as u32 + 1,
+                SharedBytes::from(arena.scratch.clone()),
+            ));
+        }
+        reference.sort_by_key(|b| b.ts);
+        assert_eq!(arena.freeze(), reference);
+    }
+
+    #[test]
+    fn honeypot_batches_keep_render_order_on_ties() {
+        let bytes = SharedBytes::from(vec![1, 2, 3]);
+        let batches: Vec<RequestBatch> = tied_times()
+            .into_iter()
+            .enumerate()
+            .map(|(i, ts)| {
+                RequestBatch::repeated(HoneypotId(i as u8), ts, i as u32 + 1, bytes.clone())
+            })
+            .collect();
+        let mut reference = batches.clone();
+        reference.sort_by_key(|b| b.ts);
+        assert_eq!(in_ts_order(batches), reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch times span < 2^32 s")]
+    fn ts_order_refuses_a_key_that_would_wrap() {
+        ts_order(&[SimTime(5), SimTime(5 + (1 << 32))], |&t| t);
     }
 
     #[test]

@@ -110,17 +110,11 @@ pub struct Table2 {
 impl Table2 {
     /// Build from the zone attached to the framework.
     pub fn build(fw: &Framework<'_>) -> Option<Table2> {
-        let zone = fw.zone?;
+        let totals = fw.zone?.tld_totals();
         let rows = Tld::ALL
-            .iter()
-            .map(|&tld| {
-                (
-                    tld,
-                    zone.domain_count_in(tld) as u64,
-                    zone.data_points_in(tld),
-                    zone.data_points_in(tld) * 24,
-                )
-            })
+            .into_iter()
+            .zip(totals)
+            .map(|(tld, (sites, points))| (tld, sites, points, points * 24))
             .collect();
         Some(Table2 { rows })
     }
@@ -168,7 +162,8 @@ impl Table3 {
         let rows = dps
             .providers()
             .iter()
-            .map(|p| (p.name.clone(), dps.customer_count(p.id)))
+            .zip(dps.customer_counts())
+            .map(|(p, n)| (p.name.clone(), n))
             .collect();
         Some(Table3 { rows })
     }

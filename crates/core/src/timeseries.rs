@@ -8,9 +8,8 @@
 //! definition.
 
 use crate::enrich::Enricher;
-use dosscope_types::{AttackEvent, TimeSeries};
+use dosscope_types::{AttackEvent, DayIndex, TimeSeries};
 use std::borrow::Borrow;
-use std::collections::HashSet;
 
 /// The four per-day series of one Figure 1 panel.
 #[derive(Debug, Clone)]
@@ -41,39 +40,43 @@ impl DailySeries {
         F: FnMut(&AttackEvent) -> bool,
     {
         let mut attacks = TimeSeries::zeros(days);
-        let mut day_targets: Vec<HashSet<u32>> = vec![HashSet::new(); days as usize];
-        let mut day_blocks: Vec<HashSet<u32>> = vec![HashSet::new(); days as usize];
-        let mut day_asns: Vec<HashSet<u32>> = vec![HashSet::new(); days as usize];
+        // One `day << 32 | key` per counted event and key kind; sorted and
+        // deduplicated, each run of one day holds its distinct keys.
+        let mut targets: Vec<u64> = Vec::new();
+        let mut blocks: Vec<u64> = Vec::new();
+        let mut asns: Vec<u64> = Vec::new();
         for e in events {
             let e = e.borrow();
             if !filter(e) {
                 continue;
             }
             let day = e.when.start.day();
-            let idx = day.0 as usize;
-            if idx >= days as usize {
+            if day.0 >= days {
                 continue;
             }
             attacks.add(day, 1.0);
-            day_targets[idx].insert(u32::from(e.target));
+            let day_key = u64::from(day.0) << 32;
+            targets.push(day_key | u64::from(u32::from(e.target)));
             let en = enricher.enrich(e);
-            day_blocks[idx].insert(en.block16.raw());
+            blocks.push(day_key | u64::from(en.block16.raw()));
             if let Some(asn) = en.asn {
-                day_asns[idx].insert(asn.0);
+                asns.push(day_key | u64::from(asn.0));
             }
         }
-        let collect = |sets: Vec<HashSet<u32>>| {
+        let distinct_per_day = |mut keys: Vec<u64>| {
+            keys.sort_unstable();
+            keys.dedup();
             let mut ts = TimeSeries::zeros(days);
-            for (i, s) in sets.into_iter().enumerate() {
-                ts.set(dosscope_types::DayIndex(i as u32), s.len() as f64);
+            for key in keys {
+                ts.add(DayIndex((key >> 32) as u32), 1.0);
             }
             ts
         };
         DailySeries {
             attacks,
-            targets: collect(day_targets),
-            blocks16: collect(day_blocks),
-            asns: collect(day_asns),
+            targets: distinct_per_day(targets),
+            blocks16: distinct_per_day(blocks),
+            asns: distinct_per_day(asns),
         }
     }
 
@@ -173,6 +176,52 @@ mod tests {
     fn mean_intensity_empty() {
         let none: [AttackEvent; 0] = [];
         assert_eq!(mean_intensity(none.iter()), 0.0);
+    }
+
+    /// The per-day distinct counts with one hash set per day and kind.
+    fn hash_set_oracle(
+        events: &[AttackEvent],
+        enricher: &Enricher<'_>,
+        days: u32,
+    ) -> [Vec<f64>; 3] {
+        use std::collections::HashSet;
+        let mut sets = vec![[HashSet::new(), HashSet::new(), HashSet::new()]; days as usize];
+        for e in events {
+            let Some(day) = sets.get_mut(e.when.start.day().0 as usize) else {
+                continue;
+            };
+            let en = enricher.enrich(e);
+            day[0].insert(u32::from(e.target));
+            day[1].insert(en.block16.raw());
+            if let Some(asn) = en.asn {
+                day[2].insert(asn.0);
+            }
+        }
+        [0, 1, 2].map(|k| sets.iter().map(|day| day[k].len() as f64).collect())
+    }
+
+    #[test]
+    fn distinct_counts_match_a_hash_set_oracle() {
+        let (geo, asdb) = dbs();
+        let enricher = Enricher::new(&geo, &asdb);
+        // Repeated targets within and across days, blocks with and without
+        // an ASN, and days past the window, in no particular order.
+        let mut state = 7u64;
+        let events: Vec<AttackEvent> = (0..2_000)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let r = state >> 24;
+                let ip = format!("10.{}.{}.{}", r % 4, (r >> 8) % 3, (r >> 16) % 20);
+                event(&ip, (r >> 32) % 45, 1.0)
+            })
+            .collect();
+        let days = 40;
+        let s = DailySeries::build(events.iter(), &enricher, days, |_| true);
+        let [targets, blocks, asns] = hash_set_oracle(&events, &enricher, days);
+        assert_eq!(s.targets.values(), targets);
+        assert_eq!(s.blocks16.values(), blocks);
+        assert_eq!(s.asns.values(), asns);
+        assert!(asns.contains(&2.0), "two ASNs on some day: {asns:?}");
     }
 
     #[test]

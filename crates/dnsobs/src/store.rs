@@ -24,7 +24,8 @@ pub enum Tld {
 }
 
 impl Tld {
-    /// All measured TLDs in presentation order.
+    /// All measured TLDs in presentation order, which is also declaration
+    /// order: `tld as usize` indexes this array.
     pub const ALL: [Tld; 3] = [Tld::Com, Tld::Net, Tld::Org];
 }
 
@@ -156,11 +157,6 @@ impl ZoneStore {
     /// Number of Web sites (total over the whole window).
     pub fn domain_count(&self) -> usize {
         self.domains.len()
-    }
-
-    /// Number of Web sites in one TLD.
-    pub fn domain_count_in(&self, tld: Tld) -> usize {
-        self.domains.iter().filter(|d| d.tld == tld).count()
     }
 
     /// The TLD of a site.
@@ -355,19 +351,24 @@ impl ZoneStore {
     /// three records per placement-day (`www` A, NS, and CNAME when
     /// present) — the store's equivalent of Table 2's "#data points".
     pub fn data_points(&self) -> u64 {
-        self.placements
-            .iter()
-            .map(|p| p.days.len() as u64 * (2 + u64::from(p.cname.is_some())))
-            .sum()
+        self.placements.iter().map(Self::data_points_of).sum()
     }
 
-    /// Data points for one TLD.
-    pub fn data_points_in(&self, tld: Tld) -> u64 {
-        self.placements
-            .iter()
-            .filter(|p| self.tld_of(p.domain) == tld)
-            .map(|p| p.days.len() as u64 * (2 + u64::from(p.cname.is_some())))
-            .sum()
+    /// Sites and data points per TLD, indexed like [`Tld::ALL`]: Table 2's
+    /// rows from one pass over the domains and one over the placements.
+    pub fn tld_totals(&self) -> [(u64, u64); 3] {
+        let mut totals = [(0, 0); 3];
+        for d in &self.domains {
+            totals[d.tld as usize].0 += 1;
+        }
+        for p in &self.placements {
+            totals[self.tld_of(p.domain) as usize].1 += Self::data_points_of(p);
+        }
+        totals
+    }
+
+    fn data_points_of(p: &Placement) -> u64 {
+        p.days.len() as u64 * (2 + u64::from(p.cname.is_some()))
     }
 
     /// Estimated compressed storage footprint in bytes, assuming ~24 bytes
@@ -438,7 +439,7 @@ mod tests {
             });
         }
         assert_eq!(z.domains_on_ip(shared, day(50)).len(), 5);
-        assert_eq!(z.domain_count_in(Tld::Net), 5);
+        assert_eq!(z.tld_totals()[Tld::Net as usize].0, 5);
     }
 
     #[test]
@@ -568,8 +569,7 @@ mod tests {
         });
         // 10 days x (A + NS + CNAME) = 30 points.
         assert_eq!(z.data_points(), 30);
-        assert_eq!(z.data_points_in(Tld::Com), 30);
-        assert_eq!(z.data_points_in(Tld::Org), 0);
+        assert_eq!(z.tld_totals(), [(1, 30), (0, 0), (0, 0)]);
         assert_eq!(z.est_size_bytes(), 30 * 24);
     }
 

@@ -365,9 +365,10 @@ mod tests {
     fn population_size_and_tld_split() {
         let out = small_synth();
         assert_eq!(out.zone.domain_count(), 20_000);
-        let com = out.zone.domain_count_in(Tld::Com) as f64 / 20_000.0;
-        let net = out.zone.domain_count_in(Tld::Net) as f64 / 20_000.0;
-        let org = out.zone.domain_count_in(Tld::Org) as f64 / 20_000.0;
+        let sites = out.zone.tld_totals();
+        let com = sites[Tld::Com as usize].0 as f64 / 20_000.0;
+        let net = sites[Tld::Net as usize].0 as f64 / 20_000.0;
+        let org = sites[Tld::Org as usize].0 as f64 / 20_000.0;
         assert!((com - 0.827).abs() < 0.02, "com share {com}");
         assert!((net - 0.103).abs() < 0.02, "net share {net}");
         assert!((org - 0.070).abs() < 0.02, "org share {org}");

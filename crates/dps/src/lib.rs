@@ -17,14 +17,20 @@
 //!
 //! The inference runs over the measured zone only; it never reads the
 //! generator's ground truth.
+//!
+//! The data set is a hash-free table in compressed-sparse-row layout:
+//! [`DpsDataset::infer`] walks the zone once in `DomainId` order and
+//! appends each domain's protection intervals to one flat array, with an
+//! offset per domain marking where its slice starts. A domain lookup is
+//! two array reads; the aggregates (customer counts, diversion split,
+//! adoption series) are single passes over the flat array.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dosscope_dns::{DomainId, OrgCatalog, OrgId, OrgRole, ZoneStore};
 use dosscope_geo::AsDb;
-use dosscope_types::DayIndex;
-use std::collections::HashMap;
+use dosscope_types::{Asn, DayIndex};
 
 /// Index of a provider within the DPS catalog (0..10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,7 +73,12 @@ pub struct UseInterval {
 #[derive(Debug, Default)]
 pub struct DpsDataset {
     providers: Vec<Provider>,
-    per_domain: HashMap<DomainId, Vec<UseInterval>>,
+    /// `offsets[d]..offsets[d + 1]` is domain `d`'s slice of `intervals`;
+    /// one entry per zone domain plus a final end marker.
+    offsets: Vec<u32>,
+    /// Every protection interval, grouped by domain in `DomainId` order
+    /// and sorted by start day within a domain.
+    intervals: Vec<UseInterval>,
 }
 
 impl DpsDataset {
@@ -86,15 +97,30 @@ impl DpsDataset {
                 org: o.id,
             })
             .collect();
-        let by_org: HashMap<OrgId, ProviderId> =
-            providers.iter().map(|p| (p.org, p.id)).collect();
-        let by_asn: HashMap<_, ProviderId> = providers
+        let mut by_org: Vec<Option<ProviderId>> = vec![None; catalog.orgs().len()];
+        for p in &providers {
+            by_org[p.org.0 as usize] = Some(p.id);
+        }
+        let provider_of_org = |org: OrgId| by_org.get(org.0 as usize).copied().flatten();
+        let by_asn: Vec<(Asn, ProviderId)> = providers
             .iter()
             .filter_map(|p| catalog.get(p.org).asn.map(|a| (a, p.id)))
             .collect();
+        // At most ten providers, so a scan beats hashing. Should two
+        // announce one AS, the later one in catalog order wins.
+        let provider_of_asn = |asn: Asn| {
+            by_asn
+                .iter()
+                .rev()
+                .find(|(a, _)| *a == asn)
+                .map(|&(_, p)| p)
+        };
 
-        let mut per_domain: HashMap<DomainId, Vec<UseInterval>> = HashMap::new();
+        let mut offsets = Vec::with_capacity(zone.domain_count() + 1);
+        offsets.push(0);
+        let mut intervals = Vec::new();
         for domain in zone.domain_ids() {
+            let start = intervals.len();
             for placement in zone.placements_of(domain) {
                 if placement.days.is_empty() {
                     continue;
@@ -102,21 +128,19 @@ impl DpsDataset {
                 // DNS indicators first: CNAME fronting, then provider NS.
                 let dns_hit = placement
                     .cname
-                    .and_then(|c| by_org.get(&c))
-                    .or_else(|| by_org.get(&placement.ns));
+                    .and_then(provider_of_org)
+                    .or_else(|| provider_of_org(placement.ns));
                 let (provider, diversion) = match dns_hit {
-                    Some(&p) => (Some(p), Diversion::Dns),
-                    None => {
-                        // BGP indicator: the A record routes to the
-                        // provider's AS.
-                        let hit = asdb
-                            .asn_of(placement.ip)
-                            .and_then(|asn| by_asn.get(&asn).copied());
-                        (hit, Diversion::Bgp)
-                    }
+                    Some(p) => (Some(p), Diversion::Dns),
+                    // BGP indicator: the A record routes to the
+                    // provider's AS.
+                    None => (
+                        asdb.asn_of(placement.ip).and_then(provider_of_asn),
+                        Diversion::Bgp,
+                    ),
                 };
                 if let Some(provider) = provider {
-                    per_domain.entry(domain).or_default().push(UseInterval {
+                    intervals.push(UseInterval {
                         provider,
                         from: placement.days.start,
                         until: placement.days.end,
@@ -124,13 +148,13 @@ impl DpsDataset {
                     });
                 }
             }
-        }
-        for intervals in per_domain.values_mut() {
-            intervals.sort_by_key(|u| u.from);
+            intervals[start..].sort_by_key(|u| u.from);
+            offsets.push(u32::try_from(intervals.len()).expect("fewer than 2^32 intervals"));
         }
         DpsDataset {
             providers,
-            per_domain,
+            offsets,
+            intervals,
         }
     }
 
@@ -144,12 +168,21 @@ impl DpsDataset {
         self.providers.iter().find(|p| p.name == name)
     }
 
-    /// All protection intervals of a domain (sorted by start day).
+    /// All protection intervals of a domain (sorted by start day); empty
+    /// for an unprotected domain or one the zone never had.
     pub fn intervals_of(&self, domain: DomainId) -> &[UseInterval] {
-        self.per_domain
-            .get(&domain)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let d = domain.0 as usize;
+        match self.offsets.get(d..d + 2) {
+            Some(&[start, end]) => &self.intervals[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// Every domain's interval slice, in `DomainId` order.
+    fn per_domain(&self) -> impl Iterator<Item = &[UseInterval]> {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.intervals[w[0] as usize..w[1] as usize])
     }
 
     /// First day the domain is seen using any DPS, with the provider.
@@ -183,28 +216,56 @@ impl DpsDataset {
     /// Number of domains ever protected by `provider` (Table 3's
     /// "#Web sites" per provider).
     pub fn customer_count(&self, provider: ProviderId) -> u64 {
-        self.per_domain
-            .values()
-            .filter(|intervals| intervals.iter().any(|u| u.provider == provider))
-            .count() as u64
+        self.customer_counts()
+            .get(provider.0 as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// [`customer_count`](Self::customer_count) of every provider, in
+    /// catalog order, from one pass over the table.
+    pub fn customer_counts(&self) -> Vec<u64> {
+        let mut counts = vec![0; self.providers.len()];
+        for intervals in self.per_domain() {
+            for (i, u) in intervals.iter().enumerate() {
+                // A domain counts once per provider, at its first interval.
+                if !intervals[..i].iter().any(|v| v.provider == u.provider) {
+                    counts[u.provider.0 as usize] += 1;
+                }
+            }
+        }
+        counts
     }
 
     /// Number of domains with any DPS use.
     pub fn protected_count(&self) -> u64 {
-        self.per_domain.len() as u64
+        self.per_domain().filter(|s| !s.is_empty()).count() as u64
+    }
+
+    /// Number of protection intervals over all domains.
+    pub fn interval_count(&self) -> u64 {
+        self.intervals.len() as u64
     }
 
     /// Protected domains per day — the adoption trend of Jonker et al.
     /// (IMC 2016), which found DPS use growing steadily. Each day counts
-    /// the domains with an active protection interval.
+    /// the domains with an active protection interval: every interval
+    /// adds one on its first day and removes it after its last, and a
+    /// running sum turns those steps into daily counts.
     pub fn adoption_series(&self, days: u32) -> dosscope_types::TimeSeries {
-        let mut ts = dosscope_types::TimeSeries::zeros(days);
-        for intervals in self.per_domain.values() {
-            for u in intervals {
-                for d in u.from.0..u.until.0.min(days) {
-                    ts.add(DayIndex(d), 1.0);
-                }
+        let mut steps = vec![0i64; days as usize + 1];
+        for u in &self.intervals {
+            let until = u.until.0.min(days);
+            if u.from.0 < until {
+                steps[u.from.0 as usize] += 1;
+                steps[until as usize] -= 1;
             }
+        }
+        let mut ts = dosscope_types::TimeSeries::zeros(days);
+        let mut active = 0;
+        for (d, step) in (0..days).zip(steps) {
+            active += step;
+            ts.set(DayIndex(d), active as f64);
         }
         ts
     }
@@ -213,40 +274,32 @@ impl DpsDataset {
     /// the DNS-vs-BGP split of Section 2.2 (single sites divert via DNS,
     /// hosters with whole infrastructures via BGP).
     pub fn diversion_split(&self) -> (u64, u64) {
-        let mut dns = 0;
-        let mut bgp = 0;
-        for intervals in self.per_domain.values() {
-            for u in intervals {
-                match u.diversion {
-                    Diversion::Dns => dns += 1,
-                    Diversion::Bgp => bgp += 1,
-                }
-            }
-        }
-        (dns, bgp)
+        let dns = self
+            .intervals
+            .iter()
+            .filter(|u| u.diversion == Diversion::Dns)
+            .count() as u64;
+        (dns, self.interval_count() - dns)
     }
 
     /// Adoption trend per provider: `(provider, first-day count, last-day
     /// count)` — growth at a glance.
     pub fn adoption_growth(&self, days: u32) -> Vec<(ProviderId, u64, u64)> {
         let last = DayIndex(days.saturating_sub(1));
+        let mut counts = vec![(0u64, 0u64); self.providers.len()];
+        for u in &self.intervals {
+            let (first_day, last_day) = &mut counts[u.provider.0 as usize];
+            if u.from.0 == 0 {
+                *first_day += 1;
+            }
+            if u.from <= last && last < u.until {
+                *last_day += 1;
+            }
+        }
         self.providers
             .iter()
-            .map(|p| {
-                let mut first_day = 0u64;
-                let mut last_day = 0u64;
-                for intervals in self.per_domain.values() {
-                    for u in intervals.iter().filter(|u| u.provider == p.id) {
-                        if u.from.0 == 0 {
-                            first_day += 1;
-                        }
-                        if u.from <= last && last < u.until {
-                            last_day += 1;
-                        }
-                    }
-                }
-                (p.id, first_day, last_day)
-            })
+            .zip(counts)
+            .map(|(p, (first_day, last_day))| (p.id, first_day, last_day))
             .collect()
     }
 }
@@ -255,7 +308,6 @@ impl DpsDataset {
 mod tests {
     use super::*;
     use dosscope_dns::{DayRange, Placement, Tld};
-    use dosscope_types::Asn;
     use std::net::Ipv4Addr;
 
     /// A minimal world: one hoster, two DPS providers (one CNAME-fronting,

@@ -148,7 +148,11 @@ impl Scenario {
 
         // 3. Measure DPS adoption from the (mutated) zone — the inference
         // side of Section 3.3.
+        let dps_span = dosscope_obs::span!("stage.dps");
         let dps = DpsDataset::infer(&synth.zone, &synth.catalog, &asdb);
+        dosscope_obs::counter!("dps.protected_domains").add(dps.protected_count());
+        dosscope_obs::counter!("dps.intervals").add(dps.interval_count());
+        drop(dps_span);
         drop(truth_span);
 
         // 4. Render observations and drive both measurement pipelines.

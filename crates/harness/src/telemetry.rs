@@ -15,6 +15,8 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "store.rows",
     "migrate.cohost_counts",
     "migrate.placements_walked",
+    "dps.protected_domains",
+    "dps.intervals",
     "render.telescope_batches",
     "render.honeypot_batches",
     "render.telescope_bytes",
@@ -35,6 +37,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "stage.world",
     "stage.truth",
     "stage.migrate",
+    "stage.dps",
     "stage.render",
     "stage.route",
     "stage.handoff",

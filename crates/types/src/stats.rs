@@ -56,9 +56,13 @@ impl Ecdf {
     }
 
     /// Sort and freeze into a queryable [`FrozenEcdf`].
+    ///
+    /// The sort is unstable under the IEEE total order (`-0.0` before
+    /// `0.0`). Samples are finite, and values equal under that order are
+    /// bit-identical, so the frozen samples depend only on the multiset
+    /// pushed, never on push order.
     pub fn freeze(mut self) -> FrozenEcdf {
-        self.samples
-            .sort_by(|a, b| a.partial_cmp(b).expect("non-finite filtered at push"));
+        self.samples.sort_unstable_by(f64::total_cmp);
         FrozenEcdf {
             sorted: self.samples,
         }
@@ -409,6 +413,35 @@ mod tests {
         assert_eq!(f.max(), Some(5.0));
         assert_eq!(f.quantile(0.0), Some(1.0));
         assert_eq!(f.quantile(1.0), Some(5.0));
+    }
+
+    #[test]
+    fn ecdf_freeze_ignores_push_order() {
+        let samples = [
+            3.5, 0.0, -0.0, 1.0, 3.5, -2.0, 0.0, -0.0, 1e300, -1e-300, 1.0, -0.0,
+        ];
+        let bits =
+            |e: Ecdf| -> Vec<u64> { e.freeze().samples().iter().map(|x| x.to_bits()).collect() };
+        let want = bits(samples.into_iter().collect());
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(want, sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        // Fisher-Yates with a fixed LCG: many distinct push orders.
+        let mut order = samples.to_vec();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200 {
+            for i in (1..order.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            assert_eq!(
+                bits(order.iter().copied().collect()),
+                want,
+                "push order {order:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Telemetry counters are part of the serial-equivalence guarantee: the
 //! engine counters (`telescope.*`, `fleet.*`) count domain facts —
 //! batches ingested, flows expired, events emitted — and are published
-//! once from the shard-merged `DetectorStats`/`FleetStats`, and the
-//! producer publishes the `render.*` counters once after its last day,
-//! so for a fixed seed the whole counter map must be identical for any
-//! thread count.
+//! once from the shard-merged `DetectorStats`/`FleetStats`; the producer
+//! publishes the `render.*` counters once after its last day, and the
+//! set-up publishes the `dps.*` counters once. So for a fixed seed the
+//! whole counter map must be identical for any thread count.
 //!
 //! This lives in its own test binary on purpose: the counter registry is
 //! process-global, so the comparison needs a process where no concurrent
@@ -12,7 +12,7 @@
 //! span timings are topology- and wall-clock-dependent by design and are
 //! excluded — only `counters` carries the determinism contract.)
 
-use dosscope_harness::{Scenario, ScenarioConfig};
+use dosscope_harness::{Scenario, ScenarioConfig, World};
 
 #[test]
 fn telemetry_counters_are_identical_across_thread_counts() {
@@ -22,16 +22,16 @@ fn telemetry_counters_are_identical_across_thread_counts() {
         ..ScenarioConfig::default()
     };
 
-    let run_counters = |threads: usize| -> Vec<(String, u64)> {
+    let run_counters = |threads: usize| -> (Vec<(String, u64)>, World) {
         dosscope_obs::reset();
-        let _world = Scenario::run(&ScenarioConfig {
+        let world = Scenario::run(&ScenarioConfig {
             threads,
             ..config.clone()
         });
-        dosscope_obs::registry::counters_snapshot()
+        (dosscope_obs::registry::counters_snapshot(), world)
     };
 
-    let serial = run_counters(1);
+    let (serial, world) = run_counters(1);
     for required in [
         "telescope.events",
         "telescope.flows_expired",
@@ -39,6 +39,8 @@ fn telemetry_counters_are_identical_across_thread_counts() {
         "render.telescope_batches",
         "render.honeypot_batches",
         "render.telescope_bytes",
+        "dps.protected_domains",
+        "dps.intervals",
     ] {
         assert!(
             serial.iter().any(|(n, v)| n == required && *v > 0),
@@ -48,8 +50,11 @@ fn telemetry_counters_are_identical_across_thread_counts() {
     // Every rendered backscatter batch reaches the telescope detector.
     let get = |name: &str| serial.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
     assert_eq!(get("render.telescope_batches"), get("telescope.batches"));
+    // The DPS counters report the data set the run inferred.
+    assert_eq!(get("dps.protected_domains"), Some(world.dps.protected_count()));
+    assert_eq!(get("dps.intervals"), Some(world.dps.interval_count()));
     for threads in [2, 8] {
-        let threaded = run_counters(threads);
+        let (threaded, _) = run_counters(threads);
         assert_eq!(
             threaded, serial,
             "{threads} threads: counter map differs from serial"
