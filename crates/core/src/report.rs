@@ -1,6 +1,6 @@
 //! Typed report artifacts: one structure per table and figure of the
-//! paper, each with a plain-text renderer. The benchmark harness prints
-//! these rows; EXPERIMENTS.md records them against the published values.
+//! paper, each with a plain-text renderer. `repro` prints these rows;
+//! EXPERIMENTS.md records them against the published values.
 
 use crate::enrich::Enricher;
 use crate::timeseries::{mean_intensity, DailySeries};

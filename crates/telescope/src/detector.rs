@@ -156,15 +156,6 @@ impl RsdosDetector {
         }
     }
 
-    /// `advance` through the reference full-scan sweep
-    /// ([`FlowTable::sweep_scan`]); finalizes the identical flow set. Kept
-    /// as the reference the wheel-equivalence property test runs against.
-    pub fn advance_scan(&mut self, now: SimTime) {
-        for flow in self.flows.sweep_scan(now) {
-            self.finalize(flow);
-        }
-    }
-
     /// End of trace: finalize everything and return all events, sorted by
     /// start time.
     pub fn finish(mut self) -> (Vec<AttackEvent>, DetectorStats) {

@@ -280,11 +280,11 @@ impl FlowTable {
         out
     }
 
-    /// The pre-wheel full-table sweep, kept as the reference
-    /// implementation: scans every live flow. Used by the equivalence
-    /// property test and the `hotpath` bench; `sweep`
-    /// returns exactly the same flow set, in the same victim order.
-    pub fn sweep_scan(&mut self, now: SimTime) -> Vec<Flow> {
+    /// The pre-wheel full-table sweep, kept as the tests' reference
+    /// implementation: scans every live flow. `sweep` returns exactly the
+    /// same flow set, in the same victim order.
+    #[cfg(test)]
+    fn sweep_scan(&mut self, now: SimTime) -> Vec<Flow> {
         let timeout = self.timeout_secs;
         let expired_keys: Vec<Ipv4Addr> = self
             .flows
@@ -313,6 +313,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bs(victim: &str, port: Option<u16>, spoofed: &str) -> Backscatter {
         Backscatter {
@@ -467,6 +468,28 @@ mod tests {
         assert_eq!(a.len(), b.len());
     }
 
+    /// A flow found live when its bucket is visited is re-filed under its
+    /// exact activity bucket, so it still expires when the scan expires it.
+    /// Timeout 100 (so 60 s buckets), packets at 0 and 58: live at 157
+    /// (157 <= 58 + 100) and re-filed, expired at 159.
+    #[test]
+    fn refiled_flow_expires_with_the_scan() {
+        let mut wheel = FlowTable::new(100);
+        let mut scan = FlowTable::new(100);
+        let b = bs("203.0.113.1", Some(80), "44.0.0.1");
+        for t in [0u64, 58] {
+            wheel.offer(&b, SimTime(t), 1, 40);
+            scan.offer(&b, SimTime(t), 1, 40);
+        }
+        for (now, expired) in [(157u64, 0usize), (159, 1)] {
+            let w = summaries(&wheel.sweep(SimTime(now)));
+            let s = summaries(&scan.sweep_scan(SimTime(now)));
+            assert_eq!(w, s, "sweep at t={now} diverged");
+            assert_eq!(w.len(), expired, "sweep at t={now}");
+            assert_eq!(wheel.len(), scan.len(), "live flows after t={now}");
+        }
+    }
+
     #[test]
     fn sweep_after_flow_replacement_ignores_stale_entries() {
         let mut t = FlowTable::new(300);
@@ -489,5 +512,86 @@ mod tests {
         t.offer(&bs("203.0.113.1", Some(80), "44.0.0.1"), SimTime(0), 1, 40);
         t.offer(&bs("203.0.113.2", Some(80), "44.0.0.1"), SimTime(0), 1, 40);
         assert_eq!(t.len(), 2);
+    }
+
+    /// Everything a swept flow exposes, through its public fields and
+    /// accessors. (`Debug` would also show the private wheel bucket, which
+    /// differs between `sweep` and `sweep_scan` by design.)
+    fn summary(f: &Flow) -> impl PartialEq + std::fmt::Debug {
+        (
+            (f.victim, f.first, f.last),
+            (f.packets, f.bytes, f.proto_packets),
+            (f.duration_secs(), f.max_pps()),
+            (f.distinct_ports(), f.single_port(), f.distinct_sources()),
+            f.dominant_proto(),
+        )
+    }
+
+    fn summaries(flows: &[Flow]) -> Vec<impl PartialEq + std::fmt::Debug> {
+        flows.iter().map(summary).collect()
+    }
+
+    /// An arbitrary attack script: (victim octet, start, duration, pps, port).
+    fn arb_attack() -> impl Strategy<Value = (u8, u64, u64, u32, u16)> {
+        (1u8..40, 0u64..50_000, 30u64..2_000, 1u32..20, 1u16..1024)
+    }
+
+    /// The scripts as time-ordered one-second SYN/ACK backscatter batches
+    /// of 40-byte packets: (time, facts, packet count, bytes).
+    fn render(attacks: &[(u8, u64, u64, u32, u16)]) -> Vec<(SimTime, Backscatter, u32, u64)> {
+        let mut batches = Vec::new();
+        for &(v, start, dur, pps, port) in attacks {
+            for s in 0..dur {
+                let b = Backscatter {
+                    victim: Ipv4Addr::new(203, 0, 113, v),
+                    spoofed_source: Ipv4Addr::new(44, (s % 250) as u8, ((s / 250) % 250) as u8, 1),
+                    attack_proto: TransportProto::Tcp,
+                    victim_port: Some(port),
+                };
+                batches.push((SimTime(start + s), b, pps, 40 * pps as u64));
+            }
+        }
+        batches.sort_by_key(|b| b.0);
+        batches
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bucketed time-wheel sweep finalizes exactly the flows the
+        /// full-table scan does, field for field, for arbitrary batch
+        /// timelines, timeouts and mid-stream sweep schedules. Each case
+        /// also runs with the jitter cut below the timeout, where sweeps
+        /// find live flows in visited buckets and re-file them.
+        #[test]
+        fn bucketed_sweep_matches_full_scan(
+            attacks in proptest::collection::vec(arb_attack(), 1..6),
+            timeout in 1u64..400,
+            sweep_every in 1usize..24,
+            jitter in 0u64..3_000,
+        ) {
+            let batches = render(&attacks);
+            for jitter in [jitter, jitter % timeout] {
+                let mut wheel = FlowTable::new(timeout);
+                let mut scan = FlowTable::new(timeout);
+                for (i, (ts, b, count, bytes)) in batches.iter().enumerate() {
+                    let w = wheel.offer(b, *ts, *count, *bytes);
+                    let s = scan.offer(b, *ts, *count, *bytes);
+                    prop_assert_eq!(w.as_ref().map(summary), s.as_ref().map(summary));
+                    if i % sweep_every == sweep_every - 1 {
+                        let now = SimTime(ts.secs() + jitter);
+                        prop_assert_eq!(
+                            summaries(&wheel.sweep(now)),
+                            summaries(&scan.sweep_scan(now)),
+                            "sweep at t={}", now.secs()
+                        );
+                        prop_assert_eq!(wheel.len(), scan.len());
+                    }
+                }
+                prop_assert_eq!(wheel.len(), scan.len());
+                prop_assert_eq!(summaries(&wheel.drain()), summaries(&scan.drain()));
+                prop_assert!(wheel.is_empty() && scan.is_empty());
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the detection pipeline: conservation laws of
-//! the flow table and filter monotonicity of the detector.
+//! the flow table, filter monotonicity and sweep-cadence independence of
+//! the detector.
 
 use dosscope_telescope::{
     classify, classify_batch, BatchClass, DetectorConfig, PacketBatch, RsdosDetector, Telescope,
@@ -86,40 +87,42 @@ proptest! {
         }
     }
 
-    /// Expiry equivalence: the bucketed time-wheel sweep finalizes exactly
-    /// the same flow set as the retained full-table scan, for arbitrary
-    /// batch timelines, timeouts, and mid-stream sweep schedules.
+    /// Sweep-cadence independence: a detector advanced on an arbitrary
+    /// schedule, always at some `now` no later than the next batch, ends
+    /// with the same events and stats as one that is never advanced. A
+    /// flow expires by its own idle gap, not by when sweeps run.
     #[test]
-    fn bucketed_sweep_matches_full_scan(
+    fn advance_schedule_does_not_change_events(
         attacks in proptest::collection::vec(arb_attack(), 1..6),
         timeout in 1u64..400,
-        sweep_every in 1usize..24,
-        jitter in 0u64..3_000,
+        schedule in proptest::collection::vec((1usize..24, 0u64..=100), 1..32),
+        tail in 0u64..3_000,
     ) {
         let batches = render(&attacks);
         let config = DetectorConfig {
             flow_timeout_secs: timeout,
-            min_packets: 0,
-            min_duration_secs: 0,
-            min_max_pps: 0.0,
+            ..DetectorConfig::default()
         };
-        let mut wheel = RsdosDetector::new(Telescope::default_slash8(), config);
-        let mut scan = RsdosDetector::new(Telescope::default_slash8(), config);
+        let mut advanced = RsdosDetector::new(Telescope::default_slash8(), config);
+        let mut never = RsdosDetector::new(Telescope::default_slash8(), config);
+        // Each step: advance after `gap` more batches, `frac` percent of
+        // the way from this batch's time to the next one's.
+        let mut steps = schedule.iter().cycle();
+        let (mut gap, mut frac) = *steps.next().expect("non-empty schedule");
         for (i, b) in batches.iter().enumerate() {
-            wheel.ingest(b);
-            scan.ingest(b);
-            if i % sweep_every == sweep_every - 1 {
-                let now = SimTime(b.ts.secs() + jitter);
-                wheel.advance(now);
-                scan.advance_scan(now);
-                prop_assert_eq!(wheel.live_flows(), scan.live_flows());
-                prop_assert_eq!(wheel.events().len(), scan.events().len());
+            advanced.ingest(b);
+            never.ingest(b);
+            gap -= 1;
+            if gap == 0 {
+                let now = b.ts.secs();
+                let next = batches.get(i + 1).map_or(now + tail, |n| n.ts.secs());
+                advanced.advance(SimTime(now + (next - now) * frac / 100));
+                (gap, frac) = *steps.next().expect("cycled");
             }
         }
-        let (we, ws) = wheel.finish();
-        let (se, ss) = scan.finish();
-        prop_assert_eq!(we, se);
-        prop_assert_eq!(ws, ss);
+        let last = batches.last().expect("non-empty script").ts.secs();
+        advanced.advance(SimTime(last + tail));
+        prop_assert_eq!(advanced.finish(), never.finish());
     }
 
     /// Flow splitting: the same script with a shorter flow timeout never

@@ -169,3 +169,62 @@ fn joint_incidents_recovered_by_correlation() {
         scripted_targets.len()
     );
 }
+
+/// The Moore et al. thresholds on rendered traffic: four telescope days of
+/// the test world, detected at the published thresholds, with no filters
+/// (1 packet / 0 s / 0 pps) and with strict ones (100 / 300 s / 2 pps).
+/// Tighter thresholds only drop flows: the events nest by (target, start),
+/// and every finalized flow is either an event or filtered. Counts are not
+/// pinned here.
+#[test]
+fn threshold_variants_nest_on_rendered_traffic() {
+    use dosscope_telescope::{DetectorConfig, RsdosDetector, Telescope};
+    use dosscope_types::DayIndex;
+    use std::collections::BTreeSet;
+
+    let config = ScenarioConfig::test_small();
+    let world = Scenario::run(&config);
+    let telescope = Telescope::default_slash8();
+    let pots = dosscope_amppot::honeypot::standard_fleet().iter().map(|h| h.addr).collect();
+    // Seeded as `Scenario::run` seeds its renderer.
+    let renderer = dosscope_attackgen::Renderer::new(
+        &world.truth,
+        telescope,
+        pots,
+        config.seed ^ 0x8E4,
+        world.days,
+    );
+    let batches: Vec<_> = (10..14).flat_map(|d| renderer.telescope_day(DayIndex(d))).collect();
+
+    let detect = |config: DetectorConfig| {
+        let mut d = RsdosDetector::new(telescope, config);
+        for b in &batches {
+            d.ingest(b);
+        }
+        let (events, stats) = d.finish();
+        assert_eq!(stats.events as usize, events.len());
+        assert_eq!(stats.events + stats.flows_filtered, stats.flows_finalized, "{config:?}");
+        let keys: BTreeSet<_> = events.iter().map(|e| (e.target, e.when.start)).collect();
+        assert_eq!(keys.len(), events.len(), "(target, start) identifies an event");
+        (keys, stats.flows_finalized)
+    };
+    let (no_filter, flows) = detect(DetectorConfig {
+        min_packets: 1,
+        min_duration_secs: 0,
+        min_max_pps: 0.0,
+        ..DetectorConfig::default()
+    });
+    let (published, published_flows) = detect(DetectorConfig::default());
+    let (strict, strict_flows) = detect(DetectorConfig {
+        min_packets: 100,
+        min_duration_secs: 300,
+        min_max_pps: 2.0,
+        ..DetectorConfig::default()
+    });
+    // Thresholds filter flows; they never change how flows are cut.
+    assert_eq!((published_flows, strict_flows), (flows, flows));
+    assert!(!strict.is_empty(), "strict thresholds leave no events");
+    assert!(strict.is_subset(&published), "strict events ⊆ published");
+    assert!(published.is_subset(&no_filter), "published events ⊆ no-filter");
+    assert!(strict.len() < no_filter.len(), "thresholds never bind");
+}

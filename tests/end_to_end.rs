@@ -228,14 +228,13 @@ fn incremental_store_matches_batch() {
     }
 }
 
-#[test]
-fn report_is_independent_of_batch_order() {
-    // Whole-report metamorphic check: the world's events re-fed as
-    // per-day batches in shuffled day order, each batch reversed and
-    // split in two, honeypot before telescope, must render every table,
-    // figure and paper check byte-identical to the batch store.
-    let mut world = world();
-    let scale = ScenarioConfig::test_small().scale;
+/// Whole-report metamorphic check: the world's events re-fed as per-day
+/// batches in shuffled day order, each batch reversed and split in two,
+/// honeypot before telescope, must render every table, figure and paper
+/// check byte-identical to the batch store.
+fn assert_report_independent_of_batch_order(config: &ScenarioConfig) {
+    let mut world = Scenario::run(config);
+    let scale = config.scale;
     let render = |world: &World| {
         let experiments = Experiments::run(world, scale);
         experiments.render_report() + &Experiments::render_comparison(&experiments.compare())
@@ -271,6 +270,20 @@ fn report_is_independent_of_batch_order() {
         world.store = store;
         assert!(render(&world) == want, "report differs for day-order seed {seed}");
     }
+}
+
+#[test]
+fn report_is_independent_of_batch_order() {
+    assert_report_independent_of_batch_order(&ScenarioConfig::test_small());
+}
+
+#[test]
+#[ignore = "scale 600 is slow in a debug build; ci.sh runs it in release"]
+fn report_is_independent_of_batch_order_at_scale_600() {
+    assert_report_independent_of_batch_order(&ScenarioConfig {
+        scale: 600.0,
+        ..ScenarioConfig::test_small()
+    });
 }
 
 #[test]
