@@ -65,13 +65,13 @@ check_repro scale2000.txt --scale 2000 --threads 2
 check_repro scale600.txt --scale 600
 check_repro scale600-days120.txt --scale 600 --days 120
 
-echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000) + streaming_fusion"
+echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000) + day_batch_ingest"
 # The first two run the Web and mail/NS joins end to end on a generated
-# world and fail on a panic. streaming_fusion ingests a whole world in
+# world and fail on a panic. day_batch_ingest ingests a whole world in
 # day batches and asserts the result equals the batch store.
 cargo run --release --locked -q -p dosscope-harness --example web_impact > /dev/null
 cargo run --release --locked -q -p dosscope-harness --example mail_infrastructure > /dev/null
-cargo run --release --locked -q -p dosscope-harness --example streaming_fusion > /dev/null
+cargo run --release --locked -q -p dosscope-harness --example day_batch_ingest > /dev/null
 
 echo "==> lint: no bare println!/eprintln! in library crates"
 # Library code reports through dosscope-obs (leveled logger, counters,

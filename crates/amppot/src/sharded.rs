@@ -18,11 +18,8 @@
 
 use crate::event::RequestBatch;
 use crate::fleet::{AmpPotFleet, FleetStats};
-use dosscope_types::{shard_of_source, AttackEvent, Routed, ShardPool};
+use dosscope_types::{shard_of_source, AttackEvent, Routed, Shard, ShardPool};
 use std::sync::Arc;
-
-/// Bounded per-worker queue depth (see `dosscope_types::pool`).
-const QUEUE_DEPTH: usize = 4;
 
 /// Route a time-ordered chunk of the request stream by victim (= spoofed
 /// packet source) shard, without copying any batch. Relative order
@@ -43,66 +40,50 @@ struct FleetLane {
     peak_open_events: usize,
 }
 
-/// Per-shard result: events, statistics, peak open events.
-type LaneOutput = (Vec<AttackEvent>, FleetStats, u64);
+impl Shard<RequestBatch> for FleetLane {
+    /// Events, statistics, peak open events.
+    type Output = (Vec<AttackEvent>, FleetStats, u64);
+
+    fn process<'a>(&mut self, batches: impl Iterator<Item = &'a RequestBatch>) {
+        for b in batches {
+            self.fleet.ingest(b);
+        }
+        self.peak_open_events = self.peak_open_events.max(self.fleet.open_events());
+    }
+
+    fn finish(self) -> Self::Output {
+        let (events, stats) = self.fleet.finish();
+        (events, stats, self.peak_open_events as u64)
+    }
+}
 
 /// The fleet engine: N independent fleets over victim shards on one
 /// [`ShardPool`] (one shard runs on the caller thread).
 pub struct ShardedFleet {
-    pool: ShardPool<Routed<RequestBatch>, LaneOutput>,
-    shards: usize,
+    pool: ShardPool<RequestBatch, FleetLane>,
 }
 
 impl ShardedFleet {
     /// `shards` standard 24-instance fleets (0 is treated as 1), one pool
     /// worker per shard.
     pub fn standard(shards: usize) -> ShardedFleet {
-        let shards = shards.max(1);
-        let pool = ShardPool::new(
-            "fleet",
-            shards,
-            shards,
-            QUEUE_DEPTH,
-            |_| FleetLane {
-                fleet: AmpPotFleet::standard(),
-                peak_open_events: 0,
-            },
-            |lane: &mut FleetLane, shard, _shards, routed: &Routed<RequestBatch>| {
-                for b in routed.owned(shard) {
-                    lane.fleet.ingest(b);
-                }
-                lane.peak_open_events = lane.peak_open_events.max(lane.fleet.open_events());
-            },
-            |lane: FleetLane| {
-                let (events, stats) = lane.fleet.finish();
-                (events, stats, lane.peak_open_events as u64)
-            },
-        );
-        ShardedFleet { pool, shards }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
+        let pool = ShardPool::new("fleet", shards, || FleetLane {
+            fleet: AmpPotFleet::standard(),
+            peak_open_events: 0,
+        });
+        ShardedFleet { pool }
     }
 
     /// Ingest one pre-routed chunk of the stream (as produced by
     /// [`route_requests`] for this engine's shard count). Chunks must
     /// arrive in time order, like the serial stream.
     pub fn ingest_routed(&mut self, routed: Routed<RequestBatch>) {
-        assert_eq!(
-            routed.shards(),
-            self.shards,
-            "chunk routed for a different shard count"
-        );
-        self.pool
-            .dispatch(routed)
-            .expect("ingest on a finished engine");
+        self.pool.dispatch(routed);
     }
 
     /// Route and ingest one time-ordered chunk of the stream.
     pub fn ingest(&mut self, batches: Vec<RequestBatch>) {
-        self.ingest_routed(route_requests(Arc::new(batches), self.shards));
+        self.ingest_routed(route_requests(Arc::new(batches), self.pool.shards()));
     }
 
     /// End of trace: drain and finish every shard, then merge once —
@@ -113,10 +94,7 @@ impl ShardedFleet {
     /// published here, once, as the `fleet.*` telemetry counters and
     /// gauge.
     pub fn finish(mut self) -> (Vec<AttackEvent>, FleetStats, u64) {
-        let results = self
-            .pool
-            .shutdown()
-            .expect("finish on a finished engine");
+        let results = self.pool.shutdown();
         let mut events = Vec::new();
         let mut stats = FleetStats::default();
         let mut peak = 0u64;

@@ -68,10 +68,6 @@ impl<'a> Enricher<'a> {
         }
     }
 
-    /// Enrich a whole slice.
-    pub fn enrich_all<'e>(&self, events: &'e [AttackEvent]) -> Vec<EnrichedEvent<'e>> {
-        events.iter().map(|e| self.enrich(e)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -240,26 +240,6 @@ impl ZoneStore {
             .collect()
     }
 
-    /// Domains whose mail would be affected by an attack on `ip` at `day`:
-    /// every domain operated by the organisation whose mail exchanger
-    /// lives there (domains' `MX` records point at their operator's
-    /// exchangers).
-    pub fn domains_on_mail_ip(&self, ip: Ipv4Addr, day: DayIndex) -> Vec<DomainId> {
-        match self.mail_org_at(ip) {
-            Some(org) => self.domains_of_org(org, day),
-            None => Vec::new(),
-        }
-    }
-
-    /// Domains whose authoritative DNS would be affected by an attack on
-    /// `ip` at `day`.
-    pub fn domains_on_ns_ip(&self, ip: Ipv4Addr, day: DayIndex) -> Vec<DomainId> {
-        match self.ns_org_at(ip) {
-            Some(org) => self.domains_of_org(org, day),
-            None => Vec::new(),
-        }
-    }
-
     /// Truncate the placement of `domain` covering `day` so it ends just
     /// before `day`; returns the truncated placement's data for the caller
     /// to re-place elsewhere. Used to express migrations. If the placement

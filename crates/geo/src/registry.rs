@@ -322,15 +322,6 @@ impl AsRegistry {
         self.ases.iter().find(|a| a.name == name)
     }
 
-    /// ASes registered in `country`.
-    pub fn ases_in_country(&self, country: CountryCode) -> impl Iterator<Item = &AsInfo> {
-        self.by_country
-            .get(&country)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.ases[i])
-    }
-
     /// ASes of a given organisation kind.
     pub fn ases_of_kind(&self, kind: OrgKind) -> impl Iterator<Item = &AsInfo> {
         self.ases.iter().filter(move |a| a.kind == kind)

@@ -44,7 +44,6 @@ fn main() {
     };
 
     dosscope_obs::log::set_level(dosscope_obs::log::level_from_flags(opts.quiet, opts.verbose));
-    dosscope_obs::init_from_env();
     if opts.telemetry {
         dosscope_obs::set_enabled(true);
     }

@@ -8,7 +8,7 @@
 //!
 //! `--threads` selects the measurement worker count; results are
 //! byte-identical for any value (the pipelines shard by victim address).
-//! With `--telemetry` (or `DOSSCOPE_TELEMETRY=1`) the run collects
+//! With `--telemetry` the run collects
 //! spans, counters and pool profiles, writes `TELEMETRY.json` and
 //! appends the ASCII dashboard to the report.
 
@@ -50,7 +50,6 @@ fn main() {
     };
 
     dosscope_obs::log::set_level(dosscope_obs::log::level_from_flags(opts.quiet, opts.verbose));
-    dosscope_obs::init_from_env();
     if opts.telemetry {
         dosscope_obs::set_enabled(true);
     }

@@ -17,8 +17,7 @@ pub const SMOKE_SCALE: f64 = 20_000.0;
 pub struct CliOptions {
     /// Scenario parameters (seed, scale, days, threads).
     pub config: ScenarioConfig,
-    /// `--telemetry` / `DOSSCOPE_TELEMETRY=1`: collect and emit
-    /// telemetry.
+    /// `--telemetry`: collect and emit telemetry.
     pub telemetry: bool,
     /// `--telemetry-out PATH`: where to write `TELEMETRY.json`.
     pub telemetry_out: String,

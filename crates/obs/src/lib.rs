@@ -1,9 +1,8 @@
 //! # dosscope-obs
 //!
 //! A zero-dependency (std-only) telemetry layer for the `dosscope`
-//! workspace: a metrics registry (sharded counters, gauges, log-binned
-//! histograms), a scoped-span tracing layer with hierarchical rollup, a
-//! tiny leveled logger, and a [`Telemetry`] snapshot rendered either as
+//! workspace: a metrics registry (counters and gauges), a scoped-span
+//! tracing layer with hierarchical rollup, a tiny leveled logger, and a [`Telemetry`] snapshot rendered either as
 //! versioned JSON (`TELEMETRY.json`) or as an ASCII dashboard.
 //!
 //! ## Design constraints
@@ -38,7 +37,7 @@ pub mod telemetry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-pub use registry::{counter, gauge, histogram, Counter, Gauge, Histogram};
+pub use registry::{counter, gauge, Counter, Gauge};
 pub use telemetry::Telemetry;
 
 /// Global on/off switch. All instrumentation points check this first.
@@ -56,17 +55,6 @@ pub fn enabled() -> bool {
 /// Turn telemetry collection on or off.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Enable telemetry if the `DOSSCOPE_TELEMETRY` environment variable is
-/// set to `1` or `true`. Returns the resulting enabled state.
-pub fn init_from_env() -> bool {
-    if let Ok(v) = std::env::var("DOSSCOPE_TELEMETRY") {
-        if v == "1" || v.eq_ignore_ascii_case("true") {
-            set_enabled(true);
-        }
-    }
-    enabled()
 }
 
 /// Zero every metric value and drop all recorded span statistics.

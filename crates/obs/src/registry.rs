@@ -1,57 +1,23 @@
-//! The metrics registry: named counters, gauges and log-binned
-//! histograms with cheap concurrent updates and deterministic sorted
-//! snapshots.
+//! The metrics registry: named counters and gauges with cheap
+//! concurrent updates and deterministic sorted snapshots.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are shared `Arc`s:
-//! registration takes a lock once per name, after which updates touch
-//! only atomics. The [`crate::counter!`] / [`crate::gauge!`] /
-//! [`crate::histogram!`] macros cache a handle in a per-call-site
-//! `OnceLock` so hot paths never re-enter the registry.
+//! Handles ([`Counter`], [`Gauge`]) are shared `Arc`s: registration
+//! takes a lock once per name, after which updates touch only one
+//! atomic. The [`crate::counter!`] / [`crate::gauge!`] macros cache a
+//! handle in a per-call-site `OnceLock` so call sites never re-enter the
+//! registry.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Number of independent slots a counter is striped over. Threads pick
-/// a slot once (round-robin) so concurrent increments rarely contend on
-/// the same cache line.
-const COUNTER_STRIPES: usize = 8;
-
-/// One cache line per stripe so counters on different stripes never
-/// false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// Stable per-thread stripe index.
-fn stripe() -> usize {
-    use std::cell::Cell;
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
-            v = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
-            s.set(v);
-        }
-        v
-    })
-}
-
-#[derive(Default)]
-struct CounterInner {
-    stripes: [PaddedU64; COUNTER_STRIPES],
-}
-
-/// A monotonically increasing counter, striped over cache lines.
+/// A monotonically increasing counter.
 ///
 /// Increments are dropped while telemetry is disabled, so a counter's
 /// value reflects exactly the instrumented work performed while
 /// collection was on.
 #[derive(Clone, Default)]
-pub struct Counter(Arc<CounterInner>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Add `n` to the counter (no-op while telemetry is disabled).
@@ -60,7 +26,7 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        self.0.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one (no-op while telemetry is disabled).
@@ -69,19 +35,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value: the sum over all stripes.
+    /// Current value.
     pub fn value(&self) -> u64 {
-        self.0
-            .stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for s in &self.0.stripes {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -130,107 +90,10 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Power-of-two bins: bin 0 holds exact zeros, bin k (1..=64) holds
-/// values in `[2^(k-1), 2^k)`.
-const HIST_BINS: usize = 65;
-
-struct HistogramInner {
-    counts: Box<[AtomicU64]>,
-    total: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-/// A log2-binned histogram for latency / size style distributions —
-/// the `LogHistogram` idiom from `dosscope-types`, rebuilt on atomics
-/// so concurrent recording needs no lock.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        let counts: Vec<AtomicU64> = (0..HIST_BINS).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramInner {
-            counts: counts.into_boxed_slice(),
-            total: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }))
-    }
-}
-
-impl Histogram {
-    /// Record one observation (no-op while telemetry is disabled).
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        let bin = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.0.counts[bin].fetch_add(1, Ordering::Relaxed);
-        self.0.total.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-        self.0.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.0.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.0.max.load(Ordering::Relaxed)
-    }
-
-    /// Non-empty bins as `(bin_floor, count)`, ascending. Bin floor 0
-    /// holds exact zeros; floor `2^k` holds values in `[2^k, 2^(k+1))`.
-    pub fn bins(&self) -> Vec<(u64, u64)> {
-        self.0
-            .counts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
-                if n == 0 {
-                    return None;
-                }
-                let floor = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                Some((floor, n))
-            })
-            .collect()
-    }
-
-    fn reset(&self) {
-        for c in self.0.counts.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.0.total.store(0, Ordering::Relaxed);
-        self.0.sum.store(0, Ordering::Relaxed);
-        self.0.max.store(0, Ordering::Relaxed);
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Histogram(n={}, sum={})", self.count(), self.sum())
-    }
-}
-
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 fn registry() -> &'static Registry {
@@ -258,14 +121,6 @@ pub fn gauge(name: &str) -> Gauge {
         .clone()
 }
 
-/// Get or register the histogram named `name`.
-pub fn histogram(name: &str) -> Histogram {
-    lock(&registry().histograms)
-        .entry(name.to_string())
-        .or_default()
-        .clone()
-}
-
 /// Zero every registered metric, keeping all handles valid.
 pub(crate) fn reset() {
     for c in lock(&registry().counters).values() {
@@ -273,9 +128,6 @@ pub(crate) fn reset() {
     }
     for g in lock(&registry().gauges).values() {
         g.reset();
-    }
-    for h in lock(&registry().histograms).values() {
-        h.reset();
     }
 }
 
@@ -296,38 +148,6 @@ pub fn gauges_snapshot() -> Vec<(String, u64)> {
     lock(&registry().gauges)
         .iter()
         .map(|(k, v)| (k.clone(), v.value()))
-        .collect()
-}
-
-/// Summary of one histogram at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Non-empty `(bin_floor, count)` bins, ascending.
-    pub bins: Vec<(u64, u64)>,
-}
-
-/// Sorted `(name, snapshot)` for all histograms with observations.
-pub fn histograms_snapshot() -> Vec<(String, HistogramSnapshot)> {
-    lock(&registry().histograms)
-        .iter()
-        .filter(|(_, h)| h.count() > 0)
-        .map(|(k, h)| {
-            (
-                k.clone(),
-                HistogramSnapshot {
-                    count: h.count(),
-                    sum: h.sum(),
-                    max: h.max(),
-                    bins: h.bins(),
-                },
-            )
-        })
         .collect()
 }
 
@@ -352,16 +172,6 @@ macro_rules! gauge {
     }};
 }
 
-/// A static [`Histogram`] handle (see [`crate::counter!`]).
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::registry::Histogram> =
-            ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::registry::histogram($name))
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,8 +188,7 @@ mod tests {
         assert_eq!(c.value(), 4, "disabled increments are dropped");
         crate::set_enabled(true);
 
-        // Concurrent increments land on (possibly) different stripes but
-        // always sum exactly.
+        // Concurrent increments always sum exactly.
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let c = c.clone();
@@ -405,22 +214,6 @@ mod tests {
         assert_eq!(g.value(), 7);
         g.raise(12);
         assert_eq!(g.value(), 12);
-    }
-
-    #[test]
-    fn histogram_bins_are_log2() {
-        let _t = crate::testing::scoped_enable();
-        let h = histogram("test.registry.hist");
-        for v in [0u64, 1, 1, 2, 3, 4, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.sum(), 1050);
-        assert_eq!(h.max(), 1024);
-        assert_eq!(
-            h.bins(),
-            vec![(0, 1), (1, 2), (2, 2), (4, 2), (8, 1), (1024, 1)]
-        );
     }
 
     #[test]

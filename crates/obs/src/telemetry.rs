@@ -3,7 +3,7 @@
 //! `TELEMETRY.json` artifact) or as an ASCII dashboard appended to the
 //! harness report.
 
-use crate::registry::{self, HistogramSnapshot};
+use crate::registry;
 use crate::span::{self, RollupSnapshot, SpanSnapshot};
 
 /// Version marker written into every JSON emission. Consumers (the CI
@@ -13,12 +13,12 @@ pub const SCHEMA: &str = "dosscope-telemetry-v1";
 /// A point-in-time capture of the whole telemetry state.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    /// Sorted `(name, value)` counters (zero-valued ones omitted).
+    /// Sorted `(name, value)` counters: every registered one, zero
+    /// readings included.
     pub counters: Vec<(String, u64)>,
-    /// Sorted `(name, value)` gauges (zero-valued ones omitted).
+    /// Sorted `(name, value)` gauges: every registered one, zero
+    /// readings included.
     pub gauges: Vec<(String, u64)>,
-    /// Sorted `(name, snapshot)` histograms with observations.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Merged per-span statistics, sorted by name.
     pub spans: Vec<SpanSnapshot>,
     /// Hierarchical rollup of span self time by dot-prefix.
@@ -33,7 +33,6 @@ impl Telemetry {
         Telemetry {
             counters: registry::counters_snapshot(),
             gauges: registry::gauges_snapshot(),
-            histograms: registry::histograms_snapshot(),
             spans,
             rollups,
         }
@@ -58,21 +57,6 @@ impl Telemetry {
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             let sep = trail(i, self.gauges.len());
             out.push_str(&format!("    {}: {v}{sep}\n", json_str(name)));
-        }
-        out.push_str("  },\n");
-
-        out.push_str("  \"histograms\": {\n");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let bins: Vec<String> = h.bins.iter().map(|(f, c)| format!("[{f},{c}]")).collect();
-            let sep = trail(i, self.histograms.len());
-            out.push_str(&format!(
-                "    {}: {{\"count\": {}, \"sum\": {}, \"max\": {}, \"bins\": [{}]}}{sep}\n",
-                json_str(name),
-                h.count,
-                h.sum,
-                h.max,
-                bins.join(", ")
-            ));
         }
         out.push_str("  },\n");
 
@@ -153,16 +137,6 @@ impl Telemetry {
             for row in pools {
                 out.push_str(&row);
                 out.push('\n');
-            }
-        }
-
-        if !self.histograms.is_empty() {
-            out.push_str("\nhistograms\n");
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {:<38} n={} sum={} max={}\n",
-                    name, h.count, h.sum, h.max
-                ));
             }
         }
 
@@ -263,7 +237,6 @@ mod tests {
         let _t = crate::testing::scoped_enable();
         crate::registry::counter("test.tel.counter").add(5);
         crate::registry::gauge("test.tel.gauge").set(9);
-        crate::registry::histogram("test.tel.hist").record(100);
         {
             let _s = crate::span!("test.tel.span");
         }
@@ -272,7 +245,6 @@ mod tests {
         assert!(json.contains("\"schema\": \"dosscope-telemetry-v1\""));
         assert!(json.contains("\"test.tel.counter\": 5"));
         assert!(json.contains("\"test.tel.gauge\": 9"));
-        assert!(json.contains("\"test.tel.hist\""));
         assert!(json.contains("\"name\": \"test.tel.span\""));
         assert!(json.contains("\"prefix\": \"test\""));
     }

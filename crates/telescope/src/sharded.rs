@@ -26,12 +26,8 @@ use crate::detector::{DetectorConfig, DetectorStats, RsdosDetector};
 use crate::packet::PacketBatch;
 use crate::plugin::{IntervalClock, RsdosPlugin, TelescopePlugin};
 use crate::Telescope;
-use dosscope_types::{shard_of_source, AttackEvent, Routed, ShardPool};
+use dosscope_types::{shard_of_source, AttackEvent, Routed, Shard, ShardPool};
 use std::sync::Arc;
-
-/// Bounded per-worker queue depth: one chunk in flight, a few queued —
-/// enough to overlap rendering with detection without unbounded growth.
-const QUEUE_DEPTH: usize = 4;
 
 /// Route a time-ordered chunk of the stream by victim (= packet source)
 /// shard, without copying any batch. Relative order within each shard is
@@ -53,15 +49,29 @@ struct ShardLane {
     peak_live_flows: usize,
 }
 
-/// Per-shard result: events, statistics, and the shard's peak live-flow
-/// count (sampled once per ingested chunk).
-type LaneOutput = (Vec<AttackEvent>, DetectorStats, u64);
+impl Shard<PacketBatch> for ShardLane {
+    /// Events, statistics, and the shard's peak live-flow count (sampled
+    /// once per ingested chunk).
+    type Output = (Vec<AttackEvent>, DetectorStats, u64);
+
+    fn process<'a>(&mut self, batches: impl Iterator<Item = &'a PacketBatch>) {
+        for b in batches {
+            self.clock.feed(&mut self.plugin, b);
+        }
+        self.peak_live_flows = self.peak_live_flows.max(self.plugin.live_flows());
+    }
+
+    fn finish(mut self) -> Self::Output {
+        self.plugin.finish();
+        let (events, stats) = self.plugin.into_results();
+        (events, stats, self.peak_live_flows as u64)
+    }
+}
 
 /// The RSDoS engine: N independent detectors over victim shards on one
 /// [`ShardPool`] (one shard runs on the caller thread).
 pub struct ShardedRsdos {
-    pool: ShardPool<Routed<PacketBatch>, LaneOutput>,
-    shards: usize,
+    pool: ShardPool<PacketBatch, ShardLane>,
 }
 
 impl ShardedRsdos {
@@ -69,30 +79,12 @@ impl ShardedRsdos {
     /// observing the same darknet with the same thresholds, one pool
     /// worker per shard.
     pub fn new(telescope: Telescope, config: DetectorConfig, shards: usize) -> ShardedRsdos {
-        let shards = shards.max(1);
-        let pool = ShardPool::new(
-            "telescope",
-            shards,
-            shards,
-            QUEUE_DEPTH,
-            |_| ShardLane {
-                plugin: RsdosPlugin::new(RsdosDetector::new(telescope, config)),
-                clock: IntervalClock::default(),
-                peak_live_flows: 0,
-            },
-            |lane: &mut ShardLane, shard, _shards, routed: &Routed<PacketBatch>| {
-                for b in routed.owned(shard) {
-                    lane.clock.feed(&mut lane.plugin, b);
-                }
-                lane.peak_live_flows = lane.peak_live_flows.max(lane.plugin.live_flows());
-            },
-            |mut lane: ShardLane| {
-                lane.plugin.finish();
-                let (events, stats) = lane.plugin.into_results();
-                (events, stats, lane.peak_live_flows as u64)
-            },
-        );
-        ShardedRsdos { pool, shards }
+        let pool = ShardPool::new("telescope", shards, || ShardLane {
+            plugin: RsdosPlugin::new(RsdosDetector::new(telescope, config)),
+            clock: IntervalClock::default(),
+            peak_live_flows: 0,
+        });
+        ShardedRsdos { pool }
     }
 
     /// An engine with the published default thresholds.
@@ -100,28 +92,16 @@ impl ShardedRsdos {
         ShardedRsdos::new(telescope, DetectorConfig::default(), shards)
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Ingest one pre-routed chunk of the stream (as produced by
     /// [`route_batches`] for this engine's shard count). Chunks must
     /// arrive in time order, like the serial stream.
     pub fn ingest_routed(&mut self, routed: Routed<PacketBatch>) {
-        assert_eq!(
-            routed.shards(),
-            self.shards,
-            "chunk routed for a different shard count"
-        );
-        self.pool
-            .dispatch(routed)
-            .expect("ingest on a finished engine");
+        self.pool.dispatch(routed);
     }
 
     /// Route and ingest one time-ordered chunk of the stream.
     pub fn ingest(&mut self, batches: Vec<PacketBatch>) {
-        self.ingest_routed(route_batches(Arc::new(batches), self.shards));
+        self.ingest_routed(route_batches(Arc::new(batches), self.pool.shards()));
     }
 
     /// End of trace: drain and finish every shard, then merge once —
@@ -131,10 +111,7 @@ impl ShardedRsdos {
     /// The merged statistics and the peak are published here, once, as
     /// the `telescope.*` telemetry counters and gauge.
     pub fn finish(mut self) -> (Vec<AttackEvent>, DetectorStats, u64) {
-        let results = self
-            .pool
-            .shutdown()
-            .expect("finish on a finished engine");
+        let results = self.pool.shutdown();
         let mut events = Vec::new();
         let mut stats = DetectorStats::default();
         let mut peak = 0u64;

@@ -34,7 +34,7 @@ pub use fasthash::{FastBuildHasher, FastMap, FastSet, FxHasher};
 pub use index::{BitSet, RunIndex};
 pub use intern::Interner;
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
-pub use pool::{PoolError, PoolMetricsSnapshot, Routed, ShardPool, WorkerMetricsSnapshot};
+pub use pool::{PoolMetricsSnapshot, Routed, Shard, ShardPool, WorkerMetricsSnapshot};
 pub use shard::shard_of_source;
 pub use stats::{Ecdf, FrozenEcdf, LogHistogram, RunningStats, TimeSeries};
 pub use time::{

@@ -1,13 +1,14 @@
 //! The persistent worker pool both sharded detectors (telescope and
 //! honeypot fleet) run on:
 //!
-//! * **long-lived workers** — [`ShardPool::new`] spawns the worker
-//!   threads once; each worker *owns* a slice of the per-shard states for
-//!   its whole life (shard `k` lives on worker `k % workers`), so state
-//!   never migrates and never needs locking;
+//! * **one long-lived worker per shard** — [`ShardPool::new`] builds the
+//!   shard states and spawns one worker thread per shard; each worker
+//!   *owns* its shard for its whole life, so state never migrates and
+//!   never needs locking;
 //! * **bounded channels** — each worker has its own
-//!   [`std::sync::mpsc::sync_channel`]; a slow worker back-pressures the
-//!   dispatcher instead of letting queues grow without bound;
+//!   [`std::sync::mpsc::sync_channel`] of `QUEUE_DEPTH` chunks; a slow
+//!   worker back-pressures the dispatcher instead of letting queues grow
+//!   without bound;
 //! * **zero-copy batch routing** — a chunk is shared as one
 //!   [`Routed`] view (`Arc`'d item vector + per-shard index lists built
 //!   by the stage's `shard_of_source` key); dispatch hands every worker
@@ -16,17 +17,17 @@
 //! * **one barrier** — [`ShardPool::shutdown`] drains every queue, joins
 //!   every worker and returns every shard's finished output, so
 //!   per-shard results merge exactly once per run;
-//! * **one worker runs inline** — a pool with a single worker (`threads
-//!   = 1`, or one shard) spawns no thread and has no channel: the caller
-//!   thread runs the same owned-shards `process`/`finish` loop inside
+//! * **one shard runs inline** — a one-shard pool (`threads = 1`)
+//!   spawns no thread and has no channel: the caller thread runs the
+//!   same [`Shard::process`]/[`Shard::finish`] calls inside
 //!   [`ShardPool::dispatch`] and [`ShardPool::shutdown`].
 //!
 //! A panicking shard must fail the run, not hang it: every send failure
 //! is treated as a dead worker, the pool tears all channels down,
 //! joins every thread and re-raises the original panic payload on the
 //! caller thread ([`std::panic::resume_unwind`]); an inline shard's panic
-//! re-raises straight from the `dispatch` that hit it. Operations on a
-//! pool that was already shut down return [`PoolError::ShutDown`] instead.
+//! re-raises straight from the `dispatch` that hit it. Dispatching to or
+//! shutting down a pool that was already shut down is a bug and panics.
 //!
 //! ## Profiling
 //!
@@ -50,23 +51,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Error for operations on a pool whose workers are gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolError {
-    /// [`ShardPool::shutdown`] already ran: the states were consumed and
-    /// there is nothing left to dispatch to or snapshot.
-    ShutDown,
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::ShutDown => write!(f, "shard pool is already shut down"),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
+/// Bounded per-worker queue depth: one chunk in flight, a few queued —
+/// enough to overlap rendering with detection without unbounded growth.
+const QUEUE_DEPTH: usize = 4;
 
 /// A chunk of items routed to shards without copying the items: the chunk
 /// itself is shared (`Arc`) and each shard owns a list of indexes into it.
@@ -160,7 +147,7 @@ struct WorkerMetrics {
 /// remain readable after shutdown — including after a worker panic.
 pub struct PoolMetrics {
     name: &'static str,
-    shards: usize,
+    /// One entry per worker, i.e. per shard.
     workers: Vec<WorkerMetrics>,
     /// Dispatch calls routed into the pool (always on).
     dispatches: AtomicU64,
@@ -185,9 +172,7 @@ pub struct WorkerMetricsSnapshot {
 pub struct PoolMetricsSnapshot {
     /// The pool's registry name (`pool.<name>.*`).
     pub name: &'static str,
-    /// Number of shards the pool was built with.
-    pub shards: usize,
-    /// One entry per worker thread.
+    /// One entry per worker (= per shard), in shard order.
     pub workers: Vec<WorkerMetricsSnapshot>,
     /// Dispatch calls routed into the pool.
     pub dispatches: u64,
@@ -196,11 +181,12 @@ pub struct PoolMetricsSnapshot {
 impl PoolMetricsSnapshot {
     /// The `pool.<name>.*` gauges shutdown publishes, as `(name, value)`
     /// pairs: pool-wide fields first, then each worker's in worker order.
+    /// `workers` and `shards` are the same number: one worker per shard.
     pub fn gauges(&self) -> Vec<(String, u64)> {
         let base = format!("pool.{}", self.name);
         let mut out = vec![
             (format!("{base}.workers"), self.workers.len() as u64),
-            (format!("{base}.shards"), self.shards as u64),
+            (format!("{base}.shards"), self.workers.len() as u64),
             (format!("{base}.dispatches"), self.dispatches),
         ];
         for (k, w) in self.workers.iter().enumerate() {
@@ -228,10 +214,9 @@ impl WorkerMetrics {
 }
 
 impl PoolMetrics {
-    fn new(name: &'static str, shards: usize, workers: usize) -> PoolMetrics {
+    fn new(name: &'static str, workers: usize) -> PoolMetrics {
         PoolMetrics {
             name,
-            shards,
             workers: (0..workers).map(|_| WorkerMetrics::default()).collect(),
             dispatches: AtomicU64::new(0),
         }
@@ -248,7 +233,6 @@ impl PoolMetrics {
     pub fn snapshot(&self) -> PoolMetricsSnapshot {
         PoolMetricsSnapshot {
             name: self.name,
-            shards: self.shards,
             workers: self
                 .workers
                 .iter()
@@ -275,63 +259,30 @@ impl PoolMetrics {
     }
 }
 
-/// The per-shard states one worker owns, with the stage's `process` and
-/// `finish` functions.
-struct OwnedShards<S, P, F> {
-    shards: usize,
-    owned: Vec<(usize, S)>,
-    process: P,
-    finish: F,
+/// One shard's state: it sees the items it owns of every routed chunk,
+/// in chunk order, and turns into its output at shutdown.
+pub trait Shard<T>: Send + 'static {
+    /// What [`ShardPool::shutdown`] returns for this shard.
+    type Output: Send + 'static;
+    /// Process the items this shard owns in one routed chunk.
+    fn process<'a>(&mut self, items: impl Iterator<Item = &'a T>)
+    where
+        T: 'a;
+    /// End of stream: the shard's result.
+    fn finish(self) -> Self::Output;
 }
 
-/// One worker's [`OwnedShards`], with the state and function types
-/// erased. A worker thread runs `process` once per received batch and
-/// `finish` when its channel closes; an inline pool runs the same two
-/// calls on the caller thread.
-trait ShardSet<B, O>: Send {
-    /// Process one batch against every owned shard, in shard order.
-    fn process(&mut self, batch: &B);
-    /// Finish every owned shard: `(shard, output)` pairs.
-    fn finish(self: Box<Self>) -> Vec<(usize, O)>;
+/// One worker's channel (a shared chunk per message) and thread.
+struct Lane<T, S: Shard<T>> {
+    tx: Option<SyncSender<Arc<Routed<T>>>>,
+    handle: Option<JoinHandle<S::Output>>,
 }
 
-impl<B, O, S, P, F> ShardSet<B, O> for OwnedShards<S, P, F>
-where
-    S: Send,
-    P: Fn(&mut S, usize, usize, &B) + Send,
-    F: Fn(S) -> O + Send,
-{
-    fn process(&mut self, batch: &B) {
-        for (shard, state) in self.owned.iter_mut() {
-            (self.process)(state, *shard, self.shards, batch);
-        }
-    }
-
-    fn finish(self: Box<Self>) -> Vec<(usize, O)> {
-        let finish = self.finish;
-        self.owned
-            .into_iter()
-            .map(|(shard, state)| (shard, finish(state)))
-            .collect()
-    }
-}
-
-/// One worker's channel (a shared batch per message) and thread.
-struct Lane<B, O> {
-    tx: Option<SyncSender<Arc<B>>>,
-    handle: Option<JoinHandle<Vec<(usize, O)>>>,
-}
-
-impl<B: Send + Sync + 'static, O: Send + 'static> Lane<B, O> {
-    /// Spawn worker `w` over its owned shards, behind a channel of
-    /// `depth` batches.
-    fn spawn(
-        w: usize,
-        mut owned: Box<dyn ShardSet<B, O>>,
-        depth: usize,
-        metrics: Arc<PoolMetrics>,
-    ) -> Lane<B, O> {
-        let (tx, rx) = sync_channel::<Arc<B>>(depth);
+impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
+    /// Spawn the worker of shard `w`, behind a channel of `QUEUE_DEPTH`
+    /// chunks.
+    fn spawn(w: usize, mut shard: S, metrics: Arc<PoolMetrics>) -> Self {
+        let (tx, rx) = sync_channel::<Arc<Routed<T>>>(QUEUE_DEPTH);
         let handle = std::thread::Builder::new()
             .name(format!("shard-worker-{w}"))
             .spawn(move || {
@@ -340,15 +291,15 @@ impl<B: Send + Sync + 'static, O: Send + 'static> Lane<B, O> {
                     // Clock reads only happen while telemetry is enabled;
                     // the counters are always on.
                     let wait = dosscope_obs::enabled().then(Instant::now);
-                    let Ok(batch) = rx.recv() else { break };
+                    let Ok(routed) = rx.recv() else { break };
                     wm.queue_len.fetch_sub(1, Ordering::Relaxed);
                     if let Some(t) = wait {
                         wm.idle_ns
                             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
-                    wm.run(|| owned.process(&batch));
+                    wm.run(|| shard.process(routed.owned(w)));
                 }
-                owned.finish()
+                shard.finish()
             })
             .expect("spawn shard worker");
         Lane {
@@ -359,155 +310,102 @@ impl<B: Send + Sync + 'static, O: Send + 'static> Lane<B, O> {
 }
 
 /// Where a pool's shards run.
-enum Engine<B, O> {
-    /// Two or more worker threads, each behind its own channel.
-    Threads(Vec<Lane<B, O>>),
-    /// One worker: the caller thread itself runs every shard inside
-    /// [`ShardPool::dispatch`]. `None` once the shards were finished or
-    /// dropped.
-    Inline(Option<Box<dyn ShardSet<B, O>>>),
+enum Engine<T, S: Shard<T>> {
+    /// Two or more shards, each on its own worker thread behind its own
+    /// channel.
+    Threads(Vec<Lane<T, S>>),
+    /// One shard, run by the caller thread itself inside
+    /// [`ShardPool::dispatch`]. `None` once it was finished or dropped.
+    Inline(Option<S>),
 }
 
 /// The first panic payload a pool caught from a shard.
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
-/// A persistent pool of workers, each owning a fixed slice of per-shard
-/// states.
-///
-/// Type parameters: `B` is the dispatched batch type (shared read-only
-/// across workers), `O` the per-shard output [`ShardPool::shutdown`]
-/// returns. The per-shard state a worker owns and mutates never leaves
-/// its worker, so it is a parameter of [`ShardPool::new`] only.
-pub struct ShardPool<B, O> {
-    shards: usize,
-    engine: Engine<B, O>,
+/// A persistent pool of workers, one per shard state `S`, fed routed
+/// chunks of `T`.
+pub struct ShardPool<T, S: Shard<T>> {
+    engine: Engine<T, S>,
     metrics: Arc<PoolMetrics>,
     down: bool,
 }
 
-impl<B, O> ShardPool<B, O>
-where
-    B: Send + Sync + 'static,
-    O: Send + 'static,
-{
-    /// Build the pool: `shards` states (built by `init`, in shard order,
-    /// on the calling thread) distributed over `min(threads, shards)`
-    /// long-lived workers (`threads > shards` simply caps at one worker
-    /// per shard; 0 of either is treated as 1). `name` identifies the
-    /// pool in telemetry (`pool.<name>.*`). With one worker no thread is
-    /// spawned: the caller thread runs every shard inside
-    /// [`ShardPool::dispatch`] and [`ShardPool::shutdown`].
-    ///
-    /// For every dispatched batch a worker calls
-    /// `process(state, shard, shards, &batch)` once per shard it owns, in
-    /// shard order. At shutdown it calls `finish(state)` per shard and
-    /// returns the outputs.
-    pub fn new<S, I, P, F>(
-        name: &'static str,
-        shards: usize,
-        threads: usize,
-        queue_depth: usize,
-        mut init: I,
-        process: P,
-        finish: F,
-    ) -> ShardPool<B, O>
-    where
-        S: Send + 'static,
-        I: FnMut(usize) -> S,
-        P: Fn(&mut S, usize, usize, &B) + Send + Clone + 'static,
-        F: Fn(S) -> O + Send + Clone + 'static,
-    {
+impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
+    /// Build the pool: `shards` states (each built by `init` on the
+    /// calling thread; 0 is treated as 1), each on its own long-lived
+    /// worker. `name` identifies the pool in telemetry
+    /// (`pool.<name>.*`). A one-shard pool spawns no thread: the caller
+    /// thread runs the shard inside [`ShardPool::dispatch`] and
+    /// [`ShardPool::shutdown`].
+    pub fn new(name: &'static str, shards: usize, init: impl FnMut() -> S) -> Self {
         let shards = shards.max(1);
-        let workers = threads.max(1).min(shards);
-        let depth = queue_depth.max(1);
-        let metrics = Arc::new(PoolMetrics::new(name, shards, workers));
-        let mut states: Vec<Option<(usize, S)>> =
-            (0..shards).map(|s| Some((s, init(s)))).collect();
-        let mut owned_by = |w: usize| -> Box<dyn ShardSet<B, O>> {
-            Box::new(OwnedShards {
-                shards,
-                owned: states
-                    .iter_mut()
-                    .skip(w)
-                    .step_by(workers)
-                    .map(|slot| slot.take().expect("each shard is owned exactly once"))
-                    .collect(),
-                process: process.clone(),
-                finish: finish.clone(),
-            })
-        };
-        let engine = if workers == 1 {
-            Engine::Inline(Some(owned_by(0)))
+        let metrics = Arc::new(PoolMetrics::new(name, shards));
+        let mut states = std::iter::repeat_with(init).take(shards);
+        let engine = if shards == 1 {
+            Engine::Inline(states.next())
         } else {
             Engine::Threads(
-                (0..workers)
-                    .map(|w| Lane::spawn(w, owned_by(w), depth, metrics.clone()))
+                states
+                    .enumerate()
+                    .map(|(w, shard)| Lane::spawn(w, shard, metrics.clone()))
                     .collect(),
             )
         };
         ShardPool {
-            shards,
             engine,
             metrics,
             down: false,
         }
     }
 
-    /// Number of shards (== per-shard states).
+    /// Number of shards, each with its own worker.
     pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of workers: spawned threads, or 1 for a pool that runs on
-    /// the caller thread.
-    pub fn workers(&self) -> usize {
         self.metrics.workers.len()
-    }
-
-    /// True once [`ShardPool::shutdown`] has consumed the states.
-    pub fn is_shut_down(&self) -> bool {
-        self.down
     }
 
     /// Snapshot of the pool's instrumentation counters. Readable at any
     /// point in the pool's life, including after [`ShardPool::shutdown`]
-    /// (where data-path calls return [`PoolError::ShutDown`]) and after
-    /// a worker panic was propagated.
+    /// and after a worker panic was propagated.
     pub fn metrics(&self) -> PoolMetricsSnapshot {
         self.metrics.snapshot()
     }
 
-    /// Dispatch one batch to every worker (each processes it against all
-    /// of its shards). Returns [`PoolError::ShutDown`] after `shutdown`;
-    /// re-raises a shard's panic, on an inline pool straight from this
-    /// call and on a threaded pool once a send finds the worker dead.
-    pub fn dispatch(&mut self, batch: B) -> Result<(), PoolError> {
-        if self.down {
-            return Err(PoolError::ShutDown);
-        }
+    /// Dispatch one chunk, routed for this pool's shard count, to every
+    /// shard. Re-raises a shard's panic, on an inline pool straight from
+    /// this call and on a threaded pool once a send finds the worker
+    /// dead.
+    pub fn dispatch(&mut self, routed: Routed<T>) {
+        assert!(!self.down, "dispatch on a shard pool that was shut down");
+        assert_eq!(
+            routed.shards(),
+            self.shards(),
+            "chunk routed for a different shard count"
+        );
         self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
         match &mut self.engine {
             Engine::Inline(slot) => {
-                let set = slot.as_mut().expect("live inline pool has its shards");
+                let shard = slot.as_mut().expect("live inline pool has its shard");
                 let wm = &self.metrics.workers[0];
                 self.metrics.enqueue(0);
-                let ran = catch_unwind(AssertUnwindSafe(|| wm.run(|| set.process(&batch))));
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    wm.run(|| shard.process(routed.owned(0)))
+                }));
                 wm.queue_len.fetch_sub(1, Ordering::Relaxed);
                 if let Err(payload) = ran {
-                    // The shards are half-updated: drop them unfinished,
-                    // as a dead worker thread does.
+                    // The shard is half-updated: drop it unfinished, as a
+                    // dead worker thread does.
                     *slot = None;
                     self.close();
                     std::panic::resume_unwind(payload);
                 }
             }
             Engine::Threads(lanes) => {
-                let batch = Arc::new(batch);
+                let routed = Arc::new(routed);
                 let mut dead = false;
                 for (w, lane) in lanes.iter().enumerate() {
                     let tx = lane.tx.as_ref().expect("live pool lane has a sender");
                     self.metrics.enqueue(w);
-                    if tx.send(batch.clone()).is_err() {
+                    if tx.send(routed.clone()).is_err() {
                         dead = true;
                     }
                 }
@@ -521,39 +419,35 @@ where
                 }
             }
         }
-        Ok(())
     }
 
     /// Drain every queue, finish every shard and return the per-shard
-    /// outputs in shard order. The pool is unusable afterwards (further
-    /// calls return [`PoolError::ShutDown`]); a shard that panicked
-    /// re-raises here.
-    pub fn shutdown(&mut self) -> Result<Vec<O>, PoolError> {
-        if self.down {
-            return Err(PoolError::ShutDown);
-        }
+    /// outputs in shard order. The pool is unusable afterwards; a shard
+    /// that panicked re-raises here.
+    pub fn shutdown(&mut self) -> Vec<S::Output> {
+        assert!(!self.down, "shard pool is already shut down");
         match self.close() {
-            (outputs, None) => Ok(outputs),
+            (outputs, None) => outputs,
             (_, Some(payload)) => std::panic::resume_unwind(payload),
         }
     }
 }
 
-impl<B, O> ShardPool<B, O> {
+impl<T, S: Shard<T>> ShardPool<T, S> {
     /// Tear the pool down: close every channel and join every worker, or
-    /// finish the inline shards, then publish the metrics — also on a
+    /// finish the inline shard, then publish the metrics — also on a
     /// failed run, so it still leaves a coherent (partial) telemetry
     /// snapshot. Returns the outputs in shard order and the first panic
     /// payload, if a shard panicked.
-    fn close(&mut self) -> (Vec<O>, Option<PanicPayload>) {
+    fn close(&mut self) -> (Vec<S::Output>, Option<PanicPayload>) {
         self.down = true;
-        let mut outputs: Vec<(usize, O)> = Vec::with_capacity(self.shards);
+        let mut outputs = Vec::with_capacity(self.metrics.workers.len());
         let mut panic_payload = None;
         match &mut self.engine {
-            Engine::Inline(set) => {
-                if let Some(set) = set.take() {
-                    match catch_unwind(AssertUnwindSafe(|| set.finish())) {
-                        Ok(part) => outputs.extend(part),
+            Engine::Inline(slot) => {
+                if let Some(shard) = slot.take() {
+                    match catch_unwind(AssertUnwindSafe(|| shard.finish())) {
+                        Ok(out) => outputs.push(out),
                         Err(payload) => panic_payload = Some(payload),
                     }
                 }
@@ -565,7 +459,7 @@ impl<B, O> ShardPool<B, O> {
                 for lane in lanes.iter_mut() {
                     if let Some(handle) = lane.handle.take() {
                         match handle.join() {
-                            Ok(part) => outputs.extend(part),
+                            Ok(out) => outputs.push(out),
                             Err(payload) => {
                                 panic_payload.get_or_insert(payload);
                             }
@@ -575,15 +469,14 @@ impl<B, O> ShardPool<B, O> {
             }
         }
         self.metrics.publish();
-        outputs.sort_by_key(|(shard, _)| *shard);
-        (outputs.into_iter().map(|(_, o)| o).collect(), panic_payload)
+        (outputs, panic_payload)
     }
 }
 
 /// Dropping a live pool finishes its shards (so no thread outlives the
 /// stage that owns it) and re-raises a shard panic unless the thread is
 /// already unwinding.
-impl<B, O> Drop for ShardPool<B, O> {
+impl<T, S: Shard<T>> Drop for ShardPool<T, S> {
     fn drop(&mut self) {
         if self.down {
             return;
@@ -599,10 +492,10 @@ impl<B, O> Drop for ShardPool<B, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::AssertUnwindSafe;
+    use std::collections::HashSet;
     use std::thread::ThreadId;
 
-    /// A state that records everything its shard saw plus the thread that
+    /// A shard that records everything it saw plus the thread that
     /// processed it, to pin worker reuse and ownership.
     #[derive(Default)]
     struct Probe {
@@ -611,114 +504,136 @@ mod tests {
         thread: Option<ThreadId>,
     }
 
-    /// What [`probe_pool`]'s finish returns per shard: seen values, batch
-    /// count, processing thread.
+    /// What a [`Probe`] finishes into: seen values, batch count,
+    /// processing thread.
     type ProbeOutput = (Vec<u32>, usize, Option<ThreadId>);
 
-    fn probe_pool(shards: usize, threads: usize) -> ShardPool<Routed<u32>, ProbeOutput> {
-        ShardPool::new(
-            "probe",
-            shards,
-            threads,
-            4,
-            |_| Probe::default(),
-            |state: &mut Probe, shard, _shards, routed: &Routed<u32>| {
-                state.seen.extend(routed.owned(shard).copied());
-                state.batches += 1;
-                let here = std::thread::current().id();
-                match state.thread {
-                    None => state.thread = Some(here),
-                    Some(prev) => assert_eq!(prev, here, "shard state migrated threads"),
-                }
-            },
-            |s: Probe| (s.seen, s.batches, s.thread),
-        )
+    impl Shard<u32> for Probe {
+        type Output = ProbeOutput;
+        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
+            self.seen.extend(items.copied());
+            self.batches += 1;
+            let here = std::thread::current().id();
+            match self.thread {
+                None => self.thread = Some(here),
+                Some(prev) => assert_eq!(prev, here, "shard state migrated threads"),
+            }
+        }
+        fn finish(self) -> ProbeOutput {
+            (self.seen, self.batches, self.thread)
+        }
+    }
+
+    /// A shard that sums its items and panics on the poison value 13.
+    struct Poison(u32);
+
+    impl Shard<u32> for Poison {
+        type Output = u32;
+        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
+            for v in items {
+                assert!(*v != 13, "poison item reached a shard");
+                self.0 += v;
+            }
+        }
+        fn finish(self) -> u32 {
+            self.0
+        }
+    }
+
+    /// A shard that sleeps per batch, so queueing and busy time are
+    /// observable in the instrumentation; it counts its items.
+    struct Slow {
+        delay_ms: u64,
+        items: u64,
+    }
+
+    impl Shard<u32> for Slow {
+        type Output = u64;
+        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
+            std::thread::sleep(std::time::Duration::from_millis(self.delay_ms));
+            self.items += items.count() as u64;
+        }
+        fn finish(self) -> u64 {
+            self.items
+        }
+    }
+
+    fn probe_pool(shards: usize) -> ShardPool<u32, Probe> {
+        ShardPool::new("probe", shards, Probe::default)
+    }
+
+    fn poison_pool(name: &'static str, shards: usize) -> ShardPool<u32, Poison> {
+        ShardPool::new(name, shards, || Poison(0))
+    }
+
+    fn slow_pool(shards: usize, delay_ms: u64) -> ShardPool<u32, Slow> {
+        ShardPool::new("slow", shards, || Slow { delay_ms, items: 0 })
     }
 
     fn route(items: Vec<u32>, shards: usize) -> Routed<u32> {
         Routed::build(Arc::new(items), shards, |v| *v as usize % shards.max(1))
     }
 
+    /// Run `f`, which must panic, and return the panic message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("expected a panic");
+        match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(err) => err
+                .downcast_ref::<&str>()
+                .map_or("non-string panic".into(), |s| s.to_string()),
+        }
+    }
+
     #[test]
     fn workers_persist_across_consecutive_batches() {
-        let mut pool = probe_pool(4, 4);
+        let mut pool = probe_pool(4);
         for chunk in [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9, 10, 11]] {
-            pool.dispatch(route(chunk, 4)).unwrap();
+            pool.dispatch(route(chunk, 4));
         }
-        let outs = pool.shutdown().unwrap();
+        let outs = pool.shutdown();
         assert_eq!(outs.len(), 4);
-        for (shard, (seen, batches, thread)) in outs.iter().enumerate() {
+        for (shard, (seen, batches, _)) in outs.iter().enumerate() {
             // Same long-lived state saw all three chunks, on one thread.
             assert_eq!(*batches, 3, "shard {shard} reused across batches");
-            assert!(thread.is_some());
             assert_eq!(
                 seen,
                 &(0..12u32).filter(|v| *v as usize % 4 == shard).collect::<Vec<_>>(),
                 "shard {shard} owns exactly its keyed items, in order"
             );
         }
+        // One distinct worker thread per shard, none of them the caller.
+        let threads: HashSet<ThreadId> = outs.iter().map(|(_, _, t)| t.expect("ran")).collect();
+        assert_eq!(threads.len(), 4, "one thread per shard");
+        assert!(!threads.contains(&std::thread::current().id()));
     }
 
     #[test]
-    fn more_threads_than_shards_caps_at_one_worker_per_shard() {
-        let mut pool = probe_pool(2, 8);
-        assert_eq!(pool.workers(), 2);
-        assert_eq!(pool.shards(), 2);
-        pool.dispatch(route((0..10).collect(), 2)).unwrap();
-        let outs = pool.shutdown().unwrap();
-        assert_eq!(outs[0].0, vec![0, 2, 4, 6, 8]);
-        assert_eq!(outs[1].0, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn more_shards_than_threads_strides_ownership() {
-        let mut pool = probe_pool(5, 2);
-        assert_eq!(pool.workers(), 2);
-        pool.dispatch(route((0..25).collect(), 5)).unwrap();
-        let outs = pool.shutdown().unwrap();
-        assert_eq!(outs.len(), 5, "outputs in shard order despite striding");
-        for (shard, (seen, _, _)) in outs.iter().enumerate() {
-            assert!(seen.iter().all(|v| *v as usize % 5 == shard));
-            assert_eq!(seen.len(), 5);
-        }
-        // Shards 0,2,4 share worker 0 and 1,3 share worker 1.
-        assert_eq!(outs[0].2, outs[2].2);
-        assert_eq!(outs[0].2, outs[4].2);
-        assert_eq!(outs[1].2, outs[3].2);
-        assert_ne!(outs[0].2, outs[1].2);
+    #[should_panic(expected = "chunk routed for a different shard count")]
+    fn chunks_must_be_routed_for_the_pool() {
+        let mut pool = probe_pool(2);
+        pool.dispatch(route(vec![1, 2, 3], 3));
     }
 
     #[test]
     fn one_thread_pool_runs_on_the_caller_thread() {
         let _t = dosscope_obs::testing::scoped_enable();
-        let chunks = [vec![0, 1, 2, 3, 4], vec![5, 6, 7], vec![8, 9, 10, 11]];
-        let run = |threads: usize| {
-            let mut pool = probe_pool(3, threads);
-            for chunk in &chunks {
-                pool.dispatch(route(chunk.clone(), 3)).unwrap();
-            }
-            let outs = pool.shutdown().unwrap();
-            (outs, pool.workers())
-        };
-        let (inline, workers) = run(1);
-        assert_eq!(workers, 1);
+        let mut pool = probe_pool(1);
+        for chunk in [vec![0, 1, 2, 3, 4], vec![5, 6, 7], vec![8, 9, 10, 11]] {
+            pool.dispatch(route(chunk, 1));
+        }
+        assert_eq!(pool.shards(), 1);
+        let outs = pool.shutdown();
         let here = std::thread::current().id();
-        assert!(inline.iter().all(|(_, _, thread)| *thread == Some(here)));
-        let (threaded, workers) = run(2);
-        assert_eq!(workers, 2);
-        assert!(threaded.iter().all(|(_, _, thread)| *thread != Some(here)));
-        let strip = |outs: Vec<ProbeOutput>| -> Vec<(Vec<u32>, usize)> {
-            outs.into_iter().map(|(seen, batches, _)| (seen, batches)).collect()
-        };
-        assert_eq!(strip(inline), strip(threaded), "same outputs as a 2-thread pool");
+        assert_eq!(outs, vec![((0..12).collect(), 3, Some(here))]);
 
         // The inline worker is profiled like a thread: busy time while
         // it processes, and a queue depth of one per batch.
-        let mut pool = slow_pool(2, 1, 2);
+        let mut pool = slow_pool(1, 2);
         for _ in 0..2 {
-            pool.dispatch(route(vec![0, 1], 2)).unwrap();
+            pool.dispatch(route(vec![0, 1], 1));
         }
-        assert_eq!(pool.shutdown().unwrap(), vec![2, 2]);
+        assert_eq!(pool.shutdown(), vec![4]);
         let gauges = pool.metrics().gauges();
         let get = |name: &str| gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
         assert_eq!(get("pool.slow.workers"), Some(1));
@@ -729,81 +644,47 @@ mod tests {
 
     #[test]
     fn inline_panic_reaches_the_caller_directly() {
-        let mut pool: ShardPool<Routed<u32>, u32> = ShardPool::new(
-            "inline-poison",
-            2,
-            1,
-            2,
-            |_| 0,
-            |state, shard, _shards, routed: &Routed<u32>| {
-                for v in routed.owned(shard) {
-                    assert!(*v != 13, "poison item reached shard {shard}");
-                    *state += v;
-                }
-            },
-            |s| s,
-        );
-        pool.dispatch(route(vec![1, 2], 2)).unwrap();
+        let mut pool = poison_pool("inline-poison", 1);
+        pool.dispatch(route(vec![1, 2], 1));
         // The very dispatch carrying the poison raises the panic.
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = pool.dispatch(route(vec![13], 2));
-        }))
-        .expect_err("inline panic must reach the caller");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic".into());
+        let msg = panic_message(|| pool.dispatch(route(vec![13], 1)));
         assert!(msg.contains("poison item"), "original payload kept: {msg}");
-        assert!(pool.is_shut_down());
-        assert_eq!(pool.dispatch(route(vec![3], 2)).unwrap_err(), PoolError::ShutDown);
+        let msg = panic_message(|| pool.dispatch(route(vec![3], 1)));
+        assert!(msg.contains("shut down"), "{msg}");
         assert_eq!(pool.metrics().dispatches, 2);
     }
 
     #[test]
     fn snapshot_after_shutdown_is_an_error() {
-        let mut pool = probe_pool(2, 2);
-        pool.dispatch(route(vec![1, 2], 2)).unwrap();
-        pool.shutdown().unwrap();
-        assert!(pool.is_shut_down());
-        assert_eq!(pool.dispatch(route(vec![3], 2)).unwrap_err(), PoolError::ShutDown);
-        assert_eq!(pool.shutdown().unwrap_err(), PoolError::ShutDown);
-        assert_eq!(PoolError::ShutDown.to_string(), "shard pool is already shut down");
+        let mut pool = probe_pool(2);
+        pool.dispatch(route(vec![1, 2], 2));
+        pool.shutdown();
+        let msg = panic_message(|| pool.dispatch(route(vec![3], 2)));
+        assert!(msg.contains("shut down"), "{msg}");
+        let msg = panic_message(|| {
+            pool.shutdown();
+        });
+        assert!(msg.contains("shut down"), "{msg}");
+        assert_eq!(pool.metrics().dispatches, 1, "the snapshot stays readable");
     }
 
     #[test]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        let mut pool: ShardPool<Routed<u32>, u32> = ShardPool::new(
-            "poison",
-            4,
-            4,
-            2,
-            |_| 0,
-            |state, shard, _shards, routed: &Routed<u32>| {
-                for v in routed.owned(shard) {
-                    assert!(*v != 13, "poison item reached shard {shard}");
-                    *state += v;
-                }
-            },
-            |s| s,
-        );
-        pool.dispatch(route(vec![1, 2, 3], 4)).unwrap();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut pool = poison_pool("poison", 4);
+        pool.dispatch(route(vec![1, 2, 3], 4));
+        let msg = panic_message(|| {
             // The poisoned chunk kills one worker; either this dispatch
             // round or the shutdown must surface the panic — never hang.
-            pool.dispatch(route(vec![13], 4)).unwrap();
+            pool.dispatch(route(vec![13], 4));
             for i in 0..64 {
-                pool.dispatch(route(vec![i], 4)).unwrap();
+                pool.dispatch(route(vec![i], 4));
             }
-            pool.shutdown().unwrap();
-        }))
-        .expect_err("worker panic must propagate to the caller");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic".into());
+            pool.shutdown();
+        });
         assert!(msg.contains("poison item"), "original payload kept: {msg}");
-        // The pool is down but safely reusable as a value (errors, no UB).
-        assert!(pool.is_shut_down());
+        // The pool is down but safely reusable as a value: it panics, no UB.
+        let msg = panic_message(|| pool.dispatch(route(vec![1], 4)));
+        assert!(msg.contains("shut down"), "{msg}");
     }
 
     #[test]
@@ -821,42 +702,16 @@ mod tests {
         assert_eq!(one.owned_len(0), 4);
     }
 
-    /// A pool whose workers sleep per batch, so queueing and busy time
-    /// are observable in the instrumentation.
-    fn slow_pool(
-        shards: usize,
-        threads: usize,
-        delay_ms: u64,
-    ) -> ShardPool<Routed<u32>, u64> {
-        ShardPool::new(
-            "slow",
-            shards,
-            threads,
-            4,
-            |_| 0u64,
-            move |state, shard, _shards, routed: &Routed<u32>| {
-                std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-                *state += routed.owned_len(shard) as u64;
-            },
-            |s| s,
-        )
-    }
-
     #[test]
-    fn metrics_track_queue_depth_and_busy_time_with_more_threads_than_shards() {
+    fn metrics_track_queue_depth_and_busy_time() {
         let _t = dosscope_obs::testing::scoped_enable();
-        // threads > shards caps at one worker per shard; instrumentation
-        // must still attribute per worker, not per requested thread.
-        let mut pool = slow_pool(2, 8, 3);
-        assert_eq!(pool.workers(), 2);
+        let mut pool = slow_pool(2, 3);
         for _ in 0..3 {
-            pool.dispatch(route(vec![0, 1], 2)).unwrap();
+            pool.dispatch(route(vec![0, 1], 2));
         }
-        let outs = pool.shutdown().unwrap();
-        assert_eq!(outs, vec![3, 3]);
+        assert_eq!(pool.shutdown(), vec![3, 3]);
         let m = pool.metrics();
         assert_eq!(m.name, "slow");
-        assert_eq!(m.shards, 2);
         assert_eq!(m.workers.len(), 2);
         assert_eq!(m.dispatches, 3);
         // Three quick dispatches against 3ms batches: at least two jobs
@@ -871,11 +726,10 @@ mod tests {
 
     #[test]
     fn metrics_survive_shutdown_and_publish_to_registry() {
-        let mut pool = probe_pool(2, 2);
-        pool.dispatch(route(vec![0, 1, 2, 3], 2)).unwrap();
-        pool.shutdown().unwrap();
+        let mut pool = probe_pool(2);
+        pool.dispatch(route(vec![0, 1, 2, 3], 2));
+        pool.shutdown();
         // The data path is closed, but the snapshot is still coherent.
-        assert!(pool.is_shut_down());
         let m = pool.metrics();
         assert_eq!(m.dispatches, 1);
         assert_eq!(m.workers.iter().map(|w| w.batches).sum::<u64>(), 2);
@@ -897,9 +751,9 @@ mod tests {
         // Telemetry is off, so the pool must never read the clock — but
         // the always-on counters still work.
         let _t = dosscope_obs::testing::scoped_disable();
-        let mut pool = probe_pool(2, 2);
-        pool.dispatch(route(vec![0, 1], 2)).unwrap();
-        pool.shutdown().unwrap();
+        let mut pool = probe_pool(2);
+        pool.dispatch(route(vec![0, 1], 2));
+        pool.shutdown();
         let m = pool.metrics();
         assert_eq!(m.dispatches, 1);
         assert!(m.workers.iter().all(|w| w.batches == 1));
@@ -909,30 +763,15 @@ mod tests {
     #[test]
     fn worker_panic_leaves_a_coherent_partial_metrics_snapshot() {
         let _t = dosscope_obs::testing::scoped_enable();
-        let mut pool: ShardPool<Routed<u32>, u32> = ShardPool::new(
-            "crashy",
-            2,
-            2,
-            4,
-            |_| 0,
-            |state, shard, _shards, routed: &Routed<u32>| {
-                for v in routed.owned(shard) {
-                    assert!(*v != 13, "poison item reached shard {shard}");
-                    *state += v;
-                }
-            },
-            |s| s,
-        );
-        pool.dispatch(route(vec![1, 2], 2)).unwrap();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.dispatch(route(vec![13], 2)).unwrap();
+        let mut pool = poison_pool("crashy", 2);
+        pool.dispatch(route(vec![1, 2], 2));
+        panic_message(|| {
+            pool.dispatch(route(vec![13], 2));
             for i in 0..64 {
-                pool.dispatch(route(vec![i], 2)).unwrap();
+                pool.dispatch(route(vec![i], 2));
             }
-            pool.shutdown().unwrap();
-        }))
-        .expect_err("worker panic must propagate");
-        drop(err);
+            pool.shutdown();
+        });
         // The panic path still published a partial snapshot: the clean
         // dispatches before the poison batch are accounted for.
         let m = pool.metrics();

@@ -61,12 +61,6 @@ impl SimTime {
         SimTime(self.0.saturating_add(secs))
     }
 
-    /// Saturating subtraction of a number of seconds.
-    #[inline]
-    pub fn sub_secs(self, secs: u64) -> SimTime {
-        SimTime(self.0.saturating_sub(secs))
-    }
-
     /// Absolute difference in seconds between two timestamps.
     #[inline]
     pub fn abs_diff(self, other: SimTime) -> u64 {

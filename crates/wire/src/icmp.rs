@@ -153,12 +153,6 @@ impl<T: AsRef<[u8]>> Icmpv4Packet<T> {
         self.buffer.as_ref()[1]
     }
 
-    /// Checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        let d = self.buffer.as_ref();
-        u16::from_be_bytes([d[2], d[3]])
-    }
-
     /// Identifier field of echo/timestamp/info messages.
     pub fn ident(&self) -> u16 {
         let d = self.buffer.as_ref();

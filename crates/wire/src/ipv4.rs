@@ -153,12 +153,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         IpProtocol::from(self.buffer.as_ref()[field::PROTOCOL])
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let d = self.buffer.as_ref();
-        u16::from_be_bytes([d[field::CHECKSUM.start], d[field::CHECKSUM.start + 1]])
-    }
-
     /// Source address.
     pub fn src(&self) -> Ipv4Addr {
         let d = self.buffer.as_ref();
@@ -203,11 +197,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// Set the identification field.
     pub fn set_ident(&mut self, id: u16) {
         self.buffer.as_mut()[field::IDENT].copy_from_slice(&id.to_be_bytes());
-    }
-
-    /// Set the TTL.
-    pub fn set_ttl(&mut self, ttl: u8) {
-        self.buffer.as_mut()[field::TTL] = ttl;
     }
 
     /// Set the protocol field.

@@ -141,12 +141,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
         u16::from_be_bytes([d[14], d[15]])
     }
 
-    /// Checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        let d = self.buffer.as_ref();
-        u16::from_be_bytes([d[16], d[17]])
-    }
-
     /// Verify the checksum against the pseudo-header for `src`/`dst`.
     pub fn verify_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
         checksum::verify_transport(src, dst, 6, self.buffer.as_ref())

@@ -1,13 +1,14 @@
-//! Near-realtime fusion — the paper's concluding challenge: "a significant
-//! challenge is enabling near-realtime data fusion, extraction,
-//! correlation and visualization". Feed each day's detector events into
-//! an [`EventStore`] as they arrive and print a monthly
-//! situational-awareness row as the two-year window unfolds. Table 1 and
-//! the common targets are ingest-time aggregates; the joint count is the
-//! exact [`JointAnalysis`] over everything ingested so far.
+//! Day-batch ingest equals the batch store. The paper's concluding
+//! challenge is "enabling near-realtime data fusion, extraction,
+//! correlation and visualization": feed each day's detector events into
+//! a fresh [`EventStore`] as they arrive, print a monthly
+//! situational-awareness row as the two-year window unfolds, and assert
+//! that the final row equals the batch store's. Table 1 and the common
+//! targets are ingest-time aggregates; the joint count is the exact
+//! [`JointAnalysis`] over everything ingested so far.
 //!
 //! ```sh
-//! cargo run --release --example streaming_fusion
+//! cargo run --release --example day_batch_ingest
 //! ```
 
 use dosscope_core::report::Table1;
