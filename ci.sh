@@ -22,6 +22,9 @@ cargo test --release --locked -q -p dosscope-harness --test migration_equivalenc
 echo "==> DPS oracle at scale 600 (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test dps_equivalence -- --ignored
 
+echo "==> Web join oracle at scale 600 (release, ignored by the debug run)"
+cargo test --release --locked -q -p dosscope-harness --test web_join_equivalence -- --ignored
+
 echo "==> report batch-order independence at scale 600 (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test end_to_end -- --ignored
 

@@ -240,7 +240,6 @@ mod tests {
     use dosscope_dps::DpsDataset;
     use dosscope_geo::{AsDb, GeoDb};
     use dosscope_types::TimeSeries;
-    use dosscope_types::FastMap;
 
     /// A hand-built world: 4 sites — one preexisting DPS customer, one
     /// that migrates after an attack, one attacked non-migrating, one
@@ -311,7 +310,7 @@ mod tests {
         }
     }
 
-    fn web_impact_with(records: FastMap<dosscope_dns::DomainId, SiteAttackRecord>) -> WebImpact {
+    fn web_impact_with(records: Vec<(dosscope_dns::DomainId, SiteAttackRecord)>) -> WebImpact {
         let store = EventStore::new();
         WebImpact {
             affected_total: records.len() as u64,
@@ -327,7 +326,7 @@ mod tests {
                 (dosscope_dns::Tld::Org, dosscope_types::LogHistogram::new(7)),
             ],
             biggest_cohost: None,
-            site_records: records,
+            site_records: records.into_iter().collect(),
             web_tcp_share: 0.0,
             web_port_share: 0.0,
             web_ntp_share: 0.0,
@@ -349,12 +348,13 @@ mod tests {
     fn taxonomy_classification() {
         let w = world();
         let dps = DpsDataset::infer(&w.zone, &w.catalog, &w.asdb);
-        let mut records = FastMap::default();
-        // Sites 0, 1, 2 attacked (d0 preexisting, d1 migrates day 20 after
-        // attack day 10, d2 non-migrating).
-        records.insert(dosscope_dns::DomainId(0), record(1, 10, 0.5, 10, None));
-        records.insert(dosscope_dns::DomainId(1), record(2, 10, 0.9, 12, Some(12)));
-        records.insert(dosscope_dns::DomainId(2), record(5, 30, 0.1, 30, None));
+        let records = vec![
+            // Sites 0, 1, 2 attacked (d0 preexisting, d1 migrates day 20 after
+            // attack day 10, d2 non-migrating).
+            (dosscope_dns::DomainId(0), record(1, 10, 0.5, 10, None)),
+            (dosscope_dns::DomainId(1), record(2, 10, 0.9, 12, Some(12))),
+            (dosscope_dns::DomainId(2), record(5, 30, 0.1, 30, None)),
+        ];
         let web = web_impact_with(records);
 
         let store = EventStore::new();
@@ -377,10 +377,11 @@ mod tests {
     fn delays_measured_from_best_attack() {
         let w = world();
         let dps = DpsDataset::infer(&w.zone, &w.catalog, &w.asdb);
-        let mut records = FastMap::default();
-        // d1 migrates day 20; most intense attack day 12 => delay 8 days;
-        // its ≥4 h attack also day 12 => long4h delay 8.
-        records.insert(dosscope_dns::DomainId(1), record(2, 10, 0.9, 12, Some(12)));
+        let records = vec![
+            // d1 migrates day 20; most intense attack day 12 => delay 8 days;
+            // its ≥4 h attack also day 12 => long4h delay 8.
+            (dosscope_dns::DomainId(1), record(2, 10, 0.9, 12, Some(12))),
+        ];
         let web = web_impact_with(records);
         let store = EventStore::new();
         let fw = Framework::new(&store, &w.geo, &w.asdb, 100)
@@ -396,9 +397,10 @@ mod tests {
     fn frequency_cdfs_split_population() {
         let w = world();
         let dps = DpsDataset::infer(&w.zone, &w.catalog, &w.asdb);
-        let mut records = FastMap::default();
-        records.insert(dosscope_dns::DomainId(1), record(1, 10, 0.9, 12, None)); // migrating
-        records.insert(dosscope_dns::DomainId(2), record(9, 10, 0.5, 10, None)); // not
+        let records = vec![
+            (dosscope_dns::DomainId(1), record(1, 10, 0.9, 12, None)), // migrating
+            (dosscope_dns::DomainId(2), record(9, 10, 0.5, 10, None)), // not
+        ];
         let web = web_impact_with(records);
         let store = EventStore::new();
         let fw = Framework::new(&store, &w.geo, &w.asdb, 100)
@@ -417,9 +419,10 @@ mod tests {
     fn table9_thresholds() {
         let w = world();
         let dps = DpsDataset::infer(&w.zone, &w.catalog, &w.asdb);
-        let mut records = FastMap::default();
-        records.insert(dosscope_dns::DomainId(1), record(1, 10, 0.03, 10, None));
-        records.insert(dosscope_dns::DomainId(2), record(1, 10, 0.60, 10, None));
+        let records = vec![
+            (dosscope_dns::DomainId(1), record(1, 10, 0.03, 10, None)),
+            (dosscope_dns::DomainId(2), record(1, 10, 0.60, 10, None)),
+        ];
         let web = web_impact_with(records);
         let store = EventStore::new();
         let fw = Framework::new(&store, &w.geo, &w.asdb, 100)
@@ -437,7 +440,7 @@ mod tests {
         let w = world();
         let store = EventStore::new();
         let fw = Framework::new(&store, &w.geo, &w.asdb, 100).with_dns(&w.zone, &w.catalog);
-        let web = web_impact_with(FastMap::default());
+        let web = web_impact_with(Vec::new());
         assert!(MigrationAnalysis::analyze(&fw, &web).is_none());
     }
 }

@@ -129,7 +129,7 @@ pub struct WebImpact {
     /// size (the paper traces its maximum to an IP routed by DOSarrest).
     pub biggest_cohost: Option<(Ipv4Addr, u64)>,
     /// Per-site attack records for the migration analyses.
-    pub site_records: FastMap<DomainId, SiteAttackRecord>,
+    pub site_records: SiteRecords,
     /// TCP share among telescope events on Web-hosting IPs (93.4 %).
     pub web_tcp_share: f64,
     /// Web-port share among single-port TCP telescope events on
@@ -306,18 +306,21 @@ impl WebImpact {
             hp_web_events += honeypot;
             hp_web_ntp += count(Hit::NTP);
         }
-        // Free the per-domain arrays before the map is built: lower peak.
-        drop((counted_day, counted_medium_day, slot));
-
-        // `collect` sizes the map once from the exact length.
-        let site_records: FastMap<DomainId, SiteAttackRecord> = accs
-            .iter()
-            .map(|a| (DomainId(a.domain), a.record()))
-            .collect();
+        // `slot` stays on as the table's index. `SiteAcc` and a record
+        // entry have the same size and alignment, so `collect` rewrites
+        // `accs` in place rather than building a second copy.
+        let affected_total = accs.len() as u64;
+        let site_records = SiteRecords {
+            slot,
+            records: accs
+                .into_iter()
+                .map(|a| (DomainId(a.domain), a.record()))
+                .collect(),
+        };
         let share = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
 
         Some(WebImpact {
-            affected_total: accs.len() as u64,
+            affected_total,
             total_sites: zone.domain_count() as u64,
             daily_sites,
             daily_sites_medium,
@@ -363,6 +366,84 @@ impl WebImpact {
             Some((day, v)) if self.total_sites > 0 => (day, v / self.total_sites as f64),
             _ => (DayIndex(0), 0.0),
         }
+    }
+}
+
+/// The per-site attack records of a Web join: only the touched sites
+/// have one, and a lookup by [`DomainId`] is two array reads.
+#[derive(Debug, Default)]
+pub struct SiteRecords {
+    /// Per domain: the index of its record in `records`, or [`NONE`].
+    /// Ids past its end have no record.
+    slot: Vec<u32>,
+    /// The records, in the order the join first touched their sites.
+    records: Vec<(DomainId, SiteAttackRecord)>,
+}
+
+impl SiteRecords {
+    /// The record of `domain`, if any attack touched it.
+    #[inline]
+    pub fn get(&self, domain: &DomainId) -> Option<&SiteAttackRecord> {
+        match self.slot.get(domain.0 as usize).copied() {
+            None | Some(NONE) => None,
+            Some(s) => Some(&self.records[s as usize].1),
+        }
+    }
+
+    /// Number of sites with a record.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when no site was touched.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Every record, in first-touched order.
+    pub fn values(&self) -> impl Iterator<Item = &SiteAttackRecord> {
+        self.records.iter().map(|(_, r)| r)
+    }
+}
+
+impl std::ops::Index<&DomainId> for SiteRecords {
+    type Output = SiteAttackRecord;
+
+    fn index(&self, domain: &DomainId) -> &SiteAttackRecord {
+        self.get(domain)
+            .unwrap_or_else(|| panic!("no site record for {domain:?}"))
+    }
+}
+
+/// Every (site, record) pair, in first-touched order.
+impl<'a> IntoIterator for &'a SiteRecords {
+    type Item = (&'a DomainId, &'a SiteAttackRecord);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (DomainId, SiteAttackRecord)>,
+        fn(&'a (DomainId, SiteAttackRecord)) -> (&'a DomainId, &'a SiteAttackRecord),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.records.iter().map(|(d, r)| (d, r))
+    }
+}
+
+/// Builds a table from (site, record) pairs in any order; a site may
+/// appear once.
+impl FromIterator<(DomainId, SiteAttackRecord)> for SiteRecords {
+    fn from_iter<I: IntoIterator<Item = (DomainId, SiteAttackRecord)>>(iter: I) -> SiteRecords {
+        let records: Vec<(DomainId, SiteAttackRecord)> = iter.into_iter().collect();
+        let n = records
+            .iter()
+            .map(|(d, _)| d.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut slot = vec![NONE; n];
+        for (i, (d, _)) in records.iter().enumerate() {
+            assert_eq!(slot[d.0 as usize], NONE, "two records for {d:?}");
+            slot[d.0 as usize] = i as u32;
+        }
+        SiteRecords { slot, records }
     }
 }
 
@@ -446,6 +527,13 @@ struct SiteAcc {
     /// [`NONE`] when no ≥ 4 h attack was seen.
     long4h_pos: u32,
 }
+
+// `analyze` turns its `Vec<SiteAcc>` into the records `Vec` in place,
+// which needs the two element types to have one layout.
+const _: () = assert!(
+    std::mem::size_of::<SiteAcc>() == std::mem::size_of::<(DomainId, SiteAttackRecord)>()
+        && std::mem::align_of::<SiteAcc>() == std::mem::align_of::<(DomainId, SiteAttackRecord)>()
+);
 
 impl SiteAcc {
     /// Fold in a later (day, IP) group's contribution. Groups arrive in
@@ -627,6 +715,28 @@ mod tests {
         assert_eq!(rec.long4h_day, Some(DayIndex(9)));
         // The day-7 attack is the most intense telescope event.
         assert!(rec.best_intensity_day == DayIndex(7) || rec.best_norm_intensity >= 0.99);
+    }
+
+    #[test]
+    fn site_records_table_lookups() {
+        let rec = |count| SiteAttackRecord {
+            count,
+            first_attack_day: DayIndex(1),
+            best_norm_intensity: 0.5,
+            best_intensity_day: DayIndex(1),
+            long4h_day: None,
+        };
+        let table: SiteRecords = [(DomainId(4), rec(7)), (DomainId(1), rec(2))]
+            .into_iter()
+            .collect();
+        assert_eq!(table.len(), 2);
+        assert_eq!(table[&DomainId(4)].count, 7);
+        assert_eq!(table.get(&DomainId(1)).map(|r| r.count), Some(2));
+        assert!(table.get(&DomainId(0)).is_none(), "untouched site");
+        assert!(table.get(&DomainId(9)).is_none(), "id past the table");
+        let order: Vec<u32> = (&table).into_iter().map(|(d, _)| d.0).collect();
+        assert_eq!(order, [4, 1], "insertion order");
+        assert!(SiteRecords::default().is_empty());
     }
 
     #[test]

@@ -122,13 +122,25 @@ pub struct OrgInfra {
     pub ns_ips: Vec<Ipv4Addr>,
 }
 
+/// The end of a domain's placement chain.
+const NONE: u32 = u32::MAX;
+
 /// The zone store: all Web sites of the measured TLDs with their hosting
 /// history.
 #[derive(Debug, Default)]
 pub struct ZoneStore {
+    /// Per-domain metadata, indexed by [`DomainId`].
     domains: Vec<DomainMeta>,
+    /// Every placement, in insertion order.
     placements: Vec<Placement>,
-    by_domain: Vec<Vec<u32>>,
+    /// Each domain's first placement (an index into `placements`), or
+    /// [`NONE`]; indexed by [`DomainId`].
+    head: Vec<u32>,
+    /// Parallel to `placements`: the same domain's next placement, or
+    /// [`NONE`]. Following `head` then `next` lists a domain's placements
+    /// in insertion order, at 4 bytes per domain and per placement.
+    next: Vec<u32>,
+    /// Placements per A-record target address.
     by_ip: FastMap<u32, Vec<u32>>,
     /// Placements per operating organisation (for infrastructure joins).
     by_org: FastMap<OrgId, Vec<u32>>,
@@ -150,7 +162,7 @@ impl ZoneStore {
     pub fn add_domain(&mut self, tld: Tld, active: DayRange) -> DomainId {
         let id = DomainId(self.domains.len() as u32);
         self.domains.push(DomainMeta { tld, active });
-        self.by_domain.push(Vec::new());
+        self.head.push(NONE);
         id
     }
 
@@ -185,16 +197,22 @@ impl ZoneStore {
             "placement outside domain activity: {:?}",
             p.domain
         );
-        for &idx in &self.by_domain[p.domain.0 as usize] {
-            let other = &self.placements[idx as usize].days;
+        let mut last = NONE;
+        for i in self.chain(p.domain) {
+            let other = &self.placements[i as usize].days;
             assert!(
                 p.days.end <= other.start || other.end <= p.days.start,
                 "overlapping placements for {:?}",
                 p.domain
             );
+            last = i;
         }
         let idx = self.placements.len() as u32;
-        self.by_domain[p.domain.0 as usize].push(idx);
+        match last {
+            NONE => self.head[p.domain.0 as usize] = idx,
+            last => self.next[last as usize] = idx,
+        }
+        self.next.push(NONE);
         self.by_ip.entry(u32::from(p.ip)).or_default().push(idx);
         self.by_org.entry(p.ns).or_default().push(idx);
         self.placements.push(p);
@@ -246,10 +264,8 @@ impl ZoneStore {
     /// started on `day`, it is removed entirely from `day` onward by
     /// truncating to empty — callers should re-place from `day`.
     pub fn truncate_at(&mut self, domain: DomainId, day: DayIndex) -> Option<Placement> {
-        let list = &self.by_domain[domain.0 as usize];
-        let idx = list
-            .iter()
-            .copied()
+        let idx = self
+            .chain(domain)
             .find(|&i| self.placements[i as usize].days.contains(day))?;
         let p = &mut self.placements[idx as usize];
         let original = p.clone();
@@ -259,10 +275,7 @@ impl ZoneStore {
 
     /// The placement of a site on a given day.
     pub fn placement_of(&self, domain: DomainId, day: DayIndex) -> Option<&Placement> {
-        self.by_domain[domain.0 as usize]
-            .iter()
-            .map(|&i| &self.placements[i as usize])
-            .find(|p| p.days.contains(day))
+        self.placements_of(domain).find(|p| p.days.contains(day))
     }
 
     /// The `www` A record of a site on a given day.
@@ -314,9 +327,16 @@ impl ZoneStore {
 
     /// All placements of a domain, in insertion order.
     pub fn placements_of(&self, domain: DomainId) -> impl Iterator<Item = &Placement> {
-        self.by_domain[domain.0 as usize]
-            .iter()
-            .map(|&i| &self.placements[i as usize])
+        self.chain(domain).map(|i| &self.placements[i as usize])
+    }
+
+    /// The indices of a domain's placements, in insertion order.
+    fn chain(&self, domain: DomainId) -> impl Iterator<Item = u32> + '_ {
+        let first = self.head[domain.0 as usize];
+        std::iter::successors((first != NONE).then_some(first), |&i| {
+            let n = self.next[i as usize];
+            (n != NONE).then_some(n)
+        })
     }
 
     /// Number of sites active on a given day.

@@ -1,7 +1,7 @@
 //! Property-based tests for the zone store: the interval-encoded snapshot
 //! store must agree with a brute-force daily-materialisation oracle.
 
-use dosscope_dns::{DayRange, OrgId, Placement, Tld, ZoneStore};
+use dosscope_dns::{DayRange, DomainId, OrgId, Placement, Tld, ZoneStore};
 use dosscope_types::DayIndex;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -192,5 +192,115 @@ proptest! {
             }
         }
         prop_assert_eq!(zone.data_points(), expected);
+    }
+}
+
+/// What a `place` call should do, by the model's rules.
+fn placement_fault(
+    model: &[(u32, Ipv4Addr, DayRange)],
+    active: DayRange,
+    p: &Placement,
+) -> Option<&'static str> {
+    if p.days.start < active.start || p.days.end > active.end {
+        return Some("outside domain activity");
+    }
+    model
+        .iter()
+        .filter(|(d, _, _)| *d == p.domain.0)
+        .any(|(_, _, other)| !(p.days.end <= other.start || other.end <= p.days.start))
+        .then_some("overlapping placements")
+}
+
+proptest! {
+    /// The per-domain placement index under the migration pattern:
+    /// random interleaved `add_domain`, `place` and `truncate_at` +
+    /// re-place. `placements_of`, `placement_of` and `ip_of` agree with a
+    /// brute-force scan of `placements()`, each domain's placements come
+    /// back in insertion order, and an overlapping or out-of-activity
+    /// `place` panics without changing the store.
+    #[test]
+    fn placement_index_agrees_with_a_scan(
+        ops in proptest::collection::vec((0u8..4, 0u32..16, 0u32..WINDOW, 1u32..30, 0u8..6), 1..40),
+    ) {
+        let mut zone = ZoneStore::new();
+        let mut active: Vec<DayRange> = Vec::new();
+        // Every placement as (domain, ip, days), in insertion order.
+        let mut model: Vec<(u32, Ipv4Addr, DayRange)> = Vec::new();
+        for &(kind, d, day, len, ip_idx) in &ops {
+            if kind == 0 || active.is_empty() {
+                let range = DayRange::new(DayIndex(day % 10), DayIndex(WINDOW - len % 10));
+                let id = zone.add_domain(Tld::Com, range);
+                prop_assert_eq!(id.0 as usize, active.len());
+                active.push(range);
+                continue;
+            }
+            let domain = DomainId(d % active.len() as u32);
+            let ip = Ipv4Addr::new(10, 0, 0, ip_idx + 1);
+            let placement = if kind == 3 {
+                // A migration: end the placement covering `day`, then
+                // re-place the rest of it on another address.
+                let Some(old) = zone.truncate_at(domain, DayIndex(day)) else {
+                    prop_assert!(!model
+                        .iter()
+                        .any(|(m, _, days)| *m == domain.0 && days.contains(DayIndex(day))));
+                    continue;
+                };
+                let entry = model
+                    .iter_mut()
+                    .find(|(m, _, days)| *m == domain.0 && days.contains(DayIndex(day)))
+                    .expect("the model holds the truncated placement");
+                prop_assert_eq!((entry.1, entry.2), (old.ip, old.days));
+                entry.2 = DayRange::new(old.days.start, DayIndex(day));
+                Placement { ip, days: DayRange::new(DayIndex(day), old.days.end), ..old }
+            } else {
+                Placement {
+                    domain,
+                    ip,
+                    days: DayRange::new(DayIndex(day), DayIndex((day + len).min(WINDOW))),
+                    ns: OrgId(0),
+                    cname: None,
+                }
+            };
+            match placement_fault(&model, active[domain.0 as usize], &placement) {
+                None => {
+                    model.push((domain.0, placement.ip, placement.days));
+                    zone.place(placement);
+                }
+                Some(fault) => {
+                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        zone.place(placement.clone())
+                    }))
+                    .expect_err("an invalid placement panics");
+                    let msg = err
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default();
+                    prop_assert!(msg.contains(fault), "{:?} panicked with {:?}", placement, msg);
+                }
+            }
+        }
+
+        let stored: Vec<(u32, Ipv4Addr, DayRange)> =
+            zone.placements().iter().map(|p| (p.domain.0, p.ip, p.days)).collect();
+        prop_assert_eq!(&stored, &model);
+        for d in zone.domain_ids() {
+            let chained: Vec<(u32, Ipv4Addr, DayRange)> =
+                zone.placements_of(d).map(|p| (p.domain.0, p.ip, p.days)).collect();
+            let scanned: Vec<(u32, Ipv4Addr, DayRange)> =
+                stored.iter().copied().filter(|(m, _, _)| *m == d.0).collect();
+            prop_assert_eq!(&chained, &scanned, "placements_of {:?}", d);
+            for day in (0..WINDOW).map(DayIndex) {
+                let want = zone
+                    .placements()
+                    .iter()
+                    .find(|p| p.domain == d && p.days.contains(day));
+                prop_assert_eq!(
+                    zone.placement_of(d, day).map(|p| (p.ip, p.days)),
+                    want.map(|p| (p.ip, p.days)),
+                    "placement_of {:?} day {}", d, day.0
+                );
+                prop_assert_eq!(zone.ip_of(d, day), want.map(|p| p.ip));
+            }
+        }
     }
 }

@@ -91,6 +91,7 @@ impl<'a> Experiments<'a> {
         let _span = dosscope_obs::span!("report.assemble");
         let fw = world.framework();
         let web = WebImpact::analyze(&fw).expect("scenario attaches DNS");
+        dosscope_obs::counter!("web.site_records").add(web.site_records.len() as u64);
         let migration = MigrationAnalysis::analyze(&fw, &web).expect("scenario attaches DPS");
         let enricher = dosscope_core::Enricher::new(fw.geo, fw.asdb);
         let joint = JointAnalysis::run(fw.store, &enricher);

@@ -145,6 +145,10 @@ impl Scenario {
         dosscope_obs::counter!("migrate.cohost_counts").add(migrations.cohost_counts);
         dosscope_obs::counter!("migrate.placements_walked").add(migrations.placements_walked);
         drop(migrate_span);
+        // The zone is final from here on: these two counts size its
+        // per-domain and per-placement tables.
+        dosscope_obs::counter!("zone.domains").add(synth.zone.domain_count() as u64);
+        dosscope_obs::counter!("zone.placements").add(synth.zone.placements().len() as u64);
 
         // 3. Measure DPS adoption from the (mutated) zone — the inference
         // side of Section 3.3.

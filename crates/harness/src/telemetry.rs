@@ -9,6 +9,7 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "telescope.batches",
     "telescope.backscatter_packets",
     "telescope.flows_expired",
+    "telescope.flows_filtered",
     "telescope.events",
     "fleet.requests",
     "fleet.events",
@@ -20,6 +21,9 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "render.telescope_batches",
     "render.honeypot_batches",
     "render.telescope_bytes",
+    "zone.domains",
+    "zone.placements",
+    "web.site_records",
 ];
 
 /// Store late-batch instruments that must be *present* (registered) but
@@ -78,6 +82,21 @@ pub fn validate(text: &str) -> Result<String, String> {
             Some(v) if v > 0 => {}
             Some(_) => problems.push(format!("counter {name} is zero")),
             None => problems.push(format!("counter {name} missing")),
+        }
+    }
+
+    // Every expired flow either became an event or was dropped by a
+    // detection threshold.
+    if let (Some(expired), Some(events), Some(filtered)) = (
+        extract_num(text, "telescope.flows_expired"),
+        extract_num(text, "telescope.events"),
+        extract_num(text, "telescope.flows_filtered"),
+    ) {
+        if expired != events + filtered {
+            problems.push(format!(
+                "telescope.flows_expired {expired} != telescope.events {events} \
+                 + telescope.flows_filtered {filtered}"
+            ));
         }
     }
 
@@ -145,7 +164,13 @@ mod tests {
     fn valid_doc() -> String {
         let mut s = String::from("{\n  \"schema\": \"dosscope-telemetry-v1\",\n");
         for c in REQUIRED_COUNTERS {
-            s.push_str(&format!("    \"{c}\": 10,\n"));
+            // Expired flows = events + filtered flows.
+            let v = if *c == "telescope.flows_expired" {
+                20
+            } else {
+                10
+            };
+            s.push_str(&format!("    \"{c}\": {v},\n"));
         }
         for c in REQUIRED_STORE_INSTRUMENTS {
             s.push_str(&format!("    \"{c}\": 0,\n"));
@@ -186,6 +211,19 @@ mod tests {
         let err = validate(&doc).unwrap_err();
         assert!(err.contains("telescope.events is zero"), "{err}");
         assert!(err.contains("span stage.route missing"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_flow_funnel_that_does_not_add_up() {
+        let doc = valid_doc().replace(
+            "\"telescope.flows_filtered\": 10",
+            "\"telescope.flows_filtered\": 9",
+        );
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("telescope.flows_expired 20 != telescope.events 10"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -124,6 +124,7 @@ impl ShardedRsdos {
         dosscope_obs::counter!("telescope.batches").add(stats.backscatter_batches);
         dosscope_obs::counter!("telescope.backscatter_packets").add(stats.backscatter_packets);
         dosscope_obs::counter!("telescope.flows_expired").add(stats.flows_finalized);
+        dosscope_obs::counter!("telescope.flows_filtered").add(stats.flows_filtered);
         dosscope_obs::counter!("telescope.events").add(stats.events);
         dosscope_obs::gauge!("telescope.peak_live_flows").raise(peak);
         (events, stats, peak)

@@ -3,7 +3,7 @@
 //! batches ingested, flows expired, events emitted — and are published
 //! once from the shard-merged `DetectorStats`/`FleetStats`; the producer
 //! publishes the `render.*` counters once after its last day, and the
-//! set-up publishes the `dps.*` counters once. So for a fixed seed the
+//! set-up publishes the `dps.*` and `zone.*` counters once. So for a fixed seed the
 //! whole counter map must be identical for any thread count.
 //!
 //! This lives in its own test binary on purpose: the counter registry is
@@ -53,6 +53,19 @@ fn telemetry_counters_are_identical_across_thread_counts() {
     // The DPS counters report the data set the run inferred.
     assert_eq!(get("dps.protected_domains"), Some(world.dps.protected_count()));
     assert_eq!(get("dps.intervals"), Some(world.dps.interval_count()));
+    // The zone counters size the final zone.
+    let zone = &world.synth.zone;
+    assert_eq!(get("zone.domains"), Some(zone.domain_count() as u64));
+    assert_eq!(get("zone.placements"), Some(zone.placements().len() as u64));
+    // Every expired flow became an event or was filtered.
+    assert_eq!(
+        get("telescope.flows_filtered"),
+        Some(world.telescope_stats.flows_filtered)
+    );
+    assert_eq!(
+        get("telescope.flows_expired"),
+        Some(get("telescope.events").unwrap() + world.telescope_stats.flows_filtered)
+    );
     for threads in [2, 8] {
         let (threaded, _) = run_counters(threads);
         assert_eq!(

@@ -4,7 +4,7 @@
 //! field, f64 values bit for bit — on generated worlds and on hand-built
 //! stores aimed at its order-dependent rules.
 
-use dosscope_core::webimpact::{IntensityNormalizer, SiteAttackRecord, WebImpact};
+use dosscope_core::webimpact::{IntensityNormalizer, SiteAttackRecord, SiteRecords, WebImpact};
 use dosscope_core::{EventStore, Framework};
 use dosscope_dns::{DayRange, DomainId, OrgCatalog, OrgRole, Placement, Tld, ZoneStore};
 use dosscope_geo::{AsDb, GeoDb};
@@ -28,7 +28,7 @@ fn oracle(fw: &Framework<'_>) -> Option<WebImpact> {
     let mut daily: Vec<FastSet<u32>> = vec![FastSet::default(); days as usize];
     let mut daily_medium: Vec<FastSet<u32>> = vec![FastSet::default(); days as usize];
     let mut affected: FastSet<u32> = FastSet::default();
-    let mut records: FastMap<DomainId, SiteAttackRecord> = FastMap::default();
+    let mut records = FastMap::default();
     let mut target_ips: FastSet<Ipv4Addr> = FastSet::default();
     let mut web_ips: FastSet<Ipv4Addr> = FastSet::default();
     let mut first_seen_ip: FastSet<Ipv4Addr> = FastSet::default();
@@ -124,7 +124,7 @@ fn oracle(fw: &Framework<'_>) -> Option<WebImpact> {
         cohosting,
         cohosting_by_tld,
         biggest_cohost,
-        site_records: records,
+        site_records: records.into_iter().collect(),
         web_tcp_share: share(tele_tcp, tele_events),
         web_port_share: share(tele_webport, tele_single),
         web_ntp_share: share(hp_ntp, hp_events),
@@ -185,8 +185,8 @@ fn assert_matches_oracle(fw: &Framework<'_>, what: &str) -> WebImpact {
         got.biggest_cohost, want.biggest_cohost,
         "{what}: biggest_cohost"
     );
-    let bits = |m: &FastMap<DomainId, SiteAttackRecord>| -> FastMap<DomainId, RecordBits> {
-        m.iter().map(|(d, r)| (*d, record_bits(r))).collect()
+    let bits = |m: &SiteRecords| -> FastMap<DomainId, RecordBits> {
+        m.into_iter().map(|(d, r)| (*d, record_bits(r))).collect()
     };
     assert_eq!(
         bits(&got.site_records),
@@ -227,6 +227,18 @@ fn generated_worlds_match_the_oracle() {
         );
         assert!(web.affected_total > 0, "the world attacks some sites");
     }
+}
+
+#[test]
+#[ignore = "scale 600 is slow in a debug build; ci.sh runs it in release"]
+fn scale_600_matches_the_oracle() {
+    let config = ScenarioConfig {
+        scale: 600.0,
+        ..ScenarioConfig::test_small()
+    };
+    let world = Scenario::run(&config);
+    let web = assert_matches_oracle(&world.framework(), "scale 600");
+    assert!(web.affected_total > 0, "the world attacks some sites");
 }
 
 fn ip(s: &str) -> Ipv4Addr {
