@@ -25,6 +25,9 @@ cargo test --release --locked -q -p dosscope-harness --test dps_equivalence -- -
 echo "==> Web join oracle at scale 600 (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test web_join_equivalence -- --ignored
 
+echo "==> render digest at scale 600 (release, ignored by the debug run)"
+cargo test --release --locked -q -p dosscope-harness --test render_digest -- --ignored
+
 echo "==> report batch-order independence at scale 600 (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test end_to_end -- --ignored
 

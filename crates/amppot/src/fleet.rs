@@ -230,7 +230,6 @@ impl AmpPotFleet {
             self.stats.pot_events += 1;
             self.closed.push(finished);
         }
-        let entry = self.open.get_mut(&key).expect("inserted above");
         entry.last = entry.last.max(batch.ts);
         entry.requests += batch.count as u64;
         entry.bytes += batch.total_bytes();

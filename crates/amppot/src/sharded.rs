@@ -107,6 +107,8 @@ impl ShardedFleet {
         dosscope_obs::counter!("fleet.requests").add(stats.requests);
         dosscope_obs::counter!("fleet.replies").add(stats.replies_sent);
         dosscope_obs::counter!("fleet.events").add(stats.events);
+        dosscope_obs::counter!("fleet.pot_events").add(stats.pot_events);
+        dosscope_obs::counter!("fleet.scan_filtered").add(stats.scan_filtered);
         dosscope_obs::gauge!("fleet.peak_open_events").raise(peak);
         (events, stats, peak)
     }

@@ -14,6 +14,10 @@
 //! All packets are built through `dosscope-wire` and re-parsed by the
 //! observers, so the byte path is exercised end to end. Rendering is
 //! deterministic per (seed, day): each attack-day derives its own RNG.
+//!
+//! A day's backscatter packets are appended straight into one arena and
+//! frozen into a single shared buffer; both sides then put the day in
+//! timestamp order (ties in render order) with a linear-time radix sort.
 
 use crate::model::{GroundTruth, GtKind, GtPorts};
 use dosscope_amppot::{HoneypotId, RequestBatch};
@@ -60,6 +64,11 @@ impl<'a> Renderer<'a> {
             seed,
             day_index,
         }
+    }
+
+    /// The darknet the backscatter is rendered into.
+    pub fn telescope(&self) -> Telescope {
+        self.telescope
     }
 
     fn attack_rng(&self, attack_idx: u32, day: DayIndex) -> SmallRng {
@@ -190,7 +199,7 @@ impl<'a> Renderer<'a> {
                     GtPorts::Multi(list) => list[rng.gen_range(0..list.len())],
                     GtPorts::None => 0,
                 };
-                let buf = &mut out.scratch;
+                let buf = &mut out.bytes;
                 match proto {
                     TransportProto::Tcp => {
                         if rng.gen_bool(0.75) {
@@ -228,7 +237,7 @@ impl<'a> Renderer<'a> {
                         2,
                     ),
                 }
-                out.push_scratch(ts, count as u32);
+                out.push(ts, count as u32);
                 if remaining == 0 {
                     break;
                 }
@@ -246,7 +255,7 @@ impl<'a> Renderer<'a> {
         let Some(indices) = self.day_index.get(day.0 as usize) else {
             return Vec::new();
         };
-        let mut out = Vec::with_capacity(indices.len() * 16);
+        let mut out = DayRequests::with_batches(indices.len() * 16);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
             if let GtKind::Reflection {
@@ -268,13 +277,13 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        in_ts_order(out)
+        out.freeze()
     }
 
     #[allow(clippy::too_many_arguments)]
     fn render_requests(
         &self,
-        out: &mut Vec<RequestBatch>,
+        out: &mut DayRequests,
         rng: &mut SmallRng,
         victim: Ipv4Addr,
         window: TimeRange,
@@ -293,8 +302,9 @@ impl<'a> Renderer<'a> {
         // of a pot's batches today can share one encoded packet. The
         // source port is drawn per batch regardless (the RNG stream is
         // pinned by the determinism and golden tests) but only the first
-        // draw is rendered; the fleet never reads the source port.
-        let mut representatives: Vec<Option<SharedBytes>> = vec![None; pots.len()];
+        // draw is rendered; the fleet never reads the source port. Each
+        // slot holds the index of the pot's representative in `out.reps`.
+        let mut representatives: Vec<Option<u32>> = vec![None; pots.len()];
         let whole_event_today = day_range.start <= window.start && window.end <= day_range.end;
         let mut emitted_today = 0u64;
         let first_minute = active.start.minute();
@@ -324,26 +334,16 @@ impl<'a> Renderer<'a> {
                 } else {
                     SimTime(overlap_start + rng.gen_range(0..overlap.max(1)))
                 };
-                let pot_addr = self.honeypot_addrs[pot as usize % self.honeypot_addrs.len()];
                 let src_port = rng.gen_range(1024..65535);
-                let bytes = match &representatives[pi] {
-                    Some(b) => b.clone(),
-                    None => {
-                        let b = SharedBytes::from(builder::reflection_request(
-                            victim, src_port, pot_addr, protocol,
-                        ));
-                        representatives[pi] = Some(b.clone());
-                        b
-                    }
-                };
-                out.push(RequestBatch::repeated(
-                    HoneypotId(pot),
-                    ts,
-                    count as u32,
-                    bytes,
-                ));
+                let rep = *representatives[pi].get_or_insert_with(|| {
+                    let pot_addr = self.honeypot_addrs[pot as usize % self.honeypot_addrs.len()];
+                    out.push_rep(builder::reflection_request(
+                        victim, src_port, pot_addr, protocol,
+                    ))
+                });
+                out.batches.push((ts, count as u32, HoneypotId(pot), rep));
                 emitted_today += count;
-                last_batch = Some(out.len() - 1);
+                last_batch = Some(out.batches.len() - 1);
             }
         }
         // Same-day events must clear the 100-request scan filter the
@@ -351,17 +351,16 @@ impl<'a> Renderer<'a> {
         // events, so top up the last batch.
         if whole_event_today && emitted_today > 0 && emitted_today <= 105 {
             if let Some(i) = last_batch {
-                out[i].count += (106 - emitted_today) as u32;
+                out.batches[i].1 += (106 - emitted_today) as u32;
             }
         }
     }
 }
 
-/// One day's backscatter under construction: each packet is built in
-/// `scratch` and appended to `bytes`, and `batches` records where it
-/// landed. [`DayArena::freeze`] turns the arena into one shared buffer.
+/// One day's backscatter under construction: the packet builders append
+/// straight to `bytes`, and `batches` records where each packet landed.
+/// [`DayArena::freeze`] turns the arena into one shared buffer.
 struct DayArena {
-    scratch: Vec<u8>,
     bytes: Vec<u8>,
     /// (timestamp, repeat count, start, end) per batch, in render order.
     batches: Vec<(SimTime, u32, u32, u32)>,
@@ -370,17 +369,15 @@ struct DayArena {
 impl DayArena {
     fn with_batches(batches: usize) -> DayArena {
         DayArena {
-            scratch: Vec::new(),
             // Backscatter packets are 40–56 bytes.
             bytes: Vec::with_capacity(batches * 48),
             batches: Vec::with_capacity(batches),
         }
     }
 
-    /// Append the packet in `scratch` as one batch.
-    fn push_scratch(&mut self, ts: SimTime, count: u32) {
-        let start = self.bytes.len() as u32;
-        self.bytes.extend_from_slice(&self.scratch);
+    /// Record the bytes appended since the previous batch as one batch.
+    fn push(&mut self, ts: SimTime, count: u32) {
+        let start = self.batches.last().map_or(0, |b| b.3);
         self.batches.push((ts, count, start, self.bytes.len() as u32));
     }
 
@@ -388,43 +385,93 @@ impl DayArena {
     /// it, sorted by timestamp (ties keep render order).
     fn freeze(self) -> Vec<PacketBatch> {
         let arena = SharedBytes::new(self.bytes);
-        ts_order(&self.batches, |b| b.0)
-            .into_iter()
-            .map(|key| {
-                let (ts, count, start, end) = self.batches[key as u32 as usize];
+        ts_order(self.batches, |b| b.0)
+            .iter()
+            .map(|&(ts, count, start, end)| {
                 PacketBatch::repeated(ts, count, arena.slice(start as usize..end as usize))
             })
             .collect()
     }
 }
 
-/// Request batches sorted by timestamp, ties in render order.
-fn in_ts_order(batches: Vec<RequestBatch>) -> Vec<RequestBatch> {
-    let order = ts_order(&batches, |b| b.ts);
-    let mut slots: Vec<Option<RequestBatch>> = batches.into_iter().map(Some).collect();
-    order
-        .into_iter()
-        .map(|key| slots[key as u32 as usize].take().expect("each index once"))
-        .collect()
+/// One day's honeypot requests under construction: one shared
+/// representative packet per (attack-day, pot) in `reps`, and per batch a
+/// compact record naming its representative.
+struct DayRequests {
+    reps: Vec<SharedBytes>,
+    /// (timestamp, repeat count, honeypot, index into `reps`) per batch,
+    /// in render order.
+    batches: Vec<(SimTime, u32, HoneypotId, u32)>,
 }
 
-/// The order of a stable sort of `items` by timestamp, as sorted keys
-/// `(ts − first ts) << 32 | index` whose low 32 bits index `items`. The
-/// keys are distinct, so an unstable integer sort gives exactly the
-/// stable order: by time, ties by index.
-fn ts_order<T>(items: &[T], ts: impl Fn(&T) -> SimTime) -> Vec<u64> {
+impl DayRequests {
+    fn with_batches(batches: usize) -> DayRequests {
+        DayRequests {
+            reps: Vec::new(),
+            batches: Vec::with_capacity(batches),
+        }
+    }
+
+    /// Keep `packet` as a representative; returns its index.
+    fn push_rep(&mut self, packet: Vec<u8>) -> u32 {
+        self.reps.push(SharedBytes::from(packet));
+        self.reps.len() as u32 - 1
+    }
+
+    /// The day's request batches, sorted by timestamp (ties keep render
+    /// order).
+    fn freeze(self) -> Vec<RequestBatch> {
+        ts_order(self.batches, |b| b.0)
+            .iter()
+            .map(|&(ts, count, pot, rep)| {
+                RequestBatch::repeated(pot, ts, count, self.reps[rep as usize].clone())
+            })
+            .collect()
+    }
+}
+
+/// Bits per radix digit in [`ts_order`]: a day's span (< 2^17 s) takes
+/// two counting passes, and the guard's limit (2^32 s) three.
+const RADIX_BITS: u32 = 11;
+const RADIX: usize = 1 << RADIX_BITS;
+
+/// `items` sorted by timestamp, ties in input order: a least-significant-
+/// digit radix sort over each item's offset from the earliest timestamp,
+/// so linear in the number of items. Every pass is a stable counting
+/// sort, so the result equals a stable comparison sort by timestamp. The
+/// passes alternate between `items` and one scratch copy of it.
+fn ts_order<T: Copy>(items: Vec<T>, ts: impl Fn(&T) -> SimTime) -> Vec<T> {
     let first = items.iter().map(&ts).min().unwrap_or_default();
-    let mut keys: Vec<u64> = items
+    let offset = |item: &T| ts(item).0 - first.0;
+    let span = items
         .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let offset = u32::try_from(ts(item).0 - first.0).expect("batch times span < 2^32 s");
-            let index = u32::try_from(i).expect("fewer than 2^32 batches");
-            u64::from(offset) << 32 | u64::from(index)
-        })
-        .collect();
-    keys.sort_unstable();
-    keys
+        .map(|item| u32::try_from(offset(item)).expect("batch times span < 2^32 s"))
+        .max()
+        .unwrap_or(0);
+    let mut sorted = items;
+    let mut scratch = sorted.clone();
+    let mut shift = 0;
+    while shift < 32 && span >> shift != 0 {
+        let digit = |item: &T| (offset(item) >> shift) as usize & (RADIX - 1);
+        let mut starts = [0usize; RADIX];
+        for item in &sorted {
+            starts[digit(item)] += 1;
+        }
+        let mut next = 0;
+        for slot in starts.iter_mut() {
+            let n = *slot;
+            *slot = next;
+            next += n;
+        }
+        for item in &sorted {
+            let slot = &mut starts[digit(item)];
+            scratch[*slot] = *item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut sorted, &mut scratch);
+        shift += RADIX_BITS;
+    }
+    sorted
 }
 
 /// Round `x` to an integer such that the expectation equals `x` (floor,
@@ -654,12 +701,13 @@ mod tests {
         let mut arena = DayArena::with_batches(0);
         let mut reference = Vec::new();
         for (i, ts) in tied_times().into_iter().enumerate() {
-            arena.scratch = (i as u16).to_be_bytes().to_vec();
-            arena.push_scratch(ts, i as u32 + 1);
+            let packet = (i as u16).to_be_bytes();
+            arena.bytes.extend_from_slice(&packet);
+            arena.push(ts, i as u32 + 1);
             reference.push(PacketBatch::repeated(
                 ts,
                 i as u32 + 1,
-                SharedBytes::from(arena.scratch.clone()),
+                SharedBytes::from(packet.to_vec()),
             ));
         }
         reference.sort_by_key(|b| b.ts);
@@ -668,23 +716,67 @@ mod tests {
 
     #[test]
     fn honeypot_batches_keep_render_order_on_ties() {
-        let bytes = SharedBytes::from(vec![1, 2, 3]);
-        let batches: Vec<RequestBatch> = tied_times()
-            .into_iter()
-            .enumerate()
-            .map(|(i, ts)| {
-                RequestBatch::repeated(HoneypotId(i as u8), ts, i as u32 + 1, bytes.clone())
-            })
-            .collect();
-        let mut reference = batches.clone();
+        let mut day = DayRequests::with_batches(0);
+        let rep = day.push_rep(vec![1, 2, 3]);
+        let mut reference = Vec::new();
+        for (i, ts) in tied_times().into_iter().enumerate() {
+            day.batches.push((ts, i as u32 + 1, HoneypotId(i as u8), rep));
+            reference.push(RequestBatch::repeated(
+                HoneypotId(i as u8),
+                ts,
+                i as u32 + 1,
+                day.reps[0].clone(),
+            ));
+        }
         reference.sort_by_key(|b| b.ts);
-        assert_eq!(in_ts_order(batches), reference);
+        assert_eq!(day.freeze(), reference);
+    }
+
+    /// `ts_order` is exactly a stable sort by timestamp on random days:
+    /// spans from none up to just under the 2^32 s guard, with timestamps
+    /// either spread over the span or drawn from a handful of values (so
+    /// most items tie), and the empty and one-item inputs. Each item
+    /// carries its input index, so a reordered tie shows.
+    #[test]
+    fn ts_order_equals_a_stable_sort() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let spans = [0u64, 1, 4, 2_047, 2_048, 86_399, 1 << 22, (1 << 32) - 1];
+        for span in spans {
+            for len in [0usize, 1, 2, 3, 100, 5_000] {
+                for few_values in [false, true] {
+                    let base = rng.gen_range(0..1u64 << 40);
+                    let values: Vec<u64> = (0..6).map(|_| rng.gen_range(0..=span)).collect();
+                    let mut items: Vec<(SimTime, usize)> = (0..len)
+                        .map(|i| {
+                            let offset = if few_values {
+                                values[rng.gen_range(0..values.len())]
+                            } else {
+                                rng.gen_range(0..=span)
+                            };
+                            (SimTime(base + offset), i)
+                        })
+                        .collect();
+                    // Pin both ends of the span.
+                    if len >= 2 {
+                        items[rng.gen_range(0..len)].0 = SimTime(base);
+                        items[rng.gen_range(0..len)].0 = SimTime(base + span);
+                    }
+                    let mut want = items.clone();
+                    want.sort_by_key(|b| b.0);
+                    assert_eq!(
+                        ts_order(items, |b| b.0),
+                        want,
+                        "span {span}, {len} items, few values {few_values}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "batch times span < 2^32 s")]
     fn ts_order_refuses_a_key_that_would_wrap() {
-        ts_order(&[SimTime(5), SimTime(5 + (1 << 32))], |&t| t);
+        ts_order(vec![SimTime(5), SimTime(5 + (1 << 32))], |&t| t);
     }
 
     #[test]

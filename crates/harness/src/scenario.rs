@@ -160,13 +160,9 @@ impl Scenario {
         drop(truth_span);
 
         // 4. Render observations and drive both measurement pipelines.
-        let telescope = Telescope::default_slash8();
-        let pot_addrs: Vec<std::net::Ipv4Addr> =
-            standard_fleet().iter().map(|h| h.addr).collect();
-        let renderer = Renderer::new(&truth, telescope, pot_addrs, config.seed ^ 0x8E4, config.days);
-
+        let renderer = renderer(config, &truth);
         let (store, telescope_stats, fleet_stats) =
-            drive_pipelines(&renderer, telescope, config.days, config.threads);
+            drive_pipelines(&renderer, renderer.telescope(), config.days, config.threads);
 
         // The third data source: botnet C&C monitoring (Section 8
         // extension). Commands are generated from the same ground truth
@@ -201,6 +197,19 @@ impl Scenario {
             days: config.days,
         }
     }
+}
+
+/// The renderer [`Scenario::run`] feeds its detectors from: the standard
+/// /8 darknet and honeypot fleet, seeded from `config`.
+pub fn renderer<'a>(config: &ScenarioConfig, truth: &'a GroundTruth) -> Renderer<'a> {
+    let pot_addrs = standard_fleet().iter().map(|h| h.addr).collect();
+    Renderer::new(
+        truth,
+        Telescope::default_slash8(),
+        pot_addrs,
+        config.seed ^ 0x8E4,
+        config.days,
+    )
 }
 
 /// Render and route days on a producer thread while the consumer feeds

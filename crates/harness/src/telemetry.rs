@@ -12,6 +12,7 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "telescope.flows_filtered",
     "telescope.events",
     "fleet.requests",
+    "fleet.pot_events",
     "fleet.events",
     "store.rows",
     "migrate.cohost_counts",
@@ -26,15 +27,19 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "web.site_records",
 ];
 
-/// Store late-batch instruments that must be *present* (registered) but
-/// may legitimately read zero: `store.consolidations` counts batches that
-/// arrived before the last stored key and were merged at ingest, and
-/// `store.consolidation_rows` the rows those merges rewrote. A smoke run
-/// whose batches all arrive in time order merges nothing, yet the
-/// instruments must export so dashboards can tell "no late batch" from
-/// "not instrumented". `store.victims` is the interner-size gauge and
-/// must be nonzero on any run that ingested events.
-const REQUIRED_STORE_INSTRUMENTS: &[&str] = &["store.consolidations", "store.consolidation_rows"];
+/// Instruments that must be *present* (registered) but may legitimately
+/// read zero: `store.consolidations` counts batches that arrived before
+/// the last stored key and were merged at ingest, and
+/// `store.consolidation_rows` the rows those merges rewrote;
+/// `fleet.scan_filtered` counts merged honeypot events at or under the
+/// scan filter's request threshold. A smoke run whose batches all arrive
+/// in time order merges nothing, and its renderer tops marginal events up
+/// past the filter, yet the instruments must export so dashboards can
+/// tell "none" from "not instrumented". `store.victims` is the
+/// interner-size gauge and must be nonzero on any run that ingested
+/// events.
+const REQUIRED_MAYBE_ZERO: &[&str] =
+    &["store.consolidations", "store.consolidation_rows", "fleet.scan_filtered"];
 
 /// Stage spans a scenario run must have recorded.
 const REQUIRED_SPANS: &[&str] = &[
@@ -100,9 +105,24 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
-    for name in REQUIRED_STORE_INSTRUMENTS {
+    // Every merged honeypot event was emitted or scan-filtered, and
+    // merging per-honeypot events never adds one.
+    if let (Some(pot_events), Some(events), Some(filtered)) = (
+        extract_num(text, "fleet.pot_events"),
+        extract_num(text, "fleet.events"),
+        extract_num(text, "fleet.scan_filtered"),
+    ) {
+        if events + filtered > pot_events {
+            problems.push(format!(
+                "fleet.events {events} + fleet.scan_filtered {filtered} > \
+                 fleet.pot_events {pot_events}"
+            ));
+        }
+    }
+
+    for name in REQUIRED_MAYBE_ZERO {
         if extract_num(text, name).is_none() {
-            problems.push(format!("store instrument {name} missing"));
+            problems.push(format!("instrument {name} missing"));
         }
     }
     match extract_num(text, "store.victims") {
@@ -172,7 +192,7 @@ mod tests {
             };
             s.push_str(&format!("    \"{c}\": {v},\n"));
         }
-        for c in REQUIRED_STORE_INSTRUMENTS {
+        for c in REQUIRED_MAYBE_ZERO {
             s.push_str(&format!("    \"{c}\": 0,\n"));
         }
         s.push_str("    \"store.victims\": 42,\n");
@@ -222,6 +242,16 @@ mod tests {
         let err = validate(&doc).unwrap_err();
         assert!(
             err.contains("telescope.flows_expired 20 != telescope.events 10"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_fleet_funnel_that_adds_events() {
+        let doc = valid_doc().replace("\"fleet.pot_events\": 10", "\"fleet.pot_events\": 9");
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("fleet.events 10 + fleet.scan_filtered 0 > fleet.pot_events 9"),
             "{err}"
         );
     }

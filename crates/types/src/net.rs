@@ -141,7 +141,8 @@ impl Ipv4Cidr {
 
     /// The `i`-th address inside the prefix (wraps modulo prefix size).
     pub fn addr_at(&self, i: u64) -> Ipv4Addr {
-        let offset = (i % self.size()) as u32;
+        // The size is a power of two, so the mask is the modulo.
+        let offset = (i & (self.size() - 1)) as u32;
         Ipv4Addr::from(self.network | offset)
     }
 

@@ -3,8 +3,11 @@
 //! ICMP echo replies and error messages quoting the offending packet), and
 //! the spoofed reflection requests honeypots receive.
 //!
-//! Each builder returns an owned, fully checksummed packet; every builder
-//! has a round-trip test through the checked parser, and `dosscope-telescope`
+//! Each builder returns an owned, fully checksummed packet, and its
+//! `_into` form appends the same bytes to a caller's buffer (the renderer
+//! writes a whole day's backscatter into one arena that way; the
+//! fixed-size packets are built on the stack first). Every builder has a
+//! round-trip test through the checked parser, and `dosscope-telescope`
 //! and `dosscope-amppot` consume these bytes through the same parsers, so
 //! the simulated data path exercises real encode/decode on both ends.
 //!
@@ -30,31 +33,29 @@ use crate::udp::{self, UdpDatagram};
 use dosscope_types::ReflectionProtocol;
 use std::net::Ipv4Addr;
 
-/// Reset `buf` to a zeroed IPv4 shell of `HEADER_LEN + payload_len` bytes
-/// with the header fields below filled in. The buffer's capacity is
-/// reused, so a caller looping over packets allocates only on growth.
-fn ipv4_shell_into(
-    buf: &mut Vec<u8>,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    proto: IpProtocol,
-    ident: u16,
-    payload_len: usize,
-) {
-    let total = ipv4::HEADER_LEN + payload_len;
-    buf.clear();
-    buf.resize(total, 0);
-    let mut ip = Ipv4Packet::new_unchecked(&mut buf[..]);
+/// Backscatter packet sizes: each is built in a stack array of exactly
+/// this many bytes, then appended to the caller's buffer.
+const TCP_LEN: usize = ipv4::HEADER_LEN + tcp::HEADER_LEN;
+const ECHO_LEN: usize = ipv4::HEADER_LEN + icmp::HEADER_LEN + 8;
+/// A quoted packet: IPv4 header + 8 bytes of transport header (RFC 792).
+const QUOTE_LEN: usize = ipv4::HEADER_LEN + 8;
+const UNREACHABLE_LEN: usize = ipv4::HEADER_LEN + icmp::HEADER_LEN + QUOTE_LEN;
+
+/// Write the IPv4 header of the zeroed packet `pkt`, whose total length
+/// is `pkt.len()`. The header checksum is left to [`finish_ip`].
+fn ipv4_header(pkt: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr, proto: IpProtocol, ident: u16) {
+    let total = pkt.len() as u16;
+    let mut ip = Ipv4Packet::new_unchecked(pkt);
     ip.init();
-    ip.set_total_len(total as u16);
+    ip.set_total_len(total);
     ip.set_protocol(proto);
     ip.set_src(src);
     ip.set_dst(dst);
     ip.set_ident(ident);
 }
 
-fn finish_ip(buf: &mut [u8]) {
-    let mut ip = Ipv4Packet::new_unchecked(buf);
+fn finish_ip(pkt: &mut [u8]) {
+    let mut ip = Ipv4Packet::new_unchecked(pkt);
     ip.fill_checksum();
 }
 
@@ -72,7 +73,7 @@ pub fn tcp_syn_ack(
     buf
 }
 
-/// [`tcp_syn_ack`] into a reusable scratch buffer.
+/// [`tcp_syn_ack`], appended to `buf`.
 pub fn tcp_syn_ack_into(
     buf: &mut Vec<u8>,
     victim: Ipv4Addr,
@@ -106,7 +107,7 @@ pub fn tcp_rst(
     buf
 }
 
-/// [`tcp_rst`] into a reusable scratch buffer.
+/// [`tcp_rst`], appended to `buf`.
 pub fn tcp_rst_into(
     buf: &mut Vec<u8>,
     victim: Ipv4Addr,
@@ -136,20 +137,19 @@ fn tcp_response(
     seq: u32,
     flags: TcpFlags,
 ) {
-    ipv4_shell_into(buf, victim, spoofed, IpProtocol::Tcp, seq as u16, tcp::HEADER_LEN);
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[..]);
-        let mut seg = TcpSegment::new_unchecked(ip.payload_mut());
-        seg.init();
-        seg.set_src_port(victim_port);
-        seg.set_dst_port(spoofed_port);
-        seg.set_seq(seq);
-        seg.set_ack(seq.wrapping_add(1));
-        seg.set_flags(flags);
-        seg.set_window(16_384);
-        seg.fill_checksum(victim, spoofed);
-    }
-    finish_ip(buf)
+    let mut pkt = [0u8; TCP_LEN];
+    ipv4_header(&mut pkt, victim, spoofed, IpProtocol::Tcp, seq as u16);
+    let mut seg = TcpSegment::new_unchecked(&mut pkt[ipv4::HEADER_LEN..]);
+    seg.init();
+    seg.set_src_port(victim_port);
+    seg.set_dst_port(spoofed_port);
+    seg.set_seq(seq);
+    seg.set_ack(seq.wrapping_add(1));
+    seg.set_flags(flags);
+    seg.set_window(16_384);
+    seg.fill_checksum(victim, spoofed);
+    finish_ip(&mut pkt);
+    buf.extend_from_slice(&pkt);
 }
 
 /// An ICMP echo reply from the victim of a ping flood to a spoofed source.
@@ -159,7 +159,7 @@ pub fn icmp_echo_reply(victim: Ipv4Addr, spoofed: Ipv4Addr, ident: u16, seq: u16
     buf
 }
 
-/// [`icmp_echo_reply`] into a reusable scratch buffer.
+/// [`icmp_echo_reply`], appended to `buf`.
 pub fn icmp_echo_reply_into(
     buf: &mut Vec<u8>,
     victim: Ipv4Addr,
@@ -167,17 +167,16 @@ pub fn icmp_echo_reply_into(
     ident: u16,
     seq: u16,
 ) {
-    ipv4_shell_into(buf, victim, spoofed, IpProtocol::Icmp, seq, icmp::HEADER_LEN + 8);
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[..]);
-        let mut ic = Icmpv4Packet::new_unchecked(ip.payload_mut());
-        ic.set_message(Icmpv4Message::EchoReply);
-        ic.set_code(0);
-        ic.set_ident(ident);
-        ic.set_seq_no(seq);
-        ic.fill_checksum();
-    }
-    finish_ip(buf)
+    let mut pkt = [0u8; ECHO_LEN];
+    ipv4_header(&mut pkt, victim, spoofed, IpProtocol::Icmp, seq);
+    let mut ic = Icmpv4Packet::new_unchecked(&mut pkt[ipv4::HEADER_LEN..]);
+    ic.set_message(Icmpv4Message::EchoReply);
+    ic.set_code(0);
+    ic.set_ident(ident);
+    ic.set_seq_no(seq);
+    ic.fill_checksum();
+    finish_ip(&mut pkt);
+    buf.extend_from_slice(&pkt);
 }
 
 /// An ICMP destination-unreachable from the victim of a UDP (or other
@@ -208,7 +207,7 @@ pub fn icmp_dest_unreachable(
     buf
 }
 
-/// [`icmp_dest_unreachable`] into a reusable scratch buffer.
+/// [`icmp_dest_unreachable`], appended to `buf`.
 #[allow(clippy::too_many_arguments)]
 pub fn icmp_dest_unreachable_into(
     buf: &mut Vec<u8>,
@@ -219,43 +218,26 @@ pub fn icmp_dest_unreachable_into(
     inner_dst_port: u16,
     code: u8,
 ) {
-    // Quoted packet: IPv4 header + 8 bytes of transport header, per
-    // RFC 792 — a fixed size, so it fits on the stack.
-    const INNER_LEN: usize = ipv4::HEADER_LEN + 8;
-    let mut inner = [0u8; INNER_LEN];
+    let mut pkt = [0u8; UNREACHABLE_LEN];
+    ipv4_header(&mut pkt, victim, spoofed, IpProtocol::Icmp, 0);
     {
-        let mut ip = Ipv4Packet::new_unchecked(&mut inner[..]);
-        ip.init();
-        ip.set_total_len(INNER_LEN as u16);
-        ip.set_protocol(inner_proto);
-        ip.set_src(spoofed);
-        ip.set_dst(victim);
-        ip.fill_checksum();
-        let payload = ip.payload_mut();
-        payload[0..2].copy_from_slice(&inner_src_port.to_be_bytes());
-        payload[2..4].copy_from_slice(&inner_dst_port.to_be_bytes());
+        // The quoted flood packet, built in place behind the ICMP header.
+        let quote = &mut pkt[ipv4::HEADER_LEN + icmp::HEADER_LEN..];
+        ipv4_header(quote, spoofed, victim, inner_proto, 0);
+        finish_ip(quote);
+        let transport = &mut quote[ipv4::HEADER_LEN..];
+        transport[0..2].copy_from_slice(&inner_src_port.to_be_bytes());
+        transport[2..4].copy_from_slice(&inner_dst_port.to_be_bytes());
         if inner_proto == IpProtocol::Udp {
-            payload[4..6].copy_from_slice(&(8u16).to_be_bytes());
+            transport[4..6].copy_from_slice(&(8u16).to_be_bytes());
         }
     }
-
-    ipv4_shell_into(
-        buf,
-        victim,
-        spoofed,
-        IpProtocol::Icmp,
-        0,
-        icmp::HEADER_LEN + INNER_LEN,
-    );
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[..]);
-        let mut ic = Icmpv4Packet::new_unchecked(ip.payload_mut());
-        ic.set_message(Icmpv4Message::DestUnreachable);
-        ic.set_code(code);
-        ic.payload_mut().copy_from_slice(&inner);
-        ic.fill_checksum();
-    }
-    finish_ip(buf)
+    let mut ic = Icmpv4Packet::new_unchecked(&mut pkt[ipv4::HEADER_LEN..]);
+    ic.set_message(Icmpv4Message::DestUnreachable);
+    ic.set_code(code);
+    ic.fill_checksum();
+    finish_ip(&mut pkt);
+    buf.extend_from_slice(&pkt);
 }
 
 /// A spoofed reflection request: UDP datagram carrying the protocol's abuse
@@ -272,7 +254,9 @@ pub fn reflection_request(
     buf
 }
 
-/// [`reflection_request`] into a reusable scratch buffer.
+/// [`reflection_request`], appended to `buf`. The payload's length
+/// varies by protocol, so the packet is built in place at the end of
+/// `buf` rather than on the stack.
 pub fn reflection_request_into(
     buf: &mut Vec<u8>,
     victim: Ipv4Addr,
@@ -282,17 +266,17 @@ pub fn reflection_request_into(
 ) {
     let payload = reflect::request_payload(protocol);
     let udp_len = udp::HEADER_LEN + payload.len();
-    ipv4_shell_into(buf, victim, honeypot, IpProtocol::Udp, 0, udp_len);
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[..]);
-        let mut u = UdpDatagram::new_unchecked(ip.payload_mut());
-        u.set_src_port(victim_port);
-        u.set_dst_port(protocol.port());
-        u.set_len(udp_len as u16);
-        u.payload_mut().copy_from_slice(payload);
-        u.fill_checksum(victim, honeypot);
-    }
-    finish_ip(buf)
+    let start = buf.len();
+    buf.resize(start + ipv4::HEADER_LEN + udp_len, 0);
+    let pkt = &mut buf[start..];
+    ipv4_header(pkt, victim, honeypot, IpProtocol::Udp, 0);
+    let mut u = UdpDatagram::new_unchecked(&mut pkt[ipv4::HEADER_LEN..]);
+    u.set_src_port(victim_port);
+    u.set_dst_port(protocol.port());
+    u.set_len(udp_len as u16);
+    u.payload_mut().copy_from_slice(payload);
+    u.fill_checksum(victim, honeypot);
+    finish_ip(pkt);
 }
 
 #[cfg(test)]
@@ -304,6 +288,75 @@ mod tests {
     }
     fn s() -> Ipv4Addr {
         "45.12.99.3".parse().unwrap()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Known answers: the exact bytes each backscatter builder emits for
+    /// fixed inputs, checksums and IP ident included. The detectors read
+    /// neither the IP checksum nor the ident, so only these pins catch a
+    /// builder that gets them wrong.
+    #[test]
+    fn backscatter_builders_emit_known_bytes() {
+        let cases = [
+            (
+                "SYN/ACK",
+                tcp_syn_ack(v(), 80, s(), 41000, 0xDEAD_BEEF),
+                "45000028beef40004006afc6cb00710a2d0c6303\
+                 0050a028deadbeefdeadbef050124000c8030000",
+            ),
+            (
+                "RST",
+                tcp_rst(v(), 443, s(), 50000, 7),
+                "450000280007400040066eafcb00710a2d0c6303\
+                 01bbc350000000070000000850144000de9b0000",
+            ),
+            (
+                "echo reply",
+                icmp_echo_reply(v(), s(), 9, 11),
+                "45000024000b400040016eb4cb00710a2d0c6303\
+                 0000ffeb0009000b0000000000000000",
+            ),
+            (
+                "unreachable quoting UDP",
+                icmp_dest_unreachable(v(), s(), IpProtocol::Udp, 53111, 27015, 3),
+                "450000380000400040016eabcb00710a2d0c6303\
+                 0303c3f500000000\
+                 4500001c0000400040116eb72d0c6303cb00710acf77698700080000",
+            ),
+            (
+                "unreachable quoting IGMP",
+                icmp_dest_unreachable(v(), s(), IpProtocol::Igmp, 0, 0, 2),
+                "450000380000400040016eabcb00710a2d0c6303\
+                 0302fcfd00000000\
+                 4500001c0000400040026ec62d0c6303cb00710a0000000000000000",
+            ),
+        ];
+        for (what, pkt, want) in cases {
+            assert_eq!(hex(&pkt), want, "{what}");
+        }
+    }
+
+    /// Every `_into` form appends: each packet lands right after the
+    /// ones already in the buffer, which stay untouched.
+    #[test]
+    fn into_builders_append_to_the_buffer() {
+        let mut buf = Vec::new();
+        tcp_syn_ack_into(&mut buf, v(), 80, s(), 41000, 1);
+        tcp_rst_into(&mut buf, v(), 443, s(), 50000, 7);
+        icmp_echo_reply_into(&mut buf, v(), s(), 9, 11);
+        icmp_dest_unreachable_into(&mut buf, v(), s(), IpProtocol::Udp, 53111, 27015, 3);
+        reflection_request_into(&mut buf, v(), 4444, s(), ReflectionProtocol::Ntp);
+        let owned = [
+            tcp_syn_ack(v(), 80, s(), 41000, 1),
+            tcp_rst(v(), 443, s(), 50000, 7),
+            icmp_echo_reply(v(), s(), 9, 11),
+            icmp_dest_unreachable(v(), s(), IpProtocol::Udp, 53111, 27015, 3),
+            reflection_request(v(), 4444, s(), ReflectionProtocol::Ntp),
+        ];
+        assert_eq!(buf, owned.concat());
     }
 
     #[test]

@@ -36,6 +36,7 @@ fn telemetry_counters_are_identical_across_thread_counts() {
         "telescope.events",
         "telescope.flows_expired",
         "fleet.events",
+        "fleet.pot_events",
         "render.telescope_batches",
         "render.honeypot_batches",
         "render.telescope_bytes",
@@ -65,6 +66,13 @@ fn telemetry_counters_are_identical_across_thread_counts() {
     assert_eq!(
         get("telescope.flows_expired"),
         Some(get("telescope.events").unwrap() + world.telescope_stats.flows_filtered)
+    );
+    // The fleet funnel counters report the merged statistics; a run may
+    // scan-filter nothing, but the counter is in the map either way.
+    assert_eq!(get("fleet.pot_events"), Some(world.fleet_stats.pot_events));
+    assert_eq!(
+        get("fleet.scan_filtered"),
+        Some(world.fleet_stats.scan_filtered)
     );
     for threads in [2, 8] {
         let (threaded, _) = run_counters(threads);
