@@ -42,13 +42,20 @@ echo "==> telemetry smoke (repro --smoke --telemetry --threads 1 and 8 + validat
 # A full reduced-scale reproduction with collection on must emit a
 # schema-valid TELEMETRY.json: every pipeline stage span present, every
 # engine counter nonzero, and every worker of both measurement pools
-# (8 threads, or the one inline worker at --threads 1) showing nonzero
-# busy time and queue high-water marks.
+# (8 per pool, or one per pool at --threads 1) showing nonzero busy time
+# and queue high-water marks.
 for threads in 1 8; do
     ./target/release/repro --smoke --telemetry --threads "$threads" --quiet \
         --telemetry-out "$telemetry_out" > /dev/null
     ./target/release/repro --validate-telemetry "$telemetry_out"
 done
+
+echo "==> telemetry at scale 600 (repro --scale 600 --telemetry + validator)"
+# The validator's cross-checks (flow, fleet and botnet funnels, pool
+# conservation) must also hold on a run with more traffic than the smoke.
+./target/release/repro --scale 600 --telemetry --quiet \
+    --telemetry-out "$telemetry_out" > /dev/null
+./target/release/repro --validate-telemetry "$telemetry_out"
 
 echo "==> repro goldens (release stdout cmp'd against tests/golden/repro/)"
 # The full reproduction report and paper comparison at four

@@ -1,6 +1,5 @@
 //! The honeypot-fleet engine every scenario run drives: fleet shards on
-//! the persistent worker pool (one shard, at `threads = 1`, runs on the
-//! caller thread).
+//! the persistent worker pool, one worker per shard at every shard count.
 //!
 //! Request batches are routed by the *victim's* address (the spoofed
 //! source of an abuse request IS the victim) and each shard's
@@ -45,6 +44,7 @@ impl Shard<RequestBatch> for FleetLane {
     type Output = (Vec<AttackEvent>, FleetStats, u64);
 
     fn process<'a>(&mut self, batches: impl Iterator<Item = &'a RequestBatch>) {
+        let _detect = dosscope_obs::span!("stage.detect");
         for b in batches {
             self.fleet.ingest(b);
         }
@@ -58,7 +58,7 @@ impl Shard<RequestBatch> for FleetLane {
 }
 
 /// The fleet engine: N independent fleets over victim shards on one
-/// [`ShardPool`] (one shard runs on the caller thread).
+/// [`ShardPool`].
 pub struct ShardedFleet {
     pool: ShardPool<RequestBatch, FleetLane>,
 }

@@ -1,22 +1,23 @@
 //! The end-to-end scenario: world building, ground-truth generation,
 //! day-by-day rendering, and measurement.
 //!
-//! The rendering and the detection run as a two-stage pipeline over a
-//! bounded channel (`std::thread::scope` + `sync_channel`): one thread
-//! renders day `d+1` while the main thread feeds day `d` into the
-//! detectors — the same overlap a real capture/processing deployment has.
+//! The calling thread renders, routes and dispatches one day at a time;
+//! the detector shards run on the pool workers of the two sharded
+//! engines, behind bounded queues. So the pipeline thread renders day
+//! `d+1` while the workers detect on day `d` — the same overlap a real
+//! capture/processing deployment has.
 
 use dosscope_amppot::honeypot::standard_fleet;
-use dosscope_amppot::{RequestBatch, ShardedFleet};
+use dosscope_amppot::ShardedFleet;
 use dosscope_attackgen::config::Calibration;
 use dosscope_attackgen::{GenConfig, Generator, GroundTruth, MigrationModel, Renderer};
 use dosscope_core::{EventStore, Framework};
 use dosscope_dns::synth::{synthesize, SynthConfig, SynthOutput};
 use dosscope_dps::DpsDataset;
 use dosscope_geo::{AsDb, AsRegistry, GeoDb, RegistryConfig};
-use dosscope_telescope::{PacketBatch, ShardedRsdos, Telescope};
+use dosscope_telescope::{ShardedRsdos, Telescope};
 use dosscope_types::DayIndex;
-use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 
 /// Scenario parameters. `scale` divides every paper-scale quantity; the
 /// default (2000) runs the full 731-day window in seconds of CPU time.
@@ -30,9 +31,9 @@ pub struct ScenarioConfig {
     /// Window length in days (731).
     pub days: u32,
     /// Measurement shards: the detectors are sharded by the full victim
-    /// address, one pool worker per shard; 1 runs the one shard on the
-    /// detection thread itself. The output is byte-identical for any
-    /// value (see DESIGN.md, "Concurrency model").
+    /// address, one pool worker per shard and engine (1 runs one worker
+    /// each). The output is byte-identical for any value (see DESIGN.md,
+    /// "Concurrency model").
     pub threads: usize,
 }
 
@@ -180,6 +181,11 @@ impl Scenario {
         }
         let (botnet_events, botmon_stats) =
             monitor.finish(dosscope_types::SimTime(config.days as u64 * 86_400));
+        dosscope_obs::counter!("botmon.commands").add(botmon_stats.commands);
+        dosscope_obs::counter!("botmon.events").add(botnet_events.len() as u64);
+        dosscope_obs::counter!("botmon.stopped").add(botmon_stats.stopped);
+        dosscope_obs::counter!("botmon.capped").add(botmon_stats.capped);
+        dosscope_obs::counter!("botmon.orphan_stops").add(botmon_stats.orphan_stops);
 
         World {
             registry,
@@ -212,16 +218,14 @@ pub fn renderer<'a>(config: &ScenarioConfig, truth: &'a GroundTruth) -> Renderer
     )
 }
 
-/// Render and route days on a producer thread while the consumer feeds
-/// the detectors: a bounded two-stage pipeline. Each rendered day's
-/// backscatter lives in one shared arena, so handing a day over (and
-/// freeing it on the consumer) costs O(1) allocations, not O(batches).
-/// The producer routes each day by victim address (index lists over one
-/// `Arc`'d chunk — no batch is copied or re-partitioned); the sharded
-/// engines carry the per-shard streams on their pools, which at
-/// `threads = 1` run the one shard on the consumer thread itself.
-/// Victim-keyed detector state makes the single merge at `finish`
-/// byte-identical for any shard count (DESIGN.md, "Concurrency model").
+/// Render, route and dispatch each day on the calling thread, while the
+/// sharded engines' pool workers detect. Each rendered day's backscatter
+/// lives in one shared arena, so handing a day over (and freeing it on a
+/// worker) costs O(1) allocations, not O(batches). Each day is routed by
+/// victim address (index lists over one `Arc`'d chunk — no batch is
+/// copied or re-partitioned). Victim-keyed detector state makes the
+/// single merge at `finish` byte-identical for any shard count
+/// (DESIGN.md, "Concurrency model").
 fn drive_pipelines(
     renderer: &Renderer<'_>,
     telescope: Telescope,
@@ -232,50 +236,34 @@ fn drive_pipelines(
     dosscope_telescope::detector::DetectorStats,
     dosscope_amppot::FleetStats,
 ) {
-    use dosscope_types::Routed;
-    use std::sync::Arc;
-
     let mut rsdos = ShardedRsdos::with_defaults(telescope, threads);
     let mut fleet = ShardedFleet::standard(threads);
-    type DayRouted = (Routed<PacketBatch>, Routed<RequestBatch>);
-    let (tx, rx) = sync_channel::<DayRouted>(4);
-
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let (mut tele_batches, mut hp_batches, mut tele_bytes) = (0u64, 0u64, 0u64);
-            for d in 0..days {
-                let day = DayIndex(d);
-                let (tele, hp) = {
-                    let _render = dosscope_obs::span!("stage.render");
-                    (renderer.telescope_day(day), renderer.honeypot_day(day))
-                };
-                tele_batches += tele.len() as u64;
-                hp_batches += hp.len() as u64;
-                tele_bytes += tele.iter().map(|b| b.bytes.len() as u64).sum::<u64>();
-                let routed = {
-                    let _route = dosscope_obs::span!("stage.route");
-                    (
-                        dosscope_telescope::route_batches(Arc::new(tele), threads),
-                        dosscope_amppot::route_requests(Arc::new(hp), threads),
-                    )
-                };
-                // Waiting for the consumer (back-pressure) is its own span,
-                // so `stage.route` measures routing alone.
-                let _handoff = dosscope_obs::span!("stage.handoff");
-                if tx.send(routed).is_err() {
-                    return;
-                }
-            }
-            dosscope_obs::counter!("render.telescope_batches").add(tele_batches);
-            dosscope_obs::counter!("render.honeypot_batches").add(hp_batches);
-            dosscope_obs::counter!("render.telescope_bytes").add(tele_bytes);
-        });
-        for (tele_routed, hp_routed) in rx.iter() {
-            let _detect = dosscope_obs::span!("stage.detect");
-            rsdos.ingest_routed(tele_routed);
-            fleet.ingest_routed(hp_routed);
-        }
-    });
+    let (mut tele_batches, mut hp_batches, mut tele_bytes) = (0u64, 0u64, 0u64);
+    for d in 0..days {
+        let day = DayIndex(d);
+        let (tele, hp) = {
+            let _render = dosscope_obs::span!("stage.render");
+            (renderer.telescope_day(day), renderer.honeypot_day(day))
+        };
+        tele_batches += tele.len() as u64;
+        hp_batches += hp.len() as u64;
+        tele_bytes += tele.iter().map(|b| b.bytes.len() as u64).sum::<u64>();
+        let (tele_routed, hp_routed) = {
+            let _route = dosscope_obs::span!("stage.route");
+            (
+                dosscope_telescope::route_batches(Arc::new(tele), threads),
+                dosscope_amppot::route_requests(Arc::new(hp), threads),
+            )
+        };
+        // Blocking on a full worker queue (back-pressure) is its own
+        // span, so `stage.route` measures routing alone.
+        let _handoff = dosscope_obs::span!("stage.handoff");
+        rsdos.ingest_routed(tele_routed);
+        fleet.ingest_routed(hp_routed);
+    }
+    dosscope_obs::counter!("render.telescope_batches").add(tele_batches);
+    dosscope_obs::counter!("render.honeypot_batches").add(hp_batches);
+    dosscope_obs::counter!("render.telescope_bytes").add(tele_bytes);
 
     let _fuse = dosscope_obs::span!("stage.fuse");
     let (tele_events, tele_stats, _peak) = rsdos.finish();

@@ -1,7 +1,8 @@
 //! Validation of emitted `TELEMETRY.json` artifacts against the
 //! harness's expectations: the versioned schema marker, every pipeline
-//! stage span, and per-worker pool utilization. The CI gate runs
-//! `repro --smoke --telemetry` at `--threads 1` and `--threads 8` and
+//! stage span, the detection funnels, and per-worker pool utilization
+//! and conservation. The CI gate runs `repro --smoke --telemetry` at
+//! `--threads 1` and `--threads 8`, and `repro --scale 600 --telemetry`,
 //! then `repro --validate-telemetry TELEMETRY.json` on each output.
 
 /// Counters a full scenario run must have incremented.
@@ -25,6 +26,10 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "zone.domains",
     "zone.placements",
     "web.site_records",
+    "botmon.commands",
+    "botmon.events",
+    "botmon.stopped",
+    "botmon.capped",
 ];
 
 /// Instruments that must be *present* (registered) but may legitimately
@@ -32,14 +37,19 @@ const REQUIRED_COUNTERS: &[&str] = &[
 /// the last stored key and were merged at ingest, and
 /// `store.consolidation_rows` the rows those merges rewrote;
 /// `fleet.scan_filtered` counts merged honeypot events at or under the
-/// scan filter's request threshold. A smoke run whose batches all arrive
-/// in time order merges nothing, and its renderer tops marginal events up
-/// past the filter, yet the instruments must export so dashboards can
-/// tell "none" from "not instrumented". `store.victims` is the
-/// interner-size gauge and must be nonzero on any run that ingested
-/// events.
-const REQUIRED_MAYBE_ZERO: &[&str] =
-    &["store.consolidations", "store.consolidation_rows", "fleet.scan_filtered"];
+/// scan filter's request threshold; `botmon.orphan_stops` counts C&C stop
+/// commands with no open attack. A smoke run whose batches all arrive in
+/// time order merges nothing, its renderer tops marginal events up past
+/// the filter, and its command stream stops only attacks it started, yet
+/// the instruments must export so dashboards can tell "none" from "not
+/// instrumented". `store.victims` is the interner-size gauge and must be
+/// nonzero on any run that ingested events.
+const REQUIRED_MAYBE_ZERO: &[&str] = &[
+    "store.consolidations",
+    "store.consolidation_rows",
+    "fleet.scan_filtered",
+    "botmon.orphan_stops",
+];
 
 /// Stage spans a scenario run must have recorded.
 const REQUIRED_SPANS: &[&str] = &[
@@ -56,7 +66,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "report.render",
 ];
 
-/// Pools every scenario run spins up (one inline worker at `--threads 1`).
+/// Pools every scenario run spins up (one worker each at `--threads 1`).
 const REQUIRED_POOLS: &[&str] = &["telescope", "fleet"];
 
 /// Extract the integer following `"name": ` anywhere in the text.
@@ -120,6 +130,28 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
+    // Every botnet event was closed by a stop or by the duration cap, and
+    // every event and every orphan stop consumed a command of its own.
+    if let (Some(commands), Some(events), Some(stopped), Some(capped), Some(orphans)) = (
+        extract_num(text, "botmon.commands"),
+        extract_num(text, "botmon.events"),
+        extract_num(text, "botmon.stopped"),
+        extract_num(text, "botmon.capped"),
+        extract_num(text, "botmon.orphan_stops"),
+    ) {
+        if events != stopped + capped {
+            problems.push(format!(
+                "botmon.events {events} != botmon.stopped {stopped} + botmon.capped {capped}"
+            ));
+        }
+        if events + orphans > commands {
+            problems.push(format!(
+                "botmon.events {events} + botmon.orphan_stops {orphans} > \
+                 botmon.commands {commands}"
+            ));
+        }
+    }
+
     for name in REQUIRED_MAYBE_ZERO {
         if extract_num(text, name).is_none() {
             problems.push(format!("instrument {name} missing"));
@@ -142,6 +174,7 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
+    // Every worker receives every routed chunk: one per dispatch.
     let mut workers_seen = 0u64;
     for pool in REQUIRED_POOLS {
         let workers = extract_num(text, &format!("pool.{pool}.workers")).unwrap_or(0);
@@ -150,7 +183,21 @@ pub fn validate(text: &str) -> Result<String, String> {
             continue;
         }
         workers_seen += workers;
+        let dispatches = extract_num(text, &format!("pool.{pool}.dispatches"));
+        if dispatches.is_none() {
+            problems.push(format!("pool.{pool}.dispatches missing"));
+        }
         for w in 0..workers {
+            match (
+                extract_num(text, &format!("pool.{pool}.w{w}.batches")),
+                dispatches,
+            ) {
+                (Some(b), Some(d)) if b != d => problems.push(format!(
+                    "pool.{pool}.w{w}.batches {b} != pool.{pool}.dispatches {d}"
+                )),
+                (None, _) => problems.push(format!("pool.{pool}.w{w}.batches missing")),
+                _ => {}
+            }
             match extract_num(text, &format!("pool.{pool}.w{w}.busy_us")) {
                 Some(v) if v > 0 => {}
                 _ => problems.push(format!("pool.{pool}.w{w}.busy_us missing or zero")),
@@ -159,6 +206,18 @@ pub fn validate(text: &str) -> Result<String, String> {
                 Some(v) if v > 0 => {}
                 _ => problems.push(format!("pool.{pool}.w{w}.queue_hwm missing or zero")),
             }
+        }
+    }
+
+    // Both engines take one dispatch per rendered day.
+    if let (Some(tele), Some(fleet)) = (
+        extract_num(text, "pool.telescope.dispatches"),
+        extract_num(text, "pool.fleet.dispatches"),
+    ) {
+        if tele != fleet {
+            problems.push(format!(
+                "pool.telescope.dispatches {tele} != pool.fleet.dispatches {fleet}"
+            ));
         }
     }
 
@@ -184,11 +243,12 @@ mod tests {
     fn valid_doc() -> String {
         let mut s = String::from("{\n  \"schema\": \"dosscope-telemetry-v1\",\n");
         for c in REQUIRED_COUNTERS {
-            // Expired flows = events + filtered flows.
-            let v = if *c == "telescope.flows_expired" {
-                20
-            } else {
-                10
+            // Expired flows = events + filtered flows; botnet events =
+            // stopped + capped, within the commands.
+            let v = match *c {
+                "telescope.flows_expired" | "botmon.events" => 20,
+                "botmon.commands" => 30,
+                _ => 10,
             };
             s.push_str(&format!("    \"{c}\": {v},\n"));
         }
@@ -198,7 +258,9 @@ mod tests {
         s.push_str("    \"store.victims\": 42,\n");
         for pool in REQUIRED_POOLS {
             s.push_str(&format!("    \"pool.{pool}.workers\": 2,\n"));
+            s.push_str(&format!("    \"pool.{pool}.dispatches\": 7,\n"));
             for w in 0..2 {
+                s.push_str(&format!("    \"pool.{pool}.w{w}.batches\": 7,\n"));
                 s.push_str(&format!("    \"pool.{pool}.w{w}.busy_us\": 5,\n"));
                 s.push_str(&format!("    \"pool.{pool}.w{w}.queue_hwm\": 1,\n"));
             }
@@ -252,6 +314,52 @@ mod tests {
         let err = validate(&doc).unwrap_err();
         assert!(
             err.contains("fleet.events 10 + fleet.scan_filtered 0 > fleet.pot_events 9"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_botnet_event_neither_stopped_nor_capped() {
+        let doc = valid_doc().replace("\"botmon.capped\": 10", "\"botmon.capped\": 9");
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("botmon.events 20 != botmon.stopped 10 + botmon.capped 9"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_more_botnet_outcomes_than_commands() {
+        let doc = valid_doc().replace("\"botmon.orphan_stops\": 0", "\"botmon.orphan_stops\": 11");
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("botmon.events 20 + botmon.orphan_stops 11 > botmon.commands 30"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_worker_that_missed_a_chunk() {
+        let doc = valid_doc().replace(
+            "\"pool.fleet.w1.batches\": 7",
+            "\"pool.fleet.w1.batches\": 6",
+        );
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("pool.fleet.w1.batches 6 != pool.fleet.dispatches 7"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_engines_with_different_dispatch_counts() {
+        let doc = valid_doc().replace(
+            "\"pool.telescope.dispatches\": 7",
+            "\"pool.telescope.dispatches\": 8",
+        );
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("pool.telescope.dispatches 8 != pool.fleet.dispatches 7"),
             "{err}"
         );
     }

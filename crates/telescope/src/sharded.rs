@@ -1,6 +1,5 @@
 //! The RSDoS engine every scenario run drives: detector shards on the
-//! persistent worker pool (one shard, at `threads = 1`, runs on the
-//! caller thread).
+//! persistent worker pool, one worker per shard at every shard count.
 //!
 //! Batches are routed by the *victim's* address (backscatter is sent by
 //! the victim, so the victim is the packet source) and each shard's
@@ -55,6 +54,7 @@ impl Shard<PacketBatch> for ShardLane {
     type Output = (Vec<AttackEvent>, DetectorStats, u64);
 
     fn process<'a>(&mut self, batches: impl Iterator<Item = &'a PacketBatch>) {
+        let _detect = dosscope_obs::span!("stage.detect");
         for b in batches {
             self.clock.feed(&mut self.plugin, b);
         }
@@ -69,7 +69,7 @@ impl Shard<PacketBatch> for ShardLane {
 }
 
 /// The RSDoS engine: N independent detectors over victim shards on one
-/// [`ShardPool`] (one shard runs on the caller thread).
+/// [`ShardPool`].
 pub struct ShardedRsdos {
     pool: ShardPool<PacketBatch, ShardLane>,
 }

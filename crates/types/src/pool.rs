@@ -2,9 +2,9 @@
 //! honeypot fleet) run on:
 //!
 //! * **one long-lived worker per shard** — [`ShardPool::new`] builds the
-//!   shard states and spawns one worker thread per shard; each worker
-//!   *owns* its shard for its whole life, so state never migrates and
-//!   never needs locking;
+//!   shard states and spawns one worker thread per shard, a one-shard
+//!   pool included; each worker *owns* its shard for its whole life, so
+//!   state never migrates and never needs locking;
 //! * **bounded channels** — each worker has its own
 //!   [`std::sync::mpsc::sync_channel`] of `QUEUE_DEPTH` chunks; a slow
 //!   worker back-pressures the dispatcher instead of letting queues grow
@@ -16,17 +16,12 @@
 //!   vectors;
 //! * **one barrier** — [`ShardPool::shutdown`] drains every queue, joins
 //!   every worker and returns every shard's finished output, so
-//!   per-shard results merge exactly once per run;
-//! * **one shard runs inline** — a one-shard pool (`threads = 1`)
-//!   spawns no thread and has no channel: the caller thread runs the
-//!   same [`Shard::process`]/[`Shard::finish`] calls inside
-//!   [`ShardPool::dispatch`] and [`ShardPool::shutdown`].
+//!   per-shard results merge exactly once per run.
 //!
 //! A panicking shard must fail the run, not hang it: every send failure
 //! is treated as a dead worker, the pool tears all channels down,
 //! joins every thread and re-raises the original panic payload on the
-//! caller thread ([`std::panic::resume_unwind`]); an inline shard's panic
-//! re-raises straight from the `dispatch` that hit it. Dispatching to or
+//! caller thread ([`std::panic::resume_unwind`]). Dispatching to or
 //! shutting down a pool that was already shut down is a bug and panics.
 //!
 //! ## Profiling
@@ -36,15 +31,12 @@
 //! high-water marks. Queue and job counts are always-on relaxed atomics
 //! (a handful per *batch*, never per item); the wall-clock measurements
 //! additionally require `dosscope_obs::enabled()` so the disabled
-//! pipeline never reads the clock. An inline worker's queue depth is 1
-//! while it processes and its idle time is zero: it never waits on a
-//! channel. On shutdown — including the panic-propagation path, so a
-//! failed run still leaves a coherent partial snapshot — the metrics
-//! are published to the global `obs` registry as `pool.<name>.*`
-//! gauges ([`PoolMetricsSnapshot::gauges`] lists them);
-//! [`ShardPool::metrics`] exposes the same numbers directly.
+//! pipeline never reads the clock. On shutdown — including the
+//! panic-propagation path, so a failed run still leaves a coherent
+//! partial snapshot — the metrics are published to the global `obs`
+//! registry as `pool.<name>.*` gauges ([`PoolMetricsSnapshot::gauges`]
+//! lists them); [`ShardPool::metrics`] exposes the same numbers directly.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -52,8 +44,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Bounded per-worker queue depth: one chunk in flight, a few queued —
-/// enough to overlap rendering with detection without unbounded growth.
-const QUEUE_DEPTH: usize = 4;
+/// enough for the pipeline thread to render ahead of detection without
+/// unbounded growth.
+const QUEUE_DEPTH: usize = 8;
 
 /// A chunk of items routed to shards without copying the items: the chunk
 /// itself is shared (`Arc`) and each shard owns a list of indexes into it.
@@ -199,20 +192,6 @@ impl PoolMetricsSnapshot {
     }
 }
 
-impl WorkerMetrics {
-    /// Run one batch through `work`: count it, and time it while
-    /// telemetry is enabled.
-    fn run(&self, work: impl FnOnce()) {
-        let start = dosscope_obs::enabled().then(Instant::now);
-        work();
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = start {
-            self.busy_ns
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-}
-
 impl PoolMetrics {
     fn new(name: &'static str, workers: usize) -> PoolMetrics {
         PoolMetrics {
@@ -293,11 +272,17 @@ impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
                     let wait = dosscope_obs::enabled().then(Instant::now);
                     let Ok(routed) = rx.recv() else { break };
                     wm.queue_len.fetch_sub(1, Ordering::Relaxed);
-                    if let Some(t) = wait {
+                    let start = wait.map(|t| {
                         wm.idle_ns
                             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        Instant::now()
+                    });
+                    shard.process(routed.owned(w));
+                    wm.batches.fetch_add(1, Ordering::Relaxed);
+                    if let Some(t) = start {
+                        wm.busy_ns
+                            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
-                    wm.run(|| shard.process(routed.owned(w)));
                 }
                 shard.finish()
             })
@@ -309,23 +294,13 @@ impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
     }
 }
 
-/// Where a pool's shards run.
-enum Engine<T, S: Shard<T>> {
-    /// Two or more shards, each on its own worker thread behind its own
-    /// channel.
-    Threads(Vec<Lane<T, S>>),
-    /// One shard, run by the caller thread itself inside
-    /// [`ShardPool::dispatch`]. `None` once it was finished or dropped.
-    Inline(Option<S>),
-}
-
 /// The first panic payload a pool caught from a shard.
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
 /// A persistent pool of workers, one per shard state `S`, fed routed
 /// chunks of `T`.
 pub struct ShardPool<T, S: Shard<T>> {
-    engine: Engine<T, S>,
+    lanes: Vec<Lane<T, S>>,
     metrics: Arc<PoolMetrics>,
     down: bool,
 }
@@ -334,25 +309,17 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
     /// Build the pool: `shards` states (each built by `init` on the
     /// calling thread; 0 is treated as 1), each on its own long-lived
     /// worker. `name` identifies the pool in telemetry
-    /// (`pool.<name>.*`). A one-shard pool spawns no thread: the caller
-    /// thread runs the shard inside [`ShardPool::dispatch`] and
-    /// [`ShardPool::shutdown`].
+    /// (`pool.<name>.*`).
     pub fn new(name: &'static str, shards: usize, init: impl FnMut() -> S) -> Self {
         let shards = shards.max(1);
         let metrics = Arc::new(PoolMetrics::new(name, shards));
-        let mut states = std::iter::repeat_with(init).take(shards);
-        let engine = if shards == 1 {
-            Engine::Inline(states.next())
-        } else {
-            Engine::Threads(
-                states
-                    .enumerate()
-                    .map(|(w, shard)| Lane::spawn(w, shard, metrics.clone()))
-                    .collect(),
-            )
-        };
+        let lanes = std::iter::repeat_with(init)
+            .take(shards)
+            .enumerate()
+            .map(|(w, shard)| Lane::spawn(w, shard, metrics.clone()))
+            .collect();
         ShardPool {
-            engine,
+            lanes,
             metrics,
             down: false,
         }
@@ -371,9 +338,8 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
     }
 
     /// Dispatch one chunk, routed for this pool's shard count, to every
-    /// shard. Re-raises a shard's panic, on an inline pool straight from
-    /// this call and on a threaded pool once a send finds the worker
-    /// dead.
+    /// shard. Blocks while a worker's queue is full; re-raises a shard's
+    /// panic once a send finds its worker dead.
     pub fn dispatch(&mut self, routed: Routed<T>) {
         assert!(!self.down, "dispatch on a shard pool that was shut down");
         assert_eq!(
@@ -382,42 +348,20 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
             "chunk routed for a different shard count"
         );
         self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
-        match &mut self.engine {
-            Engine::Inline(slot) => {
-                let shard = slot.as_mut().expect("live inline pool has its shard");
-                let wm = &self.metrics.workers[0];
-                self.metrics.enqueue(0);
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    wm.run(|| shard.process(routed.owned(0)))
-                }));
-                wm.queue_len.fetch_sub(1, Ordering::Relaxed);
-                if let Err(payload) = ran {
-                    // The shard is half-updated: drop it unfinished, as a
-                    // dead worker thread does.
-                    *slot = None;
-                    self.close();
-                    std::panic::resume_unwind(payload);
-                }
+        let routed = Arc::new(routed);
+        let mut dead = false;
+        for (w, lane) in self.lanes.iter().enumerate() {
+            let tx = lane.tx.as_ref().expect("live pool lane has a sender");
+            self.metrics.enqueue(w);
+            if tx.send(routed.clone()).is_err() {
+                dead = true;
             }
-            Engine::Threads(lanes) => {
-                let routed = Arc::new(routed);
-                let mut dead = false;
-                for (w, lane) in lanes.iter().enumerate() {
-                    let tx = lane.tx.as_ref().expect("live pool lane has a sender");
-                    self.metrics.enqueue(w);
-                    if tx.send(routed.clone()).is_err() {
-                        dead = true;
-                    }
-                }
-                if dead {
-                    // A send failed, so a worker is gone — and workers
-                    // only leave by panicking.
-                    let (_, payload) = self.close();
-                    std::panic::resume_unwind(
-                        payload.expect("worker disconnected without panicking"),
-                    );
-                }
-            }
+        }
+        if dead {
+            // A send failed, so a worker is gone — and workers only leave
+            // by panicking.
+            let (_, payload) = self.close();
+            std::panic::resume_unwind(payload.expect("worker disconnected without panicking"));
         }
     }
 
@@ -434,36 +378,24 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
 }
 
 impl<T, S: Shard<T>> ShardPool<T, S> {
-    /// Tear the pool down: close every channel and join every worker, or
-    /// finish the inline shard, then publish the metrics — also on a
-    /// failed run, so it still leaves a coherent (partial) telemetry
-    /// snapshot. Returns the outputs in shard order and the first panic
-    /// payload, if a shard panicked.
+    /// Tear the pool down: close every channel and join every worker,
+    /// then publish the metrics — also on a failed run, so it still
+    /// leaves a coherent (partial) telemetry snapshot. Returns the
+    /// outputs in shard order and the first panic payload, if a shard
+    /// panicked.
     fn close(&mut self) -> (Vec<S::Output>, Option<PanicPayload>) {
         self.down = true;
-        let mut outputs = Vec::with_capacity(self.metrics.workers.len());
+        for lane in self.lanes.iter_mut() {
+            lane.tx = None;
+        }
+        let mut outputs = Vec::with_capacity(self.lanes.len());
         let mut panic_payload = None;
-        match &mut self.engine {
-            Engine::Inline(slot) => {
-                if let Some(shard) = slot.take() {
-                    match catch_unwind(AssertUnwindSafe(|| shard.finish())) {
-                        Ok(out) => outputs.push(out),
-                        Err(payload) => panic_payload = Some(payload),
-                    }
-                }
-            }
-            Engine::Threads(lanes) => {
-                for lane in lanes.iter_mut() {
-                    lane.tx = None;
-                }
-                for lane in lanes.iter_mut() {
-                    if let Some(handle) = lane.handle.take() {
-                        match handle.join() {
-                            Ok(out) => outputs.push(out),
-                            Err(payload) => {
-                                panic_payload.get_or_insert(payload);
-                            }
-                        }
+        for lane in self.lanes.iter_mut() {
+            if let Some(handle) = lane.handle.take() {
+                match handle.join() {
+                    Ok(out) => outputs.push(out),
+                    Err(payload) => {
+                        panic_payload.get_or_insert(payload);
                     }
                 }
             }
@@ -493,6 +425,7 @@ impl<T, S: Shard<T>> Drop for ShardPool<T, S> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread::ThreadId;
 
     /// A shard that records everything it saw plus the thread that
@@ -616,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_pool_runs_on_the_caller_thread() {
+    fn one_shard_pool_runs_on_a_worker_thread() {
         let _t = dosscope_obs::testing::scoped_enable();
         let mut pool = probe_pool(1);
         for chunk in [vec![0, 1, 2, 3, 4], vec![5, 6, 7], vec![8, 9, 10, 11]] {
@@ -624,11 +557,14 @@ mod tests {
         }
         assert_eq!(pool.shards(), 1);
         let outs = pool.shutdown();
-        let here = std::thread::current().id();
-        assert_eq!(outs, vec![((0..12).collect(), 3, Some(here))]);
+        let [(seen, batches, thread)] = &outs[..] else {
+            panic!("one output per shard: {outs:?}")
+        };
+        assert_eq!((seen, *batches), (&(0..12).collect::<Vec<_>>(), 3));
+        // One worker, which is not the caller.
+        assert_ne!(thread.expect("ran"), std::thread::current().id());
 
-        // The inline worker is profiled like a thread: busy time while
-        // it processes, and a queue depth of one per batch.
+        // The lone worker is profiled like any other.
         let mut pool = slow_pool(1, 2);
         for _ in 0..2 {
             pool.dispatch(route(vec![0, 1], 1));
@@ -638,20 +574,8 @@ mod tests {
         let get = |name: &str| gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
         assert_eq!(get("pool.slow.workers"), Some(1));
         assert_eq!(get("pool.slow.w0.batches"), Some(2));
-        assert_eq!(get("pool.slow.w0.queue_hwm"), Some(1));
+        assert!(get("pool.slow.w0.queue_hwm") >= Some(1));
         assert!(get("pool.slow.w0.busy_us").unwrap() >= 4_000);
-    }
-
-    #[test]
-    fn inline_panic_reaches_the_caller_directly() {
-        let mut pool = poison_pool("inline-poison", 1);
-        pool.dispatch(route(vec![1, 2], 1));
-        // The very dispatch carrying the poison raises the panic.
-        let msg = panic_message(|| pool.dispatch(route(vec![13], 1)));
-        assert!(msg.contains("poison item"), "original payload kept: {msg}");
-        let msg = panic_message(|| pool.dispatch(route(vec![3], 1)));
-        assert!(msg.contains("shut down"), "{msg}");
-        assert_eq!(pool.metrics().dispatches, 2);
     }
 
     #[test]
@@ -670,21 +594,27 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        let mut pool = poison_pool("poison", 4);
-        pool.dispatch(route(vec![1, 2, 3], 4));
-        let msg = panic_message(|| {
-            // The poisoned chunk kills one worker; either this dispatch
-            // round or the shutdown must surface the panic — never hang.
-            pool.dispatch(route(vec![13], 4));
-            for i in 0..64 {
-                pool.dispatch(route(vec![i], 4));
-            }
-            pool.shutdown();
-        });
-        assert!(msg.contains("poison item"), "original payload kept: {msg}");
-        // The pool is down but safely reusable as a value: it panics, no UB.
-        let msg = panic_message(|| pool.dispatch(route(vec![1], 4)));
-        assert!(msg.contains("shut down"), "{msg}");
+        for shards in [1, 4] {
+            let mut pool = poison_pool("poison", shards);
+            pool.dispatch(route(vec![1, 2, 3], shards));
+            let msg = panic_message(|| {
+                // The poisoned chunk kills one worker; either this dispatch
+                // round or the shutdown must surface the panic — never hang.
+                pool.dispatch(route(vec![13], shards));
+                for i in 0..64 {
+                    pool.dispatch(route(vec![i], shards));
+                }
+                pool.shutdown();
+            });
+            assert!(
+                msg.contains("poison item"),
+                "{shards} shards: original payload kept: {msg}"
+            );
+            // The pool is down but safely reusable as a value: it panics,
+            // no UB.
+            let msg = panic_message(|| pool.dispatch(route(vec![1], shards)));
+            assert!(msg.contains("shut down"), "{shards} shards: {msg}");
+        }
     }
 
     #[test]

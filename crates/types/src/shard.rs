@@ -30,7 +30,7 @@ fn shard_of_addr(addr: Ipv4Addr, shards: usize) -> usize {
 /// The shard owning a raw IPv4 packet, by its source address — the
 /// victim for both vantage points (backscatter is sent by the victim; an
 /// abuse request spoofs the victim as its source). Routing sits on the
-/// producer's critical path, so this reads the source straight from the
+/// pipeline thread's critical path, so this reads the source straight from the
 /// fixed header offset instead of validating the packet: routing only
 /// needs a deterministic, victim-local assignment, and the shard's
 /// detector re-validates and counts malformed batches. Bytes too short to

@@ -1,9 +1,10 @@
 //! Telemetry counters are part of the serial-equivalence guarantee: the
 //! engine counters (`telescope.*`, `fleet.*`) count domain facts —
 //! batches ingested, flows expired, events emitted — and are published
-//! once from the shard-merged `DetectorStats`/`FleetStats`; the producer
-//! publishes the `render.*` counters once after its last day, and the
-//! set-up publishes the `dps.*` and `zone.*` counters once. So for a fixed seed the
+//! once from the shard-merged `DetectorStats`/`FleetStats`; the pipeline
+//! driver publishes the `render.*` counters once after its last day, the
+//! set-up publishes the `dps.*` and `zone.*` counters once, and the
+//! botnet monitor its `botmon.*` funnel once. So for a fixed seed the
 //! whole counter map must be identical for any thread count.
 //!
 //! This lives in its own test binary on purpose: the counter registry is
@@ -42,6 +43,8 @@ fn telemetry_counters_are_identical_across_thread_counts() {
         "render.telescope_bytes",
         "dps.protected_domains",
         "dps.intervals",
+        "botmon.commands",
+        "botmon.events",
     ] {
         assert!(
             serial.iter().any(|(n, v)| n == required && *v > 0),
@@ -74,6 +77,13 @@ fn telemetry_counters_are_identical_across_thread_counts() {
         get("fleet.scan_filtered"),
         Some(world.fleet_stats.scan_filtered)
     );
+    // The botnet monitor's funnel reports its statistics and events.
+    let botmon = &world.botmon_stats;
+    assert_eq!(get("botmon.commands"), Some(botmon.commands));
+    assert_eq!(get("botmon.events"), Some(world.botnet_events.len() as u64));
+    assert_eq!(get("botmon.stopped"), Some(botmon.stopped));
+    assert_eq!(get("botmon.capped"), Some(botmon.capped));
+    assert_eq!(get("botmon.orphan_stops"), Some(botmon.orphan_stops));
     for threads in [2, 8] {
         let (threaded, _) = run_counters(threads);
         assert_eq!(
@@ -84,7 +94,7 @@ fn telemetry_counters_are_identical_across_thread_counts() {
 }
 
 /// `threads = 1` drives the same sharded engines as any other thread
-/// count (one inline shard each), so its telemetry carries the peak
+/// count (one pool worker each), so its telemetry carries the peak
 /// working-set gauges and both pools' profiles too.
 #[test]
 fn single_thread_run_registers_peak_and_pool_gauges() {
