@@ -2,7 +2,7 @@
 //! state.
 
 use crate::honeypot::HoneypotId;
-use dosscope_types::{ReflectionProtocol, SharedBytes, SimTime};
+use dosscope_types::{LastActive, ReflectionProtocol, SharedBytes, SimTime};
 use std::net::Ipv4Addr;
 
 /// A batch of `count` identical spoofed requests received by one honeypot
@@ -54,19 +54,9 @@ pub(crate) struct PotEvent {
     pub last: SimTime,
     pub requests: u64,
     pub bytes: u64,
-    /// Last-activity wheel bucket this event is registered under
-    /// (`u64::MAX` = not registered yet); owned by the fleet's idle sweep.
-    pub bucket: u64,
 }
 
 impl PotEvent {
-    /// The honeypot that recorded this event (used by diagnostics and the
-    /// per-region tests).
-    #[allow(dead_code)]
-    pub(crate) fn honeypot(&self) -> HoneypotId {
-        self.honeypot
-    }
-
     pub(crate) fn new(
         victim: Ipv4Addr,
         protocol: ReflectionProtocol,
@@ -81,13 +71,13 @@ impl PotEvent {
             last: ts,
             requests: 0,
             bytes: 0,
-            bucket: u64::MAX,
         }
     }
+}
 
-    #[allow(dead_code)]
-    pub(crate) fn duration_secs(&self) -> u64 {
-        self.last.secs() - self.first.secs()
+impl LastActive for PotEvent {
+    fn last_active(&self) -> SimTime {
+        self.last
     }
 }
 

@@ -5,11 +5,10 @@
 use crate::event::{PotEvent, RequestBatch};
 use crate::honeypot::{standard_fleet, Honeypot, HoneypotId};
 use dosscope_types::{
-    AttackEvent, AttackVector, FastMap, ReflectionProtocol, SharedBytes, SimTime, TimeRange,
-    SECS_PER_HOUR,
+    AttackEvent, AttackVector, FastMap, IdleMap, ReflectionProtocol, SharedBytes, SimTime,
+    TimeRange, SECS_PER_HOUR,
 };
 use dosscope_wire::{reflect, IpProtocol, Ipv4Packet, UdpDatagram};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Key of an open per-honeypot event.
@@ -110,26 +109,21 @@ impl std::ops::AddAssign for FleetStats {
 pub struct AmpPotFleet {
     config: FleetConfig,
     honeypots: Vec<Honeypot>,
-    /// Open per-(victim, protocol, honeypot) events.
-    open: FastMap<OpenKey, PotEvent>,
-    /// Coarse last-activity wheel over `open`: bucket index
-    /// (`last.secs() / granularity`) → keys active in that bucket. Stale
-    /// entries (the event moved on or was replaced) are dropped lazily by
-    /// comparing against the event's authoritative `bucket` field.
-    buckets: BTreeMap<u64, Vec<OpenKey>>,
-    /// Wheel bucket width in seconds (≤ idle timeout).
-    granularity: u64,
+    /// Open per-(victim, protocol, honeypot) events, with wheel buckets of
+    /// at most an hour.
+    open: IdleMap<OpenKey, PotEvent>,
     /// Hour of the last idle sweep; ingestion is time-ordered, so crossing
     /// an hour boundary is the trigger to expire idle open events.
     swept_hour: u64,
     /// Parse memo keyed by the representative's (start address, length).
-    /// The renderer builds one [`SharedBytes`] packet per (attack,
-    /// honeypot) and shares it across every batch, so each representative
-    /// is parsed and classified once instead of once per batch. The length
-    /// is part of the key because two views of one buffer can start at the
-    /// same address and end at different places. The stored clone pins the
-    /// buffer, so an address can never be reused by different bytes while
-    /// its entry lives.
+    /// The renderer appends one representative packet per (attack-day,
+    /// honeypot) to the day's honeypot arena and hands every batch a view
+    /// of it, so each representative is parsed and classified once instead
+    /// of once per batch. The length is part of the key because two views
+    /// of one buffer can start at the same address and end at different
+    /// places. The stored clone pins the buffer it views (for rendered
+    /// batches, that day's whole honeypot arena), so an address can never
+    /// be reused by different bytes while its entry lives.
     parse_memo: FastMap<(usize, usize), (SharedBytes, Classified)>,
     closed: Vec<PotEvent>,
     stats: FleetStats,
@@ -146,9 +140,7 @@ impl AmpPotFleet {
         AmpPotFleet {
             config,
             honeypots,
-            open: FastMap::default(),
-            buckets: BTreeMap::new(),
-            granularity: config.idle_timeout_secs.clamp(1, SECS_PER_HOUR),
+            open: IdleMap::new(config.idle_timeout_secs, SECS_PER_HOUR),
             swept_hour: 0,
             parse_memo: FastMap::default(),
             closed: Vec::new(),
@@ -177,7 +169,9 @@ impl AmpPotFleet {
         let hour = batch.ts.secs() / SECS_PER_HOUR;
         if hour > self.swept_hour {
             self.swept_hour = hour;
-            self.sweep_idle(batch.ts);
+            let idle = self.open.sweep(batch.ts);
+            self.stats.pot_events += idle.len() as u64;
+            self.closed.extend(idle);
         }
         let key = (batch.bytes.as_slice().as_ptr() as usize, batch.bytes.len());
         let classified = match self.parse_memo.get(&key) {
@@ -217,8 +211,7 @@ impl AmpPotFleet {
         let config = self.config;
         let entry = self
             .open
-            .entry(key)
-            .or_insert_with(|| PotEvent::new(victim, protocol, batch.honeypot, batch.ts));
+            .get_or_insert_with(key, || PotEvent::new(victim, protocol, batch.honeypot, batch.ts));
         // Close on idle gap or on the 24 h duration cap.
         let idle = batch.ts.secs() > entry.last.secs() + config.idle_timeout_secs;
         let capped = batch.ts.secs() - entry.first.secs() >= config.max_event_secs;
@@ -233,48 +226,6 @@ impl AmpPotFleet {
         entry.last = entry.last.max(batch.ts);
         entry.requests += batch.count as u64;
         entry.bytes += batch.total_bytes();
-        // Keep the wheel current: (re-)register the key when the event's
-        // last activity moved to a new bucket.
-        let bucket = entry.last.secs() / self.granularity;
-        if bucket != entry.bucket {
-            entry.bucket = bucket;
-            self.buckets.entry(bucket).or_default().push(key);
-        }
-    }
-
-    /// Close every open event whose idle gap has elapsed as of `now`.
-    /// Visits only wheel buckets old enough to possibly hold idle events
-    /// (O(expired), not O(open)); the newest such bucket is checked
-    /// entry-by-entry and re-inserted if anything in it is still live.
-    fn sweep_idle(&mut self, now: SimTime) {
-        while let Some((&bucket, _)) = self.buckets.first_key_value() {
-            if now.secs() <= bucket.saturating_mul(self.granularity) + self.config.idle_timeout_secs
-            {
-                break;
-            }
-            let (_, keys) = self.buckets.pop_first().expect("checked non-empty");
-            let mut keep = Vec::new();
-            for key in keys {
-                let Some(e) = self.open.get(&key) else {
-                    continue; // stale: event closed and not re-opened
-                };
-                if e.bucket != bucket {
-                    continue; // stale: event saw newer activity
-                }
-                if now.secs() > e.last.secs() + self.config.idle_timeout_secs {
-                    let finished = self.open.remove(&key).expect("present above");
-                    self.stats.pot_events += 1;
-                    self.closed.push(finished);
-                } else {
-                    keep.push(key);
-                }
-            }
-            if !keep.is_empty() {
-                // Later buckets hold strictly newer activity: done.
-                self.buckets.insert(bucket, keep);
-                break;
-            }
-        }
     }
 
     /// Number of currently open per-honeypot events (bench telemetry).
@@ -286,7 +237,7 @@ impl AmpPotFleet {
     /// fleet events, filter scans and return attack events sorted by start
     /// time.
     pub fn finish(mut self) -> (Vec<AttackEvent>, FleetStats) {
-        let open: Vec<PotEvent> = self.open.drain().map(|(_, e)| e).collect();
+        let open: Vec<PotEvent> = self.open.drain().collect();
         self.stats.pot_events += open.len() as u64;
         self.closed.extend(open);
 

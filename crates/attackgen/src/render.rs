@@ -15,9 +15,9 @@
 //! observers, so the byte path is exercised end to end. Rendering is
 //! deterministic per (seed, day): each attack-day derives its own RNG.
 //!
-//! A day's backscatter packets are appended straight into one arena and
-//! frozen into a single shared buffer; both sides then put the day in
-//! timestamp order (ties in render order) with a linear-time radix sort.
+//! Each side appends a day's packets straight into one arena, frozen into
+//! a single shared buffer, and puts the day in timestamp order (ties in
+//! render order) with a linear-time radix sort.
 
 use crate::model::{GroundTruth, GtKind, GtPorts};
 use dosscope_amppot::{HoneypotId, RequestBatch};
@@ -91,7 +91,8 @@ impl<'a> Renderer<'a> {
         // Rough reservation: a short attack emits a handful of batches;
         // marathon ones grow the vectors a few times — still far fewer
         // reallocations than starting empty.
-        let mut day_out = DayArena::with_batches(indices.len() * 16);
+        // Backscatter packets are 40–56 bytes.
+        let mut day_out = DayArena::with_capacity(indices.len() * 16, indices.len() * 16 * 48);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
             if let GtKind::RandomSpoofed {
@@ -113,7 +114,7 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        day_out.freeze()
+        day_out.freeze(|ts, count, (), packet| PacketBatch::repeated(ts, count, packet))
     }
 
     /// The wall minute designated as the attack's peak: the first minute
@@ -131,7 +132,7 @@ impl<'a> Renderer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn render_backscatter(
         &self,
-        out: &mut DayArena,
+        out: &mut DayArena<()>,
         rng: &mut SmallRng,
         victim: Ipv4Addr,
         window: TimeRange,
@@ -199,8 +200,7 @@ impl<'a> Renderer<'a> {
                     GtPorts::Multi(list) => list[rng.gen_range(0..list.len())],
                     GtPorts::None => 0,
                 };
-                let buf = &mut out.bytes;
-                match proto {
+                let packet = out.append(|buf| match proto {
                     TransportProto::Tcp => {
                         if rng.gen_bool(0.75) {
                             builder::tcp_syn_ack_into(
@@ -236,8 +236,8 @@ impl<'a> Renderer<'a> {
                         0,
                         2,
                     ),
-                }
-                out.push(ts, count as u32);
+                });
+                out.push(ts, count as u32, (), packet);
                 if remaining == 0 {
                     break;
                 }
@@ -255,7 +255,7 @@ impl<'a> Renderer<'a> {
         let Some(indices) = self.day_index.get(day.0 as usize) else {
             return Vec::new();
         };
-        let mut out = DayRequests::with_batches(indices.len() * 16);
+        let mut out = DayArena::with_capacity(indices.len() * 16, 0);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
             if let GtKind::Reflection {
@@ -277,13 +277,13 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        out.freeze()
+        out.freeze(|ts, count, pot, packet| RequestBatch::repeated(pot, ts, count, packet))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn render_requests(
         &self,
-        out: &mut DayRequests,
+        out: &mut DayArena<HoneypotId>,
         rng: &mut SmallRng,
         victim: Ipv4Addr,
         window: TimeRange,
@@ -303,8 +303,8 @@ impl<'a> Renderer<'a> {
         // source port is drawn per batch regardless (the RNG stream is
         // pinned by the determinism and golden tests) but only the first
         // draw is rendered; the fleet never reads the source port. Each
-        // slot holds the index of the pot's representative in `out.reps`.
-        let mut representatives: Vec<Option<u32>> = vec![None; pots.len()];
+        // slot holds the byte range of the pot's representative in `out`.
+        let mut representatives: Vec<Option<(u32, u32)>> = vec![None; pots.len()];
         let whole_event_today = day_range.start <= window.start && window.end <= day_range.end;
         let mut emitted_today = 0u64;
         let first_minute = active.start.minute();
@@ -337,11 +337,11 @@ impl<'a> Renderer<'a> {
                 let src_port = rng.gen_range(1024..65535);
                 let rep = *representatives[pi].get_or_insert_with(|| {
                     let pot_addr = self.honeypot_addrs[pot as usize % self.honeypot_addrs.len()];
-                    out.push_rep(builder::reflection_request(
-                        victim, src_port, pot_addr, protocol,
-                    ))
+                    out.append(|buf| {
+                        builder::reflection_request_into(buf, victim, src_port, pot_addr, protocol)
+                    })
                 });
-                out.batches.push((ts, count as u32, HoneypotId(pot), rep));
+                out.push(ts, count as u32, HoneypotId(pot), rep);
                 emitted_today += count;
                 last_batch = Some(out.batches.len() - 1);
             }
@@ -357,74 +357,46 @@ impl<'a> Renderer<'a> {
     }
 }
 
-/// One day's backscatter under construction: the packet builders append
-/// straight to `bytes`, and `batches` records where each packet landed.
+/// One day of either stream under construction: the packet builders
+/// append straight to `bytes`, and `batches` records, per batch, the byte
+/// range of its packet (several batches may view one packet).
 /// [`DayArena::freeze`] turns the arena into one shared buffer.
-struct DayArena {
+struct DayArena<Tag> {
     bytes: Vec<u8>,
-    /// (timestamp, repeat count, start, end) per batch, in render order.
-    batches: Vec<(SimTime, u32, u32, u32)>,
+    /// (timestamp, repeat count, tag, start, end) per batch, in render
+    /// order.
+    batches: Vec<(SimTime, u32, Tag, u32, u32)>,
 }
 
-impl DayArena {
-    fn with_batches(batches: usize) -> DayArena {
+impl<Tag: Copy> DayArena<Tag> {
+    fn with_capacity(batches: usize, bytes: usize) -> DayArena<Tag> {
         DayArena {
-            // Backscatter packets are 40–56 bytes.
-            bytes: Vec::with_capacity(batches * 48),
+            bytes: Vec::with_capacity(bytes),
             batches: Vec::with_capacity(batches),
         }
     }
 
-    /// Record the bytes appended since the previous batch as one batch.
-    fn push(&mut self, ts: SimTime, count: u32) {
-        let start = self.batches.last().map_or(0, |b| b.3);
-        self.batches.push((ts, count, start, self.bytes.len() as u32));
+    /// Append one packet with `build`; returns its byte range.
+    fn append(&mut self, build: impl FnOnce(&mut Vec<u8>)) -> (u32, u32) {
+        let start = self.bytes.len() as u32;
+        build(&mut self.bytes);
+        (start, self.bytes.len() as u32)
     }
 
-    /// Freeze the arena into one buffer and hand every batch a view of
-    /// it, sorted by timestamp (ties keep render order).
-    fn freeze(self) -> Vec<PacketBatch> {
+    /// Record one batch viewing the packet at `(start, end)`.
+    fn push(&mut self, ts: SimTime, count: u32, tag: Tag, (start, end): (u32, u32)) {
+        self.batches.push((ts, count, tag, start, end));
+    }
+
+    /// Freeze the arena into one buffer and build every batch from its
+    /// record and a view of its packet, sorted by timestamp (ties keep
+    /// render order).
+    fn freeze<B>(self, batch: impl Fn(SimTime, u32, Tag, SharedBytes) -> B) -> Vec<B> {
         let arena = SharedBytes::new(self.bytes);
         ts_order(self.batches, |b| b.0)
             .iter()
-            .map(|&(ts, count, start, end)| {
-                PacketBatch::repeated(ts, count, arena.slice(start as usize..end as usize))
-            })
-            .collect()
-    }
-}
-
-/// One day's honeypot requests under construction: one shared
-/// representative packet per (attack-day, pot) in `reps`, and per batch a
-/// compact record naming its representative.
-struct DayRequests {
-    reps: Vec<SharedBytes>,
-    /// (timestamp, repeat count, honeypot, index into `reps`) per batch,
-    /// in render order.
-    batches: Vec<(SimTime, u32, HoneypotId, u32)>,
-}
-
-impl DayRequests {
-    fn with_batches(batches: usize) -> DayRequests {
-        DayRequests {
-            reps: Vec::new(),
-            batches: Vec::with_capacity(batches),
-        }
-    }
-
-    /// Keep `packet` as a representative; returns its index.
-    fn push_rep(&mut self, packet: Vec<u8>) -> u32 {
-        self.reps.push(SharedBytes::from(packet));
-        self.reps.len() as u32 - 1
-    }
-
-    /// The day's request batches, sorted by timestamp (ties keep render
-    /// order).
-    fn freeze(self) -> Vec<RequestBatch> {
-        ts_order(self.batches, |b| b.0)
-            .iter()
-            .map(|&(ts, count, pot, rep)| {
-                RequestBatch::repeated(pot, ts, count, self.reps[rep as usize].clone())
+            .map(|&(ts, count, tag, start, end)| {
+                batch(ts, count, tag, arena.slice(start as usize..end as usize))
             })
             .collect()
     }
@@ -487,7 +459,7 @@ fn probabilistic_round(rng: &mut SmallRng, x: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::model::{Episode, GtAttack};
-    use dosscope_types::{ReflectionProtocol, TimeRange};
+    use dosscope_types::{FastSet, ReflectionProtocol, TimeRange};
 
     fn truth_with(attacks: Vec<GtAttack>) -> GroundTruth {
         GroundTruth {
@@ -660,9 +632,26 @@ mod tests {
         }
     }
 
-    /// The telescope counterpart of the test above: every batch of a day
-    /// views one arena, so the day's packets tile a single buffer end to
-    /// end, whatever the attacks and protocols rendered that day.
+    /// The distinct packets the batches view tile one contiguous buffer
+    /// end to end.
+    fn assert_one_buffer(batches: impl Iterator<Item = SharedBytes>) {
+        let mut spans: Vec<(usize, usize)> = batches
+            .map(|b| {
+                let s = b.as_slice();
+                (s.as_ptr() as usize, s.len())
+            })
+            .collect();
+        spans.sort_unstable();
+        spans.dedup();
+        assert!(
+            spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
+            "batch bytes tile one contiguous buffer"
+        );
+    }
+
+    /// Both sides render a day into one arena: the day's packets tile a
+    /// single buffer, whatever the attacks and protocols rendered that
+    /// day (on the honeypot side, one representative per attack and pot).
     #[test]
     fn telescope_batches_view_one_day_arena() {
         let mut udp = tele_attack(4000, 2400, 30.0);
@@ -672,22 +661,27 @@ mod tests {
             ports: GtPorts::Multi(vec![53, 123]),
             peak_pps: 30.0,
         };
-        let truth = truth_with(vec![tele_attack(1000, 3000, 4.0), udp]);
+        let mut dns = hp_attack(1500, 3000, 2.0);
+        dns.target = "198.51.100.9".parse().unwrap();
+        dns.kind = GtKind::Reflection {
+            protocol: ReflectionProtocol::Dns,
+            fleet_rate: 2.0,
+            pots: vec![5, 6],
+        };
+        let truth = truth_with(vec![
+            tele_attack(1000, 3000, 4.0),
+            udp,
+            hp_attack(2000, 3000, 2.0),
+            dns,
+        ]);
         let r = Renderer::new(&truth, Telescope::default_slash8(), fleet_addrs(), 7, 2);
         let batches = r.telescope_day(DayIndex(0));
         assert!(batches.len() > 100, "two long attacks yield many batches");
-        let mut spans: Vec<(usize, usize)> = batches
-            .iter()
-            .map(|b| {
-                let s = b.bytes.as_slice();
-                (s.as_ptr() as usize, s.len())
-            })
-            .collect();
-        spans.sort_unstable();
-        assert!(
-            spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
-            "batch bytes tile one contiguous buffer"
-        );
+        assert_one_buffer(batches.into_iter().map(|b| b.bytes));
+        let requests = r.honeypot_day(DayIndex(0));
+        let packets: FastSet<_> = requests.iter().map(|b| b.bytes.as_slice().as_ptr()).collect();
+        assert_eq!(packets.len(), 6, "one representative per attack and pot");
+        assert_one_buffer(requests.into_iter().map(|b| b.bytes));
     }
 
     /// Timestamps of a hand-built day: 300 batches over five seconds,
@@ -698,12 +692,12 @@ mod tests {
 
     #[test]
     fn day_arena_freeze_keeps_render_order_on_ties() {
-        let mut arena = DayArena::with_batches(0);
+        let mut arena = DayArena::with_capacity(0, 0);
         let mut reference = Vec::new();
         for (i, ts) in tied_times().into_iter().enumerate() {
             let packet = (i as u16).to_be_bytes();
-            arena.bytes.extend_from_slice(&packet);
-            arena.push(ts, i as u32 + 1);
+            let range = arena.append(|buf| buf.extend_from_slice(&packet));
+            arena.push(ts, i as u32 + 1, (), range);
             reference.push(PacketBatch::repeated(
                 ts,
                 i as u32 + 1,
@@ -711,25 +705,33 @@ mod tests {
             ));
         }
         reference.sort_by_key(|b| b.ts);
-        assert_eq!(arena.freeze(), reference);
+        assert_eq!(
+            arena.freeze(|ts, count, (), packet| PacketBatch::repeated(ts, count, packet)),
+            reference
+        );
     }
 
+    /// The honeypot side's use of the arena: many batches view one shared
+    /// representative.
     #[test]
     fn honeypot_batches_keep_render_order_on_ties() {
-        let mut day = DayRequests::with_batches(0);
-        let rep = day.push_rep(vec![1, 2, 3]);
+        let mut day = DayArena::with_capacity(0, 0);
+        let rep = day.append(|buf| buf.extend_from_slice(&[1, 2, 3]));
         let mut reference = Vec::new();
         for (i, ts) in tied_times().into_iter().enumerate() {
-            day.batches.push((ts, i as u32 + 1, HoneypotId(i as u8), rep));
+            day.push(ts, i as u32 + 1, HoneypotId(i as u8), rep);
             reference.push(RequestBatch::repeated(
                 HoneypotId(i as u8),
                 ts,
                 i as u32 + 1,
-                day.reps[0].clone(),
+                vec![1, 2, 3],
             ));
         }
         reference.sort_by_key(|b| b.ts);
-        assert_eq!(day.freeze(), reference);
+        assert_eq!(
+            day.freeze(|ts, count, pot, packet| RequestBatch::repeated(pot, ts, count, packet)),
+            reference
+        );
     }
 
     /// `ts_order` is exactly a stable sort by timestamp on random days:

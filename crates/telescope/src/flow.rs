@@ -3,8 +3,7 @@
 //! inactivity (the paper's conservative timeout).
 
 use crate::classify::Backscatter;
-use dosscope_types::{FastMap, FastSet, SimTime, TransportProto, SECS_PER_MINUTE};
-use std::collections::BTreeMap;
+use dosscope_types::{FastSet, IdleMap, LastActive, SimTime, TransportProto, SECS_PER_MINUTE};
 use std::net::Ipv4Addr;
 
 /// Cap on the exact distinct-port set; beyond this the count saturates
@@ -51,10 +50,6 @@ pub struct Flow {
     cur_minute_count: u64,
     /// Highest per-minute packet count seen.
     max_minute_count: u64,
-    /// The expiry-wheel bucket this flow is registered in (`u64::MAX`
-    /// until first registered). Entries in older wheel buckets are stale
-    /// and skipped by `sweep`.
-    bucket: u64,
 }
 
 impl Flow {
@@ -76,7 +71,6 @@ impl Flow {
             cur_minute: ts.minute(),
             cur_minute_count: 0,
             max_minute_count: 0,
-            bucket: u64::MAX,
         }
     }
 
@@ -154,37 +148,25 @@ impl Flow {
     }
 }
 
-/// The victim-keyed flow table with inactivity expiry.
-///
-/// Expiry uses a coarse, lazily-maintained time wheel: a flow registers in
-/// a bucket (width ≤ 60 s) once when it starts, and [`FlowTable::sweep`]
-/// visits only buckets old enough to possibly hold expired flows. A flow
-/// found live there is re-filed under its current activity bucket, so the
-/// wheel costs nothing on the per-packet path and each flow is touched at
-/// most once per timeout window by sweeps — an interval boundary is
-/// O(expired + revisited), never O(live flows). Entries left behind by a
-/// replaced or re-filed flow are recognised as stale (the flow's own
-/// `bucket` field is authoritative) and dropped for free.
+impl LastActive for Flow {
+    fn last_active(&self) -> SimTime {
+        self.last
+    }
+}
+
+/// The victim-keyed flow table with inactivity expiry: an [`IdleMap`]
+/// with wheel buckets of at most a minute, so an interval boundary costs
+/// O(expired + revisited) flows, never O(live flows).
 #[derive(Debug)]
 pub struct FlowTable {
-    flows: FastMap<Ipv4Addr, Flow>,
-    timeout_secs: u64,
-    /// Wheel bucket width in seconds.
-    granularity: u64,
-    /// Last-activity buckets: bucket index → victims whose flows last saw
-    /// traffic in `[index * granularity, (index + 1) * granularity)`.
-    /// Entries may be stale; a `BTreeMap` keeps the oldest bucket first.
-    buckets: BTreeMap<u64, Vec<Ipv4Addr>>,
+    flows: IdleMap<Ipv4Addr, Flow>,
 }
 
 impl FlowTable {
     /// A table with the given inactivity timeout (the paper uses 300 s).
     pub fn new(timeout_secs: u64) -> FlowTable {
         FlowTable {
-            flows: FastMap::default(),
-            timeout_secs,
-            granularity: timeout_secs.clamp(1, 60),
-            buckets: BTreeMap::new(),
+            flows: IdleMap::new(timeout_secs, SECS_PER_MINUTE),
         }
     }
 
@@ -209,93 +191,39 @@ impl FlowTable {
         bytes: u64,
     ) -> Option<Flow> {
         let mut expired = None;
+        let timeout = self.flows.timeout_secs();
         let flow = self
             .flows
-            .entry(b.victim)
-            .or_insert_with(|| Flow::new(b.victim, ts));
-        if ts.secs() > flow.last.secs() + self.timeout_secs {
+            .get_or_insert_with(b.victim, || Flow::new(b.victim, ts));
+        if ts.secs() > flow.last.secs() + timeout {
             expired = Some(std::mem::replace(flow, Flow::new(b.victim, ts)));
         }
         flow.add(b, ts, count, bytes);
-        // Register fresh flows once; `sweep` re-registers a flow that is
-        // still live when its bucket comes up, so the per-packet wheel
-        // cost is a single comparison. (A replacement flow starts with
-        // `bucket == u64::MAX` again; the entry left in the old flow's
-        // bucket is recognised as stale via the authoritative field.)
-        if flow.bucket == u64::MAX {
-            let bucket = flow.last.secs() / self.granularity;
-            flow.bucket = bucket;
-            self.buckets.entry(bucket).or_default().push(b.victim);
-        }
         expired
     }
 
     /// Expire and return every flow idle at `now` (last activity more than
     /// the timeout ago), sorted by victim. Called by the driver at
-    /// interval boundaries. Only wheel buckets old enough to contain
-    /// expired flows are visited, so the cost is O(expired + stale), not
-    /// O(live flows).
+    /// interval boundaries.
     pub fn sweep(&mut self, now: SimTime) -> Vec<Flow> {
-        let mut out = Vec::new();
-        // Live flows found in a visited bucket are re-filed under their
-        // *true* current-activity bucket — possibly at or below the visit
-        // frontier. The insertion is deferred until after the loop so a
-        // bucket cannot be popped twice within one sweep.
-        let mut refile: Vec<(u64, Ipv4Addr)> = Vec::new();
-        while let Some((&bucket, _)) = self.buckets.first_key_value() {
-            // The earliest possible last-activity in this bucket is
-            // `bucket * granularity`; if even that is within the timeout,
-            // no flow here or in any later bucket can be expired.
-            if now.secs() <= bucket.saturating_mul(self.granularity) + self.timeout_secs {
-                break;
-            }
-            let victims = self.buckets.pop_first().expect("checked non-empty").1;
-            for v in victims {
-                match self.flows.get_mut(&v) {
-                    Some(f) if f.bucket == bucket => {
-                        if now.secs() > f.last.secs() + self.timeout_secs {
-                            out.push(self.flows.remove(&v).expect("present above"));
-                        } else {
-                            // Live flow whose activity moved on since it
-                            // was registered: re-file it under its current
-                            // activity bucket. Filing later than the true
-                            // bucket would delay its expiry past the scan's
-                            // (the visit condition assumes last activity
-                            // >= bucket start), so the bucket is exact and
-                            // the insert is deferred.
-                            let fwd = f.last.secs() / self.granularity;
-                            f.bucket = fwd;
-                            refile.push((fwd, v));
-                        }
-                    }
-                    // Stale entry: the flow was replaced or re-filed.
-                    _ => {}
-                }
-            }
-        }
-        for (bucket, v) in refile {
-            self.buckets.entry(bucket).or_default().push(v);
-        }
+        let mut out = self.flows.sweep(now);
         out.sort_by_key(|f| f.victim);
         out
     }
 
-    /// The pre-wheel full-table sweep, kept as the tests' reference
-    /// implementation: scans every live flow. `sweep` returns exactly the
-    /// same flow set, in the same victim order.
+    /// The full-table sweep, kept as the tests' reference implementation:
+    /// checks every live flow. `sweep` returns exactly the same flow set,
+    /// in the same victim order.
     #[cfg(test)]
     fn sweep_scan(&mut self, now: SimTime) -> Vec<Flow> {
-        let timeout = self.timeout_secs;
-        let expired_keys: Vec<Ipv4Addr> = self
+        let timeout = self.flows.timeout_secs();
+        let (mut out, live): (Vec<Flow>, Vec<Flow>) = self
             .flows
-            .iter()
-            .filter(|(_, f)| now.secs() > f.last.secs() + timeout)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut out: Vec<Flow> = expired_keys
-            .into_iter()
-            .map(|k| self.flows.remove(&k).expect("key collected above"))
-            .collect();
+            .drain()
+            .partition(|f| now.secs() > f.last.secs() + timeout);
+        for f in live {
+            self.flows.get_or_insert_with(f.victim, || f);
+        }
         out.sort_by_key(|f| f.victim);
         out
     }
@@ -303,8 +231,7 @@ impl FlowTable {
     /// Finalize and return all remaining flows (end of trace), sorted by
     /// victim.
     pub fn drain(&mut self) -> Vec<Flow> {
-        self.buckets.clear();
-        let mut out: Vec<Flow> = self.flows.drain().map(|(_, f)| f).collect();
+        let mut out: Vec<Flow> = self.flows.drain().collect();
         out.sort_by_key(|f| f.victim);
         out
     }
@@ -447,7 +374,7 @@ mod tests {
     }
 
     /// The bucketed sweep matches the reference full-scan sweep exactly,
-    /// including flows that moved buckets (stale wheel entries).
+    /// including flows whose activity moved past their wheel bucket.
     #[test]
     fn bucketed_sweep_matches_scan_sweep() {
         let mut a = FlowTable::new(300);
@@ -495,7 +422,8 @@ mod tests {
         let mut t = FlowTable::new(300);
         let b = bs("203.0.113.1", Some(80), "44.0.0.1");
         t.offer(&b, SimTime(0), 1, 40);
-        // Replacement in offer leaves the old flow's wheel entry behind.
+        // Replacement in offer keeps the victim filed under the old flow's
+        // wheel bucket.
         let old = t.offer(&b, SimTime(400), 1, 40);
         assert!(old.is_some());
         // Sweeping past the old bucket must not expire the fresh flow.
@@ -515,8 +443,7 @@ mod tests {
     }
 
     /// Everything a swept flow exposes, through its public fields and
-    /// accessors. (`Debug` would also show the private wheel bucket, which
-    /// differs between `sweep` and `sweep_scan` by design.)
+    /// accessors.
     fn summary(f: &Flow) -> impl PartialEq + std::fmt::Debug {
         (
             (f.victim, f.first, f.last),

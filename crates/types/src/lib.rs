@@ -17,6 +17,7 @@
 pub mod bytes;
 pub mod event;
 pub mod fasthash;
+pub mod idle;
 pub mod index;
 pub mod intern;
 pub mod net;
@@ -31,6 +32,7 @@ pub use event::{
     AttackEvent, AttackVector, EventSource, PortSignature, ReflectionProtocol, TransportProto,
 };
 pub use fasthash::{FastBuildHasher, FastMap, FastSet, FxHasher};
+pub use idle::{IdleMap, LastActive};
 pub use index::{BitSet, RunIndex};
 pub use intern::Interner;
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
