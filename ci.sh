@@ -60,8 +60,9 @@ echo "==> telemetry at scale 600 (repro --scale 600 --telemetry + validator)"
 echo "==> repro goldens (release stdout cmp'd against tests/golden/repro/)"
 # The full reproduction report and paper comparison at four
 # configurations must stay byte-identical; the default one is checked at
-# one and two threads. A change that moves a golden on purpose replaces
-# the file and says which lines changed and why.
+# one and two threads, and scale 600 also at eight, where hot /16s split
+# across shards. A change that moves a golden on purpose replaces the
+# file and says which lines changed and why.
 check_repro() {
     local golden="tests/golden/repro/$1"
     shift
@@ -76,6 +77,7 @@ check_repro smoke.txt --smoke
 check_repro scale2000.txt --scale 2000 --threads 1
 check_repro scale2000.txt --scale 2000 --threads 2
 check_repro scale600.txt --scale 600
+check_repro scale600.txt --scale 600 --threads 8
 check_repro scale600-days120.txt --scale 600 --days 120
 
 echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000) + day_batch_ingest"

@@ -237,9 +237,8 @@ impl AmpPotFleet {
     /// fleet events, filter scans and return attack events sorted by start
     /// time.
     pub fn finish(mut self) -> (Vec<AttackEvent>, FleetStats) {
-        let open: Vec<PotEvent> = self.open.drain().collect();
-        self.stats.pot_events += open.len() as u64;
-        self.closed.extend(open);
+        self.stats.pot_events += self.open.len() as u64;
+        self.closed.extend(self.open.drain());
 
         // Group per (victim, protocol).
         let mut groups: FastMap<(Ipv4Addr, ReflectionProtocol), Vec<PotEvent>> =

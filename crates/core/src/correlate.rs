@@ -60,7 +60,6 @@ impl JointAnalysis {
             hp_rows.entry(vid).or_default().push(row as u32);
         }
 
-        let mut common: FastSet<u32> = FastSet::default();
         let mut joint_targets: FastSet<u32> = FastSet::default();
         let mut joint_pairs = 0u64;
         // Joint events, deduplicated by row id (one event can overlap
@@ -74,7 +73,6 @@ impl JointAnalysis {
             let Some(rows) = hp_rows.get(&vid) else {
                 continue;
             };
-            common.insert(vid);
             let (ts, te) = (tele.start[ti], tele.end[ti]);
             let mut tele_is_joint = false;
             for &hi in rows {
@@ -176,7 +174,7 @@ impl JointAnalysis {
         top_countries.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
 
         JointStats {
-            common_targets: common.len() as u64,
+            common_targets: store.common_targets(),
             joint_targets: n_joint,
             joint_pairs,
             single_port_share: share(single, with_ports),

@@ -6,51 +6,27 @@
 //! pipelines; the diagnostic output is identical for any value.
 
 use dosscope_dns::OrgRole;
-use dosscope_harness::cli::{self, Command};
+use dosscope_harness::cli;
 use dosscope_harness::Scenario;
-use dosscope_obs::{obs_debug, obs_error};
+use dosscope_obs::obs_debug;
 use std::collections::{BTreeMap, HashMap};
+use std::io;
+use std::process::ExitCode;
 
-fn main() {
-    let opts = match cli::parse(std::env::args().skip(1)) {
-        Ok(Command::Run(opts)) => opts,
-        Ok(Command::Help) => {
-            eprintln!("{}", cli::usage("diag"));
-            return;
-        }
-        Ok(Command::ValidateTelemetry(path)) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            match dosscope_harness::telemetry::validate(&text) {
-                Ok(summary) => {
-                    println!("{summary}");
-                    return;
-                }
-                Err(problems) => {
-                    eprintln!("{path} failed validation:\n{problems}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Err(msg) => {
-            eprintln!("{msg}\n{}", cli::usage("diag"));
-            std::process::exit(2);
-        }
+fn main() -> ExitCode {
+    let opts = match cli::start(
+        "diag",
+        std::env::args().skip(1),
+        &mut io::stdout(),
+        &mut io::stderr(),
+    ) {
+        Ok(opts) => opts,
+        Err(status) => return status,
     };
 
-    dosscope_obs::log::set_level(dosscope_obs::log::level_from_flags(opts.quiet, opts.verbose));
-    if opts.telemetry {
-        dosscope_obs::set_enabled(true);
-    }
-
-    let config = opts.config;
+    let config = &opts.config;
     obs_debug!("running diagnostic scenario: {config:?}");
-    let world = Scenario::run(&config);
+    let world = Scenario::run(config);
     let mut hits: HashMap<std::net::Ipv4Addr, u32> = HashMap::new();
     for e in world.store.telescope().iter().chain(world.store.honeypot()) {
         *hits.entry(e.target).or_default() += 1;
@@ -128,12 +104,5 @@ fn main() {
         );
     }
 
-    if dosscope_obs::enabled() {
-        let snapshot = dosscope_obs::Telemetry::capture();
-        println!("{}", snapshot.render_ascii());
-        if let Err(e) = std::fs::write(&opts.telemetry_out, snapshot.to_json()) {
-            obs_error!("cannot write {}: {e}", opts.telemetry_out);
-            std::process::exit(1);
-        }
-    }
+    cli::finish(&opts, &mut io::stdout())
 }

@@ -1,11 +1,16 @@
-//! Shared command-line parsing for the harness binaries (`repro`,
-//! `diag`).
+//! Shared command line of the harness binaries (`repro`, `diag`): the
+//! parser, the prologue that answers everything but a run ([`start`]) and
+//! the epilogue that emits telemetry ([`finish`]). Both write to the
+//! streams the binary hands them.
 //!
 //! Every value-taking flag is strict: a missing or non-numeric value is
-//! a hard usage error (the binaries print it to stderr and exit 2),
-//! never a silent fall-through to the default.
+//! a hard usage error (printed to stderr, exit status 2), never a silent
+//! fall-through to the default.
 
-use crate::ScenarioConfig;
+use crate::{telemetry, ScenarioConfig};
+use dosscope_obs::{obs_error, obs_info};
+use std::io::Write;
+use std::process::ExitCode;
 
 /// Scale denominator selected by `--smoke`: the same reduced
 /// configuration the bench smoke mode and `ScenarioConfig::test_small`
@@ -120,6 +125,77 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
         }
     }
     Ok(Command::Run(opts))
+}
+
+/// The prologue of a harness binary: parse `args` (without the program
+/// name), answer `--help` (usage on `err`, status 0) and
+/// `--validate-telemetry PATH` (the verdict on `out`, status 0; problems
+/// on `err`, status 1; an unreadable file, status 2), and reject a
+/// malformed command line (status 2). Returns `Err(status)` when the
+/// binary should exit right away; otherwise applies the log level and the
+/// telemetry switch and returns the options to run with.
+pub fn start(
+    prog: &str,
+    args: impl IntoIterator<Item = String>,
+    out: &mut impl Write,
+    err: &mut impl Write,
+) -> Result<CliOptions, ExitCode> {
+    // A failed write to a standard stream has nowhere to be reported.
+    let status = match parse(args) {
+        Ok(Command::Run(opts)) => {
+            dosscope_obs::log::set_level(dosscope_obs::log::level_from_flags(
+                opts.quiet,
+                opts.verbose,
+            ));
+            if opts.telemetry {
+                dosscope_obs::set_enabled(true);
+            }
+            return Ok(opts);
+        }
+        Ok(Command::Help) => {
+            let _ = writeln!(err, "{}", usage(prog));
+            0
+        }
+        Ok(Command::ValidateTelemetry(path)) => match std::fs::read_to_string(&path) {
+            Err(e) => {
+                let _ = writeln!(err, "cannot read {path}: {e}");
+                2
+            }
+            Ok(text) => match telemetry::validate(&text) {
+                Ok(summary) => {
+                    let _ = writeln!(out, "{summary}");
+                    0
+                }
+                Err(problems) => {
+                    let _ = writeln!(err, "{path} failed validation:\n{problems}");
+                    1
+                }
+            },
+        },
+        Err(msg) => {
+            let _ = writeln!(err, "{msg}\n{}", usage(prog));
+            2
+        }
+    };
+    Err(ExitCode::from(status))
+}
+
+/// The epilogue of a harness binary: with telemetry on, capture it,
+/// append the ASCII dashboard to `out` and write `TELEMETRY.json` to the
+/// `--telemetry-out` path. Returns the binary's exit status: failure if
+/// the file cannot be written.
+pub fn finish(opts: &CliOptions, out: &mut impl Write) -> ExitCode {
+    if !dosscope_obs::enabled() {
+        return ExitCode::SUCCESS;
+    }
+    let snapshot = dosscope_obs::Telemetry::capture();
+    let _ = writeln!(out, "{}", snapshot.render_ascii());
+    if let Err(e) = std::fs::write(&opts.telemetry_out, snapshot.to_json()) {
+        obs_error!("cannot write {}: {e}", opts.telemetry_out);
+        return ExitCode::FAILURE;
+    }
+    obs_info!("telemetry written to {}", opts.telemetry_out);
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

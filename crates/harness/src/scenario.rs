@@ -8,14 +8,14 @@
 //! capture/processing deployment has.
 
 use dosscope_amppot::honeypot::standard_fleet;
-use dosscope_amppot::ShardedFleet;
+use dosscope_amppot::{RequestBatch, ShardedFleet};
 use dosscope_attackgen::config::Calibration;
 use dosscope_attackgen::{GenConfig, Generator, GroundTruth, MigrationModel, Renderer};
 use dosscope_core::{EventStore, Framework};
 use dosscope_dns::synth::{synthesize, SynthConfig, SynthOutput};
 use dosscope_dps::DpsDataset;
 use dosscope_geo::{AsDb, AsRegistry, GeoDb, RegistryConfig};
-use dosscope_telescope::{ShardedRsdos, Telescope};
+use dosscope_telescope::{PacketBatch, ShardedRsdos, Telescope};
 use dosscope_types::DayIndex;
 use std::sync::Arc;
 
@@ -162,8 +162,15 @@ impl Scenario {
 
         // 4. Render observations and drive both measurement pipelines.
         let renderer = renderer(config, &truth);
+        let days = (0..config.days).map(|d| {
+            let _render = dosscope_obs::span!("stage.render");
+            (
+                renderer.telescope_day(DayIndex(d)),
+                renderer.honeypot_day(DayIndex(d)),
+            )
+        });
         let (store, telescope_stats, fleet_stats) =
-            drive_pipelines(&renderer, renderer.telescope(), config.days, config.threads);
+            drive_pipelines(days, renderer.telescope(), config.threads);
 
         // The third data source: botnet C&C monitoring (Section 8
         // extension). Commands are generated from the same ground truth
@@ -218,18 +225,19 @@ pub fn renderer<'a>(config: &ScenarioConfig, truth: &'a GroundTruth) -> Renderer
     )
 }
 
-/// Render, route and dispatch each day on the calling thread, while the
-/// sharded engines' pool workers detect. Each rendered day's backscatter
-/// lives in one shared arena, so handing a day over (and freeing it on a
-/// worker) costs O(1) allocations, not O(batches). Each day is routed by
-/// victim address (index lists over one `Arc`'d chunk — no batch is
-/// copied or re-partitioned). Victim-keyed detector state makes the
-/// single merge at `finish` byte-identical for any shard count
-/// (DESIGN.md, "Concurrency model").
-fn drive_pipelines(
-    renderer: &Renderer<'_>,
+/// Take each day's time-ordered telescope and honeypot batches from
+/// `days` (for [`Scenario::run`], the renderer), route and dispatch them
+/// on the calling thread while the sharded engines' pool workers detect,
+/// and fuse both engines' events into one store. A rendered day's
+/// packets live in one shared arena per stream, so handing a day over
+/// (and freeing it on a worker) costs O(1) allocations, not O(batches).
+/// Each day is routed by victim address (index lists over one `Arc`'d
+/// chunk — no batch is copied or re-partitioned). Victim-keyed detector
+/// state makes the single merge at `finish` byte-identical for any shard
+/// count (DESIGN.md, "Concurrency model").
+pub fn drive_pipelines(
+    days: impl IntoIterator<Item = (Vec<PacketBatch>, Vec<RequestBatch>)>,
     telescope: Telescope,
-    days: u32,
     threads: usize,
 ) -> (
     EventStore,
@@ -239,12 +247,7 @@ fn drive_pipelines(
     let mut rsdos = ShardedRsdos::with_defaults(telescope, threads);
     let mut fleet = ShardedFleet::standard(threads);
     let (mut tele_batches, mut hp_batches, mut tele_bytes) = (0u64, 0u64, 0u64);
-    for d in 0..days {
-        let day = DayIndex(d);
-        let (tele, hp) = {
-            let _render = dosscope_obs::span!("stage.render");
-            (renderer.telescope_day(day), renderer.honeypot_day(day))
-        };
+    for (tele, hp) in days {
         tele_batches += tele.len() as u64;
         hp_batches += hp.len() as u64;
         tele_bytes += tele.iter().map(|b| b.bytes.len() as u64).sum::<u64>();

@@ -62,9 +62,10 @@ fn local() -> Arc<Mutex<ThreadSpans>> {
 /// [`crate::span!`] macro.
 pub struct SpanGuard {
     name: &'static str,
-    start: Instant,
+    /// When the span opened; `None` for the inert guard of a disabled
+    /// span, which reads no clock.
+    start: Option<Instant>,
     depth: u32,
-    active: bool,
 }
 
 /// Open a span named `name`. While telemetry is disabled this is a
@@ -74,9 +75,8 @@ pub fn enter(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard {
             name,
-            start: Instant::now(),
+            start: None,
             depth: 0,
-            active: false,
         };
     }
     let depth = CHILD_NS.with(|c| {
@@ -86,18 +86,17 @@ pub fn enter(name: &'static str) -> SpanGuard {
     });
     SpanGuard {
         name,
-        start: Instant::now(),
+        start: Some(Instant::now()),
         depth,
-        active: true,
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
+        let Some(start) = self.start else {
             return;
-        }
-        let total_ns = self.start.elapsed().as_nanos() as u64;
+        };
+        let total_ns = start.elapsed().as_nanos() as u64;
         let child_ns = CHILD_NS.with(|c| {
             let mut stack = c.borrow_mut();
             let child = stack.pop().unwrap_or(0);
@@ -316,5 +315,15 @@ mod tests {
         }
         crate::set_enabled(true);
         assert!(snapshot().iter().all(|s| s.name != "test.span.off"));
+    }
+
+    #[test]
+    fn disabled_guard_holds_no_timestamp() {
+        let _t = crate::testing::scoped_enable();
+        crate::set_enabled(false);
+        let off = crate::span!("test.span.inert");
+        crate::set_enabled(true);
+        assert!(off.start.is_none(), "a disabled span reads no clock");
+        assert!(crate::span!("test.span.live").start.is_some());
     }
 }

@@ -154,7 +154,9 @@ mod tests {
             .filter(|s| now > s.last + timeout)
             .map(|s| s.key)
             .collect();
-        idle.into_iter().map(|k| map.remove(&k).expect("collected above")).collect()
+        idle.into_iter()
+            .map(|k| map.remove(&k).expect("collected above"))
+            .collect()
     }
 
     fn sorted(mut sessions: Vec<Session>) -> Vec<Session> {
@@ -197,7 +199,11 @@ mod tests {
             match *op {
                 Op::Touch { key, gap, replace } => {
                     now += gap;
-                    let fresh = Session { key, first: now, last: now };
+                    let fresh = Session {
+                        key,
+                        first: now,
+                        last: now,
+                    };
                     for session in [
                         wheel.get_or_insert_with(key, || fresh),
                         reference.entry(key).or_insert(fresh),
@@ -263,7 +269,11 @@ mod tests {
     #[test]
     fn refiled_entry_expires_on_time() {
         let mut map: IdleMap<u8, Session> = IdleMap::new(100, 60);
-        let first = Session { key: 1, first: 0, last: 0 };
+        let first = Session {
+            key: 1,
+            first: 0,
+            last: 0,
+        };
         map.get_or_insert_with(1, || first).last = 58;
         assert!(map.sweep(SimTime(157)).is_empty());
         assert_eq!(map.wheel.keys().copied().collect::<Vec<_>>(), vec![0]);

@@ -1,4 +1,5 @@
-//! Black-box tests for the `repro` binary: hard usage errors (a flag
+//! Black-box tests for the `repro` binary (and `diag`, which shares its
+//! prologue): hard usage errors (a flag
 //! with a missing or malformed value must never silently fall through to
 //! a default) and the end-to-end telemetry loop — a smoke run with
 //! `--telemetry` must emit a `TELEMETRY.json` that the binary's own
@@ -86,4 +87,27 @@ fn smoke_run_emits_telemetry_the_validator_accepts() {
         String::from_utf8_lossy(&check.stderr)
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// `diag` shares `repro`'s prologue, so it refuses an unreadable
+/// telemetry file the same way.
+#[test]
+fn diag_validating_a_missing_file_fails_like_repro() {
+    let missing = "/nonexistent/telemetry.json";
+    let diag = Command::new(env!("CARGO_BIN_EXE_diag"))
+        .args(["--validate-telemetry", missing])
+        .output()
+        .expect("spawn diag");
+    let repro = repro()
+        .args(["--validate-telemetry", missing])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(diag.status.code(), Some(2));
+    assert_eq!(diag.status.code(), repro.status.code());
+    assert_eq!(diag.stderr, repro.stderr);
+    let err = String::from_utf8_lossy(&diag.stderr);
+    assert!(
+        err.starts_with(&format!("cannot read {missing}: ")),
+        "{err}"
+    );
 }

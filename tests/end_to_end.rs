@@ -2,17 +2,25 @@
 //! ground-truth generation, packet rendering, detection, fusion and every
 //! report — at a reduced scale.
 
+use dosscope_amppot::{HoneypotId, RequestBatch};
 use dosscope_core::report::{Table1, Table2, Table3, Table4, Table5, Table6, Table7, Table8};
 use dosscope_core::{Enricher, EventStore, EventsView, Framework, JointAnalysis};
 use dosscope_harness::experiments::Experiments;
-use dosscope_harness::{Scenario, ScenarioConfig, World};
-use dosscope_types::{AttackEvent, EventSource, SECS_PER_DAY};
+use dosscope_harness::{scenario, Scenario, ScenarioConfig, World};
+use dosscope_telescope::PacketBatch;
+use dosscope_types::{AttackEvent, DayIndex, EventSource, SimTime, SECS_PER_DAY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 fn world() -> World {
     Scenario::run(&ScenarioConfig::test_small())
+}
+
+/// Every table, figure and paper check of a world, as `repro` prints them.
+fn report(world: &World, scale: f64) -> String {
+    let experiments = Experiments::run(world, scale);
+    experiments.render_report() + &Experiments::render_comparison(&experiments.compare())
 }
 
 /// One source's events grouped into per-day batches by start day.
@@ -234,11 +242,7 @@ fn incremental_store_matches_batch() {
 /// check byte-identical to the batch store.
 fn assert_report_independent_of_batch_order(config: &ScenarioConfig) {
     let mut world = Scenario::run(config);
-    let scale = config.scale;
-    let render = |world: &World| {
-        let experiments = Experiments::run(world, scale);
-        experiments.render_report() + &Experiments::render_comparison(&experiments.compare())
-    };
+    let render = |world: &World| report(world, config.scale);
     let want = render(&world);
     let tele = by_day(world.store.telescope());
     let hp = by_day(world.store.honeypot());
@@ -284,6 +288,45 @@ fn report_is_independent_of_batch_order_at_scale_600() {
         scale: 600.0,
         ..ScenarioConfig::test_small()
     });
+}
+
+/// Noise the detectors reject must not reach the report: the rendered
+/// days, each with one malformed batch appended at its last second on
+/// both streams and driven through two shards, count exactly one more
+/// malformed batch per day in each detector and leave every table,
+/// figure and paper check byte-identical.
+#[test]
+fn malformed_noise_leaves_the_report_unchanged() {
+    let config = ScenarioConfig::test_small();
+    let mut world = Scenario::run(&config);
+    let want = report(&world, config.scale);
+    let renderer = scenario::renderer(&config, &world.truth);
+    let days = (0..config.days).map(|d| {
+        let last_second = SimTime((d as u64 + 1) * SECS_PER_DAY - 1);
+        let mut tele = renderer.telescope_day(DayIndex(d));
+        let mut hp = renderer.honeypot_day(DayIndex(d));
+        tele.push(PacketBatch::repeated(last_second, 1, vec![0xAB; 6]));
+        hp.push(RequestBatch::repeated(
+            HoneypotId(0),
+            last_second,
+            1,
+            vec![0xAB; 6],
+        ));
+        (tele, hp)
+    });
+    let (store, telescope_stats, fleet_stats) =
+        scenario::drive_pipelines(days, renderer.telescope(), 2);
+    let days = config.days as u64;
+    assert_eq!(
+        telescope_stats.malformed,
+        world.telescope_stats.malformed + days
+    );
+    assert_eq!(fleet_stats.malformed, world.fleet_stats.malformed + days);
+    world.store = store;
+    assert!(
+        report(&world, config.scale) == want,
+        "noise changed the report"
+    );
 }
 
 #[test]
