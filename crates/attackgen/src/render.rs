@@ -255,10 +255,10 @@ impl<'a> Renderer<'a> {
         let Some(indices) = self.day_index.get(day.0 as usize) else {
             return Vec::new();
         };
-        // Representatives come to about 105 bytes per attack active that
-        // day at every scale; reserving 256 spares nearly every day the
-        // arena's doubling chain, which fragments the heap (about 5 MiB of
-        // peak RSS at `--scale 600 --days 120`).
+        // At `--scale 600 --days 120` representatives came to about 105
+        // bytes per attack active that day; reserving 256 spares nearly
+        // every day the arena's doubling chain, which fragments the heap
+        // (about 5 MiB of peak RSS in that run).
         let mut out = DayArena::with_capacity(indices.len() * 16, indices.len() * 256);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
@@ -463,7 +463,7 @@ fn probabilistic_round(rng: &mut SmallRng, x: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::model::{Episode, GtAttack};
-    use dosscope_types::{FastSet, ReflectionProtocol, TimeRange};
+    use dosscope_types::{ReflectionProtocol, TimeRange};
 
     fn truth_with(attacks: Vec<GtAttack>) -> GroundTruth {
         GroundTruth {
@@ -636,9 +636,8 @@ mod tests {
         }
     }
 
-    /// The distinct packets the batches view tile one contiguous buffer
-    /// end to end.
-    fn assert_one_buffer(batches: impl Iterator<Item = SharedBytes>) {
+    /// The (address, length) of the bytes each batch views, sorted.
+    fn spans(batches: impl Iterator<Item = SharedBytes>) -> Vec<(usize, usize)> {
         let mut spans: Vec<(usize, usize)> = batches
             .map(|b| {
                 let s = b.as_slice();
@@ -646,7 +645,12 @@ mod tests {
             })
             .collect();
         spans.sort_unstable();
-        spans.dedup();
+        spans
+    }
+
+    /// The spans tile one contiguous buffer end to end; a span seen
+    /// twice breaks the tiling.
+    fn assert_one_buffer(spans: &[(usize, usize)]) {
         assert!(
             spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
             "batch bytes tile one contiguous buffer"
@@ -681,14 +685,13 @@ mod tests {
         let r = Renderer::new(&truth, Telescope::default_slash8(), fleet_addrs(), 7, 2);
         let batches = r.telescope_day(DayIndex(0));
         assert!(batches.len() > 100, "two long attacks yield many batches");
-        assert_one_buffer(batches.into_iter().map(|b| b.bytes));
+        assert_one_buffer(&spans(batches.into_iter().map(|b| b.bytes)));
+        // A pot's batches share their attack's representative.
         let requests = r.honeypot_day(DayIndex(0));
-        let packets: FastSet<_> = requests
-            .iter()
-            .map(|b| b.bytes.as_slice().as_ptr())
-            .collect();
+        let mut packets = spans(requests.into_iter().map(|b| b.bytes));
+        packets.dedup();
         assert_eq!(packets.len(), 6, "one representative per attack and pot");
-        assert_one_buffer(requests.into_iter().map(|b| b.bytes));
+        assert_one_buffer(&packets);
     }
 
     /// Timestamps of a hand-built day: 300 batches over five seconds,

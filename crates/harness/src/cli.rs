@@ -285,4 +285,60 @@ mod tests {
         assert_eq!(opts(&["--seed", "2e3"]).config.seed, 2000);
         assert!(run(&["--seed", "2.5"]).is_err(), "fractional seed rejected");
     }
+
+    /// Drive the prologue with in-memory streams: the exit status and
+    /// what landed on stdout and stderr.
+    fn start_with(args: &[&str]) -> (ExitCode, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let args = args.iter().map(|s| s.to_string());
+        let status = start("prog", args, &mut out, &mut err).expect_err("no run requested");
+        let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+        (status, text(out), text(err))
+    }
+
+    #[test]
+    fn prologue_answers_help_and_usage_errors_on_stderr() {
+        let (status, out, err) = start_with(&["--help"]);
+        assert_eq!(status, ExitCode::SUCCESS);
+        assert!(out.is_empty());
+        assert_eq!(err, format!("{}\n", usage("prog")));
+
+        let (status, out, err) = start_with(&["--threads", "many"]);
+        assert_eq!(status, ExitCode::from(2));
+        assert!(out.is_empty());
+        assert!(err.starts_with("--threads needs a numeric value"), "{err}");
+        assert!(err.ends_with(&format!("{}\n", usage("prog"))), "{err}");
+    }
+
+    #[test]
+    fn prologue_validates_telemetry_files() {
+        let dir = std::env::temp_dir();
+        let missing = dir.join(format!("dosscope-cli-missing-{}.json", std::process::id()));
+        let missing = missing.to_str().unwrap();
+        let (status, out, err) = start_with(&["--validate-telemetry", missing]);
+        assert_eq!(status, ExitCode::from(2));
+        assert!(out.is_empty());
+        assert!(err.starts_with(&format!("cannot read {missing}: ")), "{err}");
+
+        let invalid = dir.join(format!("dosscope-cli-invalid-{}.json", std::process::id()));
+        std::fs::write(&invalid, "{}").unwrap();
+        let invalid_path = invalid.to_str().unwrap();
+        let (status, out, err) = start_with(&["--validate-telemetry", invalid_path]);
+        std::fs::remove_file(&invalid).unwrap();
+        assert_eq!(status, ExitCode::from(1));
+        assert!(out.is_empty());
+        assert!(err.starts_with(&format!("{invalid_path} failed validation:\n")), "{err}");
+        assert!(err.contains("missing schema marker"), "{err}");
+    }
+
+    #[test]
+    fn epilogue_without_telemetry_writes_nothing() {
+        let opts = CliOptions {
+            telemetry_out: "/nonexistent-dir/TELEMETRY.json".to_string(),
+            ..CliOptions::default()
+        };
+        let mut out = Vec::new();
+        assert_eq!(finish(&opts, &mut out), ExitCode::SUCCESS);
+        assert!(out.is_empty());
+    }
 }
