@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full local CI gate: everything the repository promises, in order.
 #
-#   ./ci.sh            # build + lock check + tests + clippy + smoke +
-#                      # repro goldens + lint
+#   ./ci.sh            # build + lock check + tests + clippy + rustdoc +
+#                      # smoke + repro goldens + lint
 #
 # All crates are path dependencies (the vendored stubs included), so the
 # whole script runs offline. The benchmark is dosbench (BENCHMARK.json);
@@ -33,6 +33,11 @@ cargo test --release --locked -q -p dosscope-harness --test end_to_end -- --igno
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (dosscope crates)"
+# Every intra-doc link must resolve: a link left dangling to a deleted
+# item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest --exclude rand
 
 telemetry_out="$(mktemp)"
 repro_out="$(mktemp)"

@@ -7,10 +7,12 @@
 //! SYN flood combined with an NTP reflection attack).
 
 use crate::enrich::Enricher;
-use crate::store::{EventStore, KIND_REFLECTION};
+use crate::store::EventStore;
 use dosscope_types::{
-    Asn, CountryCode, EventSource, FastMap, FastSet, Interner, ReflectionProtocol, TransportProto,
+    Asn, AttackEvent, AttackVector, CountryCode, FastMap, FastSet, Interner, PortSignature,
+    ReflectionProtocol, TransportProto,
 };
+use std::net::Ipv4Addr;
 
 /// The correlation results.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,90 +47,78 @@ pub struct JointAnalysis;
 impl JointAnalysis {
     /// Run the correlation over an event store.
     ///
-    /// The whole pass is columnar: honeypot rows are bucketed by
-    /// interned victim id (a `u32` key — the shared interner makes
-    /// telescope and honeypot ids directly comparable), the telescope
-    /// sweep walks the raw start/end columns, and the joint event sets
-    /// are row-id sets — no event struct is ever materialized.
+    /// Honeypot rows are bucketed by target address, then each telescope
+    /// row probes its target's bucket for overlapping intervals.
     pub fn run(store: &EventStore, enricher: &Enricher<'_>) -> JointStats {
-        let tele = store.block(EventSource::Telescope);
-        let hp = store.block(EventSource::Honeypot);
-
-        // Honeypot postings per interned victim id.
-        let mut hp_rows: FastMap<u32, Vec<u32>> = FastMap::default();
-        for (row, &vid) in hp.victim.iter().enumerate() {
-            hp_rows.entry(vid).or_default().push(row as u32);
+        let hp = store.honeypot();
+        let mut hp_rows: FastMap<Ipv4Addr, Vec<u32>> = FastMap::default();
+        for (row, e) in hp.iter().enumerate() {
+            hp_rows.entry(e.target).or_default().push(row as u32);
         }
 
-        let mut joint_targets: FastSet<u32> = FastSet::default();
+        let mut joint_targets: FastSet<Ipv4Addr> = FastSet::default();
         let mut joint_pairs = 0u64;
-        // Joint events, deduplicated by row id (one event can overlap
+        // Joint events, deduplicated by row (one event can overlap
         // several events of the other source).
-        let mut joint_tele_rows: Vec<u32> = Vec::new();
-        let mut joint_hp_rows: Vec<u32> = Vec::new();
+        let mut joint_tele: Vec<&AttackEvent> = Vec::new();
+        let mut joint_hp: Vec<&AttackEvent> = Vec::new();
         let mut joint_hp_seen: FastSet<u32> = FastSet::default();
 
-        for ti in 0..tele.len() {
-            let vid = tele.victim[ti];
-            let Some(rows) = hp_rows.get(&vid) else {
+        for t in store.telescope() {
+            let Some(rows) = hp_rows.get(&t.target) else {
                 continue;
             };
-            let (ts, te) = (tele.start[ti], tele.end[ti]);
             let mut tele_is_joint = false;
             for &hi in rows {
-                let hi = hi as usize;
-                // Half-open interval overlap on the raw time columns.
-                if ts < hp.end[hi] && hp.start[hi] < te {
+                let h = &hp[hi as usize];
+                if t.when.overlaps(&h.when) {
                     joint_pairs += 1;
-                    joint_targets.insert(vid);
+                    joint_targets.insert(t.target);
                     tele_is_joint = true;
-                    if joint_hp_seen.insert(hi as u32) {
-                        joint_hp_rows.push(hi as u32);
+                    if joint_hp_seen.insert(hi) {
+                        joint_hp.push(h);
                     }
                 }
             }
             if tele_is_joint {
-                joint_tele_rows.push(ti as u32);
+                joint_tele.push(t);
             }
         }
 
-        // Port-structure shifts among joint telescope events, read off
-        // the flattened (kind, aux) columns: kind / 3 is the transport,
-        // kind % 3 the signature class (0 single, 1 multi, 2 none).
+        // Port-structure shifts among joint telescope events.
         let mut single = 0u64;
         let mut tcp_single = 0u64;
         let mut tcp_http = 0u64;
         let mut udp_single = 0u64;
         let mut udp_steam = 0u64;
-        let with_ports = joint_tele_rows.len() as u64;
-        for &ti in &joint_tele_rows {
-            let ti = ti as usize;
-            let (kind, class) = (tele.kind[ti] / 3, tele.kind[ti] % 3);
-            if class != 1 {
+        let with_ports = joint_tele.len() as u64;
+        for t in &joint_tele {
+            let AttackVector::RandomlySpoofed { proto, ports } = t.vector else {
+                continue;
+            };
+            if ports.is_single() {
                 single += 1;
             }
-            if class == 0 {
-                let port = tele.aux[ti];
-                if kind as usize == TransportProto::Tcp.index() {
-                    tcp_single += 1;
-                    if port == 80 {
-                        tcp_http += 1;
+            if let PortSignature::Single(port) = ports {
+                match proto {
+                    TransportProto::Tcp => {
+                        tcp_single += 1;
+                        tcp_http += u64::from(port == 80);
                     }
-                } else if kind as usize == TransportProto::Udp.index() {
-                    udp_single += 1;
-                    if port == 27015 {
-                        udp_steam += 1;
+                    TransportProto::Udp => {
+                        udp_single += 1;
+                        udp_steam += u64::from(port == 27015);
                     }
+                    TransportProto::Icmp | TransportProto::Other => {}
                 }
             }
         }
         let share = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
 
-        // Reflection-protocol shift among joint honeypot events: the
-        // kind code *is* the protocol, so a fixed-size count array does.
+        // Reflection-protocol shift among joint honeypot events.
         let mut proto_counts = [0u64; ReflectionProtocol::ALL.len()];
-        for &hi in &joint_hp_rows {
-            proto_counts[(hp.kind[hi as usize] - KIND_REFLECTION) as usize] += 1;
+        for p in joint_hp.iter().filter_map(|h| h.reflection_protocol()) {
+            proto_counts[p as usize] += 1;
         }
         let hp_total: u64 = proto_counts.iter().sum();
         let mut reflection_shares: Vec<(ReflectionProtocol, f64)> = ReflectionProtocol::ALL
@@ -144,8 +134,8 @@ impl JointAnalysis {
         let mut asn_counts: Vec<u64> = Vec::new();
         let mut countries: Interner<CountryCode> = Interner::new();
         let mut country_counts: Vec<u64> = Vec::new();
-        for &vid in &joint_targets {
-            let (country, asn) = enricher.lookup(store.victim_ids().resolve(vid));
+        for &target in &joint_targets {
+            let (country, asn) = enricher.lookup(target);
             let cid = countries.intern(country) as usize;
             if cid == country_counts.len() {
                 country_counts.push(0);

@@ -11,6 +11,7 @@
 
 use crate::store::EventStore;
 use dosscope_botmon::{BotFamily, BotnetEvent};
+use dosscope_types::EventSource;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -39,18 +40,12 @@ impl CoverageStats {
     /// Analyze coverage of the botnet event set against the two primary
     /// sources.
     pub fn analyze(store: &EventStore, botnet: &[BotnetEvent]) -> CoverageStats {
-        let tele_targets: HashSet<Ipv4Addr> =
-            store.telescope().iter().map(|e| e.target).collect();
-        let hp_targets: HashSet<Ipv4Addr> = store.honeypot().iter().map(|e| e.target).collect();
-
         let mut targets: HashSet<Ipv4Addr> = HashSet::new();
         let mut families: HashMap<BotFamily, u64> = HashMap::new();
         let mut multivector = 0u64;
         for e in botnet {
             targets.insert(e.target);
             *families.entry(e.family).or_default() += 1;
-            // The store's per-victim history scans only the victim-id
-            // column, so this no longer decodes every event per probe.
             let overlaps_primary = store
                 .history(e.target)
                 .iter()
@@ -59,11 +54,18 @@ impl CoverageStats {
                 multivector += 1;
             }
         }
-        let shared_tele = targets.intersection(&tele_targets).count() as u64;
-        let shared_hp = targets.intersection(&hp_targets).count() as u64;
+        let seen_by = |source: EventSource| {
+            targets
+                .iter()
+                .filter(|&&t| store.is_target(source, t))
+                .count() as u64
+        };
         let invisible = targets
             .iter()
-            .filter(|t| !tele_targets.contains(t) && !hp_targets.contains(t))
+            .filter(|&&t| {
+                !store.is_target(EventSource::Telescope, t)
+                    && !store.is_target(EventSource::Honeypot, t)
+            })
             .count() as u64;
         let mut per_family: Vec<(BotFamily, u64)> = families.into_iter().collect();
         per_family.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -71,8 +73,8 @@ impl CoverageStats {
         CoverageStats {
             botnet_events: botnet.len() as u64,
             botnet_targets: targets.len() as u64,
-            shared_with_telescope: shared_tele,
-            shared_with_honeypots: shared_hp,
+            shared_with_telescope: seen_by(EventSource::Telescope),
+            shared_with_honeypots: seen_by(EventSource::Honeypot),
             invisible_targets: invisible,
             multivector_events: multivector,
             per_family,

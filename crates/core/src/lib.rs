@@ -47,7 +47,7 @@ pub mod webimpact;
 
 pub use correlate::{JointAnalysis, JointStats};
 pub use enrich::{EnrichedEvent, Enricher};
-pub use store::{EventStore, EventsIter, EventsView, SourceSummary};
+pub use store::{EventStore, SourceSummary};
 
 use dosscope_dns::{OrgCatalog, ZoneStore};
 use dosscope_dps::DpsDataset;

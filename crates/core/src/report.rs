@@ -265,13 +265,14 @@ pub struct Table5 {
 }
 
 impl Table5 {
-    /// Build over telescope events — pure posting-list arithmetic on the
-    /// kind index: the transport is `kind / 3`, so each protocol's count
-    /// is the sum of its three signature-class runs.
+    /// Build over telescope events.
     pub fn build(fw: &Framework<'_>) -> Table5 {
-        let idx = fw.store.kind_index(EventSource::Telescope);
-        let counts: [u64; 4] =
-            core::array::from_fn(|p| (0..3).map(|class| idx.count((p * 3 + class) as u8)).sum());
+        let mut counts = [0u64; 4];
+        for e in fw.store.telescope() {
+            if let Some(proto) = e.transport_proto() {
+                counts[proto.index()] += 1;
+            }
+        }
         let total: u64 = counts.iter().sum();
         let shares =
             core::array::from_fn(|i| 100.0 * counts[i] as f64 / total.max(1) as f64);
@@ -298,15 +299,12 @@ pub struct Table6 {
 }
 
 impl Table6 {
-    /// Build over honeypot events — the reflection protocol *is* the
-    /// kind code, so every count is one posting-list length.
+    /// Build over honeypot events.
     pub fn build(fw: &Framework<'_>) -> Table6 {
-        let idx = fw.store.kind_index(EventSource::Honeypot);
         let mut counts: HashMap<ReflectionProtocol, u64> = HashMap::new();
-        for p in ReflectionProtocol::ALL {
-            let n = idx.count(crate::store::KIND_REFLECTION + p as u8);
-            if n > 0 {
-                counts.insert(p, n);
+        for e in fw.store.honeypot() {
+            if let Some(p) = e.reflection_protocol() {
+                *counts.entry(p).or_default() += 1;
             }
         }
         let total: u64 = counts.values().sum();
@@ -349,16 +347,17 @@ pub struct Table7 {
 }
 
 impl Table7 {
-    /// Build over telescope events: signature-class run lengths summed
-    /// across transports (class 0 = single port, 2 = no port info — both
-    /// count as single, like [`PortSignature::is_single`]).
+    /// Build over telescope events (no-port events count as single, like
+    /// [`dosscope_types::PortSignature::is_single`]).
     pub fn build(fw: &Framework<'_>) -> Table7 {
-        let idx = fw.store.kind_index(EventSource::Telescope);
-        let class_total =
-            |class: usize| (0..4).map(|p| idx.count((p * 3 + class) as u8)).sum::<u64>();
+        let tele = fw.store.telescope();
+        let single = tele
+            .iter()
+            .filter(|e| e.port_signature().is_some_and(|p| p.is_single()))
+            .count() as u64;
         Table7 {
-            single: class_total(0) + class_total(2),
-            multi: class_total(1),
+            single,
+            multi: tele.len() as u64 - single,
         }
     }
 
@@ -394,15 +393,17 @@ pub struct Table8 {
 }
 
 impl Table8 {
-    /// Build over single-port telescope events: the single-port run of
-    /// each transport drives a gather over the `aux` (port) column.
+    /// Build over single-port telescope events.
     pub fn build(fw: &Framework<'_>) -> Table8 {
-        let idx = fw.store.kind_index(EventSource::Telescope);
-        let block = fw.store.block(EventSource::Telescope);
+        let tele = fw.store.telescope();
         let panel = |proto: TransportProto| -> Vec<(String, u64, f64)> {
             let mut counts: HashMap<u16, u64> = HashMap::new();
-            for &row in idx.rows((proto.index() * 3) as u8) {
-                *counts.entry(block.aux[row as usize] as u16).or_default() += 1;
+            let ports = tele
+                .iter()
+                .filter(|e| e.transport_proto() == Some(proto))
+                .filter_map(|e| e.port_signature()?.single_port());
+            for port in ports {
+                *counts.entry(port).or_default() += 1;
             }
             let total: u64 = counts.values().sum();
             let mut sorted: Vec<(u16, u64)> = counts.into_iter().collect();
@@ -465,47 +466,39 @@ pub struct DistributionFigure {
 }
 
 impl DistributionFigure {
-    /// Duration distribution of one source (Figure 2 panel) — a fused
-    /// sequential scan of the start and end time columns.
+    /// Duration distribution of one source (Figure 2 panel).
     pub fn durations(fw: &Framework<'_>, source: EventSource) -> DistributionFigure {
-        let block = fw.store.block(source);
-        let ecdf: Ecdf = block
-            .start
-            .iter()
-            .zip(&block.end)
-            .map(|(&s, &e)| (e - s) as f64)
-            .collect();
+        let events = fw.store.of(source);
+        let ecdf: Ecdf = events.iter().map(|e| e.duration_secs() as f64).collect();
         DistributionFigure {
             label: format!("Figure 2 ({source}) attack duration CDF"),
             ecdf: ecdf.freeze(),
         }
     }
 
-    /// Intensity distribution of one source (Figures 3 and 4-overall) —
-    /// the intensity column verbatim.
+    /// Intensity distribution of one source (Figures 3 and 4-overall).
     pub fn intensities(fw: &Framework<'_>, source: EventSource) -> DistributionFigure {
-        let ecdf: Ecdf = fw.store.block(source).intensity.iter().copied().collect();
+        let events = fw.store.of(source);
+        let ecdf: Ecdf = events.iter().map(|e| e.intensity_pps).collect();
         DistributionFigure {
             label: format!("intensity CDF ({source})"),
             ecdf: ecdf.freeze(),
         }
     }
 
-    /// Per-protocol honeypot intensity distributions (Figure 4 curves):
-    /// each curve gathers the intensity column along one protocol's
-    /// posting list instead of re-filtering every honeypot event.
+    /// Per-protocol honeypot intensity distributions (Figure 4 curves).
     pub fn intensities_per_protocol(
         fw: &Framework<'_>,
     ) -> Vec<(ReflectionProtocol, FrozenEcdf)> {
-        let idx = fw.store.kind_index(EventSource::Honeypot);
-        let block = fw.store.block(EventSource::Honeypot);
         ReflectionProtocol::TOP5
             .iter()
             .map(|&p| {
-                let ecdf: Ecdf = idx
-                    .rows(crate::store::KIND_REFLECTION + p as u8)
+                let ecdf: Ecdf = fw
+                    .store
+                    .honeypot()
                     .iter()
-                    .map(|&row| block.intensity[row as usize])
+                    .filter(|e| e.reflection_protocol() == Some(p))
+                    .map(|e| e.intensity_pps)
                     .collect();
                 (p, ecdf.freeze())
             })

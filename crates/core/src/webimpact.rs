@@ -70,12 +70,11 @@ pub struct IntensityNormalizer {
 impl IntensityNormalizer {
     /// Fit over the ingested events.
     pub fn fit(store: &crate::EventStore) -> IntensityNormalizer {
-        // Fit straight off each source's intensity column.
-        let fit_one = |intensities: &[f64]| -> (f64, f64) {
+        let fit_one = |events: &[AttackEvent]| -> (f64, f64) {
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
-            for &pps in intensities {
-                let l = pps.max(1e-9).ln();
+            for e in events {
+                let l = e.intensity_pps.max(1e-9).ln();
                 min = min.min(l);
                 max = max.max(l);
             }
@@ -85,8 +84,8 @@ impl IntensityNormalizer {
                 (min, max - min)
             }
         };
-        let (tmin, tspan) = fit_one(&store.block(EventSource::Telescope).intensity);
-        let (hmin, hspan) = fit_one(&store.block(EventSource::Honeypot).intensity);
+        let (tmin, tspan) = fit_one(store.telescope());
+        let (hmin, hspan) = fit_one(store.honeypot());
         IntensityNormalizer {
             tele_min_ln: tmin,
             tele_span_ln: tspan,

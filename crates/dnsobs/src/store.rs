@@ -371,21 +371,9 @@ impl ZoneStore {
         p.days.len() as u64 * (2 + u64::from(p.cname.is_some()))
     }
 
-    /// Estimated compressed storage footprint in bytes, assuming ~24 bytes
-    /// per data point (the paper's 1 257.6 G points in 28.4 TiB works out
-    /// to ~24.8 bytes/point in Parquet).
-    pub fn est_size_bytes(&self) -> u64 {
-        self.data_points() * 24
-    }
-
     /// Iterate all domain ids.
     pub fn domain_ids(&self) -> impl Iterator<Item = DomainId> {
         (0..self.domains.len() as u32).map(DomainId)
-    }
-
-    /// The synthetic FQDN of a site (`www.w<id>.<tld>`).
-    pub fn fqdn(&self, domain: DomainId) -> String {
-        format!("www.w{}{}", domain.0, self.tld_of(domain))
     }
 }
 
@@ -570,7 +558,6 @@ mod tests {
         // 10 days x (A + NS + CNAME) = 30 points.
         assert_eq!(z.data_points(), 30);
         assert_eq!(z.tld_totals(), [(1, 30), (0, 0), (0, 0)]);
-        assert_eq!(z.est_size_bytes(), 30 * 24);
     }
 
     #[test]
@@ -582,13 +569,6 @@ mod tests {
         assert_eq!(z.active_on_day(day(10)), 1);
         assert_eq!(z.active_on_day(day(99)), 1);
         assert_eq!(z.active_on_day(day(100)), 0);
-    }
-
-    #[test]
-    fn fqdn_format() {
-        let mut z = ZoneStore::new();
-        let d = z.add_domain(Tld::Org, range(0, 1));
-        assert_eq!(z.fqdn(d), "www.w0.org");
     }
 
     #[test]

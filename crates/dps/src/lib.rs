@@ -85,7 +85,7 @@ impl DpsDataset {
     /// Infer the data set from a zone, a catalog and the routing table.
     ///
     /// Every placement of every domain is checked against all provider
-    /// fingerprints, exactly like the daily OpenINTEL scan of [5] — the
+    /// fingerprints, exactly like the daily OpenINTEL scan of \[5\] — the
     /// interval encoding just avoids re-deriving identical days.
     pub fn infer(zone: &ZoneStore, catalog: &OrgCatalog, asdb: &AsDb) -> DpsDataset {
         let providers: Vec<Provider> = catalog

@@ -85,11 +85,6 @@ impl AsDb {
         self.map.lookup(addr).map(|(_, a)| *a)
     }
 
-    /// The covering prefix and origin AS of an address, if covered.
-    pub fn route_of(&self, addr: Ipv4Addr) -> Option<(Ipv4Cidr, Asn)> {
-        self.map.lookup(addr).map(|(p, a)| (p, *a))
-    }
-
     /// Number of prefixes in the database.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -128,10 +123,6 @@ mod tests {
         let p: Ipv4Cidr = "192.0.2.0/24".parse().unwrap();
         db.insert(p, Asn(64500));
         assert_eq!(db.asn_of("192.0.2.200".parse().unwrap()), Some(Asn(64500)));
-        assert_eq!(
-            db.route_of("192.0.2.200".parse().unwrap()),
-            Some((p, Asn(64500)))
-        );
         assert_eq!(db.asn_of("192.0.3.1".parse().unwrap()), None);
     }
 }

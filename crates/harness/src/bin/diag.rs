@@ -5,6 +5,7 @@
 //! including `--telemetry`) — worker count for the measurement
 //! pipelines; the diagnostic output is identical for any value.
 
+use dosscope_dns::synth::{HostingSlot, SynthOutput};
 use dosscope_dns::OrgRole;
 use dosscope_harness::cli;
 use dosscope_harness::Scenario;
@@ -12,6 +13,16 @@ use dosscope_obs::obs_debug;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::process::ExitCode;
+
+/// The calibration tier of a hosting slot.
+fn tier(synth: &SynthOutput, slot: &HostingSlot) -> &'static str {
+    match synth.catalog.get(slot.org).role {
+        OrgRole::Dps | OrgRole::Reseller if slot.capacity >= 900 => "perma",
+        OrgRole::Dps => "lite",
+        _ if slot.capacity >= 150 => "mega",
+        _ => "tail",
+    }
+}
 
 fn main() -> ExitCode {
     let opts = match cli::start(
@@ -34,15 +45,8 @@ fn main() -> ExitCode {
     // Tiers print in sorted order, so the output is the same on every run.
     let mut tier_stats: BTreeMap<&str, (u32, u32, u64)> = BTreeMap::new(); // slots, hit slots, hits
     for slot in &world.synth.slots {
-        let org = world.synth.catalog.get(slot.org);
-        let tier = match org.role {
-            OrgRole::Dps | OrgRole::Reseller if slot.capacity >= 900 => "perma",
-            OrgRole::Dps => "lite",
-            _ if slot.capacity >= 150 => "mega",
-            _ => "tail",
-        };
         let h = hits.get(&slot.ip).copied().unwrap_or(0);
-        let e = tier_stats.entry(tier).or_default();
+        let e = tier_stats.entry(tier(&world.synth, slot)).or_default();
         e.0 += 1;
         e.1 += u32::from(h > 0);
         e.2 += h as u64;
@@ -58,9 +62,7 @@ fn main() -> ExitCode {
         .synth
         .slots
         .iter()
-        .filter(|s| {
-            world.synth.catalog.get(s.org).role == OrgRole::Dps && s.capacity < 900
-        })
+        .filter(|s| tier(&world.synth, s) == "lite")
         .map(|s| s.ip)
         .collect();
     let gt_lite = world
@@ -77,14 +79,7 @@ fn main() -> ExitCode {
     let web = WebImpact::analyze(&fw).unwrap();
     let mut tier_of_ip: HashMap<std::net::Ipv4Addr, &str> = HashMap::new();
     for slot in &world.synth.slots {
-        let org = world.synth.catalog.get(slot.org);
-        let tier = match org.role {
-            OrgRole::Dps | OrgRole::Reseller if slot.capacity >= 900 => "perma",
-            OrgRole::Dps => "lite",
-            _ if slot.capacity >= 150 => "mega",
-            _ => "tail",
-        };
-        tier_of_ip.insert(slot.ip, tier);
+        tier_of_ip.insert(slot.ip, tier(&world.synth, slot));
     }
     let mut by_tier: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new(); // sites, >5, total count
     for (domain, rec) in &web.site_records {

@@ -1,10 +1,10 @@
 //! Regeneration of every table and figure, and comparison against the
 //! paper's published values.
 //!
-//! [`run_all`] produces the full text report; [`compare`] produces the
-//! paper-vs-measured rows recorded in EXPERIMENTS.md. Checks compare
-//! shares, shapes and rankings — absolute counts are scale-dependent and
-//! reported scale-normalized.
+//! [`Experiments::render_report`] produces the full text report;
+//! [`Experiments::compare`] produces the paper-vs-measured rows recorded
+//! in EXPERIMENTS.md. Checks compare shares, shapes and rankings —
+//! absolute counts are scale-dependent and reported scale-normalized.
 
 use crate::paper;
 use crate::scenario::World;
@@ -743,27 +743,16 @@ impl<'a> Experiments<'a> {
         // in the paper's check).
         let lo = trim_days as u64 * 86_400;
         let hi = (world.days.saturating_sub(trim_days)) as u64 * 86_400;
-        let keep = |e: &dosscope_types::AttackEvent| {
-            let t = e.when.start.secs();
-            t >= lo && t < hi
+        let keep = |events: &[dosscope_types::AttackEvent]| {
+            events
+                .iter()
+                .filter(|e| (lo..hi).contains(&e.when.start.secs()))
+                .cloned()
+                .collect()
         };
         let mut trimmed_store = EventStore::new();
-        trimmed_store.ingest_telescope(
-            world
-                .store
-                .telescope()
-                .iter()
-                .filter(keep)
-                .collect(),
-        );
-        trimmed_store.ingest_honeypot(
-            world
-                .store
-                .honeypot()
-                .iter()
-                .filter(keep)
-                .collect(),
-        );
+        trimmed_store.ingest_telescope(keep(world.store.telescope()));
+        trimmed_store.ingest_honeypot(keep(world.store.honeypot()));
         let trimmed_fw = Framework::new(&trimmed_store, &world.geo, &world.asdb, world.days)
             .with_dns(&world.synth.zone, &world.synth.catalog)
             .with_dps(&world.dps);
@@ -776,8 +765,9 @@ impl<'a> Experiments<'a> {
 
     /// Scale invariance: the reproduction's shape metrics at one scale.
     /// The substitution argument (DESIGN.md §2) rests on shares and shapes
-    /// being scale-invariant; [`key_shares`] extracts the metrics and the
-    /// integration suite verifies their stability across scales.
+    /// being scale-invariant; [`Experiments::key_shares`] extracts the
+    /// metrics and the integration suite verifies their stability across
+    /// scales.
     pub fn key_shares(world: &World) -> KeyShares {
         let fw = world.framework();
         let t5 = Table5::build(&fw);

@@ -9,7 +9,7 @@
 //! The paper (Section 3.1.1) implements the detection and classification
 //! methodology of Moore et al. as a Corsaro plugin in three steps:
 //!
-//! 1. **identify and extract backscatter packets** — [`classify`]: TCP
+//! 1. **identify and extract backscatter packets** — [`classify`](mod@classify): TCP
 //!    SYN/ACK and RST, plus the nine ICMP response types;
 //! 2. **combine related packets into attack flows on the victim IP** —
 //!    [`flow`]: the victim is the *source* of backscatter; flows expire

@@ -1,91 +1,9 @@
-//! Row-id indexes for the columnar event store: sorted-run postings per
-//! predicate key, and dense bitsets over interned ids.
+//! Dense bitsets over interned ids.
 //!
-//! The store keeps its rows time-sorted, so the row ids matching any
-//! fixed predicate (a transport protocol, a reflection vector, a port
-//! signature class) form an *ascending run*. [`RunIndex`] materializes
-//! one such run per key: a predicate scan becomes a sequential walk of a
-//! small posting list instead of a filter over every wide row, and a
-//! time-windowed predicate query is two binary searches on the run.
-//!
-//! [`BitSet`] is the set half: distinct-victim and distinct-prefix
-//! aggregates are bits over dense interned ids, so set size is a
-//! popcount and set intersection (the telescope ∩ honeypot common-target
-//! count) is a word-wise AND-popcount with no hashing.
-
-/// Posting lists of ascending row ids, one run per `u8` predicate key.
-///
-/// Rows must be pushed in ascending row-id order (the store appends
-/// time-sorted rows, so this is the natural order); a merge that
-/// reorders rows rebuilds the index from scratch.
-#[derive(Debug, Clone, Default)]
-pub struct RunIndex {
-    runs: Vec<Vec<u32>>,
-}
-
-impl RunIndex {
-    /// An index over `keys` predicate keys (key values `0..keys`).
-    pub fn new(keys: usize) -> Self {
-        RunIndex {
-            runs: vec![Vec::new(); keys],
-        }
-    }
-
-    /// Append `row` to the run for `key`. Row ids must arrive ascending
-    /// per key; debug builds assert it.
-    pub fn push(&mut self, key: u8, row: u32) {
-        let run = &mut self.runs[key as usize];
-        debug_assert!(
-            run.last().is_none_or(|&last| last < row),
-            "row ids must be pushed in ascending order"
-        );
-        run.push(row);
-    }
-
-    /// The ascending row ids whose rows match `key`.
-    pub fn rows(&self, key: u8) -> &[u32] {
-        self.runs.get(key as usize).map_or(&[], |r| &r[..])
-    }
-
-    /// Number of rows matching `key`.
-    pub fn count(&self, key: u8) -> u64 {
-        self.rows(key).len() as u64
-    }
-
-    /// The row ids matching `key` inside the half-open row-id bucket
-    /// `[lo, hi)` — two binary searches on the sorted run.
-    pub fn rows_between(&self, key: u8, lo: u32, hi: u32) -> &[u32] {
-        let run = self.rows(key);
-        let a = run.partition_point(|&r| r < lo);
-        let b = run.partition_point(|&r| r < hi);
-        &run[a..b]
-    }
-
-    /// Number of predicate keys this index covers.
-    pub fn keys(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Total postings across all keys.
-    pub fn postings(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
-    }
-
-    /// Drop all postings but keep the key space (used before a rebuild).
-    pub fn clear(&mut self) {
-        for run in &mut self.runs {
-            run.clear();
-        }
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|r| r.capacity() * std::mem::size_of::<u32>())
-            .sum()
-    }
-}
+//! Distinct-victim and distinct-prefix aggregates are bits over dense
+//! interned ids, so set size is a popcount and set intersection (the
+//! telescope ∩ honeypot common-target count) is a word-wise
+//! AND-popcount with no hashing.
 
 /// A growable bitset over dense `u32` ids with popcount-based set
 /// algebra.
@@ -196,41 +114,6 @@ impl BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_index_predicate_queries_at_bucket_boundaries() {
-        let mut idx = RunIndex::new(3);
-        // Key 1 matches every even row of 0..200, key 2 every multiple of 64.
-        for row in 0..200u32 {
-            if row % 2 == 0 {
-                idx.push(1, row);
-            }
-            if row % 64 == 0 {
-                idx.push(2, row);
-            }
-        }
-        assert_eq!(idx.count(0), 0);
-        assert_eq!(idx.count(1), 100);
-        assert_eq!(idx.count(2), 4);
-
-        // Bucket boundaries: half-open [lo, hi) must include lo, exclude hi.
-        assert_eq!(idx.rows_between(1, 0, 10), &[0, 2, 4, 6, 8]);
-        assert_eq!(idx.rows_between(1, 10, 10), &[] as &[u32]);
-        assert_eq!(idx.rows_between(1, 9, 13), &[10, 12]);
-        assert_eq!(idx.rows_between(2, 64, 129), &[64, 128]);
-        assert_eq!(idx.rows_between(2, 65, 128), &[] as &[u32]);
-        // A bucket past the last row is empty, not a panic.
-        assert_eq!(idx.rows_between(1, 200, 400), &[] as &[u32]);
-        // Full-range query returns the whole run.
-        assert_eq!(idx.rows_between(1, 0, u32::MAX), idx.rows(1));
-    }
-
-    #[test]
-    fn run_index_unknown_key_is_empty() {
-        let idx = RunIndex::new(2);
-        assert_eq!(idx.rows(7), &[] as &[u32]);
-        assert_eq!(idx.count(7), 0);
-    }
 
     #[test]
     fn bitset_insert_contains_len() {

@@ -1,11 +1,9 @@
-//! Compact `u32` interning for repeated column values.
+//! Compact `u32` interning for repeated values.
 //!
-//! The columnar event store holds millions of rows but only tens of
-//! thousands of *distinct* victims, ASNs and countries. Interning maps
-//! each distinct value to a dense `u32` id: columns store 4-byte ids
-//! instead of wide keys, set membership becomes a bitset over ids, and
-//! equality joins (the fusion correlation keys on the victim) reduce to
-//! integer comparisons.
+//! The event store and the joint-target tallies see far fewer *distinct*
+//! victims, ASNs and countries than events. Interning maps each distinct
+//! value to a dense `u32` id, so set membership becomes a bitset over ids
+//! and a tally becomes a count vector indexed by id.
 //!
 //! Ids are handed out in first-seen order, which makes them
 //! deterministic for any fixed insertion sequence: two stores built from

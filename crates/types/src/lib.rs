@@ -33,12 +33,12 @@ pub use event::{
 };
 pub use fasthash::{FastBuildHasher, FastMap, FastSet, FxHasher};
 pub use idle::{IdleMap, LastActive};
-pub use index::{BitSet, RunIndex};
+pub use index::BitSet;
 pub use intern::Interner;
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
 pub use pool::{PoolMetricsSnapshot, Routed, Shard, ShardPool, WorkerMetricsSnapshot};
 pub use shard::shard_of_source;
-pub use stats::{Ecdf, FrozenEcdf, LogHistogram, RunningStats, TimeSeries};
+pub use stats::{Ecdf, FrozenEcdf, LogHistogram, TimeSeries};
 pub use time::{
     CalendarDate, DayIndex, SimTime, TimeRange, SECS_PER_DAY, SECS_PER_HOUR, SECS_PER_MINUTE,
 };

@@ -25,12 +25,6 @@ impl Prefix24 {
         Ipv4Addr::from(self.0 << 8)
     }
 
-    /// The /16 containing this /24.
-    #[inline]
-    pub fn prefix16(self) -> Prefix16 {
-        Prefix16(self.0 >> 8)
-    }
-
     /// The raw 24-bit value (useful as a dense map key).
     #[inline]
     pub fn raw(self) -> u32 {
@@ -114,12 +108,6 @@ impl Ipv4Cidr {
     #[inline]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// True for the zero-length (default-route) prefix.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
     }
 
     /// Whether `addr` falls inside this prefix.
@@ -229,7 +217,6 @@ mod tests {
         let p = Prefix24::of(a);
         assert_eq!(p.network(), "203.0.113.0".parse::<Ipv4Addr>().unwrap());
         assert_eq!(p.to_string(), "203.0.113.0/24");
-        assert_eq!(p.prefix16().network(), "203.0.0.0".parse::<Ipv4Addr>().unwrap());
     }
 
     #[test]
@@ -274,7 +261,7 @@ mod tests {
     #[test]
     fn cidr_default_route() {
         let c = Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0);
-        assert!(c.is_default());
+        assert_eq!(c.len(), 0);
         assert!(c.contains("255.255.255.255".parse().unwrap()));
         assert_eq!(Ipv4Cidr::mask(0), 0);
     }

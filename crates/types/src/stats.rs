@@ -1,5 +1,5 @@
-//! Statistics toolkit: empirical CDFs, running moments, log-binned
-//! histograms and daily time series.
+//! Statistics toolkit: empirical CDFs, log-binned histograms and daily
+//! time series.
 //!
 //! These primitives back every figure in the reproduction: duration and
 //! intensity CDFs (Figures 2-4, 9-11), the co-hosting histogram (Figure 6)
@@ -155,67 +155,6 @@ impl FrozenEcdf {
     }
 }
 
-/// Streaming mean/min/max/variance tracker (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// New empty tracker.
-    pub fn new() -> RunningStats {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` if empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.m2 / self.n as f64)
-    }
-
-    /// Minimum, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Maximum, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
 /// A histogram with power-of-ten bins, used for the co-hosting group
 /// distribution of Figure 6 (`n=1`, `1<n<=10`, `10<n<=100`, ...).
 #[derive(Debug, Clone)]
@@ -346,36 +285,6 @@ impl TimeSeries {
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("series values are finite"))
             .map(|(i, v)| (DayIndex(i as u32), *v))
     }
-
-    /// Centered moving average with the given window (odd windows are
-    /// symmetric). Used as the "smoothed" overlay of Figure 7.
-    pub fn smoothed(&self, window: usize) -> TimeSeries {
-        let window = window.max(1);
-        let half = window / 2;
-        let n = self.values.len();
-        let out = (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                let slice = &self.values[lo..hi];
-                slice.iter().sum::<f64>() / slice.len() as f64
-            })
-            .collect();
-        TimeSeries { values: out }
-    }
-
-    /// Element-wise sum of two series (panics if lengths differ).
-    pub fn add_series(&self, other: &TimeSeries) -> TimeSeries {
-        assert_eq!(self.values.len(), other.values.len(), "series length mismatch");
-        TimeSeries {
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
-    }
 }
 
 /// Compute the share (%) each count represents of the total; returns
@@ -469,26 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.variance().unwrap() - 4.0).abs() < 1e-9);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
     fn log_histogram_binning() {
         let mut h = LogHistogram::new(7);
         h.push(1); // bin 0
@@ -523,29 +412,6 @@ mod tests {
         assert_eq!(ts.total(), 13.0);
         assert_eq!(ts.peak(), Some((DayIndex(4), 10.0)));
         assert!((ts.daily_mean() - 13.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeseries_smoothing() {
-        let mut ts = TimeSeries::zeros(5);
-        for (i, v) in [0.0, 10.0, 0.0, 10.0, 0.0].into_iter().enumerate() {
-            ts.set(DayIndex(i as u32), v);
-        }
-        let s = ts.smoothed(3);
-        assert!((s.get(DayIndex(1)) - 10.0 / 3.0).abs() < 1e-12);
-        // Edges use a shrunken window.
-        assert!((s.get(DayIndex(0)) - 5.0).abs() < 1e-12);
-        // Smoothing preserves length.
-        assert_eq!(s.days(), 5);
-    }
-
-    #[test]
-    fn timeseries_add_series() {
-        let mut a = TimeSeries::zeros(3);
-        let mut b = TimeSeries::zeros(3);
-        a.set(DayIndex(0), 1.0);
-        b.set(DayIndex(0), 2.0);
-        assert_eq!(a.add_series(&b).get(DayIndex(0)), 3.0);
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl SimTime {
     pub fn add_secs(self, secs: u64) -> SimTime {
         SimTime(self.0.saturating_add(secs))
     }
-
-    /// Absolute difference in seconds between two timestamps.
-    #[inline]
-    pub fn abs_diff(self, other: SimTime) -> u64 {
-        self.0.abs_diff(other.0)
-    }
 }
 
 impl std::fmt::Display for SimTime {

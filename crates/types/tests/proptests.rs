@@ -1,10 +1,7 @@
 //! Property-based tests for the shared types: interval algebra, calendar
-//! arithmetic, ECDF/quantile laws, histogram totals and time-series
-//! invariants.
+//! arithmetic, ECDF/quantile laws and histogram totals.
 
-use dosscope_types::{
-    CalendarDate, DayIndex, Ecdf, LogHistogram, RunningStats, SimTime, TimeRange, TimeSeries,
-};
+use dosscope_types::{CalendarDate, DayIndex, Ecdf, LogHistogram, SimTime, TimeRange};
 use proptest::prelude::*;
 
 fn arb_range() -> impl Strategy<Value = TimeRange> {
@@ -88,22 +85,6 @@ proptest! {
         }
     }
 
-    /// RunningStats matches the naive computation.
-    #[test]
-    fn running_stats_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-        let mut s = RunningStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean().unwrap() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance().unwrap() - var).abs() < 1e-4 * (1.0 + var));
-        prop_assert_eq!(s.min().unwrap(), xs.iter().copied().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-    }
-
     /// LogHistogram never loses a positive value and bins by decade.
     #[test]
     fn log_histogram_total(values in proptest::collection::vec(0u64..20_000_000, 0..200)) {
@@ -113,22 +94,5 @@ proptest! {
         }
         let positive = values.iter().filter(|&&v| v > 0).count() as u64;
         prop_assert_eq!(h.total(), positive);
-    }
-
-    /// Smoothing preserves the series mean (up to edge effects bounded by
-    /// the window) and never exceeds the original extremes.
-    #[test]
-    fn smoothing_bounded(values in proptest::collection::vec(0.0f64..1e4, 3..60)) {
-        let mut ts = TimeSeries::zeros(values.len() as u32);
-        for (i, &v) in values.iter().enumerate() {
-            ts.set(DayIndex(i as u32), v);
-        }
-        let sm = ts.smoothed(5);
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for i in 0..values.len() {
-            let v = sm.get(DayIndex(i as u32));
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-        }
     }
 }

@@ -45,10 +45,10 @@ fn main() {
     let mut tele: Vec<Vec<AttackEvent>> = vec![Vec::new(); world.days as usize];
     let mut hp: Vec<Vec<AttackEvent>> = vec![Vec::new(); world.days as usize];
     for e in world.store.telescope() {
-        tele[e.when.start.day().0 as usize].push(e);
+        tele[e.when.start.day().0 as usize].push(e.clone());
     }
     for e in world.store.honeypot() {
-        hp[e.when.start.day().0 as usize].push(e);
+        hp[e.when.start.day().0 as usize].push(e.clone());
     }
 
     let mut live = EventStore::new();

@@ -13,10 +13,10 @@ fn world() -> dosscope_harness::World {
 
 /// Find the detected event matching a ground-truth attack: same target,
 /// overlapping window, same source kind.
-fn find_match(
-    events: dosscope_core::EventsView<'_>,
+fn find_match<'a>(
+    events: &'a [AttackEvent],
     gt: &dosscope_attackgen::GtAttack,
-) -> Option<AttackEvent> {
+) -> Option<&'a AttackEvent> {
     events
         .iter()
         .find(|e| e.target == gt.target && e.when.overlaps(&gt.window))

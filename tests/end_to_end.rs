@@ -4,7 +4,7 @@
 
 use dosscope_amppot::{HoneypotId, RequestBatch};
 use dosscope_core::report::{Table1, Table2, Table3, Table4, Table5, Table6, Table7, Table8};
-use dosscope_core::{Enricher, EventStore, EventsView, Framework, JointAnalysis};
+use dosscope_core::{Enricher, EventStore, Framework, JointAnalysis};
 use dosscope_harness::experiments::Experiments;
 use dosscope_harness::{scenario, Scenario, ScenarioConfig, World};
 use dosscope_telescope::PacketBatch;
@@ -24,10 +24,11 @@ fn report(world: &World, scale: f64) -> String {
 }
 
 /// One source's events grouped into per-day batches by start day.
-fn by_day(events: EventsView<'_>) -> BTreeMap<u32, Vec<AttackEvent>> {
+fn by_day(events: &[AttackEvent]) -> BTreeMap<u32, Vec<AttackEvent>> {
     let mut days: BTreeMap<u32, Vec<AttackEvent>> = BTreeMap::new();
     for e in events {
-        days.entry(e.when.start.day().0).or_default().push(e);
+        let day = e.when.start.day().0;
+        days.entry(day).or_default().push(e.clone());
     }
     days
 }

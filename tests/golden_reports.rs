@@ -54,11 +54,10 @@ fn check_at(name: &str, actual: &str, allow_update: bool) {
 #[test]
 fn golden_tables_and_report() {
     // The same goldens must hold at every thread count: the sharded
-    // pipeline and the columnar snapshot merge promise byte-identical
-    // output, so the serial run and an 8-way run check against the very
-    // same files. Regeneration happens on the serial pass only; the
-    // 8-way pass reads the fresh files back, so an update still proves
-    // thread-count invariance.
+    // pipeline promises byte-identical output, so the serial run and an
+    // 8-way run check against the very same files. Regeneration happens
+    // on the serial pass only; the 8-way pass reads the fresh files back,
+    // so an update still proves thread-count invariance.
     for threads in [1, 8] {
         let config = ScenarioConfig {
             threads,

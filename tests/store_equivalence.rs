@@ -1,11 +1,13 @@
-//! Row-vs-column differential suite: the columnar [`EventStore`] must be
-//! observationally identical to the row-oriented store it replaced.
+//! Differential suite: the [`EventStore`] must be observationally
+//! identical to the most naive store that is obviously correct.
 //!
-//! [`RowStore`] below is a faithful test-only replica of the old
-//! implementation — two `Vec<AttackEvent>`s kept stably sorted by
-//! `(start, target)` — and every analysis the repo runs over the store is
-//! recomputed here from the raw rows with the most naive algorithm that
-//! is obviously correct. Property tests then drive both stores with
+//! [`RowStore`] below is that reference — two `Vec<AttackEvent>`s,
+//! extended and stably re-sorted by `(start, target)` on every ingest —
+//! and every analysis the repo runs over the store is recomputed here
+//! from the raw rows with the most naive algorithm that is obviously
+//! correct. The store shares the row layout but not the code: it sorts
+//! each batch, re-sorts only after a late batch, and answers Table 1,
+//! common targets and membership from ingest-time bitsets. Property tests then drive both stores with
 //! arbitrary event sets (random seeds × batch splits × batch orders) and
 //! assert that fusion outputs, Table aggregates and per-victim histories
 //! agree exactly; deterministic edge cases (empty store, single event,
@@ -23,11 +25,11 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------------------
-// The reference: the old row-oriented store, verbatim semantics.
+// The reference: a naive row store.
 // ---------------------------------------------------------------------------
 
-/// The pre-columnar `EventStore`: plain event vectors, stably re-sorted by
-/// `(start, target)` on every ingest.
+/// Plain event vectors, stably re-sorted by `(start, target)` on every
+/// ingest.
 #[derive(Debug, Default)]
 struct RowStore {
     telescope: Vec<AttackEvent>,
@@ -116,8 +118,8 @@ impl RowStore {
     }
 }
 
-/// Row-level reference for the joint correlation's scalar outputs: the
-/// quadratic scan the columnar pass replaced.
+/// Row-level reference for the joint correlation's scalar outputs: a
+/// quadratic scan.
 struct RowJoint {
     common_targets: u64,
     joint_targets: u64,
@@ -210,8 +212,7 @@ impl RowJoint {
 
 /// Build one event from raw draws. `a` picks the /16 (the shard key), `b`
 /// the host — repeated targets are needed for joint/common populations —
-/// and the remaining draws cover every vector shape the kind encoding
-/// flattens.
+/// and the remaining draws cover every attack-vector shape.
 fn build_event((a, b, start, dur, kind): (u8, u8, u64, u64, u8)) -> AttackEvent {
     let target = Ipv4Addr::new(10, a % 19, b % 13, 1 + (a % 3));
     let when = TimeRange::new(SimTime(start), SimTime(start + dur));
@@ -287,13 +288,13 @@ fn split(events: Vec<AttackEvent>) -> (Vec<AttackEvent>, Vec<AttackEvent>) {
 
 /// Drive both stores with the same batches and check every observable.
 fn assert_equivalent(rows: &RowStore, store: &EventStore) {
-    // Raw views decode to the exact row vectors.
+    // The stored rows are exactly the reference's.
     assert!(store.telescope() == rows.telescope.as_slice(), "telescope rows");
     assert!(store.honeypot() == rows.honeypot.as_slice(), "honeypot rows");
     assert_eq!(store.len(), rows.telescope.len() + rows.honeypot.len());
 
-    // Table 1 aggregates (summaries are ingest-time bitset counts in the
-    // columnar store; recomputed from scratch in the reference).
+    // Table 1 aggregates (ingest-time bitset counts in the store;
+    // recomputed from scratch in the reference).
     for source in [EventSource::Telescope, EventSource::Honeypot] {
         assert_eq!(store.summary(source), rows.summary(source), "{source:?}");
     }
@@ -334,7 +335,7 @@ fn assert_equivalent(rows: &RowStore, store: &EventStore) {
     assert_eq!(joint.udp_27015_share, expect.udp_27015_share);
     assert_eq!(joint.reflection_shares, expect.reflection_shares);
 
-    // Index-backed table aggregates against row scans.
+    // Table aggregates against row scans.
     let fw = Framework::new(store, &geo, &asdb, 731);
     let t1 = Table1::build(&fw);
     assert_eq!(t1.rows[0].summary, rows.summary(EventSource::Telescope));
@@ -389,9 +390,9 @@ fn build_rotated(
 ) -> (RowStore, EventStore) {
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
-    // Split each source into `batches` interleaved chunks so multi-ingest
-    // paths (in-order append and late-batch merge) are
-    // exercised, not just the single sorted bulk load.
+    // Split each source into `batches` interleaved chunks so in-order
+    // appends and late-batch re-sorts are exercised, not just the single
+    // sorted bulk load.
     let chunk = |v: &[AttackEvent], k: usize| -> Vec<AttackEvent> {
         v.iter().skip(k).step_by(batches).cloned().collect()
     };
@@ -474,8 +475,8 @@ fn single_event_is_equivalent() {
 
 #[test]
 fn all_events_on_one_victim_is_equivalent() {
-    // Every event hits the same address: one interner entry, maximal
-    // posting lists, histories spanning both full blocks.
+    // Every event hits the same address: one interner entry, histories
+    // spanning both sources' full row sets.
     let tele: Vec<AttackEvent> = (0..40)
         .map(|i| tele_at("10.1.2.3", i * 50, i * 50 + 600))
         .collect();
@@ -491,9 +492,9 @@ fn all_events_on_one_victim_is_equivalent() {
 
 #[test]
 fn duplicate_timestamps_are_equivalent() {
-    // Equal (start, target) keys across events and batches: the merge
-    // tie-break (existing rows before staged rows) must reproduce the
-    // stable sort of the row store.
+    // Equal (start, target) keys across events and batches: the tie order
+    // (stored rows before new rows) must reproduce the stable sort of the
+    // row store.
     let mut tele = Vec::new();
     let mut hp = Vec::new();
     for i in 0..30u64 {
@@ -509,15 +510,15 @@ fn duplicate_timestamps_are_equivalent() {
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial ingest orderings: batch sequences chosen to defeat the
-// in-order append so every batch goes through the late-batch merge.
+// Adversarial ingest orderings: batch sequences chosen so every batch is
+// late and goes through the re-sort.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn reverse_time_batches_are_equivalent() {
     // Batches arrive newest-first: every batch after the first lands
-    // entirely before the rows already in the store, so nothing can take
-    // the in-order append fast path and every batch merges at ingest.
+    // entirely before the rows already in the store, so every batch is
+    // late and re-sorts at ingest.
     let batch = |b: u64| -> (Vec<AttackEvent>, Vec<AttackEvent>) {
         let tele = (0..20u64)
             .map(|i| {
@@ -554,7 +555,7 @@ fn read_both(store: &EventStore) {
 #[test]
 fn interleaved_duplicate_timestamp_batches_are_equivalent() {
     // Duplicate (start, target) keys split across interleaved batches: the
-    // merge tie-break (stored rows win) must reproduce the row store's
+    // tie order (stored rows first) must reproduce the row store's
     // stable sort whether or not the store is read between ingests.
     let mut tele = Vec::new();
     let mut hp = Vec::new();
@@ -584,7 +585,7 @@ fn interleaved_duplicate_timestamp_batches_are_equivalent() {
 #[test]
 fn single_event_batches_are_equivalent() {
     // One event per ingest call, in descending time order: every batch
-    // is a 1-row late merge onto the front of the block.
+    // is a 1-row late batch sorted onto the front of the rows.
     let events: Vec<AttackEvent> = (0..60u64)
         .map(|i| {
             let ip = format!("10.{}.{}.1", i % 4, i % 7);
