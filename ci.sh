@@ -40,8 +40,9 @@ echo "==> cargo doc -D warnings (dosscope crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest --exclude rand
 
 telemetry_out="$(mktemp)"
+telemetry_threaded="$(mktemp)"
 repro_out="$(mktemp)"
-trap 'rm -f "$telemetry_out" "$repro_out"' EXIT
+trap 'rm -f "$telemetry_out" "$telemetry_threaded" "$repro_out"' EXIT
 
 echo "==> telemetry smoke (repro --smoke --telemetry --threads 1 and 8 + validator)"
 # A full reduced-scale reproduction with collection on must emit a
@@ -55,12 +56,23 @@ for threads in 1 8; do
     ./target/release/repro --validate-telemetry "$telemetry_out"
 done
 
-echo "==> telemetry at scale 600 (repro --scale 600 --telemetry + validator)"
+echo "==> telemetry at scale 600 (repro --scale 600 --telemetry --threads 1 and 8 + validator)"
 # The validator's cross-checks (flow, fleet and botnet funnels, pool
-# conservation) must also hold on a run with more traffic than the smoke.
-./target/release/repro --scale 600 --telemetry --quiet \
+# conservation) must also hold on a run with more traffic than the smoke,
+# and the counter map, published from the shard-merged statistics, must
+# be the same at both thread counts.
+./target/release/repro --scale 600 --telemetry --threads 1 --quiet \
     --telemetry-out "$telemetry_out" > /dev/null
 ./target/release/repro --validate-telemetry "$telemetry_out"
+./target/release/repro --scale 600 --telemetry --threads 8 --quiet \
+    --telemetry-out "$telemetry_threaded" > /dev/null
+./target/release/repro --validate-telemetry "$telemetry_threaded"
+counters() { sed -n '/"counters": {/,/^  }/p' "$1"; }
+if ! cmp <(counters "$telemetry_out") <(counters "$telemetry_threaded"); then
+    echo "ci.sh: scale-600 telemetry counters differ between --threads 1 and 8:" >&2
+    diff <(counters "$telemetry_out") <(counters "$telemetry_threaded") | head -40 >&2 || true
+    exit 1
+fi
 
 echo "==> repro goldens (release stdout cmp'd against tests/golden/repro/)"
 # The full reproduction report and paper comparison at four

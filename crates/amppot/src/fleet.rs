@@ -87,9 +87,16 @@ pub struct FleetStats {
     pub replies_sent: u64,
     /// Per-honeypot events closed.
     pub pot_events: u64,
-    /// Events dropped by the scan filter (≤ min_requests).
+    /// Per-honeypot events closed by the 24 h duration cap rather than
+    /// by an idle gap.
+    pub capped: u64,
+    /// Per-honeypot events absorbed into an earlier one by the fleet
+    /// merge; every other per-honeypot event starts a merged event.
+    pub pot_merged: u64,
+    /// Merged events dropped by the scan filter (≤ min_requests).
     pub scan_filtered: u64,
-    /// Fleet-level attack events emitted.
+    /// Fleet-level attack events emitted. `pot_events = events +
+    /// scan_filtered + pot_merged`.
     pub events: u64,
 }
 
@@ -100,6 +107,8 @@ impl std::ops::AddAssign for FleetStats {
         self.requests += other.requests;
         self.replies_sent += other.replies_sent;
         self.pot_events += other.pot_events;
+        self.capped += other.capped;
+        self.pot_merged += other.pot_merged;
         self.scan_filtered += other.scan_filtered;
         self.events += other.events;
     }
@@ -221,6 +230,9 @@ impl AmpPotFleet {
                 PotEvent::new(victim, protocol, batch.honeypot, batch.ts),
             );
             self.stats.pot_events += 1;
+            // A gap closes an event whatever its length; only a live
+            // event is cut by the cap.
+            self.stats.capped += u64::from(!idle);
             self.closed.push(finished);
         }
         entry.last = entry.last.max(batch.ts);
@@ -271,6 +283,7 @@ impl AmpPotFleet {
                         < self.config.max_event_secs;
                 if within_gap && within_cap {
                     cur.absorb(e);
+                    self.stats.pot_merged += 1;
                 } else {
                     self.emit(&mut events, victim, protocol, cur);
                     cur = MergedEvent::from(e);
@@ -460,6 +473,39 @@ mod tests {
         let (events, _) = f2.finish();
         assert_eq!(events.len(), 2, "24 h cap splits the marathon event");
         assert!(events.iter().all(|e| e.duration_secs() <= 86_400));
+    }
+
+    /// Every per-honeypot event is merged into another, scan-filtered or
+    /// emitted; the cap count names the event the 24 h cap cut.
+    #[test]
+    fn funnel_counts_one_merge_and_one_cap() {
+        let mut f = fleet();
+        // Two honeypots see one NTP flood: two views, one merge.
+        feed(&mut f, victim(), ReflectionProtocol::Ntp, 0, 150, 1, 2);
+        // A scanner's two requests: one view, scan-filtered.
+        let scanner: Ipv4Addr = "198.51.100.77".parse().unwrap();
+        feed(&mut f, scanner, ReflectionProtocol::Dns, 200, 1, 2, 1);
+        // Ten requests every 30 minutes for 30 hours on one honeypot:
+        // never idle, so the cap cuts it once; the merge must not rejoin
+        // the two halves.
+        let marathon: Ipv4Addr = "198.51.100.200".parse().unwrap();
+        let pot_addr = f.honeypots()[0].addr;
+        let pkt = builder::reflection_request(marathon, 40000, pot_addr, ReflectionProtocol::Ssdp);
+        for k in 0..60u64 {
+            f.ingest(&RequestBatch::repeated(
+                HoneypotId(0),
+                SimTime(300 + k * 1800),
+                10,
+                pkt.clone(),
+            ));
+        }
+        let (events, stats) = f.finish();
+        assert_eq!(events.len(), 3);
+        assert_eq!(
+            (stats.pot_events, stats.capped, stats.pot_merged, stats.scan_filtered),
+            (5, 1, 1, 1)
+        );
+        assert_eq!(stats.pot_events, stats.events + stats.scan_filtered + stats.pot_merged);
     }
 
     #[test]

@@ -141,7 +141,15 @@ impl EventStore {
             .events
             .last()
             .is_some_and(|last| key(&events[0]) < key(last));
-        src.events.append(&mut events);
+        if src.events.is_empty() {
+            // Take the batch's allocation rather than copying it into a
+            // fresh one, so the batch and its copy are never both live;
+            // shrinking returns its spare capacity in place.
+            src.events = events;
+            src.events.shrink_to_fit();
+        } else {
+            src.events.append(&mut events);
+        }
         if late {
             src.events.sort_by_key(key);
             dosscope_obs::counter!("store.consolidations").inc();

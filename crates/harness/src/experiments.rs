@@ -90,11 +90,20 @@ impl<'a> Experiments<'a> {
     pub fn run(world: &'a World, scale: f64) -> Experiments<'a> {
         let _span = dosscope_obs::span!("report.assemble");
         let fw = world.framework();
-        let web = WebImpact::analyze(&fw).expect("scenario attaches DNS");
+        let web = {
+            let _span = dosscope_obs::span!("webimpact.analyze");
+            WebImpact::analyze(&fw).expect("scenario attaches DNS")
+        };
         dosscope_obs::counter!("web.site_records").add(web.site_records.len() as u64);
-        let migration = MigrationAnalysis::analyze(&fw, &web).expect("scenario attaches DPS");
-        let enricher = dosscope_core::Enricher::new(fw.geo, fw.asdb);
-        let joint = JointAnalysis::run(fw.store, &enricher);
+        let migration = {
+            let _span = dosscope_obs::span!("migration.analyze");
+            MigrationAnalysis::analyze(&fw, &web).expect("scenario attaches DPS")
+        };
+        let joint = {
+            let _span = dosscope_obs::span!("correlate.joint");
+            let enricher = dosscope_core::Enricher::new(fw.geo, fw.asdb);
+            JointAnalysis::run(fw.store, &enricher)
+        };
         Experiments {
             fw,
             web,
@@ -285,6 +294,7 @@ impl<'a> Experiments<'a> {
 
     /// The paper-vs-measured comparison rows.
     pub fn compare(&self) -> Vec<CheckRow> {
+        let _span = dosscope_obs::span!("report.compare");
         let mut rows = Vec::new();
         let t1 = Table1::build(&self.fw);
         let tele = &t1.rows[0].summary;

@@ -14,6 +14,7 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "telescope.events",
     "fleet.requests",
     "fleet.pot_events",
+    "fleet.pot_merged",
     "fleet.events",
     "store.rows",
     "migrate.cohost_counts",
@@ -37,17 +38,24 @@ const REQUIRED_COUNTERS: &[&str] = &[
 /// the last stored key and were merged at ingest, and
 /// `store.consolidation_rows` the rows those merges rewrote;
 /// `fleet.scan_filtered` counts merged honeypot events at or under the
-/// scan filter's request threshold; `botmon.orphan_stops` counts C&C stop
-/// commands with no open attack. A smoke run whose batches all arrive in
-/// time order merges nothing, its renderer tops marginal events up past
-/// the filter, and its command stream stops only attacks it started, yet
-/// the instruments must export so dashboards can tell "none" from "not
-/// instrumented". `store.victims` is the interner-size gauge and must be
-/// nonzero on any run that ingested events.
+/// scan filter's request threshold, and `fleet.capped` per-honeypot
+/// events cut by the 24 h cap; `telescope.filtered_*` split the dropped
+/// flows by the first threshold each failed; `botmon.orphan_stops`
+/// counts C&C stop commands with no open attack. A smoke run whose
+/// batches all arrive in time order merges nothing, its renderer tops
+/// marginal events up past the filter, and its command stream stops only
+/// attacks it started, yet the instruments must export so dashboards can
+/// tell "none" from "not instrumented". `store.victims` is the
+/// interner-size gauge and must be nonzero on any run that ingested
+/// events.
 const REQUIRED_MAYBE_ZERO: &[&str] = &[
     "store.consolidations",
     "store.consolidation_rows",
     "fleet.scan_filtered",
+    "fleet.capped",
+    "telescope.filtered_packets",
+    "telescope.filtered_duration",
+    "telescope.filtered_rate",
     "botmon.orphan_stops",
 ];
 
@@ -63,7 +71,11 @@ const REQUIRED_SPANS: &[&str] = &[
     "stage.detect",
     "stage.fuse",
     "report.assemble",
+    "webimpact.analyze",
+    "migration.analyze",
+    "correlate.joint",
     "report.render",
+    "report.compare",
 ];
 
 /// Pools every scenario run spins up (one worker each at `--threads 1`).
@@ -101,7 +113,8 @@ pub fn validate(text: &str) -> Result<String, String> {
     }
 
     // Every expired flow either became an event or was dropped by a
-    // detection threshold.
+    // detection threshold, and every dropped flow is counted under
+    // exactly one threshold.
     if let (Some(expired), Some(events), Some(filtered)) = (
         extract_num(text, "telescope.flows_expired"),
         extract_num(text, "telescope.events"),
@@ -114,18 +127,32 @@ pub fn validate(text: &str) -> Result<String, String> {
             ));
         }
     }
+    if let (Some(filtered), Some(packets), Some(duration), Some(rate)) = (
+        extract_num(text, "telescope.flows_filtered"),
+        extract_num(text, "telescope.filtered_packets"),
+        extract_num(text, "telescope.filtered_duration"),
+        extract_num(text, "telescope.filtered_rate"),
+    ) {
+        if packets + duration + rate != filtered {
+            problems.push(format!(
+                "telescope.filtered_packets {packets} + telescope.filtered_duration {duration} \
+                 + telescope.filtered_rate {rate} != telescope.flows_filtered {filtered}"
+            ));
+        }
+    }
 
-    // Every merged honeypot event was emitted or scan-filtered, and
-    // merging per-honeypot events never adds one.
-    if let (Some(pot_events), Some(events), Some(filtered)) = (
+    // Every per-honeypot event was absorbed by the fleet merge or
+    // started a merged event, which was emitted or scan-filtered.
+    if let (Some(pot_events), Some(events), Some(filtered), Some(merged)) = (
         extract_num(text, "fleet.pot_events"),
         extract_num(text, "fleet.events"),
         extract_num(text, "fleet.scan_filtered"),
+        extract_num(text, "fleet.pot_merged"),
     ) {
-        if events + filtered > pot_events {
+        if events + filtered + merged != pot_events {
             problems.push(format!(
-                "fleet.events {events} + fleet.scan_filtered {filtered} > \
-                 fleet.pot_events {pot_events}"
+                "fleet.pot_events {pot_events} != fleet.events {events} + \
+                 fleet.scan_filtered {filtered} + fleet.pot_merged {merged}"
             ));
         }
     }
@@ -243,17 +270,24 @@ mod tests {
     fn valid_doc() -> String {
         let mut s = String::from("{\n  \"schema\": \"dosscope-telemetry-v1\",\n");
         for c in REQUIRED_COUNTERS {
-            // Expired flows = events + filtered flows; botnet events =
-            // stopped + capped, within the commands.
+            // Expired flows = events + filtered flows; per-honeypot
+            // events = events + merged ones; botnet events = stopped +
+            // capped, within the commands.
             let v = match *c {
-                "telescope.flows_expired" | "botmon.events" => 20,
+                "telescope.flows_expired" | "fleet.pot_events" | "botmon.events" => 20,
                 "botmon.commands" => 30,
                 _ => 10,
             };
             s.push_str(&format!("    \"{c}\": {v},\n"));
         }
         for c in REQUIRED_MAYBE_ZERO {
-            s.push_str(&format!("    \"{c}\": 0,\n"));
+            // The filtered flows split 4 + 3 + 3.
+            let v = match *c {
+                "telescope.filtered_packets" => 4,
+                "telescope.filtered_duration" | "telescope.filtered_rate" => 3,
+                _ => 0,
+            };
+            s.push_str(&format!("    \"{c}\": {v},\n"));
         }
         s.push_str("    \"store.victims\": 42,\n");
         for pool in REQUIRED_POOLS {
@@ -309,11 +343,30 @@ mod tests {
     }
 
     #[test]
-    fn rejects_a_fleet_funnel_that_adds_events() {
-        let doc = valid_doc().replace("\"fleet.pot_events\": 10", "\"fleet.pot_events\": 9");
+    fn rejects_a_telescope_filter_split_that_does_not_add_up() {
+        let doc = valid_doc().replace(
+            "\"telescope.filtered_rate\": 3",
+            "\"telescope.filtered_rate\": 2",
+        );
         let err = validate(&doc).unwrap_err();
         assert!(
-            err.contains("fleet.events 10 + fleet.scan_filtered 0 > fleet.pot_events 9"),
+            err.contains(
+                "telescope.filtered_packets 4 + telescope.filtered_duration 3 \
+                 + telescope.filtered_rate 2 != telescope.flows_filtered 10"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_fleet_funnel_that_adds_events() {
+        let doc = valid_doc().replace("\"fleet.pot_events\": 20", "\"fleet.pot_events\": 19");
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains(
+                "fleet.pot_events 19 != fleet.events 10 + fleet.scan_filtered 0 \
+                 + fleet.pot_merged 10"
+            ),
             "{err}"
         );
     }

@@ -22,9 +22,11 @@
 //!
 //! Dot-separated, lowercase, coarse-to-fine: `<subsystem>.<noun>` for
 //! engine counters (`telescope.events`, `fleet.requests`,
-//! `store.rows`), `pool.<name>.w<k>.<field>` for per-worker pool
-//! gauges, and `stage.<stage>` / `report.<step>` for spans. Span names
-//! form a hierarchy on `.` boundaries used by the snapshot rollup.
+//! `store.rows`), `pool.<name>.{workers,dispatches}` and
+//! `pool.<name>.w<k>.{busy_us,idle_us,batches,queue_hwm}` for the
+//! worker-pool gauges, and `stage.<stage>` / `report.<step>` /
+//! `<analysis>.<step>` for spans. Span names form a hierarchy on `.`
+//! boundaries used by the snapshot rollup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -172,10 +172,9 @@ impl Telemetry {
         for (pool, (top, workers)) in pools {
             let get = |f: &Fields, k: &str| f.get(k).copied().unwrap_or(0);
             rows.push(format!(
-                "  {} ({} workers, {} shards)  dispatches {}",
+                "  {} ({} workers)  dispatches {}",
                 pool,
                 get(&top, "workers"),
-                get(&top, "shards"),
                 get(&top, "dispatches"),
             ));
             for (idx, f) in workers {
@@ -253,13 +252,12 @@ mod tests {
     fn ascii_dashboard_groups_pool_gauges() {
         let _t = crate::testing::scoped_enable();
         crate::registry::gauge("pool.demo.workers").set(2);
-        crate::registry::gauge("pool.demo.shards").set(4);
         crate::registry::gauge("pool.demo.dispatches").set(10);
         crate::registry::gauge("pool.demo.w0.busy_us").set(1_500);
         crate::registry::gauge("pool.demo.w1.batches").set(7);
         let t = Telemetry::capture();
         let dash = t.render_ascii();
-        assert!(dash.contains("demo (2 workers, 4 shards)"));
+        assert!(dash.contains("demo (2 workers)  dispatches 10"));
         assert!(dash.contains("w0"));
         assert!(dash.contains("w1"));
     }

@@ -56,8 +56,16 @@ pub struct DetectorStats {
     pub backscatter_packets: u64,
     /// Flows finalized in total.
     pub flows_finalized: u64,
-    /// Flows dropped by the packet/duration/rate filters.
+    /// Flows dropped by the packet/duration/rate filters: the sum of the
+    /// three `filtered_*` counts.
     pub flows_filtered: u64,
+    /// Flows dropped for too few packets (the first filter).
+    pub filtered_packets: u64,
+    /// Flows with enough packets dropped for too short a duration.
+    pub filtered_duration: u64,
+    /// Flows passing both earlier filters dropped for too low a peak
+    /// per-minute rate.
+    pub filtered_rate: u64,
     /// Attack events emitted.
     pub events: u64,
 }
@@ -70,6 +78,9 @@ impl std::ops::AddAssign for DetectorStats {
         self.backscatter_packets += other.backscatter_packets;
         self.flows_finalized += other.flows_finalized;
         self.flows_filtered += other.flows_filtered;
+        self.filtered_packets += other.filtered_packets;
+        self.filtered_duration += other.filtered_duration;
+        self.filtered_rate += other.filtered_rate;
         self.events += other.events;
     }
 }
@@ -175,12 +186,20 @@ impl RsdosDetector {
         // Flow expiry is decided per flow by its own idle gap, never by
         // the sweep cadence, so this count is thread-count invariant.
         self.stats.flows_finalized += 1;
-        let duration = flow.duration_secs();
+        // A dropped flow is counted once, under the first threshold it
+        // fails, in the paper's order.
         let max_pps = flow.max_pps();
-        if flow.packets < self.config.min_packets
-            || duration < self.config.min_duration_secs
-            || max_pps < self.config.min_max_pps
-        {
+        let failed = if flow.packets < self.config.min_packets {
+            Some(&mut self.stats.filtered_packets)
+        } else if flow.duration_secs() < self.config.min_duration_secs {
+            Some(&mut self.stats.filtered_duration)
+        } else if max_pps < self.config.min_max_pps {
+            Some(&mut self.stats.filtered_rate)
+        } else {
+            None
+        };
+        if let Some(count) = failed {
+            *count += 1;
             self.stats.flows_filtered += 1;
             return;
         }
@@ -283,6 +302,43 @@ mod tests {
         let (events, stats) = d.finish();
         assert!(events.is_empty());
         assert_eq!(stats.flows_filtered, 1);
+    }
+
+    /// A dropped flow counts once, under the first threshold it fails:
+    /// packets, then duration, then rate. The rate floor is halved to
+    /// 15 packets a minute so that a flow can fail the packet count
+    /// alone (at 0.5 pps, any flow under 25 packets also fails the rate).
+    #[test]
+    fn filtered_flows_split_by_first_failed_threshold() {
+        let config = DetectorConfig {
+            min_max_pps: 0.25,
+            ..DetectorConfig::default()
+        };
+        let mut d = RsdosDetector::new(Telescope::default_slash8(), config);
+        // (first burst, second burst's offset and size) per victim; each
+        // first burst sits 10 s before a minute boundary, so the bursts
+        // fall in separate minutes.
+        let flows = [
+            (20, 70, 1),  // 21 packets: packets only
+            (30, 30, 1),  // 30 s: duration only
+            (14, 70, 14), // peak 14 a minute: rate only
+            (20, 30, 1),  // 21 packets over 30 s: packets and duration
+            (14, 20, 14), // 20 s at 14 a minute: duration and rate
+        ];
+        for (i, (first, offset, second)) in flows.into_iter().enumerate() {
+            let victim = Ipv4Addr::new(203, 0, 113, i as u8);
+            let start = 1_200 * i as u64;
+            let pkt = builder::tcp_syn_ack(victim, 80, dark(1), 40000, 0);
+            d.ingest(&PacketBatch::repeated(SimTime(start + 50), first, pkt.clone()));
+            d.ingest(&PacketBatch::repeated(SimTime(start + 50 + offset), second, pkt));
+        }
+        let (events, stats) = d.finish();
+        assert!(events.is_empty());
+        assert_eq!(
+            (stats.filtered_packets, stats.filtered_duration, stats.filtered_rate),
+            (2, 2, 1)
+        );
+        assert_eq!(stats.flows_filtered, 5);
     }
 
     #[test]

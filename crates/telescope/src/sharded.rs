@@ -125,6 +125,9 @@ impl ShardedRsdos {
         dosscope_obs::counter!("telescope.backscatter_packets").add(stats.backscatter_packets);
         dosscope_obs::counter!("telescope.flows_expired").add(stats.flows_finalized);
         dosscope_obs::counter!("telescope.flows_filtered").add(stats.flows_filtered);
+        dosscope_obs::counter!("telescope.filtered_packets").add(stats.filtered_packets);
+        dosscope_obs::counter!("telescope.filtered_duration").add(stats.filtered_duration);
+        dosscope_obs::counter!("telescope.filtered_rate").add(stats.filtered_rate);
         dosscope_obs::counter!("telescope.events").add(stats.events);
         dosscope_obs::gauge!("telescope.peak_live_flows").raise(peak);
         (events, stats, peak)

@@ -26,22 +26,31 @@
 //!
 //! ## Profiling
 //!
-//! Every pool carries a name and a [`PoolMetrics`] block: per-worker
-//! busy/idle wall time, processed job counts and channel queue-depth
-//! high-water marks. Queue and job counts are always-on relaxed atomics
-//! (a handful per *batch*, never per item); the wall-clock measurements
-//! additionally require `dosscope_obs::enabled()` so the disabled
-//! pipeline never reads the clock. On shutdown — including the
-//! panic-propagation path, so a failed run still leaves a coherent
-//! partial snapshot — the metrics are published to the global `obs`
-//! registry as `pool.<name>.*` gauges ([`PoolMetricsSnapshot::gauges`]
-//! lists them); [`ShardPool::metrics`] exposes the same numbers directly.
+//! Every pool writes its profile straight into the `dosscope-obs`
+//! registry, under gauges registered once at [`ShardPool::new`]:
+//!
+//! * `pool.<name>.workers` — worker (= shard) count;
+//! * `pool.<name>.dispatches` — chunks dispatched;
+//! * `pool.<name>.w<k>.busy_us` / `.idle_us` — worker `k`'s wall time
+//!   processing chunks / blocked waiting for one;
+//! * `pool.<name>.w<k>.batches` — chunks worker `k` processed;
+//! * `pool.<name>.w<k>.queue_hwm` — most chunks ever queued or in
+//!   flight on worker `k`'s channel.
+//!
+//! Each worker keeps its own times and chunk count and sets its gauges
+//! after every chunk, so a run that fails on a shard panic still leaves
+//! a coherent partial profile. Gauges ignore writes while telemetry is
+//! off, and the clock is read only while `dosscope_obs::enabled()`: the
+//! disabled pipeline pays a few relaxed loads per *chunk*, never per
+//! item, and no clock read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use dosscope_obs::Gauge;
 
 /// Bounded per-worker queue depth: one chunk in flight, a few queued —
 /// enough for the pipeline thread to render ahead of detection without
@@ -119,125 +128,6 @@ impl<T> Routed<T> {
     }
 }
 
-/// Per-worker instrumentation: all fields are relaxed atomics updated
-/// by exactly one worker (busy/idle/jobs) or the dispatcher (queue).
-#[derive(Default)]
-struct WorkerMetrics {
-    /// Wall time spent processing jobs (only while telemetry enabled).
-    busy_ns: AtomicU64,
-    /// Wall time spent blocked in `recv` (only while telemetry enabled).
-    idle_ns: AtomicU64,
-    /// Batches processed (always on).
-    batches: AtomicU64,
-    /// Jobs currently queued or in flight on this worker's channel.
-    queue_len: AtomicU64,
-    /// High-water mark of `queue_len` (always on).
-    queue_hwm: AtomicU64,
-}
-
-/// Instrumentation block shared by a pool, its workers and (via
-/// [`ShardPool::metrics`]) the caller. Lives in an `Arc`, so snapshots
-/// remain readable after shutdown — including after a worker panic.
-pub struct PoolMetrics {
-    name: &'static str,
-    /// One entry per worker, i.e. per shard.
-    workers: Vec<WorkerMetrics>,
-    /// Dispatch calls routed into the pool (always on).
-    dispatches: AtomicU64,
-}
-
-/// Plain-data snapshot of one worker's [`PoolMetrics`] entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerMetricsSnapshot {
-    /// Wall nanoseconds processing jobs (0 unless telemetry was on).
-    pub busy_ns: u64,
-    /// Wall nanoseconds blocked waiting for work (0 unless telemetry
-    /// was on).
-    pub idle_ns: u64,
-    /// Batches this worker processed.
-    pub batches: u64,
-    /// Highest number of jobs simultaneously queued or in flight.
-    pub queue_hwm: u64,
-}
-
-/// Plain-data snapshot of a pool's [`PoolMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolMetricsSnapshot {
-    /// The pool's registry name (`pool.<name>.*`).
-    pub name: &'static str,
-    /// One entry per worker (= per shard), in shard order.
-    pub workers: Vec<WorkerMetricsSnapshot>,
-    /// Dispatch calls routed into the pool.
-    pub dispatches: u64,
-}
-
-impl PoolMetricsSnapshot {
-    /// The `pool.<name>.*` gauges shutdown publishes, as `(name, value)`
-    /// pairs: pool-wide fields first, then each worker's in worker order.
-    /// `workers` and `shards` are the same number: one worker per shard.
-    pub fn gauges(&self) -> Vec<(String, u64)> {
-        let base = format!("pool.{}", self.name);
-        let mut out = vec![
-            (format!("{base}.workers"), self.workers.len() as u64),
-            (format!("{base}.shards"), self.workers.len() as u64),
-            (format!("{base}.dispatches"), self.dispatches),
-        ];
-        for (k, w) in self.workers.iter().enumerate() {
-            out.push((format!("{base}.w{k}.busy_us"), w.busy_ns / 1_000));
-            out.push((format!("{base}.w{k}.idle_us"), w.idle_ns / 1_000));
-            out.push((format!("{base}.w{k}.batches"), w.batches));
-            out.push((format!("{base}.w{k}.queue_hwm"), w.queue_hwm));
-        }
-        out
-    }
-}
-
-impl PoolMetrics {
-    fn new(name: &'static str, workers: usize) -> PoolMetrics {
-        PoolMetrics {
-            name,
-            workers: (0..workers).map(|_| WorkerMetrics::default()).collect(),
-            dispatches: AtomicU64::new(0),
-        }
-    }
-
-    /// Record a job entering worker `w`'s queue (dispatcher side).
-    fn enqueue(&self, w: usize) {
-        let m = &self.workers[w];
-        let depth = m.queue_len.fetch_add(1, Ordering::Relaxed) + 1;
-        m.queue_hwm.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Copy the current values into a plain snapshot.
-    pub fn snapshot(&self) -> PoolMetricsSnapshot {
-        PoolMetricsSnapshot {
-            name: self.name,
-            workers: self
-                .workers
-                .iter()
-                .map(|w| WorkerMetricsSnapshot {
-                    busy_ns: w.busy_ns.load(Ordering::Relaxed),
-                    idle_ns: w.idle_ns.load(Ordering::Relaxed),
-                    batches: w.batches.load(Ordering::Relaxed),
-                    queue_hwm: w.queue_hwm.load(Ordering::Relaxed),
-                })
-                .collect(),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Publish [`PoolMetricsSnapshot::gauges`] into the global telemetry
-    /// registry (no-op while telemetry is disabled).
-    fn publish(&self) {
-        if !dosscope_obs::enabled() {
-            return;
-        }
-        for (name, value) in self.snapshot().gauges() {
-            dosscope_obs::gauge(&name).set(value);
-        }
-    }
-}
-
 /// One shard's state: it sees the items it owns of every routed chunk,
 /// in chunk order, and turns into its output at shutdown.
 pub trait Shard<T>: Send + 'static {
@@ -251,38 +141,46 @@ pub trait Shard<T>: Send + 'static {
     fn finish(self) -> Self::Output;
 }
 
-/// One worker's channel (a shared chunk per message) and thread.
+/// One worker's channel (a shared chunk per message) and thread, plus
+/// the dispatcher's side of its profile.
 struct Lane<T, S: Shard<T>> {
     tx: Option<SyncSender<Arc<Routed<T>>>>,
     handle: Option<JoinHandle<S::Output>>,
+    /// Chunks queued or in flight: the dispatcher adds one per send, the
+    /// worker takes one per receive.
+    in_flight: Arc<AtomicU64>,
+    queue_hwm: Gauge,
 }
 
 impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
-    /// Spawn the worker of shard `w`, behind a channel of `QUEUE_DEPTH`
-    /// chunks.
-    fn spawn(w: usize, mut shard: S, metrics: Arc<PoolMetrics>) -> Self {
+    /// Spawn the worker of shard `w` of pool `pool`, behind a channel of
+    /// `QUEUE_DEPTH` chunks.
+    fn spawn(pool: &str, w: usize, mut shard: S) -> Self {
+        let gauge = |field: &str| dosscope_obs::gauge(&format!("pool.{pool}.w{w}.{field}"));
+        let (busy_us, idle_us, batches) = (gauge("busy_us"), gauge("idle_us"), gauge("batches"));
+        let in_flight = Arc::new(AtomicU64::new(0));
+        let queued = in_flight.clone();
         let (tx, rx) = sync_channel::<Arc<Routed<T>>>(QUEUE_DEPTH);
         let handle = std::thread::Builder::new()
             .name(format!("shard-worker-{w}"))
             .spawn(move || {
-                let wm = &metrics.workers[w];
+                let (mut busy, mut idle, mut chunks) = (Duration::ZERO, Duration::ZERO, 0);
                 loop {
-                    // Clock reads only happen while telemetry is enabled;
-                    // the counters are always on.
                     let wait = dosscope_obs::enabled().then(Instant::now);
                     let Ok(routed) = rx.recv() else { break };
-                    wm.queue_len.fetch_sub(1, Ordering::Relaxed);
+                    queued.fetch_sub(1, Ordering::Relaxed);
                     let start = wait.map(|t| {
-                        wm.idle_ns
-                            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        idle += t.elapsed();
                         Instant::now()
                     });
                     shard.process(routed.owned(w));
-                    wm.batches.fetch_add(1, Ordering::Relaxed);
+                    chunks += 1;
                     if let Some(t) = start {
-                        wm.busy_ns
-                            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        busy += t.elapsed();
                     }
+                    busy_us.set(busy.as_micros() as u64);
+                    idle_us.set(idle.as_micros() as u64);
+                    batches.set(chunks);
                 }
                 shard.finish()
             })
@@ -290,6 +188,8 @@ impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
         Lane {
             tx: Some(tx),
             handle: Some(handle),
+            in_flight,
+            queue_hwm: gauge("queue_hwm"),
         }
     }
 }
@@ -301,7 +201,8 @@ type PanicPayload = Box<dyn std::any::Any + Send>;
 /// chunks of `T`.
 pub struct ShardPool<T, S: Shard<T>> {
     lanes: Vec<Lane<T, S>>,
-    metrics: Arc<PoolMetrics>,
+    dispatches: u64,
+    dispatches_gauge: Gauge,
     down: bool,
 }
 
@@ -312,29 +213,23 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
     /// (`pool.<name>.*`).
     pub fn new(name: &'static str, shards: usize, init: impl FnMut() -> S) -> Self {
         let shards = shards.max(1);
-        let metrics = Arc::new(PoolMetrics::new(name, shards));
+        dosscope_obs::gauge(&format!("pool.{name}.workers")).set(shards as u64);
         let lanes = std::iter::repeat_with(init)
             .take(shards)
             .enumerate()
-            .map(|(w, shard)| Lane::spawn(w, shard, metrics.clone()))
+            .map(|(w, shard)| Lane::spawn(name, w, shard))
             .collect();
         ShardPool {
             lanes,
-            metrics,
+            dispatches: 0,
+            dispatches_gauge: dosscope_obs::gauge(&format!("pool.{name}.dispatches")),
             down: false,
         }
     }
 
     /// Number of shards, each with its own worker.
     pub fn shards(&self) -> usize {
-        self.metrics.workers.len()
-    }
-
-    /// Snapshot of the pool's instrumentation counters. Readable at any
-    /// point in the pool's life, including after [`ShardPool::shutdown`]
-    /// and after a worker panic was propagated.
-    pub fn metrics(&self) -> PoolMetricsSnapshot {
-        self.metrics.snapshot()
+        self.lanes.len()
     }
 
     /// Dispatch one chunk, routed for this pool's shard count, to every
@@ -347,12 +242,14 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
             self.shards(),
             "chunk routed for a different shard count"
         );
-        self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
+        self.dispatches += 1;
+        self.dispatches_gauge.set(self.dispatches);
         let routed = Arc::new(routed);
         let mut dead = false;
-        for (w, lane) in self.lanes.iter().enumerate() {
+        for lane in &self.lanes {
             let tx = lane.tx.as_ref().expect("live pool lane has a sender");
-            self.metrics.enqueue(w);
+            let depth = lane.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+            lane.queue_hwm.raise(depth);
             if tx.send(routed.clone()).is_err() {
                 dead = true;
             }
@@ -378,11 +275,9 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
 }
 
 impl<T, S: Shard<T>> ShardPool<T, S> {
-    /// Tear the pool down: close every channel and join every worker,
-    /// then publish the metrics — also on a failed run, so it still
-    /// leaves a coherent (partial) telemetry snapshot. Returns the
-    /// outputs in shard order and the first panic payload, if a shard
-    /// panicked.
+    /// Tear the pool down: close every channel and join every worker.
+    /// Returns the outputs in shard order and the first panic payload, if
+    /// a shard panicked.
     fn close(&mut self) -> (Vec<S::Output>, Option<PanicPayload>) {
         self.down = true;
         for lane in self.lanes.iter_mut() {
@@ -400,7 +295,6 @@ impl<T, S: Shard<T>> ShardPool<T, S> {
                 }
             }
         }
-        self.metrics.publish();
         (outputs, panic_payload)
     }
 }
@@ -424,7 +318,7 @@ impl<T, S: Shard<T>> Drop for ShardPool<T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread::ThreadId;
 
@@ -491,16 +385,29 @@ mod tests {
         }
     }
 
-    fn probe_pool(shards: usize) -> ShardPool<u32, Probe> {
-        ShardPool::new("probe", shards, Probe::default)
+    fn probe_pool(name: &'static str, shards: usize) -> ShardPool<u32, Probe> {
+        ShardPool::new(name, shards, Probe::default)
     }
 
     fn poison_pool(name: &'static str, shards: usize) -> ShardPool<u32, Poison> {
         ShardPool::new(name, shards, || Poison(0))
     }
 
-    fn slow_pool(shards: usize, delay_ms: u64) -> ShardPool<u32, Slow> {
-        ShardPool::new("slow", shards, || Slow { delay_ms, items: 0 })
+    fn slow_pool(name: &'static str, shards: usize, delay_ms: u64) -> ShardPool<u32, Slow> {
+        ShardPool::new(name, shards, || Slow { delay_ms, items: 0 })
+    }
+
+    /// The registry's `pool.<name>.*` gauges, keyed by the part after the
+    /// pool name (`workers`, `w0.batches`, ...). The registry is
+    /// process-global, so a test that reads it holds
+    /// `dosscope_obs::testing::scoped_enable`/`scoped_disable` and names
+    /// its pool uniquely.
+    fn pool_gauges(name: &str) -> HashMap<String, u64> {
+        let prefix = format!("pool.{name}.");
+        dosscope_obs::registry::gauges_snapshot()
+            .into_iter()
+            .filter_map(|(k, v)| Some((k.strip_prefix(&prefix)?.to_string(), v)))
+            .collect()
     }
 
     fn route(items: Vec<u32>, shards: usize) -> Routed<u32> {
@@ -520,7 +427,7 @@ mod tests {
 
     #[test]
     fn workers_persist_across_consecutive_batches() {
-        let mut pool = probe_pool(4);
+        let mut pool = probe_pool("probe", 4);
         for chunk in [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9, 10, 11]] {
             pool.dispatch(route(chunk, 4));
         }
@@ -544,14 +451,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk routed for a different shard count")]
     fn chunks_must_be_routed_for_the_pool() {
-        let mut pool = probe_pool(2);
+        let mut pool = probe_pool("misrouted", 2);
         pool.dispatch(route(vec![1, 2, 3], 3));
     }
 
     #[test]
     fn one_shard_pool_runs_on_a_worker_thread() {
         let _t = dosscope_obs::testing::scoped_enable();
-        let mut pool = probe_pool(1);
+        let mut pool = probe_pool("single", 1);
         for chunk in [vec![0, 1, 2, 3, 4], vec![5, 6, 7], vec![8, 9, 10, 11]] {
             pool.dispatch(route(chunk, 1));
         }
@@ -565,22 +472,21 @@ mod tests {
         assert_ne!(thread.expect("ran"), std::thread::current().id());
 
         // The lone worker is profiled like any other.
-        let mut pool = slow_pool(1, 2);
+        let mut pool = slow_pool("lone", 1, 2);
         for _ in 0..2 {
             pool.dispatch(route(vec![0, 1], 1));
         }
         assert_eq!(pool.shutdown(), vec![4]);
-        let gauges = pool.metrics().gauges();
-        let get = |name: &str| gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
-        assert_eq!(get("pool.slow.workers"), Some(1));
-        assert_eq!(get("pool.slow.w0.batches"), Some(2));
-        assert!(get("pool.slow.w0.queue_hwm") >= Some(1));
-        assert!(get("pool.slow.w0.busy_us").unwrap() >= 4_000);
+        let g = pool_gauges("lone");
+        assert_eq!(g["workers"], 1);
+        assert_eq!(g["w0.batches"], 2);
+        assert!(g["w0.queue_hwm"] >= 1);
+        assert!(g["w0.busy_us"] >= 4_000, "{g:?}");
     }
 
     #[test]
     fn snapshot_after_shutdown_is_an_error() {
-        let mut pool = probe_pool(2);
+        let mut pool = probe_pool("closed", 2);
         pool.dispatch(route(vec![1, 2], 2));
         pool.shutdown();
         let msg = panic_message(|| pool.dispatch(route(vec![3], 2)));
@@ -589,7 +495,6 @@ mod tests {
             pool.shutdown();
         });
         assert!(msg.contains("shut down"), "{msg}");
-        assert_eq!(pool.metrics().dispatches, 1, "the snapshot stays readable");
     }
 
     #[test]
@@ -633,61 +538,71 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_queue_depth_and_busy_time() {
+    fn profile_tracks_queue_depth_and_busy_time() {
         let _t = dosscope_obs::testing::scoped_enable();
-        let mut pool = slow_pool(2, 3);
+        let mut pool = slow_pool("slow", 2, 3);
         for _ in 0..3 {
             pool.dispatch(route(vec![0, 1], 2));
         }
         assert_eq!(pool.shutdown(), vec![3, 3]);
-        let m = pool.metrics();
-        assert_eq!(m.name, "slow");
-        assert_eq!(m.workers.len(), 2);
-        assert_eq!(m.dispatches, 3);
+        let g = pool_gauges("slow");
+        assert_eq!((g["workers"], g["dispatches"]), (2, 3));
         // Three quick dispatches against 3ms batches: at least two jobs
         // were simultaneously queued on each worker at some point, and
         // each worker spent the ~9ms of sleeps busy.
-        for (k, w) in m.workers.iter().enumerate() {
-            assert!(w.queue_hwm >= 2, "worker {k} queue hwm {}", w.queue_hwm);
-            assert_eq!(w.batches, 3);
-            assert!(w.busy_ns >= 6_000_000, "worker {k} busy {}ns", w.busy_ns);
+        for k in 0..2 {
+            let field = |f: &str| g[&format!("w{k}.{f}")];
+            assert!(field("queue_hwm") >= 2, "worker {k}: {g:?}");
+            assert_eq!(field("batches"), 3);
+            assert!(field("busy_us") >= 6_000, "worker {k}: {g:?}");
         }
     }
 
     #[test]
-    fn metrics_survive_shutdown_and_publish_to_registry() {
-        let mut pool = probe_pool(2);
+    fn profile_stays_in_the_registry_after_shutdown() {
+        let _t = dosscope_obs::testing::scoped_enable();
+        let mut pool = probe_pool("kept", 2);
         pool.dispatch(route(vec![0, 1, 2, 3], 2));
         pool.shutdown();
-        // The data path is closed, but the snapshot is still coherent.
-        let m = pool.metrics();
-        assert_eq!(m.dispatches, 1);
-        assert_eq!(m.workers.iter().map(|w| w.batches).sum::<u64>(), 2);
-        // The gauges shutdown publishes carry the same numbers. They are
-        // checked on the pure list, not read back from the process-global
-        // registry, which other tests' pools write concurrently.
-        let gauges = m.gauges();
-        let get = |name: &str| gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
-        assert_eq!(get("pool.probe.workers"), Some(2));
-        assert_eq!(get("pool.probe.shards"), Some(2));
-        assert_eq!(get("pool.probe.dispatches"), Some(1));
-        assert_eq!(get("pool.probe.w1.batches"), Some(1));
-        assert_eq!(get("pool.probe.w1.queue_hwm"), Some(m.workers[1].queue_hwm));
-        assert_eq!(gauges.len(), 3 + 4 * 2, "three pool-wide gauges, four per worker");
+        // The data path is closed, but the profile stays in the registry:
+        // two pool-wide gauges and four per worker, nothing else.
+        let g = pool_gauges("kept");
+        assert_eq!((g["workers"], g["dispatches"]), (2, 1));
+        for k in 0..2 {
+            assert_eq!(g[&format!("w{k}.batches")], 1);
+            assert_eq!(g[&format!("w{k}.queue_hwm")], 1);
+        }
+        let mut fields: Vec<&str> = g.keys().map(String::as_str).collect();
+        fields.sort_unstable();
+        assert_eq!(
+            fields,
+            [
+                "dispatches",
+                "w0.batches",
+                "w0.busy_us",
+                "w0.idle_us",
+                "w0.queue_hwm",
+                "w1.batches",
+                "w1.busy_us",
+                "w1.idle_us",
+                "w1.queue_hwm",
+                "workers",
+            ]
+        );
     }
 
     #[test]
     fn disabled_telemetry_records_no_wall_time() {
-        // Telemetry is off, so the pool must never read the clock — but
-        // the always-on counters still work.
+        // Telemetry is off: the pool still works, and its registered
+        // gauges take no write.
         let _t = dosscope_obs::testing::scoped_disable();
-        let mut pool = probe_pool(2);
+        let mut pool = probe_pool("quiet", 2);
         pool.dispatch(route(vec![0, 1], 2));
-        pool.shutdown();
-        let m = pool.metrics();
-        assert_eq!(m.dispatches, 1);
-        assert!(m.workers.iter().all(|w| w.batches == 1));
-        assert!(m.workers.iter().all(|w| w.busy_ns == 0 && w.idle_ns == 0));
+        let outs = pool.shutdown();
+        assert!(outs.iter().all(|(_, batches, _)| *batches == 1));
+        let g = pool_gauges("quiet");
+        assert_eq!(g.len(), 2 + 4 * 2, "registered: {g:?}");
+        assert!(g.values().all(|v| *v == 0), "{g:?}");
     }
 
     #[test]
@@ -702,14 +617,11 @@ mod tests {
             }
             pool.shutdown();
         });
-        // The panic path still published a partial snapshot: the clean
-        // dispatches before the poison batch are accounted for.
-        let m = pool.metrics();
-        assert!(m.dispatches >= 2, "pre-crash dispatches recorded");
-        let gauges = dosscope_obs::registry::gauges_snapshot();
-        assert!(
-            gauges.iter().any(|(k, v)| k == "pool.crashy.dispatches" && *v >= 2),
-            "partial snapshot published on the panic path"
-        );
+        // The registry keeps what happened before the crash: both
+        // dispatches up to the poison chunk, and the clean chunk on
+        // both workers.
+        let g = pool_gauges("crashy");
+        assert!(g["dispatches"] >= 2, "{g:?}");
+        assert!(g["w0.batches"] >= 1 && g["w1.batches"] >= 1, "{g:?}");
     }
 }

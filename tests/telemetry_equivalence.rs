@@ -77,6 +77,21 @@ fn telemetry_counters_are_identical_across_thread_counts() {
         get("fleet.scan_filtered"),
         Some(world.fleet_stats.scan_filtered)
     );
+    assert_eq!(get("fleet.pot_merged"), Some(world.fleet_stats.pot_merged));
+    assert_eq!(get("fleet.capped"), Some(world.fleet_stats.capped));
+    // The filtered flows split by the first threshold each failed.
+    let ts = &world.telescope_stats;
+    for (name, value) in [
+        ("telescope.filtered_packets", ts.filtered_packets),
+        ("telescope.filtered_duration", ts.filtered_duration),
+        ("telescope.filtered_rate", ts.filtered_rate),
+    ] {
+        assert_eq!(get(name), Some(value), "{name}");
+    }
+    assert_eq!(
+        ts.filtered_packets + ts.filtered_duration + ts.filtered_rate,
+        ts.flows_filtered
+    );
     // The botnet monitor's funnel reports its statistics and events.
     let botmon = &world.botmon_stats;
     assert_eq!(get("botmon.commands"), Some(botmon.commands));
@@ -111,7 +126,6 @@ fn single_thread_run_registers_peak_and_pool_gauges() {
     }
     for pool in ["telescope", "fleet"] {
         assert_eq!(get(&format!("pool.{pool}.workers")), Some(1));
-        assert_eq!(get(&format!("pool.{pool}.shards")), Some(1));
         for field in ["dispatches", "w0.batches", "w0.busy_us", "w0.queue_hwm"] {
             let name = format!("pool.{pool}.{field}");
             assert!(get(&name) > Some(0), "{name} registered: {gauges:?}");
