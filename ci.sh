@@ -42,7 +42,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest --
 telemetry_out="$(mktemp)"
 telemetry_threaded="$(mktemp)"
 repro_out="$(mktemp)"
-trap 'rm -f "$telemetry_out" "$telemetry_threaded" "$repro_out"' EXIT
+repro_threaded="$(mktemp)"
+trap 'rm -f "$telemetry_out" "$telemetry_threaded" "$repro_out" "$repro_threaded"' EXIT
 
 echo "==> telemetry smoke (repro --smoke --telemetry --threads 1 and 8 + validator)"
 # A full reduced-scale reproduction with collection on must emit a
@@ -96,6 +97,17 @@ check_repro scale2000.txt --scale 2000 --threads 2
 check_repro scale600.txt --scale 600
 check_repro scale600.txt --scale 600 --threads 8
 check_repro scale600-days120.txt --scale 600 --days 120
+
+echo "==> repro --seed 12345 at --threads 1 and 8 (cmp'd, no golden)"
+# A seed other than the goldens' draws other ties in the ranked tables;
+# the report must still not depend on the thread count.
+./target/release/repro --quiet --seed 12345 --threads 1 > "$repro_out"
+./target/release/repro --quiet --seed 12345 --threads 8 > "$repro_threaded"
+if ! cmp "$repro_out" "$repro_threaded"; then
+    echo "ci.sh: repro --seed 12345 differs between --threads 1 and 8:" >&2
+    diff "$repro_out" "$repro_threaded" | head -40 >&2 || true
+    exit 1
+fi
 
 echo "==> examples: web_impact + mail_infrastructure (release, scale 10 000) + day_batch_ingest"
 # The first two run the Web and mail/NS joins end to end on a generated

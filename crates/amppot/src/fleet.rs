@@ -82,8 +82,8 @@ pub struct FleetStats {
     pub unrecognised: u64,
     /// Total requests accepted (batch counts expanded).
     pub requests: u64,
-    /// Replies the fleet would have sent (rate-limited; see
-    /// [`Honeypot::would_reply`]).
+    /// Replies the fleet would have sent, one per answered request
+    /// (rate-limited; see [`Honeypot::replies`]).
     pub replies_sent: u64,
     /// Per-honeypot events closed.
     pub pot_events: u64,
@@ -211,9 +211,7 @@ impl AmpPotFleet {
         // Reply rate limiting: at most the first few requests per source
         // and minute would be answered; everything is logged either way.
         if let Some(pot) = self.honeypots.get_mut(batch.honeypot.0 as usize) {
-            if pot.would_reply(victim, batch.ts.minute()) {
-                self.stats.replies_sent += 1;
-            }
+            self.stats.replies_sent += pot.replies(victim, batch.ts.minute(), batch.count as u64);
         }
 
         let key = (victim, protocol, batch.honeypot);
@@ -571,9 +569,9 @@ mod tests {
         let mut f = fleet();
         feed(&mut f, victim(), ReflectionProtocol::Ntp, 0, 120, 5, 1);
         let stats = f.stats();
-        // 120 ingest calls in 2 minutes to one pot from one source: at
-        // most 2 replies per minute may be sent.
-        assert!(stats.replies_sent <= 4, "rate limiter caps replies, got {}", stats.replies_sent);
+        // 120 five-request batches in 2 minutes to one pot from one
+        // source: the first 2 requests of each minute are answered.
+        assert_eq!(stats.replies_sent, 4);
         assert_eq!(stats.requests, 600);
     }
 

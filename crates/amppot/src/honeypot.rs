@@ -59,12 +59,12 @@ impl Honeypot {
         }
     }
 
-    /// Record one request from `source` during `minute`; returns whether
-    /// the honeypot would reply (AmpPot replies only to sources sending
-    /// fewer than three packets per minute, so scanners get answers but
-    /// victims are never flooded).
-    pub fn would_reply(&mut self, source: Ipv4Addr, minute: u64) -> bool {
-        self.limiter.allow(source, minute)
+    /// Record `requests` requests from `source` during `minute`; returns
+    /// how many of them the honeypot would answer (AmpPot replies only to
+    /// sources sending fewer than three packets per minute, so scanners
+    /// get answers but victims are never flooded).
+    pub fn replies(&mut self, source: Ipv4Addr, minute: u64, requests: u64) -> u64 {
+        self.limiter.allow(source, minute, requests)
     }
 }
 
@@ -73,13 +73,13 @@ impl Honeypot {
 /// sources active in the current minute.
 #[derive(Debug, Clone)]
 struct RateLimiter {
-    max_per_minute: u32,
+    max_per_minute: u64,
     current_minute: u64,
-    counts: FastMap<u32, u32>,
+    counts: FastMap<u32, u64>,
 }
 
 impl RateLimiter {
-    fn new(max_per_minute: u32) -> RateLimiter {
+    fn new(max_per_minute: u64) -> RateLimiter {
         RateLimiter {
             max_per_minute,
             current_minute: 0,
@@ -87,14 +87,17 @@ impl RateLimiter {
         }
     }
 
-    fn allow(&mut self, source: Ipv4Addr, minute: u64) -> bool {
+    /// Count `requests` more from `source` in `minute`; returns how many
+    /// of them stay under the per-minute limit.
+    fn allow(&mut self, source: Ipv4Addr, minute: u64, requests: u64) -> u64 {
         if minute != self.current_minute {
             self.counts.clear();
             self.current_minute = minute;
         }
         let c = self.counts.entry(u32::from(source)).or_insert(0);
-        *c += 1;
-        *c < self.max_per_minute
+        let before = *c;
+        *c = before.saturating_add(requests);
+        (self.max_per_minute - 1).saturating_sub(before).min(requests)
     }
 }
 
@@ -148,12 +151,12 @@ mod tests {
         let mut pot = standard_fleet().remove(0);
         let scanner: Ipv4Addr = "192.0.2.1".parse().unwrap();
         // First two requests in a minute get replies, the third does not.
-        assert!(pot.would_reply(scanner, 0));
-        assert!(pot.would_reply(scanner, 0));
-        assert!(!pot.would_reply(scanner, 0));
-        assert!(!pot.would_reply(scanner, 0));
+        assert_eq!(pot.replies(scanner, 0, 1), 1);
+        assert_eq!(pot.replies(scanner, 0, 1), 1);
+        assert_eq!(pot.replies(scanner, 0, 1), 0);
+        assert_eq!(pot.replies(scanner, 0, 1), 0);
         // A new minute resets the budget.
-        assert!(pot.would_reply(scanner, 1));
+        assert_eq!(pot.replies(scanner, 1, 1), 1);
     }
 
     #[test]
@@ -161,9 +164,23 @@ mod tests {
         let mut pot = standard_fleet().remove(0);
         let a: Ipv4Addr = "192.0.2.1".parse().unwrap();
         let b: Ipv4Addr = "192.0.2.2".parse().unwrap();
-        assert!(pot.would_reply(a, 0));
-        assert!(pot.would_reply(a, 0));
-        assert!(!pot.would_reply(a, 0));
-        assert!(pot.would_reply(b, 0), "other sources unaffected");
+        assert_eq!(pot.replies(a, 0, 1), 1);
+        assert_eq!(pot.replies(a, 0, 1), 1);
+        assert_eq!(pot.replies(a, 0, 1), 0);
+        assert_eq!(pot.replies(b, 0, 1), 1, "other sources unaffected");
+    }
+
+    #[test]
+    fn rate_limiter_counts_every_request_of_a_batch() {
+        let mut pot = standard_fleet().remove(0);
+        let victim: Ipv4Addr = "192.0.2.1".parse().unwrap();
+        // One 50-request batch: only the first two requests are answered.
+        assert_eq!(pot.replies(victim, 0, 50), 2);
+        assert_eq!(pot.replies(victim, 0, 50), 0);
+        // A batch that crosses the limit is answered in part.
+        assert_eq!(pot.replies(victim, 1, 1), 1);
+        assert_eq!(pot.replies(victim, 1, 5), 1);
+        // A new minute resets the count.
+        assert_eq!(pot.replies(victim, 2, 50), 2);
     }
 }

@@ -9,7 +9,7 @@
 use crate::enrich::Enricher;
 use crate::store::EventStore;
 use dosscope_types::{
-    Asn, AttackEvent, AttackVector, CountryCode, FastMap, FastSet, Interner, PortSignature,
+    tally, Asn, AttackEvent, AttackVector, CountryCode, FastMap, FastSet, PortSignature,
     ReflectionProtocol, TransportProto,
 };
 use std::net::Ipv4Addr;
@@ -128,40 +128,19 @@ impl JointAnalysis {
         reflection_shares
             .sort_by(|a, b| b.1.partial_cmp(&a.1).expect("shares are finite"));
 
-        // Joint-target metadata shares: countries and ASNs are interned
-        // to dense ids so the tally is a pair of count vectors.
-        let mut asns: Interner<Asn> = Interner::new();
-        let mut asn_counts: Vec<u64> = Vec::new();
-        let mut countries: Interner<CountryCode> = Interner::new();
-        let mut country_counts: Vec<u64> = Vec::new();
-        for &target in &joint_targets {
-            let (country, asn) = enricher.lookup(target);
-            let cid = countries.intern(country) as usize;
-            if cid == country_counts.len() {
-                country_counts.push(0);
-            }
-            country_counts[cid] += 1;
-            if let Some(a) = asn {
-                let aid = asns.intern(a) as usize;
-                if aid == asn_counts.len() {
-                    asn_counts.push(0);
-                }
-                asn_counts[aid] += 1;
-            }
-        }
+        // Joint-target metadata shares: one lookup per joint target, one
+        // ranked tally per key kind.
         let n_joint = joint_targets.len() as u64;
-        let mut top_asns: Vec<(Asn, f64)> = asn_counts
-            .iter()
-            .enumerate()
-            .map(|(id, &c)| (asns.resolve(id as u32), share(c, n_joint)))
+        let meta: Vec<(CountryCode, Option<Asn>)> =
+            joint_targets.iter().map(|&target| enricher.lookup(target)).collect();
+        let top_asns = tally(meta.iter().filter_map(|&(_, asn)| asn))
+            .into_iter()
+            .map(|(asn, c)| (asn, share(c, n_joint)))
             .collect();
-        top_asns.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-        let mut top_countries: Vec<(CountryCode, f64)> = country_counts
-            .iter()
-            .enumerate()
-            .map(|(id, &c)| (countries.resolve(id as u32), share(c, n_joint)))
+        let top_countries = tally(meta.iter().map(|&(country, _)| country))
+            .into_iter()
+            .map(|(country, c)| (country, share(c, n_joint)))
             .collect();
-        top_countries.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
 
         JointStats {
             common_targets: store.common_targets(),

@@ -11,8 +11,7 @@
 
 use crate::store::EventStore;
 use dosscope_botmon::{BotFamily, BotnetEvent};
-use dosscope_types::EventSource;
-use std::collections::{HashMap, HashSet};
+use dosscope_types::{tally, BitSet, EventSource, FastMap};
 use std::net::Ipv4Addr;
 
 /// Coverage statistics over the three sources.
@@ -40,44 +39,42 @@ impl CoverageStats {
     /// Analyze coverage of the botnet event set against the two primary
     /// sources.
     pub fn analyze(store: &EventStore, botnet: &[BotnetEvent]) -> CoverageStats {
-        let mut targets: HashSet<Ipv4Addr> = HashSet::new();
-        let mut families: HashMap<BotFamily, u64> = HashMap::new();
-        let mut multivector = 0u64;
-        for e in botnet {
-            targets.insert(e.target);
-            *families.entry(e.family).or_default() += 1;
-            let overlaps_primary = store
-                .history(e.target)
-                .iter()
-                .any(|p| p.when.overlaps(&e.when));
-            if overlaps_primary {
-                multivector += 1;
+        // Botnet events indexed by target; one walk over the store's rows
+        // then marks every botnet event that some primary event overlaps.
+        let mut by_target: FastMap<Ipv4Addr, Vec<u32>> = FastMap::default();
+        for (i, e) in botnet.iter().enumerate() {
+            by_target.entry(e.target).or_default().push(i as u32);
+        }
+        let mut multivector = BitSet::new();
+        for p in store.telescope().iter().chain(store.honeypot()) {
+            for &i in by_target.get(&p.target).into_iter().flatten() {
+                if p.when.overlaps(&botnet[i as usize].when) {
+                    multivector.insert(i);
+                }
             }
         }
         let seen_by = |source: EventSource| {
-            targets
-                .iter()
+            by_target
+                .keys()
                 .filter(|&&t| store.is_target(source, t))
                 .count() as u64
         };
-        let invisible = targets
-            .iter()
+        let invisible = by_target
+            .keys()
             .filter(|&&t| {
                 !store.is_target(EventSource::Telescope, t)
                     && !store.is_target(EventSource::Honeypot, t)
             })
             .count() as u64;
-        let mut per_family: Vec<(BotFamily, u64)> = families.into_iter().collect();
-        per_family.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
         CoverageStats {
             botnet_events: botnet.len() as u64,
-            botnet_targets: targets.len() as u64,
+            botnet_targets: by_target.len() as u64,
             shared_with_telescope: seen_by(EventSource::Telescope),
             shared_with_honeypots: seen_by(EventSource::Honeypot),
             invisible_targets: invisible,
-            multivector_events: multivector,
-            per_family,
+            multivector_events: multivector.len() as u64,
+            per_family: tally(botnet.iter().map(|e| e.family)),
         }
     }
 

@@ -46,7 +46,7 @@ pub mod timeseries;
 pub mod webimpact;
 
 pub use correlate::{JointAnalysis, JointStats};
-pub use enrich::{EnrichedEvent, Enricher};
+pub use enrich::Enricher;
 pub use store::{EventStore, SourceSummary};
 
 use dosscope_dns::{OrgCatalog, ZoneStore};

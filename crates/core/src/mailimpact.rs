@@ -12,7 +12,7 @@
 
 use crate::Framework;
 use dosscope_dns::{OrgCatalog, OrgId, ZoneStore};
-use dosscope_types::{BitSet, DayIndex, FastSet, TimeSeries};
+use dosscope_types::{rank, BitSet, DayIndex, FastSet, TimeSeries};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -123,11 +123,11 @@ impl Accum {
                 org_set.insert(d.0);
             }
         }
-        let mut top_orgs: Vec<(String, u64)> = per_org
-            .into_iter()
-            .map(|(name, set)| (name.to_string(), set.len() as u64))
-            .collect();
-        top_orgs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let top_orgs = rank(
+            per_org
+                .into_iter()
+                .map(|(name, set)| (name.to_string(), set.len() as u64)),
+        );
         InfraImpact {
             events: self.org_days.len() as u64,
             targeted_ips: self.ips.len() as u64,

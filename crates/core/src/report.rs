@@ -8,9 +8,8 @@ use crate::webimpact::WebImpact;
 use crate::Framework;
 use dosscope_dns::Tld;
 use dosscope_types::{
-    CountryCode, Ecdf, EventSource, FrozenEcdf, ReflectionProtocol, TransportProto,
+    tally, CountryCode, Ecdf, EventSource, FrozenEcdf, ReflectionProtocol, TransportProto,
 };
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Format a count with thousands separators.
@@ -53,13 +52,7 @@ impl Table1 {
         // once (the store's victim bitset) instead of every event row —
         // the distinct-ASN set over distinct targets is the same set.
         let asn_count = |targets: &mut dyn Iterator<Item = std::net::Ipv4Addr>| {
-            let mut set = HashSet::new();
-            for target in targets {
-                if let (_, Some(asn)) = enricher.lookup(target) {
-                    set.insert(asn);
-                }
-            }
-            set.len() as u64
+            tally(targets.filter_map(|target| enricher.lookup(target).1)).len() as u64
         };
         let t = Table1Row {
             source: "Network Telescope".into(),
@@ -203,26 +196,8 @@ impl Table4 {
         // Countries are counted over the store's distinct-victim bitset:
         // one enrichment lookup per unique target, no per-event dedup.
         let panel = |targets: &mut dyn Iterator<Item = std::net::Ipv4Addr>| -> PanelRows {
-            let mut counts: HashMap<CountryCode, u64> = HashMap::new();
-            for target in targets {
-                let (cc, _) = enricher.lookup(target);
-                *counts.entry(cc).or_default() += 1;
-            }
-            let total: u64 = counts.values().sum();
-            let mut full: Vec<(CountryCode, u64)> = counts.into_iter().collect();
-            full.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut rows: Vec<(String, u64, f64)> = full
-                .iter()
-                .take(5)
-                .map(|&(cc, n)| (cc.to_string(), n, 100.0 * n as f64 / total.max(1) as f64))
-                .collect();
-            let other: u64 = full.iter().skip(5).map(|&(_, n)| n).sum();
-            rows.push((
-                "Other".into(),
-                other,
-                100.0 * other as f64 / total.max(1) as f64,
-            ));
-            (rows, full)
+            let full = tally(targets.map(|target| enricher.lookup(target).0));
+            (top_and_other(&full, CountryCode::to_string), full)
         };
         let (telescope, telescope_full) =
             panel(&mut fw.store.distinct_targets(EventSource::Telescope));
@@ -294,36 +269,16 @@ impl Table5 {
 pub struct Table6 {
     /// `(protocol, events, share %)` descending, top-5 + Other.
     pub rows: Vec<(String, u64, f64)>,
-    /// Full per-protocol counts.
-    pub counts: HashMap<ReflectionProtocol, u64>,
+    /// Full per-protocol counts, ranked like the rows (protocols with no
+    /// event are absent).
+    pub counts: Vec<(ReflectionProtocol, u64)>,
 }
 
 impl Table6 {
     /// Build over honeypot events.
     pub fn build(fw: &Framework<'_>) -> Table6 {
-        let mut counts: HashMap<ReflectionProtocol, u64> = HashMap::new();
-        for e in fw.store.honeypot() {
-            if let Some(p) = e.reflection_protocol() {
-                *counts.entry(p).or_default() += 1;
-            }
-        }
-        let total: u64 = counts.values().sum();
-        let mut sorted: Vec<(ReflectionProtocol, u64)> =
-            counts.iter().map(|(&p, &n)| (p, n)).collect();
-        // Tie-break on the protocol itself: HashMap iteration order is
-        // not deterministic across instances.
-        sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut rows: Vec<(String, u64, f64)> = sorted
-            .iter()
-            .take(5)
-            .map(|&(p, n)| (p.to_string(), n, 100.0 * n as f64 / total.max(1) as f64))
-            .collect();
-        let other: u64 = sorted.iter().skip(5).map(|&(_, n)| n).sum();
-        rows.push((
-            "Other".into(),
-            other,
-            100.0 * other as f64 / total.max(1) as f64,
-        ));
+        let counts = tally(fw.store.honeypot().iter().filter_map(|e| e.reflection_protocol()));
+        let rows = top_and_other(&counts, ReflectionProtocol::to_string);
         Table6 { rows, counts }
     }
 
@@ -397,35 +352,14 @@ impl Table8 {
     pub fn build(fw: &Framework<'_>) -> Table8 {
         let tele = fw.store.telescope();
         let panel = |proto: TransportProto| -> Vec<(String, u64, f64)> {
-            let mut counts: HashMap<u16, u64> = HashMap::new();
-            let ports = tele
-                .iter()
-                .filter(|e| e.transport_proto() == Some(proto))
-                .filter_map(|e| e.port_signature()?.single_port());
-            for port in ports {
-                *counts.entry(port).or_default() += 1;
-            }
-            let total: u64 = counts.values().sum();
-            let mut sorted: Vec<(u16, u64)> = counts.into_iter().collect();
-            sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut rows: Vec<(String, u64, f64)> = sorted
-                .iter()
-                .take(5)
-                .map(|&(port, n)| {
-                    (
-                        dosscope_types::service::Service::classify(proto, port).to_string(),
-                        n,
-                        100.0 * n as f64 / total.max(1) as f64,
-                    )
-                })
-                .collect();
-            let other: u64 = sorted.iter().skip(5).map(|&(_, n)| n).sum();
-            rows.push((
-                "Other".into(),
-                other,
-                100.0 * other as f64 / total.max(1) as f64,
-            ));
-            rows
+            let ports = tally(
+                tele.iter()
+                    .filter(|e| e.transport_proto() == Some(proto))
+                    .filter_map(|e| e.port_signature()?.single_port()),
+            );
+            top_and_other(&ports, |&port| {
+                dosscope_types::service::Service::classify(proto, port).to_string()
+            })
         };
         Table8 {
             tcp: panel(TransportProto::Tcp),
@@ -454,6 +388,18 @@ impl Table8 {
         }
         s
     }
+}
+
+/// The Tables 4, 6 and 8 panel layout over a ranked tally: the first five
+/// keys (named by `name`), then one "Other" row for the rest, each with its
+/// share (%) of the tally's total.
+fn top_and_other<K>(ranked: &[(K, u64)], name: impl Fn(&K) -> String) -> Vec<(String, u64, f64)> {
+    let total: u64 = ranked.iter().map(|&(_, n)| n).sum();
+    let row = |label: String, n: u64| (label, n, 100.0 * n as f64 / total.max(1) as f64);
+    let mut rows: Vec<(String, u64, f64)> =
+        ranked.iter().take(5).map(|(key, n)| row(name(key), *n)).collect();
+    rows.push(row("Other".into(), ranked.iter().skip(5).map(|&(_, n)| n).sum()));
+    rows
 }
 
 /// Figure 2/3/4 data: empirical distribution of durations or intensities.
@@ -760,6 +706,34 @@ mod tests {
         assert!(f5.series.attacks.total() >= 1.0);
         assert!(!f1.render().is_empty());
         assert!(!f5.render().is_empty());
+    }
+
+    #[test]
+    fn top_and_other_with_fewer_than_five_keys() {
+        let rows = top_and_other(&[('b', 3), ('a', 1)], char::to_string);
+        assert_eq!(
+            rows,
+            [
+                ("b".to_string(), 3, 75.0),
+                ("a".to_string(), 1, 25.0),
+                ("Other".to_string(), 0, 0.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn top_and_other_folds_the_tail_into_other() {
+        let ranked: Vec<(u8, u64)> = (0..8).map(|k| (k, 8 - u64::from(k))).collect();
+        let rows = top_and_other(&ranked, u8::to_string);
+        assert_eq!(rows.len(), 6);
+        assert_eq!(rows[4], ("4".to_string(), 4, 100.0 * 4.0 / 36.0));
+        assert_eq!(rows[5], ("Other".to_string(), 6, 100.0 * 6.0 / 36.0));
+    }
+
+    #[test]
+    fn top_and_other_with_no_keys() {
+        let rows = top_and_other(&[] as &[(u8, u64)], u8::to_string);
+        assert_eq!(rows, [("Other".to_string(), 0, 0.0)]);
     }
 
     #[test]

@@ -254,25 +254,6 @@ impl EventStore {
             .into_iter()
     }
 
-    /// The full attack history of one victim, both sources merged by
-    /// start time (telescope first on ties).
-    pub fn history(&self, target: Ipv4Addr) -> Vec<AttackEvent> {
-        if self.victims.get(target).is_none() {
-            return Vec::new();
-        }
-        let mut out: Vec<AttackEvent> = self
-            .tele
-            .events
-            .iter()
-            .chain(&self.hp.events)
-            .filter(|e| e.target == target)
-            .cloned()
-            .collect();
-        // Stable: each source is already start-sorted, telescope first.
-        out.sort_by_key(|e| e.when.start);
-        out
-    }
-
     /// Approximate heap footprint of the store in bytes: rows, interner
     /// and aggregate bitsets (dosbench's `store.memory_mib`).
     pub fn memory_bytes(&self) -> usize {
@@ -427,22 +408,6 @@ mod tests {
         // before any read, and summaries see both rows.
         assert_eq!(s.summary(EventSource::Telescope).events, 2);
         assert_eq!(starts(s.telescope()), vec![500, 1000]);
-    }
-
-    #[test]
-    fn history_merges_sources_by_start() {
-        let mut s = EventStore::new();
-        s.ingest_telescope(vec![
-            tele("10.0.0.1", 50),
-            tele("10.0.0.2", 60),
-            tele("10.0.0.1", 500),
-        ]);
-        s.ingest_honeypot(vec![hp("10.0.0.1", 90), hp("10.0.0.1", 50)]);
-        let h = s.history("10.0.0.1".parse().unwrap());
-        assert_eq!(h.len(), 4);
-        assert_eq!(starts(&h), vec![50, 50, 90, 500]);
-        assert_eq!(h[0].source(), EventSource::Telescope, "telescope wins ties");
-        assert!(s.history("192.168.0.1".parse().unwrap()).is_empty());
     }
 
     #[test]

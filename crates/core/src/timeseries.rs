@@ -8,7 +8,7 @@
 //! definition.
 
 use crate::enrich::Enricher;
-use dosscope_types::{AttackEvent, DayIndex, TimeSeries};
+use dosscope_types::{AttackEvent, DayIndex, Prefix16, TimeSeries};
 use std::borrow::Borrow;
 
 /// The four per-day series of one Figure 1 panel.
@@ -57,9 +57,8 @@ impl DailySeries {
             attacks.add(day, 1.0);
             let day_key = u64::from(day.0) << 32;
             targets.push(day_key | u64::from(u32::from(e.target)));
-            let en = enricher.enrich(e);
-            blocks.push(day_key | u64::from(en.block16.raw()));
-            if let Some(asn) = en.asn {
+            blocks.push(day_key | u64::from(Prefix16::of(e.target).raw()));
+            if let Some(asn) = enricher.lookup(e.target).1 {
                 asns.push(day_key | u64::from(asn.0));
             }
         }
@@ -190,10 +189,9 @@ mod tests {
             let Some(day) = sets.get_mut(e.when.start.day().0 as usize) else {
                 continue;
             };
-            let en = enricher.enrich(e);
             day[0].insert(u32::from(e.target));
-            day[1].insert(en.block16.raw());
-            if let Some(asn) = en.asn {
+            day[1].insert(Prefix16::of(e.target).raw());
+            if let Some(asn) = enricher.lookup(e.target).1 {
                 day[2].insert(asn.0);
             }
         }

@@ -24,7 +24,7 @@
 use crate::Framework;
 use dosscope_dns::{DomainId, Tld};
 use dosscope_types::{
-    AttackEvent, DayIndex, EventSource, FastMap, FastSet, LogHistogram, PortSignature,
+    tally, AttackEvent, DayIndex, EventSource, FastMap, FastSet, LogHistogram, PortSignature,
     ReflectionProtocol, TimeSeries, TransportProto,
 };
 
@@ -570,20 +570,17 @@ pub fn parties_on_day(fw: &Framework<'_>, day: DayIndex) -> Vec<(String, u64)> {
     let (Some(zone), Some(catalog)) = (fw.zone, fw.catalog) else {
         return Vec::new();
     };
-    let mut counts: FastMap<String, u64> = FastMap::default();
     let mut seen_ip: FastSet<Ipv4Addr> = FastSet::default();
-    for e in fw.store.all() {
-        if e.when.start.day() != day || !seen_ip.insert(e.target) {
-            continue;
-        }
-        for p in zone.placements_on_ip(e.target, day) {
-            let org = p.cname.unwrap_or(p.ns);
-            *counts.entry(catalog.get(org).name.clone()).or_default() += 1;
-        }
-    }
-    let mut out: Vec<(String, u64)> = counts.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
+    let names = fw
+        .store
+        .all()
+        .filter(|e| e.when.start.day() == day && seen_ip.insert(e.target))
+        .flat_map(|e| zone.placements_on_ip(e.target, day))
+        .map(|p| catalog.get(p.cname.unwrap_or(p.ns)).name.as_str());
+    tally(names)
+        .into_iter()
+        .map(|(name, n)| (name.to_string(), n))
+        .collect()
 }
 
 #[cfg(test)]

@@ -408,13 +408,13 @@ impl<'a> Experiments<'a> {
 
         // Table 6.
         let t6 = Table6::build(&self.fw);
-        let total6: u64 = t6.counts.values().sum();
+        let total6: u64 = t6.counts.iter().map(|&(_, n)| n).sum();
         for &(name, share) in paper::T6_TOP5.iter() {
             let measured = t6
                 .counts
                 .iter()
                 .find(|(p, _)| p.to_string() == name)
-                .map(|(_, &n)| 100.0 * n as f64 / total6.max(1) as f64)
+                .map(|&(_, n)| 100.0 * n as f64 / total6.max(1) as f64)
                 .unwrap_or(0.0);
             rows.push(row("Table 6", &format!("{name} share %"), share, measured, 3.0));
         }

@@ -38,7 +38,7 @@ pub use intern::Interner;
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
 pub use pool::{Routed, Shard, ShardPool};
 pub use shard::shard_of_source;
-pub use stats::{Ecdf, FrozenEcdf, LogHistogram, TimeSeries};
+pub use stats::{rank, tally, Ecdf, FrozenEcdf, LogHistogram, TimeSeries};
 pub use time::{
     CalendarDate, DayIndex, SimTime, TimeRange, SECS_PER_DAY, SECS_PER_HOUR, SECS_PER_MINUTE,
 };

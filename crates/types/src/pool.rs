@@ -34,8 +34,10 @@
 //! * `pool.<name>.w<k>.busy_us` / `.idle_us` — worker `k`'s wall time
 //!   processing chunks / blocked waiting for one;
 //! * `pool.<name>.w<k>.batches` — chunks worker `k` processed;
-//! * `pool.<name>.w<k>.queue_hwm` — most chunks ever queued or in
-//!   flight on worker `k`'s channel.
+//! * `pool.<name>.w<k>.queue_hwm` — most chunks ever waiting on worker
+//!   `k`'s channel, read after each send returns: at most `QUEUE_DEPTH`,
+//!   plus one the worker has just received and not yet counted off. A
+//!   chunk the dispatcher is still blocked on never counts.
 //!
 //! Each worker keeps its own times and chunk count and sets its gauges
 //! after every chunk, so a run that fails on a shard panic still leaves
@@ -146,8 +148,9 @@ pub trait Shard<T>: Send + 'static {
 struct Lane<T, S: Shard<T>> {
     tx: Option<SyncSender<Arc<Routed<T>>>>,
     handle: Option<JoinHandle<S::Output>>,
-    /// Chunks queued or in flight: the dispatcher adds one per send, the
-    /// worker takes one per receive.
+    /// Chunks sent and not yet received: the dispatcher adds one before
+    /// each send (so the worker's decrement never comes first), the worker
+    /// takes one per receive.
     in_flight: Arc<AtomicU64>,
     queue_hwm: Gauge,
 }
@@ -248,11 +251,14 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
         let mut dead = false;
         for lane in &self.lanes {
             let tx = lane.tx.as_ref().expect("live pool lane has a sender");
-            let depth = lane.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-            lane.queue_hwm.raise(depth);
+            lane.in_flight.fetch_add(1, Ordering::Relaxed);
             if tx.send(routed.clone()).is_err() {
                 dead = true;
             }
+            // Read once the send returns: a send blocked on a full queue
+            // is not a queued chunk, but the one just sent was, if only
+            // until the worker took it.
+            lane.queue_hwm.raise(lane.in_flight.load(Ordering::Relaxed).max(1));
         }
         if dead {
             // A send failed, so a worker is gone — and workers only leave
@@ -320,6 +326,7 @@ mod tests {
     use super::*;
     use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::thread::ThreadId;
 
     /// A shard that records everything it saw plus the thread that
@@ -378,6 +385,28 @@ mod tests {
         type Output = u64;
         fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
             std::thread::sleep(std::time::Duration::from_millis(self.delay_ms));
+            self.items += items.count() as u64;
+        }
+        fn finish(self) -> u64 {
+            self.items
+        }
+    }
+
+    /// A shard that, on its first chunk, says it has entered and then
+    /// blocks until its gate opens (a message or a hang-up); it counts
+    /// its items.
+    struct Gated {
+        gate: Option<(Sender<()>, Receiver<()>)>,
+        items: u64,
+    }
+
+    impl Shard<u32> for Gated {
+        type Output = u64;
+        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
+            if let Some((entered, gate)) = self.gate.take() {
+                let _ = entered.send(());
+                let _ = gate.recv();
+            }
             self.items += items.count() as u64;
         }
         fn finish(self) -> u64 {
@@ -556,6 +585,45 @@ mod tests {
             assert_eq!(field("batches"), 3);
             assert!(field("busy_us") >= 6_000, "worker {k}: {g:?}");
         }
+    }
+
+    #[test]
+    fn queue_hwm_never_counts_a_blocked_send() {
+        let _t = dosscope_obs::testing::scoped_enable();
+        let (entered_tx, entered) = channel();
+        let (open, gate) = channel();
+        let mut gate = Some((entered_tx, gate));
+        let mut pool = ShardPool::new("gated", 1, || Gated {
+            gate: gate.take(),
+            items: 0,
+        });
+        let chunks = QUEUE_DEPTH as u64 + 2;
+        let hwm = || pool_gauges("gated").get("w0.queue_hwm").copied().unwrap_or(0);
+        // The worker takes chunk 1, counts it off and blocks.
+        pool.dispatch(route(vec![0], 1));
+        entered.recv().expect("worker entered its first chunk");
+        std::thread::scope(|scope| {
+            let dispatcher = scope.spawn(|| {
+                // The channel fills with the next `QUEUE_DEPTH` chunks, and
+                // the last send blocks.
+                for _ in 1..chunks {
+                    pool.dispatch(route(vec![0], 1));
+                }
+            });
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while hwm() < QUEUE_DEPTH as u64 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let blocked = hwm();
+            // Open the gate before asserting, so a failure cannot leave
+            // the dispatcher blocked forever.
+            open.send(()).expect("worker holds the gate");
+            dispatcher.join().expect("dispatcher");
+            assert_eq!(blocked, QUEUE_DEPTH as u64, "a full queue, the blocked send not counted");
+        });
+        assert_eq!(pool.shutdown(), vec![chunks]);
+        assert!(hwm() <= QUEUE_DEPTH as u64 + 1, "hwm {}", hwm());
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Statistics toolkit: empirical CDFs, log-binned histograms and daily
-//! time series.
+//! Statistics toolkit: empirical CDFs, log-binned histograms, daily time
+//! series and ranked tallies.
 //!
-//! These primitives back every figure in the reproduction: duration and
-//! intensity CDFs (Figures 2-4, 9-11), the co-hosting histogram (Figure 6)
-//! and the daily attack time series (Figures 1, 5, 7).
+//! These primitives back every figure and ranked table in the
+//! reproduction: duration and intensity CDFs (Figures 2-4, 9-11), the
+//! co-hosting histogram (Figure 6), the daily attack time series
+//! (Figures 1, 5, 7) and, through [`tally`] and [`rank`], every per-key
+//! count listed highest first (Tables 4, 6 and 8, the joint-attack ASes
+//! and countries, the Section 8 lists).
 
 use crate::time::DayIndex;
+use std::collections::BTreeMap;
 
 /// An empirical cumulative distribution function over `f64` samples.
 ///
@@ -287,21 +291,30 @@ impl TimeSeries {
     }
 }
 
-/// Compute the share (%) each count represents of the total; returns
-/// `(count, percent)` in the input order. Zero totals yield zero percents.
-pub fn shares(counts: &[u64]) -> Vec<(u64, f64)> {
-    let total: u64 = counts.iter().sum();
-    counts
-        .iter()
-        .map(|&c| {
-            let pct = if total == 0 {
-                0.0
-            } else {
-                100.0 * c as f64 / total as f64
-            };
-            (c, pct)
-        })
-        .collect()
+/// Count each key and rank the counts with [`rank`]: the tally behind
+/// every top-N table and share list (Tables 4, 6 and 8, the joint-attack
+/// ASes and countries, the Section 8 organisation and party lists).
+///
+/// ```
+/// use dosscope_types::tally;
+///
+/// let ranked = tally(["NTP", "DNS", "NTP", "SSDP", "DNS"]);
+/// assert_eq!(ranked, [("DNS", 2), ("NTP", 2), ("SSDP", 1)]);
+/// ```
+pub fn tally<K: Ord>(keys: impl IntoIterator<Item = K>) -> Vec<(K, u64)> {
+    let mut counts: BTreeMap<K, u64> = BTreeMap::new();
+    for key in keys {
+        *counts.entry(key).or_default() += 1;
+    }
+    rank(counts)
+}
+
+/// Order `(key, count)` pairs by count descending, then by key ascending,
+/// so equal counts rank the same way on every run.
+pub fn rank<K: Ord>(pairs: impl IntoIterator<Item = (K, u64)>) -> Vec<(K, u64)> {
+    let mut ranked: Vec<(K, u64)> = pairs.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    ranked
 }
 
 #[cfg(test)]
@@ -415,16 +428,17 @@ mod tests {
     }
 
     #[test]
-    fn shares_sum_to_100() {
-        let s = shares(&[794, 159, 45, 2]);
-        let total: f64 = s.iter().map(|(_, p)| p).sum();
-        assert!((total - 100.0).abs() < 1e-9);
-        assert!((s[0].1 - 79.4).abs() < 0.01);
+    fn tally_counts_and_breaks_ties_by_key() {
+        let ranked = tally([3u8, 1, 2, 3, 2, 9, 3]);
+        assert_eq!(ranked, [(3, 3), (2, 2), (1, 1), (9, 1)]);
+        assert_eq!(ranked.iter().map(|&(_, n)| n).sum::<u64>(), 7);
+        assert!(tally(std::iter::empty::<u8>()).is_empty());
     }
 
     #[test]
-    fn shares_zero_total() {
-        let s = shares(&[0, 0]);
-        assert_eq!(s, vec![(0, 0.0), (0, 0.0)]);
+    fn rank_orders_by_count_then_key() {
+        let ranked = rank([("b", 5), ("c", 7), ("a", 5), ("d", 0)]);
+        assert_eq!(ranked, [("c", 7), ("a", 5), ("b", 5), ("d", 0)]);
+        assert!(rank(Vec::<(u8, u64)>::new()).is_empty());
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the shared types: interval algebra, calendar
 //! arithmetic, ECDF/quantile laws and histogram totals.
 
-use dosscope_types::{CalendarDate, DayIndex, Ecdf, LogHistogram, SimTime, TimeRange};
+use dosscope_types::{tally, CalendarDate, DayIndex, Ecdf, LogHistogram, SimTime, TimeRange};
+use std::collections::HashMap;
 use proptest::prelude::*;
 
 fn arb_range() -> impl Strategy<Value = TimeRange> {
@@ -94,5 +95,18 @@ proptest! {
         }
         let positive = values.iter().filter(|&&v| v > 0).count() as u64;
         prop_assert_eq!(h.total(), positive);
+    }
+
+    /// `tally` equals a hash-map count sorted by count descending, then
+    /// key ascending. Few distinct keys make ties common.
+    #[test]
+    fn tally_matches_a_hash_map_count(keys in proptest::collection::vec(0u16..12, 0..300)) {
+        let mut counts: HashMap<u16, u64> = HashMap::new();
+        for &k in &keys {
+            *counts.entry(k).or_default() += 1;
+        }
+        let mut want: Vec<(u16, u64)> = counts.into_iter().collect();
+        want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        prop_assert_eq!(tally(keys), want);
     }
 }
