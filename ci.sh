@@ -16,10 +16,10 @@ cargo build --release --locked --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> migration oracle at scale 600 (release, ignored by the debug run)"
+echo "==> migration oracle at scale 600, 731 and 120 days (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test migration_equivalence -- --ignored
 
-echo "==> DPS oracle at scale 600 (release, ignored by the debug run)"
+echo "==> DPS oracle at scale 600, 731 and 120 days (release, ignored by the debug run)"
 cargo test --release --locked -q -p dosscope-harness --test dps_equivalence -- --ignored
 
 echo "==> Web join oracle at scale 600 (release, ignored by the debug run)"

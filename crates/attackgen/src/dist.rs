@@ -135,16 +135,29 @@ pub fn repeat_count<R: Rng + ?Sized>(rng: &mut R, alpha: f64, max: u32) -> u32 {
 
 /// Weighted choice over a small fixed slice: returns an index.
 pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+    weighted_index_by(rng, weights.iter().copied())
+}
+
+/// [`weighted_index`] over weights given by an iterator, which is walked
+/// twice (once for the total): the same draw and the same index as the
+/// slice form, without collecting the weights.
+pub(crate) fn weighted_index_by<R, I>(rng: &mut R, weights: I) -> usize
+where
+    R: Rng + ?Sized,
+    I: Iterator<Item = f64> + Clone,
+{
+    let total: f64 = weights.clone().sum();
     debug_assert!(total > 0.0, "weights must not all be zero");
     let mut x = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if x < *w {
+    let mut last = 0;
+    for (i, w) in weights.enumerate() {
+        if x < w {
             return i;
         }
         x -= w;
+        last = i;
     }
-    weights.len() - 1
+    last
 }
 
 #[cfg(test)]

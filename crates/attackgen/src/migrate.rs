@@ -18,13 +18,19 @@
 //! The model mutates the DNS zone (new placements with the provider's
 //! CNAME and address space), which is the *only* way the measurement side
 //! ever learns about a migration.
+//!
+//! Planning and applying are separate: planning only reads the zone, so
+//! it asks its co-host questions of a [`CohostIndex`] that borrows the
+//! zone unchanged, and resolves every platform move in one pass over the
+//! placements; the apply step then truncates and re-places the planned
+//! sites in day order.
 
 use crate::config::{Calibration, GenConfig};
 use crate::dist::AnchorDist;
 use crate::model::{Episode, GroundTruth, GtKind};
 use dosscope_dns::synth::SynthOutput;
-use dosscope_dns::{DayRange, DomainId, OrgId, OrgRole, Placement, ZoneStore};
-use dosscope_types::{DayIndex, FastMap, SECS_PER_HOUR};
+use dosscope_dns::{CohostIndex, DayRange, DomainId, OrgId, OrgRole, Placement};
+use dosscope_types::{DayIndex, SECS_PER_HOUR};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -58,11 +64,13 @@ pub struct GtMigration {
 pub struct MigrationOutcome {
     /// All migrations actually applied to the zone, sorted by day.
     pub migrations: Vec<GtMigration>,
-    /// Distinct (IP, day) co-host counts the planning computed.
+    /// Distinct hosting addresses the planning's [`CohostIndex`]
+    /// classified against the co-host cap.
     pub cohost_counts: u64,
-    /// Placements the planning read from the zone: the matches each
-    /// capped co-host count stopped at, each expanded co-host list, and
-    /// the whole placement slice once per platform move.
+    /// Placements the planning read from the zone: each above-cap
+    /// address's placements once, every placement filed on an attacked
+    /// address each time its day's site list was expanded, and the whole
+    /// placement slice once if any platform moved.
     pub placements_walked: u64,
 }
 
@@ -147,33 +155,15 @@ impl DelayModel {
     }
 }
 
-/// Capped co-host counts per (IP, day), each walked once. Valid only while
-/// the zone is unchanged: the planning phases read it, the apply phase
-/// mutates it.
-struct CohostCounts {
-    cap: usize,
-    memo: FastMap<(u32, DayIndex), usize>,
-    placements_walked: u64,
-}
-
-impl CohostCounts {
-    /// Sites on `ip` on `day`, clamped to `cap + 1`.
-    fn get(&mut self, zone: &ZoneStore, ip: Ipv4Addr, day: DayIndex) -> usize {
-        *self.memo.entry((u32::from(ip), day)).or_insert_with(|| {
-            let n = zone.count_on_ip(ip, day, self.cap);
-            self.placements_walked += n as u64;
-            n
-        })
-    }
-}
-
 /// Apply the migration model: mutate the zone and return the ground-truth
 /// migration log.
 ///
-/// Planning reads the zone through one capped co-host count per distinct
-/// (IP, day) and expands a co-host list only for groups small enough to
-/// decide individually; each platform move is one pass over the placement
-/// slice. Per-domain state is dense (indexed by [`DomainId`]).
+/// Planning reads the zone through a [`CohostIndex`]: an address with at
+/// most `cap` placements filed is never over the cap and an attack on it
+/// walks its day's site list, while an address with more answers "over
+/// the cap?" from its daily site counts, built once. All platform moves
+/// are resolved in one pass over the placement slice. Per-domain state is
+/// dense (indexed by [`DomainId`]).
 fn apply_migrations(
     config: &GenConfig,
     cal: &Calibration,
@@ -228,11 +218,7 @@ fn apply_migrations(
 
     // Planned migrations per domain: earliest day wins.
     let mut planned: Vec<Option<(DayIndex, MigrationTrigger)>> = vec![None; zone.domain_count()];
-    let mut cohosts = CohostCounts {
-        cap: config.individual_migration_max_cohost,
-        memo: FastMap::default(),
-        placements_walked: 0,
-    };
+    let mut cohosts = CohostIndex::new(zone, config.individual_migration_max_cohost);
 
     // 1. Spontaneous baseline. Sites parked in huge co-hosting groups
     // (resellers, platforms) don't individually buy protection — their
@@ -247,10 +233,10 @@ fn apply_migrations(
                 continue;
             }
             let first = active.start;
-            let cohort = zone
+            if zone
                 .ip_of(d, first)
-                .map_or(0, |ip| cohosts.get(zone, ip, first));
-            if cohort > config.individual_migration_max_cohost {
+                .is_some_and(|ip| cohosts.over_cap(ip, first))
+            {
                 continue;
             }
             let day = DayIndex(rng.gen_range(active.start.0 + 1..active.end.0));
@@ -293,19 +279,17 @@ fn apply_migrations(
         };
         // Large co-hosting groups don't make individual decisions: the
         // hoster owns mitigation (platform moves above); only small
-        // groups' owners migrate on their own.
-        let cohort = cohosts.get(zone, attack.target, day);
-        if cohort == 0 || cohort > config.individual_migration_max_cohost {
+        // groups' owners migrate on their own. An empty group draws
+        // nothing.
+        let Some(sites) = cohosts.within_cap(attack.target, day) else {
             continue;
-        }
-        let sites = zone.domains_on_ip(attack.target, day);
-        cohosts.placements_walked += sites.len() as u64;
+        };
         // Long (≥ 4 h) reflection attacks create the strongest urgency —
         // they drive both the probability and the fast delay profile of
         // Figure 11.
         let urgency = if long_attack { 2.6 } else { 1.0 };
         let prob = config.migration_base_prob * (0.5 + 2.5 * percentile.powi(4)) * urgency;
-        for site in sites {
+        for site in sites.map(|p| p.domain) {
             if protected[site.0 as usize] {
                 continue;
             }
@@ -323,26 +307,36 @@ fn apply_migrations(
 
     // 3. Resolve platform moves into per-site migrations (they override
     // individual plans: the hoster decides for everyone on the platform).
-    // A domain's placements are disjoint, so at most one covers the probe
-    // day; one pass over all placements finds every member. The platform
-    // is matched on CNAME or NS (Wix fronts by CNAME).
+    // A placement belongs to a move when it carries the platform as CNAME
+    // or NS (Wix fronts by CNAME) and covers the move's probe day. Where a
+    // domain's placements belong to several moves, the latest move wins,
+    // so one pass over all placements settles every member.
     platform_moves.sort_by_key(|&(_, day)| day);
     let last_day = DayIndex(config.days - 1);
-    let placements = zone.placements();
-    for (from_org, day) in platform_moves {
-        let probe = day.min(last_day);
-        cohosts.placements_walked += placements.len() as u64;
-        for p in placements {
-            if (p.cname == Some(from_org) || p.ns == from_org)
-                && p.days.contains(probe)
-                && !protected[p.domain.0 as usize]
-            {
-                planned[p.domain.0 as usize] = Some((day, MigrationTrigger::PlatformMove));
+    let mut placements_walked = cohosts.placements_read();
+    if !platform_moves.is_empty() {
+        let mut moving = vec![false; synth.catalog.orgs().len()];
+        for &(org, _) in &platform_moves {
+            moving[org.0 as usize] = true;
+        }
+        let moving = |org: OrgId| moving[org.0 as usize];
+        placements_walked += zone.placements().len() as u64;
+        for p in zone.placements() {
+            if !(moving(p.ns) || p.cname.is_some_and(moving)) || protected[p.domain.0 as usize] {
+                continue;
+            }
+            let Some(&(_, day)) = platform_moves.iter().rev().find(|&&(org, day)| {
+                (p.cname == Some(org) || p.ns == org) && p.days.contains(day.min(last_day))
+            }) else {
+                continue;
+            };
+            let entry = &mut planned[p.domain.0 as usize];
+            if !matches!(*entry, Some((moved, MigrationTrigger::PlatformMove)) if moved >= day) {
+                *entry = Some((day, MigrationTrigger::PlatformMove));
             }
         }
     }
-    let cohost_counts = cohosts.memo.len() as u64;
-    let placements_walked = cohosts.placements_walked;
+    let cohost_counts = cohosts.ips_classified();
 
     // 4. Apply in day order.
     let mut migrations: Vec<GtMigration> = Vec::new();
@@ -434,5 +428,127 @@ impl MigrationModel {
         synth: &mut SynthOutput,
     ) -> MigrationOutcome {
         apply_migrations(config, cal, truth, synth)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{EpisodeLog, GtAttack};
+    use dosscope_dns::synth::HostingSlot;
+    use dosscope_dns::{OrgCatalog, Tld, ZoneStore};
+    use dosscope_types::{ReflectionProtocol, SimTime, TimeRange};
+
+    fn range(a: u32, b: u32) -> DayRange {
+        DayRange::new(DayIndex(a), DayIndex(b))
+    }
+
+    fn episode_attack(episode: Episode, day: u32) -> GtAttack {
+        GtAttack {
+            target: Ipv4Addr::new(203, 0, 113, 1),
+            window: TimeRange::with_duration(SimTime::from_day_offset(DayIndex(day), 0), 3_600),
+            kind: GtKind::Reflection {
+                protocol: ReflectionProtocol::Ntp,
+                fleet_rate: 1_000.0,
+                pots: vec![0],
+            },
+            joint_id: None,
+            episode,
+        }
+    }
+
+    /// Platform moves on a hand-built zone: the Wix move lands on day 101
+    /// and the eNom move on day 151.
+    #[test]
+    fn platform_moves_take_the_later_move_and_match_by_cname() {
+        let mut catalog = OrgCatalog::new();
+        let host = catalog.add("SomeHost", None, OrgRole::Hoster, false);
+        let wix = catalog.add("Wix", None, OrgRole::Platform, true);
+        let enom = catalog.add("eNom", None, OrgRole::Hoster, false);
+        let incapsula = catalog.add("Incapsula", None, OrgRole::Dps, true);
+        let verisign = catalog.add("Verisign", None, OrgRole::Dps, true);
+        let slot = |org: OrgId, last: u8| HostingSlot {
+            ip: Ipv4Addr::new(198, 51, 100, last),
+            org,
+            capacity: 1,
+        };
+        let slots = vec![slot(incapsula, 1), slot(verisign, 2)];
+
+        let mut zone = ZoneStore::new();
+        let site = |zone: &mut ZoneStore, spans: &[(u32, u32, OrgId, Option<OrgId>)]| {
+            let d = zone.add_domain(Tld::Com, range(0, 400));
+            for (i, &(a, b, ns, cname)) in spans.iter().enumerate() {
+                zone.place(Placement {
+                    domain: d,
+                    ip: Ipv4Addr::new(192, 0, 2, d.0 as u8 * 4 + i as u8),
+                    days: range(a, b),
+                    ns,
+                    cname,
+                });
+            }
+            d
+        };
+        // Two placements, one per move: the later (eNom) move wins,
+        // whichever placement is filed first.
+        let later_filed_first = site(&mut zone, &[(120, 400, enom, None), (0, 120, wix, None)]);
+        let earlier_filed_first = site(&mut zone, &[(0, 120, wix, None), (120, 400, enom, None)]);
+        // On Wix by CNAME only: its name servers are another hoster's.
+        let cname_only = site(&mut zone, &[(0, 400, host, Some(wix))]);
+        // Protected from its first day, then on Wix: never moves.
+        let protected = site(
+            &mut zone,
+            &[(0, 50, host, Some(incapsula)), (50, 400, wix, None)],
+        );
+        // On neither platform.
+        let bystander = site(&mut zone, &[(0, 400, host, None)]);
+        let mut synth = SynthOutput {
+            zone,
+            catalog,
+            slots,
+        };
+
+        let config = GenConfig {
+            days: 400,
+            spontaneous_migration_prob: 0.0,
+            ..GenConfig::default()
+        };
+        let truth = GroundTruth {
+            attacks: vec![
+                episode_attack(Episode::EnomSlowBurn, 50),
+                episode_attack(Episode::WixTakedown, 100),
+            ],
+            episodes: EpisodeLog {
+                wix_attack_day: DayIndex(100),
+                enom_attack_day: DayIndex(50),
+                marquee_days: [DayIndex(0); 4],
+            },
+        };
+        let outcome = MigrationModel::apply(&config, &Calibration::default(), &truth, &mut synth);
+
+        let log: Vec<(DomainId, DayIndex, OrgId, MigrationTrigger)> = outcome
+            .migrations
+            .iter()
+            .map(|m| (m.domain, m.day, m.provider, m.trigger))
+            .collect();
+        // Neither the protected site nor the bystander moves.
+        let moved = MigrationTrigger::PlatformMove;
+        assert_eq!(
+            log,
+            vec![
+                (cname_only, DayIndex(101), incapsula, moved),
+                (later_filed_first, DayIndex(151), verisign, moved),
+                (earlier_filed_first, DayIndex(151), verisign, moved),
+            ]
+        );
+        assert_eq!(synth.zone.placements_of(protected).count(), 2);
+        assert_eq!(synth.zone.placements_of(bystander).count(), 1);
+        assert_eq!(
+            synth
+                .zone
+                .placement_of(cname_only, DayIndex(101))
+                .map(|p| (p.ns, p.cname)),
+            Some((host, Some(incapsula))),
+            "the moved placement keeps its name servers"
+        );
     }
 }

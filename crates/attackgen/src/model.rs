@@ -7,7 +7,7 @@
 //! [`crate::render`].
 
 use crate::config::{Calibration, GenConfig};
-use crate::dist::{lognormal_min, repeat_count, weighted_index};
+use crate::dist::{lognormal_min, repeat_count, weighted_index, weighted_index_by};
 use dosscope_dns::synth::{HostingSlot, SynthOutput};
 use dosscope_geo::AsRegistry;
 use dosscope_types::{
@@ -135,8 +135,9 @@ pub struct Generator<'a> {
     day_cum: Vec<f64>,
     /// Telescope targets already used (for the cross-data-set population).
     tele_targets: Vec<Ipv4Addr>,
-    /// Slot IPs per mega-organisation name (for scripted episodes).
-    org_slots: Vec<(String, Vec<Ipv4Addr>)>,
+    /// Slot IPs per organisation, by organisation name (for scripted
+    /// episodes).
+    org_slots: Vec<(&'a str, Vec<Ipv4Addr>)>,
     /// "Permanently attacked" slot indices: DPS scrubbing infrastructure
     /// and the CNAME-fronted platforms, which real measurements show under
     /// attack almost daily (the DOSarrest IP tops the paper's co-hosting
@@ -178,16 +179,24 @@ impl<'a> Generator<'a> {
         let rng = SmallRng::seed_from_u64(config.seed);
         let marquee_days = MARQUEE_DAYS.map(|d| DayIndex(d.min(config.days - 1)));
         // Resolve slot IPs per organisation once, for the scripted
-        // episodes (marquee peaks, Wix, eNom).
-        let mut org_slots: std::collections::HashMap<String, Vec<Ipv4Addr>> = Default::default();
+        // episodes (marquee peaks, Wix, eNom), sorted by name for
+        // reproducible episode generation.
+        let orgs = synth.catalog.orgs();
+        let mut ips_of_org: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); orgs.len()];
         for slot in &synth.slots {
-            let name = synth.catalog.get(slot.org).name.clone();
-            org_slots.entry(name).or_default().push(slot.ip);
+            ips_of_org[slot.org.0 as usize].push(slot.ip);
         }
-        for ips in org_slots.values_mut() {
-            ips.sort_unstable();
-            ips.dedup();
-        }
+        let mut org_slots: Vec<(&'a str, Vec<Ipv4Addr>)> = orgs
+            .iter()
+            .zip(ips_of_org)
+            .filter(|(_, ips)| !ips.is_empty())
+            .map(|(org, mut ips)| {
+                ips.sort_unstable();
+                ips.dedup();
+                (org.name.as_str(), ips)
+            })
+            .collect();
+        org_slots.sort_by_key(|&(name, _)| name);
         // Slot tiers for web targeting. The perma tier — large scrubbing
         // and parking IPs under near-daily attack — models the paper's
         // top co-hosting bins (the DOSarrest IP tops the 1M+ group); it
@@ -247,13 +256,7 @@ impl<'a> Generator<'a> {
                 .iter()
                 .flat_map(|i| i.mx_ips.iter().chain(&i.ns_ips).copied())
                 .collect(),
-            org_slots: {
-                // HashMap order is nondeterministic; sort for reproducible
-                // episode generation.
-                let mut v: Vec<_> = org_slots.into_iter().collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
+            org_slots,
             marquee_days,
         };
         g.build_day_curve();
@@ -316,34 +319,6 @@ impl<'a> Generator<'a> {
         SimTime::from_day_offset(day, self.rng.gen_range(0..SECS_PER_DAY))
     }
 
-    /// Sample a generic target by per-data-set country weights, falling
-    /// back to any registry address when a listed country is missing from
-    /// the plan.
-    fn sample_country_target(&mut self, table: &[(&'static str, f64)]) -> Ipv4Addr {
-        let listed: f64 = table.iter().map(|(_, w)| w).sum();
-        let x: f64 = self.rng.gen();
-        if x < listed {
-            let weights: Vec<f64> = table.iter().map(|(_, w)| *w).collect();
-            let i = weighted_index(&mut self.rng, &weights);
-            let cc = CountryCode::new(table[i].0);
-            if let Some(addr) = self.registry.sample_addr_in_country(&mut self.rng, cc) {
-                return addr;
-            }
-        }
-        // Residual: any *unlisted* country, proportional to address-space
-        // usage (AS pick); listed countries keep exactly their table
-        // weight, so e.g. the US is not re-drawn here.
-        let ases = self.registry.ases();
-        for _ in 0..64 {
-            let a = &ases[self.rng.gen_range(0..ases.len())];
-            if !table.iter().any(|(cc, _)| a.country == CountryCode::new(cc)) {
-                return a.sample_addr(&mut self.rng);
-            }
-        }
-        let a = &ases[self.rng.gen_range(0..ases.len())];
-        a.sample_addr(&mut self.rng)
-    }
-
     fn sample_web_slot(&mut self) -> &'a HostingSlot {
         // Three tiers: DPS/platform infrastructure is under near-daily
         // attack; big hosters are hit regularly; the long tail of small
@@ -403,26 +378,12 @@ impl<'a> Generator<'a> {
                 self.cal.telescope.tcp_port_other,
             )
         };
-        let mut weights: Vec<f64> = table.iter().map(|(_, w)| *w).collect();
-        weights.push(other);
-        let i = weighted_index(&mut self.rng, &weights);
-        if i < table.len() {
-            table[i].0
-        } else {
-            self.rng.gen_range(1..=65535)
-        }
+        sample_port(&mut self.rng, table, other)
     }
 
     fn sample_udp_port(&mut self) -> u16 {
-        let table = &self.cal.telescope.udp_port_table;
-        let mut weights: Vec<f64> = table.iter().map(|(_, w)| *w).collect();
-        weights.push(self.cal.telescope.udp_port_other);
-        let i = weighted_index(&mut self.rng, &weights);
-        if i < table.len() {
-            table[i].0
-        } else {
-            self.rng.gen_range(1..=65535)
-        }
+        let t = &self.cal.telescope;
+        sample_port(&mut self.rng, &t.udp_port_table, t.udp_port_other)
     }
 
     fn sample_ports(&mut self, proto: TransportProto, web_target: bool, single_prob: f64) -> GtPorts {
@@ -599,8 +560,7 @@ impl<'a> Generator<'a> {
                 // share of direct attacks.
                 self.infra_ips[self.rng.gen_range(0..self.infra_ips.len())]
             } else {
-                let table = self.cal.countries.telescope.clone();
-                self.sample_country_target(&table)
+                country_target(&mut self.rng, self.registry, &self.cal.countries.telescope)
             };
             self.tele_targets.push(target);
             // Co-hosted IPs see repeat attacks through independent
@@ -657,8 +617,7 @@ impl<'a> Generator<'a> {
             } else if !self.infra_ips.is_empty() && self.rng.gen_bool(0.012) {
                 self.infra_ips[self.rng.gen_range(0..self.infra_ips.len())]
             } else {
-                let table = self.cal.countries.honeypot.clone();
-                self.sample_country_target(&table)
+                country_target(&mut self.rng, self.registry, &self.cal.countries.honeypot)
             };
             let k = if web {
                 repeat_count(&mut self.rng, 2.8, 3)
@@ -696,8 +655,7 @@ impl<'a> Generator<'a> {
         // AS bias first (OVH, China Telecom, China Unicom).
         let x: f64 = self.rng.gen();
         let mut acc = 0.0;
-        let targets = self.cal.joint_as.targets.clone();
-        for (name, p) in targets {
+        for &(name, p) in &self.cal.joint_as.targets {
             acc += p;
             if x < acc {
                 if let Some(info) = self.registry.by_name(name) {
@@ -705,8 +663,7 @@ impl<'a> Generator<'a> {
                 }
             }
         }
-        let table = self.cal.countries.joint.clone();
-        self.sample_country_target(&table)
+        country_target(&mut self.rng, self.registry, &self.cal.countries.joint)
     }
 
     fn generate_joint(&mut self, budget: u64, out: &mut Vec<GtAttack>) {
@@ -887,10 +844,54 @@ impl<'a> Generator<'a> {
         // lookup provided at construction time.
         self.org_slots
             .iter()
-            .filter(|(name, _)| names.contains(&name.as_str()))
+            .filter(|(name, _)| names.contains(name))
             .flat_map(|(_, ips)| ips.iter().copied())
             .collect()
     }
+}
+
+/// Draw a port from a `(port, weight)` table plus an "other" weight,
+/// which stands for a uniformly random port.
+fn sample_port(rng: &mut SmallRng, table: &[(u16, f64)], other: f64) -> u16 {
+    let weights = table.iter().map(|&(_, w)| w).chain(std::iter::once(other));
+    match table.get(weighted_index_by(rng, weights)) {
+        Some(&(port, _)) => port,
+        None => rng.gen_range(1..=65535),
+    }
+}
+
+/// Sample a generic target by per-data-set country weights, falling back
+/// to any registry address when a listed country is missing from the
+/// plan.
+fn country_target(
+    rng: &mut SmallRng,
+    registry: &AsRegistry,
+    table: &[(&'static str, f64)],
+) -> Ipv4Addr {
+    let listed: f64 = table.iter().map(|(_, w)| w).sum();
+    let x: f64 = rng.gen();
+    if x < listed {
+        let i = weighted_index_by(&mut *rng, table.iter().map(|&(_, w)| w));
+        let cc = CountryCode::new(table[i].0);
+        if let Some(addr) = registry.sample_addr_in_country(rng, cc) {
+            return addr;
+        }
+    }
+    // Residual: any *unlisted* country, proportional to address-space
+    // usage (AS pick); listed countries keep exactly their table weight,
+    // so e.g. the US is not re-drawn here.
+    let ases = registry.ases();
+    for _ in 0..64 {
+        let a = &ases[rng.gen_range(0..ases.len())];
+        if !table
+            .iter()
+            .any(|(cc, _)| a.country == CountryCode::new(cc))
+        {
+            return a.sample_addr(rng);
+        }
+    }
+    let a = &ases[rng.gen_range(0..ases.len())];
+    a.sample_addr(rng)
 }
 
 #[cfg(test)]

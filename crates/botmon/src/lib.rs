@@ -149,16 +149,26 @@ impl Default for MonitorConfig {
 }
 
 /// Statistics of a monitoring run.
+///
+/// Every start command opens one event, and every event ends in one of
+/// three ways: a stop command, a re-issued start against the same target,
+/// or the end of the trace. So `commands = 2 × events − restarted −
+/// unterminated + orphan_stops`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MonitorStats {
     /// Commands ingested.
     pub commands: u64,
     /// Stop commands with no matching start (dropped).
     pub orphan_stops: u64,
-    /// Events closed by an explicit stop.
+    /// Events closed by an explicit stop within the duration cap.
     pub stopped: u64,
-    /// Events closed by the duration cap.
+    /// Events closed without an explicit stop: cut at the duration cap,
+    /// restarted, or still open at the end of the trace.
     pub capped: u64,
+    /// Events closed by a re-issued start against the same target.
+    pub restarted: u64,
+    /// Events still open at the end of the trace.
+    pub unterminated: u64,
 }
 
 /// The C&C monitor: pairs start/stop commands per (botnet, target) into
@@ -201,6 +211,7 @@ impl CncMonitor {
                 // A re-issued start against the same target restarts the
                 // attack: close the previous one at the new start time.
                 if let Some(prev) = self.open.insert((cmd.botnet, target), *cmd) {
+                    self.stats.restarted += 1;
                     self.close(prev, cmd.ts, false);
                 }
             }
@@ -246,6 +257,7 @@ impl CncMonitor {
     /// sorted by start time.
     pub fn finish(mut self, now: SimTime) -> (Vec<BotnetEvent>, MonitorStats) {
         let open: Vec<CncCommand> = self.open.drain().map(|(_, c)| c).collect();
+        self.stats.unterminated = open.len() as u64;
         for cmd in open {
             self.close(cmd, now, false);
         }
@@ -340,6 +352,31 @@ mod tests {
         assert_eq!(events.len(), 3);
         let explicit = events.iter().filter(|e| e.explicit_stop).count();
         assert_eq!(explicit, 1);
+    }
+
+    /// Each way an event ends, once: `commands` is explained exactly.
+    #[test]
+    fn every_command_is_accounted_for() {
+        let mut m = CncMonitor::new();
+        m.ingest(&stop(1, 50, "10.0.0.9")); // orphan stop
+        m.ingest(&start(1, 100, "10.0.0.1"));
+        m.ingest(&start(1, 200, "10.0.0.1")); // restart: closes the first
+        m.ingest(&stop(1, 300, "10.0.0.1")); // stop within the cap
+        m.ingest(&start(1, 400, "10.0.0.2"));
+        m.ingest(&stop(1, 400 + 7 * 3_600, "10.0.0.2")); // stop past the cap
+        m.ingest(&start(1, 500, "10.0.0.3")); // still open at the end
+        let (events, stats) = m.finish(SimTime(100_000));
+        assert_eq!(events.len(), 4);
+        assert_eq!(stats.commands, 7);
+        assert_eq!(
+            (stats.orphan_stops, stats.restarted, stats.unterminated),
+            (1, 1, 1)
+        );
+        assert_eq!((stats.stopped, stats.capped), (1, 3));
+        assert_eq!(
+            stats.commands,
+            2 * events.len() as u64 - stats.restarted - stats.unterminated + stats.orphan_stops
+        );
     }
 
     #[test]

@@ -68,6 +68,11 @@ proptest! {
             "every event closed exactly once"
         );
         prop_assert!(stats.orphan_stops as usize <= stops);
+        prop_assert_eq!(
+            stats.commands + stats.restarted + stats.unterminated,
+            2 * events.len() as u64 + stats.orphan_stops,
+            "every stop closed an event or was an orphan"
+        );
         for e in &events {
             prop_assert!(e.duration_secs() >= 1);
             prop_assert!(e.duration_secs() <= 3_600, "cap violated: {}", e.duration_secs());

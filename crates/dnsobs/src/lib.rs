@@ -22,8 +22,10 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
+pub mod cohost;
 pub mod store;
 pub mod synth;
 
 pub use catalog::{OrgCatalog, OrgId, OrgRecord, OrgRole};
+pub use cohost::CohostIndex;
 pub use store::{DayRange, DomainId, OrgInfra, Placement, Tld, ZoneStore};

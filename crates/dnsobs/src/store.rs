@@ -7,6 +7,14 @@
 //! from day a to day b, with NS/CNAME context" — and derives daily views
 //! on demand. Totals equivalent to the paper's Table 2 (sites, data
 //! points, size) are computed from the intervals.
+//!
+//! Placements sit in one `Vec` in insertion order. Three indexes list them
+//! per key — per domain, per A-record address and per NS organisation —
+//! and each is a chain through a flat `u32` array parallel to the
+//! placements: a key stores its first and last placement, a placement
+//! stores the next one with the same key. Filing a placement is a push
+//! onto three arrays and a tail update, with no heap vector per key, and
+//! every chain lists its placements in insertion order.
 
 use crate::catalog::OrgId;
 use dosscope_types::{DayIndex, FastMap};
@@ -122,8 +130,44 @@ pub struct OrgInfra {
     pub ns_ips: Vec<Ipv4Addr>,
 }
 
-/// The end of a domain's placement chain.
+/// The end of a placement chain.
 const NONE: u32 = u32::MAX;
+
+/// One key's placement chain: its first and last placement (indices into
+/// the placements) and how many it has filed.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        first: NONE,
+        last: NONE,
+        len: 0,
+    };
+
+    /// Append placement `idx`, whose entry in `next` already reads
+    /// [`NONE`].
+    fn push(&mut self, idx: u32, next: &mut [u32]) {
+        match self.last {
+            NONE => self.first = idx,
+            last => next[last as usize] = idx,
+        }
+        self.last = idx;
+        self.len += 1;
+    }
+}
+
+/// The indices of a chain starting at `first`, in insertion order.
+fn walk(first: u32, next: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors((first != NONE).then_some(first), move |&i| {
+        let n = next[i as usize];
+        (n != NONE).then_some(n)
+    })
+}
 
 /// The zone store: all Web sites of the measured TLDs with their hosting
 /// history.
@@ -137,13 +181,19 @@ pub struct ZoneStore {
     /// [`NONE`]; indexed by [`DomainId`].
     head: Vec<u32>,
     /// Parallel to `placements`: the same domain's next placement, or
-    /// [`NONE`]. Following `head` then `next` lists a domain's placements
-    /// in insertion order, at 4 bytes per domain and per placement.
-    next: Vec<u32>,
-    /// Placements per A-record target address.
-    by_ip: FastMap<u32, Vec<u32>>,
-    /// Placements per operating organisation (for infrastructure joins).
-    by_org: FastMap<OrgId, Vec<u32>>,
+    /// [`NONE`].
+    domain_next: Vec<u32>,
+    /// Parallel to `placements`: the next placement on the same A-record
+    /// address, or [`NONE`].
+    ip_next: Vec<u32>,
+    /// Parallel to `placements`: the next placement with the same NS
+    /// organisation, or [`NONE`].
+    org_next: Vec<u32>,
+    /// Each A-record target address's chain through `ip_next`.
+    by_ip: FastMap<u32, Chain>,
+    /// Each NS organisation's chain through `org_next` (for the
+    /// infrastructure joins), indexed by [`OrgId`].
+    by_org: Vec<Chain>,
     /// Registered org infrastructure.
     infra: Vec<OrgInfra>,
     /// Mail-exchanger address → infra index.
@@ -156,6 +206,21 @@ impl ZoneStore {
     /// Empty store.
     pub fn new() -> ZoneStore {
         ZoneStore::default()
+    }
+
+    /// Empty store with room for `domains` Web sites, one placement each,
+    /// on `ips` distinct addresses.
+    pub(crate) fn with_capacity(domains: usize, ips: usize) -> ZoneStore {
+        ZoneStore {
+            domains: Vec::with_capacity(domains),
+            placements: Vec::with_capacity(domains),
+            head: Vec::with_capacity(domains),
+            domain_next: Vec::with_capacity(domains),
+            ip_next: Vec::with_capacity(domains),
+            org_next: Vec::with_capacity(domains),
+            by_ip: FastMap::with_capacity_and_hasher(ips, Default::default()),
+            ..ZoneStore::default()
+        }
     }
 
     /// Register a Web site active over `active` days.
@@ -210,11 +275,20 @@ impl ZoneStore {
         let idx = self.placements.len() as u32;
         match last {
             NONE => self.head[p.domain.0 as usize] = idx,
-            last => self.next[last as usize] = idx,
+            last => self.domain_next[last as usize] = idx,
         }
-        self.next.push(NONE);
-        self.by_ip.entry(u32::from(p.ip)).or_default().push(idx);
-        self.by_org.entry(p.ns).or_default().push(idx);
+        self.domain_next.push(NONE);
+        self.ip_next.push(NONE);
+        self.org_next.push(NONE);
+        self.by_ip
+            .entry(u32::from(p.ip))
+            .or_insert(Chain::EMPTY)
+            .push(idx, &mut self.ip_next);
+        let org = p.ns.0 as usize;
+        if org >= self.by_org.len() {
+            self.by_org.resize(org + 1, Chain::EMPTY);
+        }
+        self.by_org[org].push(idx, &mut self.org_next);
         self.placements.push(p);
     }
 
@@ -248,11 +322,9 @@ impl ZoneStore {
     /// Domains operated by `org` on `day` (their placements carry the
     /// organisation in the NS context).
     pub fn domains_of_org(&self, org: OrgId, day: DayIndex) -> Vec<DomainId> {
-        self.by_org
-            .get(&org)
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.placements[i as usize])
+        let first = self.by_org.get(org.0 as usize).map_or(NONE, |c| c.first);
+        walk(first, &self.org_next)
+            .map(|i| &self.placements[i as usize])
             .filter(|p| p.days.contains(day))
             .map(|p| p.domain)
             .collect()
@@ -283,27 +355,26 @@ impl ZoneStore {
         self.placement_of(domain, day).map(|p| p.ip)
     }
 
-    /// All placements pointing at `ip` on `day`.
+    /// All placements pointing at `ip` on `day`, in insertion order.
     pub fn placements_on_ip(
         &self,
         ip: Ipv4Addr,
         day: DayIndex,
     ) -> impl Iterator<Item = &Placement> {
-        self.by_ip
-            .get(&u32::from(ip))
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.placements[i as usize])
-            .filter(move |p| p.days.contains(day))
+        self.filed_on_ip(ip).filter(move |p| p.days.contains(day))
     }
 
-    /// How many Web sites resolve to `ip` on `day`, counted no further
-    /// than `cap + 1`: equal to `min(domains_on_ip(ip, day).len(), cap + 1)`,
-    /// but the walk stops at the first match past the cap, so a caller
-    /// asking "more than `cap`?" of a mega co-host pays for `cap + 1`
-    /// matches rather than the whole group.
-    pub fn count_on_ip(&self, ip: Ipv4Addr, day: DayIndex, cap: usize) -> usize {
-        self.placements_on_ip(ip, day).take(cap.saturating_add(1)).count()
+    /// Every placement ever filed on `ip`, truncated ones included, in
+    /// insertion order.
+    pub(crate) fn filed_on_ip(&self, ip: Ipv4Addr) -> impl Iterator<Item = &Placement> {
+        let first = self.by_ip.get(&u32::from(ip)).map_or(NONE, |c| c.first);
+        walk(first, &self.ip_next).map(|i| &self.placements[i as usize])
+    }
+
+    /// How many placements were ever filed on `ip`: a bound on the Web
+    /// sites resolving to it on any one day.
+    pub(crate) fn filed_count_on_ip(&self, ip: Ipv4Addr) -> usize {
+        self.by_ip.get(&u32::from(ip)).map_or(0, |c| c.len as usize)
     }
 
     /// The Web sites resolving to `ip` on `day` — the paper's core join
@@ -332,11 +403,7 @@ impl ZoneStore {
 
     /// The indices of a domain's placements, in insertion order.
     fn chain(&self, domain: DomainId) -> impl Iterator<Item = u32> + '_ {
-        let first = self.head[domain.0 as usize];
-        std::iter::successors((first != NONE).then_some(first), |&i| {
-            let n = self.next[i as usize];
-            (n != NONE).then_some(n)
-        })
+        walk(self.head[domain.0 as usize], &self.domain_next)
     }
 
     /// Number of sites active on a given day.
@@ -428,32 +495,6 @@ mod tests {
         }
         assert_eq!(z.domains_on_ip(shared, day(50)).len(), 5);
         assert_eq!(z.tld_totals()[Tld::Net as usize].0, 5);
-    }
-
-    #[test]
-    fn count_on_ip_stops_past_the_cap() {
-        let mut z = ZoneStore::new();
-        let shared = ip("198.51.100.10");
-        for i in 0..6 {
-            let d = z.add_domain(Tld::Com, range(0, 100));
-            // The sixth site only arrives on day 50.
-            let start = if i == 5 { 50 } else { 0 };
-            z.place(Placement {
-                domain: d,
-                ip: shared,
-                days: range(start, 100),
-                ns: OrgId(1),
-                cname: None,
-            });
-        }
-        assert_eq!(z.count_on_ip(shared, day(10), 100), 5);
-        assert_eq!(z.count_on_ip(shared, day(60), 100), 6);
-        assert_eq!(z.count_on_ip(shared, day(60), 5), 6, "exactly cap + 1");
-        assert_eq!(z.count_on_ip(shared, day(60), 2), 3, "stops at cap + 1");
-        assert_eq!(z.count_on_ip(shared, day(60), 0), 1);
-        assert_eq!(z.count_on_ip(shared, day(100), 10), 0, "range is half-open");
-        assert_eq!(z.count_on_ip(ip("198.51.100.11"), day(10), 10), 0);
-        assert_eq!(z.count_on_ip(shared, day(10), usize::MAX), 5, "no overflow");
     }
 
     #[test]

@@ -146,7 +146,6 @@ pub fn dps_provider_names() -> Vec<&'static str> {
 pub fn synthesize(config: &SynthConfig, registry: &AsRegistry) -> SynthOutput {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let catalog = build_catalog(registry);
-    let mut zone = ZoneStore::new();
 
     // ---- Plan hosting slots -------------------------------------------
     let mut slots: Vec<HostingSlot> = Vec::new();
@@ -215,10 +214,9 @@ pub fn synthesize(config: &SynthConfig, registry: &AsRegistry) -> SynthOutput {
     let mid_cap = (total * 0.018).max(20.0) as u32;
     while used < mid_budget {
         let org = hoster_orgs[rng.gen_range(0..hoster_orgs.len())];
-        let name = catalog.get(org).name.clone();
         let capacity = (10.0_f64.powf(rng.gen_range(1.0..3.3)) as u32).min(mid_cap);
         slots.push(HostingSlot {
-            ip: org_ip(&name, &mut rng),
+            ip: org_ip(&catalog.get(org).name, &mut rng),
             org,
             capacity,
         });
@@ -241,6 +239,8 @@ pub fn synthesize(config: &SynthConfig, registry: &AsRegistry) -> SynthOutput {
     slots.sort_by_key(|s| std::cmp::Reverse(s.capacity));
 
     // ---- Create sites and deal them onto slots ------------------------
+    // One placement per site, on at most one address per slot.
+    let mut zone = ZoneStore::with_capacity(config.total_sites as usize, slots.len());
     let window = DayRange::new(DayIndex(0), DayIndex(config.days));
     // Expand slot capacities into a deal order: site k lands on deal[k].
     let mut deal: Vec<u32> = Vec::with_capacity(config.total_sites as usize);
@@ -299,10 +299,10 @@ pub fn synthesize(config: &SynthConfig, registry: &AsRegistry) -> SynthOutput {
         orgs_with_customers.sort_unstable();
         orgs_with_customers.dedup();
         for org in orgs_with_customers {
-            let name = catalog.get(org).name.clone();
+            let name = &catalog.get(org).name;
             let n_mx = if name == "GoDaddy" { 3 } else { 1 };
-            let mx_ips = (0..n_mx).map(|_| org_ip(&name, &mut rng)).collect();
-            let ns_ips = (0..2).map(|_| org_ip(&name, &mut rng)).collect();
+            let mx_ips = (0..n_mx).map(|_| org_ip(name, &mut rng)).collect();
+            let ns_ips = (0..2).map(|_| org_ip(name, &mut rng)).collect();
             zone.register_infra(OrgInfra { org, mx_ips, ns_ips });
         }
     }

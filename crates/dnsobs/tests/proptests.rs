@@ -1,10 +1,10 @@
 //! Property-based tests for the zone store: the interval-encoded snapshot
 //! store must agree with a brute-force daily-materialisation oracle.
 
-use dosscope_dns::{DayRange, DomainId, OrgId, Placement, Tld, ZoneStore};
+use dosscope_dns::{CohostIndex, DayRange, DomainId, OrgId, Placement, Tld, ZoneStore};
 use dosscope_types::DayIndex;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 const WINDOW: u32 = 60;
@@ -77,16 +77,28 @@ proptest! {
         }
     }
 
-    /// The capped co-host count equals the full co-host list's length
-    /// clamped to `cap + 1`, for arbitrary histories and after arbitrary
-    /// truncations (which leave shortened placements in the reverse index).
+    /// The chained reverse indexes and the co-host index on random zones
+    /// with truncations and re-placements (the migration pattern, which
+    /// leaves shortened placements in the chains): `placements_on_ip` and
+    /// `domains_of_org` visit exactly the placements a `Vec`-per-key
+    /// reference files, in insertion order, and the co-host index answers
+    /// `== 0` and `> cap` as the full `domains_on_ip` list does.
     #[test]
-    fn count_on_ip_is_the_capped_list_length(
+    fn chained_indexes_and_cohost_index_agree_with_a_reference(
         histories in proptest::collection::vec(arb_history(), 1..12),
-        cuts in proptest::collection::vec((0usize..12, 0u32..WINDOW), 0..6),
+        moves in proptest::collection::vec((0usize..12, 0u32..WINDOW, 0u8..8), 0..8),
         cap in 0usize..6,
     ) {
         let mut zone = ZoneStore::new();
+        // Per key, the placement indices in filing order.
+        let mut by_ip: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
+        let mut by_org: HashMap<OrgId, Vec<usize>> = HashMap::new();
+        let mut file = |zone: &mut ZoneStore, p: Placement| {
+            let idx = zone.placements().len();
+            by_ip.entry(p.ip).or_default().push(idx);
+            by_org.entry(p.ns).or_default().push(idx);
+            zone.place(p);
+        };
         for history in &histories {
             let domain = zone.add_domain(Tld::Com, DayRange::new(DayIndex(0), DayIndex(WINDOW)));
             let mut cursor = 0u32;
@@ -96,11 +108,11 @@ proptest! {
                 if start >= end {
                     break;
                 }
-                zone.place(Placement {
+                file(&mut zone, Placement {
                     domain,
                     ip: Ipv4Addr::new(10, 0, 0, ip_idx + 1),
                     days: DayRange::new(DayIndex(start), DayIndex(end)),
-                    ns: OrgId(0),
+                    ns: OrgId(u16::from(ip_idx % 3)),
                     cname: None,
                 });
                 cursor = end + gap;
@@ -109,21 +121,67 @@ proptest! {
                 }
             }
         }
-        for &(d, day) in &cuts {
-            if d < histories.len() {
-                zone.truncate_at(dosscope_dns::DomainId(d as u32), DayIndex(day));
+        for &(d, day, ip_idx) in &moves {
+            if d >= histories.len() {
+                continue;
+            }
+            let Some(old) = zone.truncate_at(DomainId(d as u32), DayIndex(day)) else {
+                continue;
+            };
+            if old.days.end > DayIndex(day) {
+                file(&mut zone, Placement {
+                    ip: Ipv4Addr::new(10, 0, 0, ip_idx + 1),
+                    days: DayRange::new(DayIndex(day), old.days.end),
+                    ns: OrgId(u16::from(ip_idx % 3)),
+                    ..old
+                });
             }
         }
-        for ip_idx in 0u8..8 {
-            let ip = Ipv4Addr::new(10, 0, 0, ip_idx + 1);
-            for day in (0..WINDOW).step_by(3) {
-                let day = DayIndex(day);
-                let full = zone.domains_on_ip(ip, day).len();
+
+        let placements = zone.placements();
+        let mut index = CohostIndex::new(&zone, cap);
+        for day in (0..WINDOW).step_by(3).map(DayIndex) {
+            for ip_idx in 0u8..9 {
+                let ip = Ipv4Addr::new(10, 0, 0, ip_idx + 1);
+                let want: Vec<DomainId> = by_ip
+                    .get(&ip)
+                    .into_iter()
+                    .flatten()
+                    .map(|&i| &placements[i])
+                    .filter(|p| p.days.contains(day))
+                    .map(|p| p.domain)
+                    .collect();
+                let chained: Vec<DomainId> =
+                    zone.placements_on_ip(ip, day).map(|p| p.domain).collect();
+                prop_assert_eq!(&chained, &want, "placements_on_ip {} day {}", ip, day.0);
+                let listed = zone.domains_on_ip(ip, day);
+                prop_assert_eq!(&listed, &want);
                 prop_assert_eq!(
-                    zone.count_on_ip(ip, day, cap),
-                    full.min(cap + 1),
-                    "ip {} day {} cap {}", ip, day.0, cap
+                    index.over_cap(ip, day),
+                    listed.len() > cap,
+                    "over_cap {} day {} cap {}", ip, day.0, cap
                 );
+                let within: Option<Vec<DomainId>> =
+                    index.within_cap(ip, day).map(|sites| sites.map(|p| p.domain).collect());
+                prop_assert_eq!(
+                    within.as_ref().map(Vec::is_empty),
+                    (listed.len() <= cap).then_some(listed.is_empty()),
+                    "within_cap {} day {} cap {}", ip, day.0, cap
+                );
+                if let Some(within) = within {
+                    prop_assert_eq!(&within, &listed);
+                }
+            }
+            for org in (0u16..4).map(OrgId) {
+                let want: Vec<DomainId> = by_org
+                    .get(&org)
+                    .into_iter()
+                    .flatten()
+                    .map(|&i| &placements[i])
+                    .filter(|p| p.days.contains(day))
+                    .map(|p| p.domain)
+                    .collect();
+                prop_assert_eq!(zone.domains_of_org(org, day), want, "org {:?} day {}", org, day.0);
             }
         }
     }

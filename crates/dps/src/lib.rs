@@ -23,14 +23,16 @@
 //! appends each domain's protection intervals to one flat array, with an
 //! offset per domain marking where its slice starts. A domain lookup is
 //! two array reads; the aggregates (customer counts, diversion split,
-//! adoption series) are single passes over the flat array.
+//! adoption series) are single passes over the flat array. The BGP
+//! indicator is a function of the address alone, so each distinct
+//! address's origin AS is looked up in the routing table once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dosscope_dns::{DomainId, OrgCatalog, OrgId, OrgRole, ZoneStore};
 use dosscope_geo::AsDb;
-use dosscope_types::{Asn, DayIndex};
+use dosscope_types::{Asn, DayIndex, FastMap};
 
 /// Index of a provider within the DPS catalog (0..10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,6 +118,9 @@ impl DpsDataset {
                 .map(|&(_, p)| p)
         };
 
+        // The BGP provider of each address looked up so far.
+        let mut bgp_provider: FastMap<u32, Option<ProviderId>> = FastMap::default();
+
         let mut offsets = Vec::with_capacity(zone.domain_count() + 1);
         offsets.push(0);
         let mut intervals = Vec::new();
@@ -135,7 +140,9 @@ impl DpsDataset {
                     // BGP indicator: the A record routes to the
                     // provider's AS.
                     None => (
-                        asdb.asn_of(placement.ip).and_then(provider_of_asn),
+                        *bgp_provider
+                            .entry(u32::from(placement.ip))
+                            .or_insert_with(|| asdb.asn_of(placement.ip).and_then(provider_of_asn)),
                         Diversion::Bgp,
                     ),
                 };

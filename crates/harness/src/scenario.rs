@@ -193,6 +193,8 @@ impl Scenario {
         dosscope_obs::counter!("botmon.stopped").add(botmon_stats.stopped);
         dosscope_obs::counter!("botmon.capped").add(botmon_stats.capped);
         dosscope_obs::counter!("botmon.orphan_stops").add(botmon_stats.orphan_stops);
+        dosscope_obs::counter!("botmon.restarted").add(botmon_stats.restarted);
+        dosscope_obs::counter!("botmon.unterminated").add(botmon_stats.unterminated);
 
         World {
             registry,

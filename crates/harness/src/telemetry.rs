@@ -41,7 +41,9 @@ const REQUIRED_COUNTERS: &[&str] = &[
 /// scan filter's request threshold, and `fleet.capped` per-honeypot
 /// events cut by the 24 h cap; `telescope.filtered_*` split the dropped
 /// flows by the first threshold each failed; `botmon.orphan_stops`
-/// counts C&C stop commands with no open attack. A smoke run whose
+/// counts C&C stop commands with no open attack, `botmon.restarted` the
+/// attacks a re-issued start closed and `botmon.unterminated` those still
+/// open at the end of the trace. A smoke run whose
 /// batches all arrive in time order merges nothing, its renderer tops
 /// marginal events up past the filter, and its command stream stops only
 /// attacks it started, yet the instruments must export so dashboards can
@@ -57,6 +59,8 @@ const REQUIRED_MAYBE_ZERO: &[&str] = &[
     "telescope.filtered_duration",
     "telescope.filtered_rate",
     "botmon.orphan_stops",
+    "botmon.restarted",
+    "botmon.unterminated",
 ];
 
 /// Stage spans a scenario run must have recorded.
@@ -157,25 +161,33 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
-    // Every botnet event was closed by a stop or by the duration cap, and
-    // every event and every orphan stop consumed a command of its own.
-    if let (Some(commands), Some(events), Some(stopped), Some(capped), Some(orphans)) = (
+    // Every botnet event was closed by a stop or by the duration cap.
+    // Every start opened one event, and every stop closed one or was an
+    // orphan; events closed by a restart or left open at the end of the
+    // trace had no stop.
+    if let (Some(commands), Some(events), Some(stopped), Some(capped)) = (
         extract_num(text, "botmon.commands"),
         extract_num(text, "botmon.events"),
         extract_num(text, "botmon.stopped"),
         extract_num(text, "botmon.capped"),
-        extract_num(text, "botmon.orphan_stops"),
     ) {
         if events != stopped + capped {
             problems.push(format!(
                 "botmon.events {events} != botmon.stopped {stopped} + botmon.capped {capped}"
             ));
         }
-        if events + orphans > commands {
-            problems.push(format!(
-                "botmon.events {events} + botmon.orphan_stops {orphans} > \
-                 botmon.commands {commands}"
-            ));
+        if let (Some(restarted), Some(unterminated), Some(orphans)) = (
+            extract_num(text, "botmon.restarted"),
+            extract_num(text, "botmon.unterminated"),
+            extract_num(text, "botmon.orphan_stops"),
+        ) {
+            if commands + restarted + unterminated != 2 * events + orphans {
+                problems.push(format!(
+                    "botmon.commands {commands} != 2 x botmon.events {events} \
+                     - botmon.restarted {restarted} - botmon.unterminated {unterminated} \
+                     + botmon.orphan_stops {orphans}"
+                ));
+            }
         }
     }
 
@@ -272,7 +284,8 @@ mod tests {
         for c in REQUIRED_COUNTERS {
             // Expired flows = events + filtered flows; per-honeypot
             // events = events + merged ones; botnet events = stopped +
-            // capped, within the commands.
+            // capped; commands = 2 x events - restarted - unterminated +
+            // orphan stops.
             let v = match *c {
                 "telescope.flows_expired" | "fleet.pot_events" | "botmon.events" => 20,
                 "botmon.commands" => 30,
@@ -281,10 +294,13 @@ mod tests {
             s.push_str(&format!("    \"{c}\": {v},\n"));
         }
         for c in REQUIRED_MAYBE_ZERO {
-            // The filtered flows split 4 + 3 + 3.
+            // The filtered flows split 4 + 3 + 3; 10 botnet events ended
+            // without a stop of their own.
             let v = match *c {
                 "telescope.filtered_packets" => 4,
                 "telescope.filtered_duration" | "telescope.filtered_rate" => 3,
+                "botmon.restarted" => 6,
+                "botmon.unterminated" => 4,
                 _ => 0,
             };
             s.push_str(&format!("    \"{c}\": {v},\n"));
@@ -386,7 +402,20 @@ mod tests {
         let doc = valid_doc().replace("\"botmon.orphan_stops\": 0", "\"botmon.orphan_stops\": 11");
         let err = validate(&doc).unwrap_err();
         assert!(
-            err.contains("botmon.events 20 + botmon.orphan_stops 11 > botmon.commands 30"),
+            err.contains(
+                "botmon.commands 30 != 2 x botmon.events 20 - botmon.restarted 6 \
+                 - botmon.unterminated 4 + botmon.orphan_stops 11"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_restart_the_commands_do_not_explain() {
+        let doc = valid_doc().replace("\"botmon.restarted\": 6", "\"botmon.restarted\": 5");
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("botmon.commands 30 != 2 x botmon.events 20 - botmon.restarted 5"),
             "{err}"
         );
     }

@@ -237,6 +237,18 @@ fn scale_600_matches_the_oracle() {
     });
 }
 
+/// The scale-600 world in 120 days, whose migrations the co-host index
+/// planned from compressed day ranges.
+#[test]
+#[ignore = "scale 600 is slow in a debug build; ci.sh runs it in release"]
+fn scale_600_days_120_matches_the_oracle() {
+    assert_generated_world_matches(&ScenarioConfig {
+        scale: 600.0,
+        days: 120,
+        ..ScenarioConfig::test_small()
+    });
+}
+
 #[test]
 fn hand_built_zone_matches_the_oracle() {
     let mut catalog = OrgCatalog::new();
