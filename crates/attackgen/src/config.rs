@@ -6,7 +6,7 @@
 use crate::dist::AnchorDist;
 
 /// Paper-scale totals (Table 1 and Section 4), used to derive scaled
-/// budgets.
+/// budgets; the harness's comparison reads the Section 4 totals too.
 pub mod paper {
     /// Telescope attack events over two years.
     pub const TELESCOPE_EVENTS: f64 = 12_470_000.0;

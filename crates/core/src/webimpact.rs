@@ -30,6 +30,10 @@ use dosscope_types::{
 
 use std::net::Ipv4Addr;
 
+/// The longest window the Web join takes: it stamps days as `u16`, with
+/// `u16::MAX` kept free.
+pub const MAX_DAYS: u32 = u16::MAX as u32 - 1;
+
 /// Per-site attack history, the input to the migration analyses.
 #[derive(Debug, Clone, Copy)]
 pub struct SiteAttackRecord {
@@ -154,7 +158,7 @@ impl WebImpact {
         let zone = fw.zone?;
         let days = fw.days;
         assert!(
-            days < u32::from(u16::MAX),
+            days <= MAX_DAYS,
             "the Web join stamps days as u16; a {days}-day window is too long"
         );
         let normalizer = IntensityNormalizer::fit(fw.store);

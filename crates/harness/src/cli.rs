@@ -5,9 +5,11 @@
 //!
 //! Every value-taking flag is strict: a missing or non-numeric value is
 //! a hard usage error (printed to stderr, exit status 2), never a silent
-//! fall-through to the default.
+//! fall-through to the default. So is a `--scale` that is not finite and
+//! positive, and a `--days` outside `1..=`[`MAX_DAYS`].
 
 use crate::{telemetry, ScenarioConfig};
+use dosscope_core::webimpact::MAX_DAYS;
 use dosscope_obs::{obs_error, obs_info};
 use std::io::Write;
 use std::process::ExitCode;
@@ -95,6 +97,26 @@ fn take_u64(args: &mut impl Iterator<Item = String>, name: &str) -> Result<u64, 
     }
 }
 
+/// `--scale`: a finite denominator greater than zero.
+fn take_scale(args: &mut impl Iterator<Item = String>) -> Result<f64, String> {
+    let scale = take_f64(args, "--scale")?;
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err(format!("--scale needs a finite value > 0, got {scale}"))
+    }
+}
+
+/// `--days`: a window of at least one day and at most the Web join's
+/// [`MAX_DAYS`].
+fn take_days(args: &mut impl Iterator<Item = String>) -> Result<u32, String> {
+    let days = take_u64(args, "--days")?;
+    match u32::try_from(days) {
+        Ok(d @ 1..=MAX_DAYS) => Ok(d),
+        _ => Err(format!("--days needs a value in 1..={MAX_DAYS}, got {days}")),
+    }
+}
+
 /// Parse the arguments (without the program name). Returns a usage
 /// error string for anything malformed; the caller prints it plus
 /// [`usage`] to stderr and exits nonzero.
@@ -103,9 +125,9 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
     let mut opts = CliOptions::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => opts.config.scale = take_f64(&mut args, "--scale")?,
+            "--scale" => opts.config.scale = take_scale(&mut args)?,
             "--seed" => opts.config.seed = take_u64(&mut args, "--seed")?,
-            "--days" => opts.config.days = take_u64(&mut args, "--days")? as u32,
+            "--days" => opts.config.days = take_days(&mut args)?,
             "--threads" => {
                 opts.config.threads = (take_u64(&mut args, "--threads")? as usize).max(1)
             }
@@ -258,6 +280,25 @@ mod tests {
     }
 
     #[test]
+    fn days_outside_the_runnable_window_are_hard_errors() {
+        assert_eq!(opts(&["--days", "1"]).config.days, 1);
+        assert_eq!(opts(&["--days", "65534"]).config.days, MAX_DAYS);
+        for days in ["0", "65535", "4294967296", "4294967297"] {
+            let err = run(&["--days", days]).unwrap_err();
+            assert!(err.contains("--days needs a value in 1..=65534"), "{days}: {err}");
+        }
+    }
+
+    #[test]
+    fn scale_that_is_not_finite_and_positive_is_a_hard_error() {
+        assert_eq!(opts(&["--scale", "0.5"]).config.scale, 0.5);
+        for scale in ["0", "-5", "-0", "inf", "NaN"] {
+            let err = run(&["--scale", scale]).unwrap_err();
+            assert!(err.contains("--scale needs a finite value > 0"), "{scale}: {err}");
+        }
+    }
+
+    #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(opts(&["--threads", "0"]).config.threads, 1);
     }
@@ -308,6 +349,16 @@ mod tests {
         assert!(out.is_empty());
         assert!(err.starts_with("--threads needs a numeric value"), "{err}");
         assert!(err.ends_with(&format!("{}\n", usage("prog"))), "{err}");
+    }
+
+    #[test]
+    fn prologue_rejects_days_and_scale_that_cannot_run() {
+        for args in [["--days", "0"], ["--days", "70000"], ["--scale", "-5"]] {
+            let (status, out, err) = start_with(&args);
+            assert_eq!(status, ExitCode::from(2), "{args:?}");
+            assert!(out.is_empty());
+            assert!(err.starts_with(&format!("{} needs a", args[0])), "{err}");
+        }
     }
 
     #[test]

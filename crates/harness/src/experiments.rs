@@ -3,37 +3,22 @@
 //!
 //! [`Experiments::render_report`] produces the full text report;
 //! [`Experiments::compare`] produces the paper-vs-measured rows recorded
-//! in EXPERIMENTS.md. Checks compare shares, shapes and rankings —
-//! absolute counts are scale-dependent and reported scale-normalized.
+//! in EXPERIMENTS.md. Each row is defined once, in `compare`: its id,
+//! metric, published value, measurement and tolerance. Checks compare
+//! shares, shapes and rankings — absolute counts are scale-dependent and
+//! reported scale-normalized.
 
-use crate::paper;
 use crate::scenario::World;
-use dosscope_core::migration::MigrationAnalysis;
+use dosscope_attackgen::config::paper::{COMMON_TARGETS, JOINT_TARGETS};
+use dosscope_core::migration::{MigrationAnalysis, Taxonomy};
 use dosscope_core::report::{
     render_web_impact, DistributionFigure, Figure1, Figure5, Table1, Table2, Table3, Table4,
     Table5, Table6, Table7, Table8,
 };
 use dosscope_core::webimpact::{parties_on_day, WebImpact};
-use dosscope_core::{Framework, JointAnalysis};
+use dosscope_core::{EventStore, Framework, JointAnalysis};
 use dosscope_types::{CountryCode, EventSource};
 use std::fmt::Write as _;
-
-/// Shape metrics that must not depend on the scale denominator.
-#[derive(Debug, Clone, Copy)]
-pub struct KeyShares {
-    /// Table 5 TCP share.
-    pub tcp_share: f64,
-    /// Table 7 single-port share.
-    pub single_port_share: f64,
-    /// Figure 2: telescope attacks ≤ 5 min.
-    pub tele_le_5min: f64,
-    /// Figure 3: telescope intensity ≤ 2 pps.
-    pub tele_le_2pps: f64,
-    /// Section 5: TCP share on Web-hosting IPs.
-    pub web_tcp_share: f64,
-    /// Figure 7/8: namespace share ever attacked.
-    pub attacked_namespace_share: f64,
-}
 
 /// One paper-vs-measured comparison row.
 #[derive(Debug, Clone)]
@@ -65,6 +50,21 @@ fn row(id: &str, metric: &str, paper: f64, measured: f64, tolerance: f64) -> Che
         measured,
         tolerance,
     }
+}
+
+/// Share (%) of the entry named `key` in a ranked count list, such as a
+/// Table 4 country panel or the Table 6 protocol counts; 0 when absent.
+fn share_pct<K: ToString>(counts: &[(K, u64)], key: &str) -> f64 {
+    let total: u64 = counts.iter().map(|&(_, n)| n).sum();
+    counts
+        .iter()
+        .find(|(k, _)| k.to_string() == key)
+        .map_or(0.0, |&(_, n)| 100.0 * n as f64 / total.max(1) as f64)
+}
+
+/// The share (%) a Table 8 panel gives service `name`; 0 when absent.
+fn service_pct(panel: &[(String, u64, f64)], name: &str) -> f64 {
+    panel.iter().find(|(n, _, _)| n == name).map_or(0.0, |&(_, _, pct)| pct)
 }
 
 /// All analyses materialized for a world.
@@ -292,98 +292,72 @@ impl<'a> Experiments<'a> {
         s
     }
 
-    /// The paper-vs-measured comparison rows.
+    /// The paper-vs-measured comparison rows. Each row states the
+    /// published value, the measurement and the tolerance together.
+    /// Absolute counts are scale-dependent (the scenario runs a
+    /// scaled-down two years), so the rows check shares, shapes and
+    /// rankings, plus scale-normalized totals where meaningful.
     pub fn compare(&self) -> Vec<CheckRow> {
         let _span = dosscope_obs::span!("report.compare");
-        let mut rows = Vec::new();
-        let t1 = Table1::build(&self.fw);
+        let (fw, scale) = (&self.fw, self.scale);
+        let t1 = Table1::build(fw);
         let tele = &t1.rows[0].summary;
         let hp = &t1.rows[1].summary;
         let comb = &t1.rows[2].summary;
-        rows.push(row(
-            "Table 1",
-            "telescope share of events",
-            paper::TELESCOPE_EVENT_SHARE,
-            tele.events as f64 / comb.events.max(1) as f64,
-            0.05,
-        ));
-        rows.push(row(
-            "Table 1",
-            "telescope events per target",
-            paper::TELESCOPE_EVENTS_PER_TARGET,
-            tele.events as f64 / tele.targets.max(1) as f64,
-            2.0,
-        ));
-        rows.push(row(
-            "Table 1",
-            "honeypot events per target",
-            paper::HONEYPOT_EVENTS_PER_TARGET,
-            hp.events as f64 / hp.targets.max(1) as f64,
-            0.8,
-        ));
-        rows.push(row(
-            "Table 1",
-            "combined events (scale-normalized, M)",
-            20.90,
-            comb.events as f64 * self.scale / 1e6,
-            2.5,
-        ));
+        let mut rows = vec![
+            row(
+                "Table 1",
+                "telescope share of events",
+                12.47 / 20.90,
+                tele.events as f64 / comb.events.max(1) as f64,
+                0.05,
+            ),
+            row(
+                "Table 1",
+                "telescope events per target",
+                12.47 / 2.45,
+                tele.events as f64 / tele.targets.max(1) as f64,
+                2.0,
+            ),
+            row(
+                "Table 1",
+                "honeypot events per target",
+                8.43 / 4.18,
+                hp.events as f64 / hp.targets.max(1) as f64,
+                0.8,
+            ),
+            row(
+                "Table 1",
+                "combined events (scale-normalized, M)",
+                20.90,
+                comb.events as f64 * scale / 1e6,
+                2.5,
+            ),
+        ];
 
         // Figure 1 daily means, scale-normalized.
-        let f1 = Figure1::build(&self.fw);
-        rows.push(row(
-            "Figure 1",
-            "telescope attacks/day (scaled)",
-            paper::DAILY_TELESCOPE,
-            f1.telescope.mean_daily_attacks() * self.scale,
-            paper::DAILY_TELESCOPE * 0.15,
-        ));
-        rows.push(row(
-            "Figure 1",
-            "honeypot attacks/day (scaled)",
-            paper::DAILY_HONEYPOT,
-            f1.honeypot.mean_daily_attacks() * self.scale,
-            paper::DAILY_HONEYPOT * 0.15,
-        ));
-        rows.push(row(
-            "Figure 1",
-            "combined attacks/day (scaled)",
-            paper::DAILY_COMBINED,
-            f1.combined.mean_daily_attacks() * self.scale,
-            paper::DAILY_COMBINED * 0.15,
-        ));
+        let f1 = Figure1::build(fw);
+        for (label, series, paper) in [
+            ("telescope", &f1.telescope, 17_100.0),
+            ("honeypot", &f1.honeypot, 11_600.0),
+            ("combined", &f1.combined, 28_700.0),
+        ] {
+            let metric = format!("{label} attacks/day (scaled)");
+            let measured = series.mean_daily_attacks() * scale;
+            rows.push(row("Figure 1", &metric, paper, measured, paper * 0.15));
+        }
 
         // Table 4: top-5 countries and shares; Japan's depressed rank.
-        let t4 = Table4::build(&self.fw);
-        for (i, &(cc, share)) in paper::T4A.iter().enumerate() {
-            let measured = t4
-                .telescope_full
-                .iter()
-                .find(|(c, _)| c.as_str() == cc)
-                .map(|&(_, n)| {
-                    100.0 * n as f64
-                        / t4.telescope_full.iter().map(|&(_, n)| n).sum::<u64>() as f64
-                })
-                .unwrap_or(0.0);
-            rows.push(row(
-                "Table 4a",
-                &format!("{cc} share (paper rank {})", i + 1),
-                share,
-                measured,
-                3.0,
-            ));
+        let t4 = Table4::build(fw);
+        let t4a = [("US", 25.56), ("CN", 10.47), ("RU", 5.72), ("FR", 5.14), ("DE", 4.20)];
+        for (i, (cc, paper)) in t4a.into_iter().enumerate() {
+            let metric = format!("{cc} share (paper rank {})", i + 1);
+            rows.push(row("Table 4a", &metric, paper, share_pct(&t4.telescope_full, cc), 3.0));
         }
-        for &(cc, share) in paper::T4B.iter() {
-            let measured = t4
-                .honeypot_full
-                .iter()
-                .find(|(c, _)| c.as_str() == cc)
-                .map(|&(_, n)| {
-                    100.0 * n as f64
-                        / t4.honeypot_full.iter().map(|&(_, n)| n).sum::<u64>() as f64
-                })
-                .unwrap_or(0.0);
-            rows.push(row("Table 4b", &format!("{cc} share"), share, measured, 3.0));
+        let t4b = [("US", 29.50), ("CN", 9.96), ("FR", 7.73), ("GB", 6.37), ("DE", 5.18)];
+        for (cc, paper) in t4b {
+            let metric = format!("{cc} share");
+            rows.push(row("Table 4b", &metric, paper, share_pct(&t4.honeypot_full, cc), 3.0));
         }
         let jp_rank = Table4::rank(&t4.telescope_full, CountryCode::new("JP")).unwrap_or(99);
         rows.push(row(
@@ -394,365 +368,193 @@ impl<'a> Experiments<'a> {
             16.0,
         ));
 
-        // Table 5.
-        let t5 = Table5::build(&self.fw);
-        for (i, label) in ["TCP", "UDP", "ICMP", "Other"].iter().enumerate() {
-            rows.push(row(
-                "Table 5",
-                &format!("{label} share %"),
-                paper::T5[i],
-                t5.shares[i],
-                2.5,
-            ));
+        // Table 5, in `TransportProto::ALL` order.
+        let t5 = Table5::build(fw);
+        let t5_paper = [("TCP", 79.4), ("UDP", 15.9), ("ICMP", 4.5), ("Other", 0.2)];
+        for ((label, paper), measured) in t5_paper.into_iter().zip(t5.shares) {
+            rows.push(row("Table 5", &format!("{label} share %"), paper, measured, 2.5));
         }
 
         // Table 6.
-        let t6 = Table6::build(&self.fw);
-        let total6: u64 = t6.counts.iter().map(|&(_, n)| n).sum();
-        for &(name, share) in paper::T6_TOP5.iter() {
-            let measured = t6
-                .counts
-                .iter()
-                .find(|(p, _)| p.to_string() == name)
-                .map(|&(_, n)| 100.0 * n as f64 / total6.max(1) as f64)
-                .unwrap_or(0.0);
-            rows.push(row("Table 6", &format!("{name} share %"), share, measured, 3.0));
+        let t6 = Table6::build(fw);
+        let t6_paper =
+            [("NTP", 40.08), ("DNS", 26.17), ("CharGen", 22.37), ("SSDP", 8.38), ("RIPv1", 2.27)];
+        for (name, paper) in t6_paper {
+            let metric = format!("{name} share %");
+            rows.push(row("Table 6", &metric, paper, share_pct(&t6.counts, name), 3.0));
         }
 
-        // Table 7.
-        let t7 = Table7::build(&self.fw);
-        rows.push(row(
-            "Table 7",
-            "single-port share %",
-            paper::T7_SINGLE,
-            100.0 * t7.single_share(),
-            4.0,
-        ));
-
-        // Table 8.
-        let t8 = Table8::build(&self.fw);
-        for &(name, share) in paper::T8A.iter().take(2) {
-            let measured = t8
-                .tcp
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|&(_, _, pct)| pct)
-                .unwrap_or(0.0);
-            rows.push(row("Table 8a", &format!("{name} share %"), share, measured, 5.0));
+        // Tables 7 and 8.
+        let t7 = Table7::build(fw);
+        rows.push(row("Table 7", "single-port share %", 60.6, 100.0 * t7.single_share(), 4.0));
+        let t8 = Table8::build(fw);
+        for (name, paper) in [("HTTP", 48.68), ("HTTPS", 20.68)] {
+            let metric = format!("{name} share %");
+            rows.push(row("Table 8a", &metric, paper, service_pct(&t8.tcp, name), 5.0));
         }
-        rows.push(row(
-            "Table 8a",
-            "web share of single-port TCP %",
-            paper::T8A_WEB,
-            100.0 * t8.tcp_web_share(),
-            6.0,
-        ));
-        let steam = t8
-            .udp
-            .iter()
-            .find(|(n, _, _)| n == "27015")
-            .map(|&(_, _, pct)| pct)
-            .unwrap_or(0.0);
-        rows.push(row("Table 8b", "27015 share %", paper::T8B_STEAM, steam, 4.0));
 
-        // Figure 2.
-        let f2t = DistributionFigure::durations(&self.fw, EventSource::Telescope);
-        rows.push(row(
-            "Figure 2",
-            "telescope median duration (s)",
-            paper::F2_TELE_MEDIAN,
-            f2t.ecdf.median().unwrap_or(0.0),
-            200.0,
-        ));
-        rows.push(row(
-            "Figure 2",
-            "telescope share <= 5 min",
-            paper::F2_TELE_LE_5MIN,
-            f2t.ecdf.cdf(300.0),
-            0.10,
-        ));
-        rows.push(row(
-            "Figure 2",
-            "telescope mean duration (s)",
-            paper::F2_TELE_MEAN,
-            f2t.ecdf.mean().unwrap_or(0.0),
-            1_500.0,
-        ));
-        let f2h = DistributionFigure::durations(&self.fw, EventSource::Honeypot);
-        rows.push(row(
-            "Figure 2",
-            "honeypot median duration (s)",
-            paper::F2_HP_MEDIAN,
-            f2h.ecdf.median().unwrap_or(0.0),
-            150.0,
-        ));
-        rows.push(row(
-            "Figure 2",
-            "honeypot mean duration (s)",
-            paper::F2_HP_MEAN,
-            f2h.ecdf.mean().unwrap_or(0.0),
-            700.0,
-        ));
+        // Figures 2-5.
+        let f2t = DistributionFigure::durations(fw, EventSource::Telescope).ecdf;
+        let f2h = DistributionFigure::durations(fw, EventSource::Honeypot).ecdf;
+        let f3 = DistributionFigure::intensities(fw, EventSource::Telescope).ecdf;
+        let f4 = DistributionFigure::intensities(fw, EventSource::Honeypot).ecdf;
+        let f5 = Figure5::build(fw);
 
-        // Figure 3.
-        let f3 = DistributionFigure::intensities(&self.fw, EventSource::Telescope);
-        rows.push(row("Figure 3", "share <= 2 pps", paper::F3_LE2, f3.ecdf.cdf(2.0), 0.07));
-        rows.push(row(
-            "Figure 3",
-            "share > 10 pps",
-            paper::F3_GT10,
-            1.0 - f3.ecdf.cdf(10.0),
-            0.06,
-        ));
-        rows.push(row(
-            "Figure 3",
-            "mean (pps)",
-            paper::F3_MEAN,
-            f3.ecdf.mean().unwrap_or(0.0),
-            70.0,
-        ));
-        rows.push(row(
-            "Figure 3",
-            "median (pps)",
-            paper::F3_MEDIAN,
-            f3.ecdf.median().unwrap_or(0.0),
-            0.5,
-        ));
-
-        // Figure 4.
-        let f4 = DistributionFigure::intensities(&self.fw, EventSource::Honeypot);
-        rows.push(row(
-            "Figure 4",
-            "median (req/s)",
-            paper::F4_MEDIAN,
-            f4.ecdf.median().unwrap_or(0.0),
-            40.0,
-        ));
-        rows.push(row(
-            "Figure 4",
-            "mean (req/s)",
-            paper::F4_MEAN,
-            f4.ecdf.mean().unwrap_or(0.0),
-            250.0,
-        ));
-
-        // Figure 5.
-        let f5 = Figure5::build(&self.fw);
-        rows.push(row(
-            "Figure 5",
-            "medium+ attacks/day (scaled)",
-            paper::F5_DAILY,
-            f5.series.mean_daily_attacks() * self.scale,
-            paper::F5_DAILY * 0.8,
-        ));
-
-        // Section 4 joint.
-        rows.push(row(
-            "Joint",
-            "common targets (scaled, k)",
-            paper::COMMON_TARGETS / 1e3,
-            self.joint.common_targets as f64 * self.scale / 1e3,
-            paper::COMMON_TARGETS / 1e3 * 0.6,
-        ));
-        rows.push(row(
-            "Joint",
-            "joint targets (scaled, k)",
-            paper::JOINT_TARGETS / 1e3,
-            self.joint.joint_targets as f64 * self.scale / 1e3,
-            paper::JOINT_TARGETS / 1e3 * 0.6,
-        ));
-        rows.push(row(
-            "Joint",
-            "single-port share of joint attacks",
-            paper::JOINT_SINGLE,
-            self.joint.single_port_share,
-            0.10,
-        ));
-
-        // Section 5.
-        rows.push(row(
-            "Figure 7",
-            "namespace share ever attacked",
-            paper::WEB_AFFECTED,
-            self.web.affected_fraction(),
-            0.12,
-        ));
+        // Sections 5 and 6.
         let (_, daily_share) = self.web.mean_daily_sites();
-        rows.push(row(
-            "Figure 7",
-            "mean daily namespace share",
-            paper::WEB_DAILY_SHARE,
-            daily_share,
-            0.02,
-        ));
         let (_, peak) = self.web.peak_fraction();
-        rows.push(row(
-            "Figure 7",
-            "largest daily peak share",
-            paper::WEB_PEAK_SHARE,
-            peak,
-            0.06,
-        ));
-        rows.push(row(
-            "Section 5",
-            "TCP share on web-hosting IPs",
-            paper::WEB_TCP,
-            self.web.web_tcp_share,
-            0.05,
-        ));
-        rows.push(row(
-            "Section 5",
-            "web-port share on web-hosting IPs",
-            paper::WEB_PORTS,
-            self.web.web_port_share,
-            0.08,
-        ));
-        rows.push(row(
-            "Section 5",
-            "NTP share on web-hosting IPs",
-            paper::WEB_NTP,
-            self.web.web_ntp_share,
-            0.08,
-        ));
-
-        // Figure 8.
-        let t = &self.migration.taxonomy;
+        let m = &self.migration;
+        let t = &m.taxonomy;
         let (pre_a, pre_u) = t.preexisting_shares();
         let (mig_a, mig_u) = t.migrating_shares();
-        rows.push(row(
-            "Figure 8",
-            "attacked share of namespace",
-            paper::F8_ATTACKED,
-            t.attacked_share(),
-            0.12,
-        ));
-        rows.push(row(
-            "Figure 8",
-            "preexisting among attacked",
-            paper::F8_PRE_ATTACKED,
-            pre_a,
-            0.08,
-        ));
-        rows.push(row(
-            "Figure 8",
-            "preexisting among unattacked",
-            paper::F8_PRE_UNATTACKED,
-            pre_u,
-            0.03,
-        ));
-        rows.push(row(
-            "Figure 8",
-            "migrating among attacked",
-            paper::F8_MIG_ATTACKED,
-            mig_a,
-            0.025,
-        ));
-        rows.push(row(
-            "Figure 8",
-            "migrating among unattacked",
-            paper::F8_MIG_UNATTACKED,
-            mig_u,
-            0.02,
-        ));
-
-        // Figure 9.
-        rows.push(row(
-            "Figure 9",
-            "all sites attacked <= 5 times",
-            paper::F9_ALL_LE5,
-            self.migration.freq_all.cdf(5.0),
-            0.12,
-        ));
-        rows.push(row(
-            "Figure 9",
-            "migrating sites attacked <= 5 times",
-            paper::F9_MIG_LE5,
-            self.migration.freq_migrating.cdf(5.0),
-            0.08,
-        ));
-        rows.push(row(
-            "Figure 9",
-            "migrating - all gap (pp, must be > 0)",
-            paper::F9_MIG_LE5 - paper::F9_ALL_LE5,
-            self.migration.freq_migrating.cdf(5.0) - self.migration.freq_all.cdf(5.0),
-            0.15,
-        ));
-
-        // Figure 10.
-        let d = &self.migration;
-        let six = [
-            d.delay_all.cdf(6.0),
-            d.delay_top5.cdf(6.0),
-            d.delay_top1.cdf(6.0),
-            d.delay_top01.cdf(6.0),
-        ];
-        for (i, label) in ["all", "top 5%", "top 1%", "top 0.1%"].iter().enumerate() {
-            rows.push(row(
-                "Figure 10",
-                &format!("{label} migrate within 6 days"),
-                paper::F10_6D[i],
-                six[i],
+        rows.extend([
+            row(
+                "Table 8a",
+                "web share of single-port TCP %",
+                69.36,
+                100.0 * t8.tcp_web_share(),
+                6.0,
+            ),
+            row("Table 8b", "27015 share %", 18.54, service_pct(&t8.udp, "27015"), 4.0),
+            row(
+                "Figure 2",
+                "telescope median duration (s)",
+                454.0,
+                f2t.median().unwrap_or(0.0),
+                200.0,
+            ),
+            row("Figure 2", "telescope share <= 5 min", 0.40, f2t.cdf(300.0), 0.10),
+            row(
+                "Figure 2",
+                "telescope mean duration (s)",
+                2_880.0,
+                f2t.mean().unwrap_or(0.0),
+                1_500.0,
+            ),
+            row(
+                "Figure 2",
+                "honeypot median duration (s)",
+                255.0,
+                f2h.median().unwrap_or(0.0),
+                150.0,
+            ),
+            row(
+                "Figure 2",
+                "honeypot mean duration (s)",
+                1_080.0,
+                f2h.mean().unwrap_or(0.0),
+                700.0,
+            ),
+            row("Figure 3", "share <= 2 pps", 0.70, f3.cdf(2.0), 0.07),
+            row("Figure 3", "share > 10 pps", 0.17, 1.0 - f3.cdf(10.0), 0.06),
+            row("Figure 3", "mean (pps)", 107.0, f3.mean().unwrap_or(0.0), 70.0),
+            row("Figure 3", "median (pps)", 1.0, f3.median().unwrap_or(0.0), 0.5),
+            row("Figure 4", "median (req/s)", 77.0, f4.median().unwrap_or(0.0), 40.0),
+            row("Figure 4", "mean (req/s)", 413.0, f4.mean().unwrap_or(0.0), 250.0),
+            row(
+                "Figure 5",
+                "medium+ attacks/day (scaled)",
+                1_400.0,
+                f5.series.mean_daily_attacks() * scale,
+                1_400.0 * 0.8,
+            ),
+            // Section 4 joint, scale-normalized.
+            row(
+                "Joint",
+                "common targets (scaled, k)",
+                COMMON_TARGETS / 1e3,
+                self.joint.common_targets as f64 * scale / 1e3,
+                COMMON_TARGETS / 1e3 * 0.6,
+            ),
+            row(
+                "Joint",
+                "joint targets (scaled, k)",
+                JOINT_TARGETS / 1e3,
+                self.joint.joint_targets as f64 * scale / 1e3,
+                JOINT_TARGETS / 1e3 * 0.6,
+            ),
+            row(
+                "Joint",
+                "single-port share of joint attacks",
+                0.771,
+                self.joint.single_port_share,
+                0.10,
+            ),
+            // Section 5.
+            row(
+                "Figure 7",
+                "namespace share ever attacked",
+                0.64,
+                self.web.affected_fraction(),
+                0.12,
+            ),
+            row("Figure 7", "mean daily namespace share", 0.03, daily_share, 0.02),
+            row("Figure 7", "largest daily peak share", 0.1182, peak, 0.06),
+            row("Section 5", "TCP share on web-hosting IPs", 0.934, self.web.web_tcp_share, 0.05),
+            row(
+                "Section 5",
+                "web-port share on web-hosting IPs",
+                0.876,
+                self.web.web_port_share,
+                0.08,
+            ),
+            row("Section 5", "NTP share on web-hosting IPs", 0.5469, self.web.web_ntp_share, 0.08),
+            // Figure 8.
+            row("Figure 8", "attacked share of namespace", 0.64, t.attacked_share(), 0.12),
+            row("Figure 8", "preexisting among attacked", 0.186, pre_a, 0.08),
+            row("Figure 8", "preexisting among unattacked", 0.0089, pre_u, 0.03),
+            row("Figure 8", "migrating among attacked", 0.0431, mig_a, 0.025),
+            row("Figure 8", "migrating among unattacked", 0.0332, mig_u, 0.02),
+            // Figure 9: share of sites attacked <= 5 times.
+            row("Figure 9", "all sites attacked <= 5 times", 0.9235, m.freq_all.cdf(5.0), 0.12),
+            row(
+                "Figure 9",
+                "migrating sites attacked <= 5 times",
+                0.9783,
+                m.freq_migrating.cdf(5.0),
+                0.08,
+            ),
+            row(
+                "Figure 9",
+                "migrating - all gap (pp, must be > 0)",
+                0.9783 - 0.9235,
+                m.freq_migrating.cdf(5.0) - m.freq_all.cdf(5.0),
                 0.15,
-            ));
+            ),
+        ]);
+
+        // Figure 10: migration delay per intensity class.
+        for (label, delays, paper) in [
+            ("all", &m.delay_all, 0.299),
+            ("top 5%", &m.delay_top5, 0.671),
+            ("top 1%", &m.delay_top1, 0.771),
+            ("top 0.1%", &m.delay_top01, 0.986),
+        ] {
+            let metric = format!("{label} migrate within 6 days");
+            rows.push(row("Figure 10", &metric, paper, delays.cdf(6.0), 0.15));
         }
-        rows.push(row(
-            "Figure 10",
-            "all migrate within 1 day",
-            paper::F10_1D_ALL,
-            d.delay_all.cdf(1.0),
-            0.10,
-        ));
-        rows.push(row(
-            "Figure 10",
-            "top 0.1% migrate within 1 day",
-            paper::F10_1D_TOP01,
-            d.delay_top01.cdf(1.0),
-            0.20,
-        ));
-
-        // Figure 11.
-        rows.push(row(
-            "Figure 11",
-            ">=4h: migrate within 1 day",
-            paper::F11_1D,
-            d.delay_long4h.cdf(1.0),
-            0.20,
-        ));
-        rows.push(row(
-            "Figure 11",
-            ">=4h: migrate within 5 days",
-            paper::F11_5D,
-            d.delay_long4h.cdf(5.0),
-            0.20,
-        ));
-
+        rows.extend([
+            row("Figure 10", "all migrate within 1 day", 0.232, m.delay_all.cdf(1.0), 0.10),
+            row("Figure 10", "top 0.1% migrate within 1 day", 0.807, m.delay_top01.cdf(1.0), 0.20),
+            // Figure 11: attacks of >= 4 h.
+            row("Figure 11", ">=4h: migrate within 1 day", 0.676, m.delay_long4h.cdf(1.0), 0.20),
+            row("Figure 11", ">=4h: migrate within 5 days", 0.76, m.delay_long4h.cdf(5.0), 0.20),
+        ]);
         rows
     }
 
     /// The paper's boundary-sensitivity check (Section 6): shorten the
     /// attack observation window by `trim_days` on either end, re-run the
-    /// Web/migration classification, and return (full, trimmed) taxonomies.
-    /// The paper verified the class distribution barely moves; the
-    /// integration tests assert the same here.
-    pub fn boundary_sensitivity(
-        world: &World,
-        trim_days: u32,
-    ) -> (
-        dosscope_core::migration::Taxonomy,
-        dosscope_core::migration::Taxonomy,
-    ) {
-        use dosscope_core::EventStore;
-
-        let full_fw = world.framework();
-        let full_web = WebImpact::analyze(&full_fw).expect("dns attached");
-        let full = MigrationAnalysis::analyze(&full_fw, &full_web)
-            .expect("dps attached")
-            .taxonomy;
-
+    /// Web/migration classification, and return the trimmed taxonomy, to
+    /// set beside the full one in `self.migration.taxonomy`. The paper
+    /// verified the class distribution barely moves; the integration
+    /// tests assert the same here.
+    pub fn boundary_sensitivity(&self, trim_days: u32) -> Taxonomy {
+        let fw = &self.fw;
         // Trim the attack data only (the DNS/DPS window stays, exactly as
         // in the paper's check).
         let lo = trim_days as u64 * 86_400;
-        let hi = (world.days.saturating_sub(trim_days)) as u64 * 86_400;
+        let hi = (fw.days.saturating_sub(trim_days)) as u64 * 86_400;
         let keep = |events: &[dosscope_types::AttackEvent]| {
             events
                 .iter()
@@ -760,39 +562,12 @@ impl<'a> Experiments<'a> {
                 .cloned()
                 .collect()
         };
-        let mut trimmed_store = EventStore::new();
-        trimmed_store.ingest_telescope(keep(world.store.telescope()));
-        trimmed_store.ingest_honeypot(keep(world.store.honeypot()));
-        let trimmed_fw = Framework::new(&trimmed_store, &world.geo, &world.asdb, world.days)
-            .with_dns(&world.synth.zone, &world.synth.catalog)
-            .with_dps(&world.dps);
-        let trimmed_web = WebImpact::analyze(&trimmed_fw).expect("dns attached");
-        let trimmed = MigrationAnalysis::analyze(&trimmed_fw, &trimmed_web)
-            .expect("dps attached")
-            .taxonomy;
-        (full, trimmed)
-    }
-
-    /// Scale invariance: the reproduction's shape metrics at one scale.
-    /// The substitution argument (DESIGN.md §2) rests on shares and shapes
-    /// being scale-invariant; [`Experiments::key_shares`] extracts the
-    /// metrics and the integration suite verifies their stability across
-    /// scales.
-    pub fn key_shares(world: &World) -> KeyShares {
-        let fw = world.framework();
-        let t5 = Table5::build(&fw);
-        let t7 = Table7::build(&fw);
-        let web = WebImpact::analyze(&fw).expect("dns attached");
-        let f2 = DistributionFigure::durations(&fw, EventSource::Telescope);
-        let f3 = DistributionFigure::intensities(&fw, EventSource::Telescope);
-        KeyShares {
-            tcp_share: t5.shares[0] / 100.0,
-            single_port_share: t7.single_share(),
-            tele_le_5min: f2.ecdf.cdf(300.0),
-            tele_le_2pps: f3.ecdf.cdf(2.0),
-            web_tcp_share: web.web_tcp_share,
-            attacked_namespace_share: web.affected_fraction(),
-        }
+        let mut store = EventStore::new();
+        store.ingest_telescope(keep(fw.store.telescope()));
+        store.ingest_honeypot(keep(fw.store.honeypot()));
+        let trimmed = Framework { store: &store, ..*fw };
+        let web = WebImpact::analyze(&trimmed).expect("dns attached");
+        MigrationAnalysis::analyze(&trimmed, &web).expect("dps attached").taxonomy
     }
 
     /// Render the comparison as a markdown table.

@@ -8,15 +8,14 @@
 //! infrastructure performs over two years, in one call.
 //!
 //! The harness is also the home of the paper-reproduction machinery:
-//! [`paper`] holds the published values, [`experiments`] regenerates every
-//! table and figure and compares.
+//! [`experiments`] regenerates every table and figure and compares each
+//! with the paper's published value, stated once per check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod experiments;
-pub mod paper;
 pub mod scenario;
 pub mod telemetry;
 

@@ -1,9 +1,10 @@
 //! Validation of emitted `TELEMETRY.json` artifacts against the
 //! harness's expectations: the versioned schema marker, every pipeline
-//! stage span, the detection funnels, and per-worker pool utilization
-//! and conservation. The CI gate runs `repro --smoke --telemetry` at
-//! `--threads 1` and `--threads 8`, and `repro --scale 600 --telemetry`,
-//! then `repro --validate-telemetry TELEMETRY.json` on each output.
+//! stage span, the detection and fuse funnels, the detectors'
+//! high-water gauges, and per-worker pool utilization and conservation.
+//! The CI gate runs `repro --smoke --telemetry` and `repro --scale 600
+//! --telemetry`, each at `--threads 1` and `--threads 8`, then
+//! `repro --validate-telemetry TELEMETRY.json` on each output.
 
 /// Counters a full scenario run must have incremented.
 const REQUIRED_COUNTERS: &[&str] = &[
@@ -13,6 +14,7 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "telescope.flows_filtered",
     "telescope.events",
     "fleet.requests",
+    "fleet.replies",
     "fleet.pot_events",
     "fleet.pot_merged",
     "fleet.events",
@@ -47,9 +49,7 @@ const REQUIRED_COUNTERS: &[&str] = &[
 /// batches all arrive in time order merges nothing, its renderer tops
 /// marginal events up past the filter, and its command stream stops only
 /// attacks it started, yet the instruments must export so dashboards can
-/// tell "none" from "not instrumented". `store.victims` is the
-/// interner-size gauge and must be nonzero on any run that ingested
-/// events.
+/// tell "none" from "not instrumented".
 const REQUIRED_MAYBE_ZERO: &[&str] = &[
     "store.consolidations",
     "store.consolidation_rows",
@@ -63,6 +63,15 @@ const REQUIRED_MAYBE_ZERO: &[&str] = &[
     "botmon.unterminated",
 ];
 
+/// Gauges a scenario run must have set nonzero: the store's victim
+/// interner size and the high-water marks of the live telescope flows
+/// and the open honeypot events.
+const REQUIRED_GAUGES: &[&str] = &[
+    "store.victims",
+    "telescope.peak_live_flows",
+    "fleet.peak_open_events",
+];
+
 /// Stage spans a scenario run must have recorded.
 const REQUIRED_SPANS: &[&str] = &[
     "stage.world",
@@ -70,6 +79,7 @@ const REQUIRED_SPANS: &[&str] = &[
     "stage.migrate",
     "stage.dps",
     "stage.render",
+    "stage.botmon",
     "stage.route",
     "stage.handoff",
     "stage.detect",
@@ -161,6 +171,19 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
+    // Every stored row is an event one of the two detectors emitted.
+    if let (Some(rows), Some(tele), Some(fleet)) = (
+        extract_num(text, "store.rows"),
+        extract_num(text, "telescope.events"),
+        extract_num(text, "fleet.events"),
+    ) {
+        if rows != tele + fleet {
+            problems.push(format!(
+                "store.rows {rows} != telescope.events {tele} + fleet.events {fleet}"
+            ));
+        }
+    }
+
     // Every botnet event was closed by a stop or by the duration cap.
     // Every start opened one event, and every stop closed one or was an
     // orphan; events closed by a restart or left open at the end of the
@@ -196,10 +219,12 @@ pub fn validate(text: &str) -> Result<String, String> {
             problems.push(format!("instrument {name} missing"));
         }
     }
-    match extract_num(text, "store.victims") {
-        Some(v) if v > 0 => {}
-        Some(_) => problems.push("gauge store.victims is zero".into()),
-        None => problems.push("gauge store.victims missing".into()),
+    for name in REQUIRED_GAUGES {
+        match extract_num(text, name) {
+            Some(v) if v > 0 => {}
+            Some(_) => problems.push(format!("gauge {name} is zero")),
+            None => problems.push(format!("gauge {name} missing")),
+        }
     }
 
     for name in REQUIRED_SPANS {
@@ -262,8 +287,9 @@ pub fn validate(text: &str) -> Result<String, String> {
 
     if problems.is_empty() {
         Ok(format!(
-            "telemetry valid: {} counters, {} spans, {} pools, {} workers utilized",
+            "telemetry valid: {} counters, {} gauges, {} spans, {} pools, {} workers utilized",
             REQUIRED_COUNTERS.len(),
+            REQUIRED_GAUGES.len(),
             REQUIRED_SPANS.len(),
             REQUIRED_POOLS.len(),
             workers_seen
@@ -283,11 +309,13 @@ mod tests {
         let mut s = String::from("{\n  \"schema\": \"dosscope-telemetry-v1\",\n");
         for c in REQUIRED_COUNTERS {
             // Expired flows = events + filtered flows; per-honeypot
-            // events = events + merged ones; botnet events = stopped +
-            // capped; commands = 2 x events - restarted - unterminated +
-            // orphan stops.
+            // events = events + merged ones; stored rows = telescope +
+            // fleet events; botnet events = stopped + capped; commands =
+            // 2 x events - restarted - unterminated + orphan stops.
             let v = match *c {
-                "telescope.flows_expired" | "fleet.pot_events" | "botmon.events" => 20,
+                "telescope.flows_expired" | "fleet.pot_events" | "store.rows" | "botmon.events" => {
+                    20
+                }
                 "botmon.commands" => 30,
                 _ => 10,
             };
@@ -305,7 +333,9 @@ mod tests {
             };
             s.push_str(&format!("    \"{c}\": {v},\n"));
         }
-        s.push_str("    \"store.victims\": 42,\n");
+        for g in REQUIRED_GAUGES {
+            s.push_str(&format!("    \"{g}\": 42,\n"));
+        }
         for pool in REQUIRED_POOLS {
             s.push_str(&format!("    \"pool.{pool}.workers\": 2,\n"));
             s.push_str(&format!("    \"pool.{pool}.dispatches\": 7,\n"));
@@ -418,6 +448,47 @@ mod tests {
             err.contains("botmon.commands 30 != 2 x botmon.events 20 - botmon.restarted 5"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn rejects_a_store_that_lost_rows() {
+        let doc = valid_doc().replace("\"store.rows\": 20", "\"store.rows\": 19");
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains("store.rows 19 != telescope.events 10 + fleet.events 10"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_missing_botmon_stage() {
+        let doc = valid_doc().replace("{\"name\": \"stage.botmon\", \"count\": 1},\n", "");
+        let err = validate(&doc).unwrap_err();
+        assert!(err.contains("span stage.botmon missing"), "{err}");
+    }
+
+    #[test]
+    fn rejects_zero_fleet_replies() {
+        let doc = valid_doc().replace("\"fleet.replies\": 10", "\"fleet.replies\": 0");
+        let err = validate(&doc).unwrap_err();
+        assert!(err.contains("counter fleet.replies is zero"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_zero_live_flow_peak() {
+        let doc = valid_doc().replace(
+            "\"telescope.peak_live_flows\": 42",
+            "\"telescope.peak_live_flows\": 0",
+        );
+        let err = validate(&doc).unwrap_err();
+        assert!(err.contains("gauge telescope.peak_live_flows is zero"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_missing_open_event_peak() {
+        let doc = valid_doc().replace("    \"fleet.peak_open_events\": 42,\n", "");
+        let err = validate(&doc).unwrap_err();
+        assert!(err.contains("gauge fleet.peak_open_events missing"), "{err}");
     }
 
     #[test]

@@ -161,8 +161,9 @@ fn boundary_misclassification_is_negligible() {
     // window by a month on either end must leave the Web-site class
     // distribution essentially unchanged.
     let world = world();
-    let (full, trimmed) =
-        dosscope_harness::experiments::Experiments::boundary_sensitivity(&world, 30);
+    let experiments = dosscope_harness::experiments::Experiments::run(&world, 20_000.0);
+    let full = experiments.migration.taxonomy;
+    let trimmed = experiments.boundary_sensitivity(30);
     let share = |t: &dosscope_core::migration::Taxonomy| {
         (
             t.attacked_share(),
