@@ -110,6 +110,18 @@ if ! cmp "$repro_out" "$repro_threaded"; then
     exit 1
 fi
 
+echo "==> repro --scale 600 --days 120 at --threads 1 and 2 (cmp'd)"
+# The densest configuration renders the largest days; at two threads
+# every day goes through the per-shard row routing, which must not change
+# the report.
+./target/release/repro --quiet --scale 600 --days 120 --threads 1 > "$repro_out"
+./target/release/repro --quiet --scale 600 --days 120 --threads 2 > "$repro_threaded"
+if ! cmp "$repro_out" "$repro_threaded"; then
+    echo "ci.sh: repro --scale 600 --days 120 differs between --threads 1 and 2:" >&2
+    diff "$repro_out" "$repro_threaded" | head -40 >&2 || true
+    exit 1
+fi
+
 echo "==> paper checks over the ten fixed seeds (default scale and --scale 600)"
 # The seed list is fixed in EXPERIMENTS.md; a seed is never swapped out
 # because it fails. Each scale prints its pass counts, their min and

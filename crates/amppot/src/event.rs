@@ -2,13 +2,20 @@
 //! state.
 
 use crate::honeypot::HoneypotId;
-use dosscope_types::{LastActive, ReflectionProtocol, SharedBytes, SimTime};
+use dosscope_types::{CaptureDay, LastActive, ReflectionProtocol, SharedBytes, SimTime};
 use std::net::Ipv4Addr;
+
+/// One day of honeypot capture: rows of (timestamp, count, receiving
+/// honeypot, representative id) over one arena. The renderer writes one
+/// representative request per (attack-day, honeypot), so many rows name
+/// one packet, and the fleet classifies each representative once a day.
+pub type HoneypotDay = CaptureDay<HoneypotId>;
 
 /// A batch of `count` identical spoofed requests received by one honeypot
 /// at `ts` (same compression scheme as the telescope's
-/// `PacketBatch`; see DESIGN.md). The representative bytes are
-/// [`SharedBytes`], so cloning a batch never copies the packet.
+/// `PacketBatch`; see DESIGN.md): the per-batch view of a
+/// [`HoneypotDay`] row. The representative bytes are [`SharedBytes`], so
+/// cloning a batch never copies the packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestBatch {
     /// Receiving honeypot.
@@ -40,6 +47,24 @@ impl RequestBatch {
     /// Total wire bytes this batch stands for.
     pub fn total_bytes(&self) -> u64 {
         self.count as u64 * self.bytes.len() as u64
+    }
+
+    /// The batches of a day, in row order, viewing one shared copy of its
+    /// arena (rows that share a representative share its view).
+    pub fn from_day(day: HoneypotDay) -> Vec<RequestBatch> {
+        day.into_views()
+            .map(|(row, bytes)| RequestBatch::repeated(row.tag, row.ts, row.count, bytes))
+            .collect()
+    }
+
+    /// The batches as one day: each batch's packet copied once into the
+    /// arena, rows in batch order.
+    pub fn to_day(batches: &[RequestBatch]) -> HoneypotDay {
+        CaptureDay::from_packets(
+            batches
+                .iter()
+                .map(|b| (b.ts, b.count, b.honeypot, b.bytes.as_slice())),
+        )
     }
 }
 
@@ -84,6 +109,18 @@ impl LastActive for PotEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn day_round_trip_keeps_every_batch() {
+        let batches = vec![
+            RequestBatch::repeated(HoneypotId(3), SimTime(10), 50, vec![1u8; 60]),
+            RequestBatch::repeated(HoneypotId(0), SimTime(10), 1, vec![2u8; 9]),
+            RequestBatch::repeated(HoneypotId(3), SimTime(11), 4, vec![1u8; 60]),
+        ];
+        let day = RequestBatch::to_day(&batches);
+        assert_eq!((day.len(), day.packets()), (3, 3));
+        assert_eq!(RequestBatch::from_day(day), batches);
+    }
 
     #[test]
     fn batch_totals() {

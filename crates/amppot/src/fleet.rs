@@ -2,10 +2,10 @@
 //! the fleet-level merge that produces one attack event per victim,
 //! protocol and time window.
 
-use crate::event::{PotEvent, RequestBatch};
+use crate::event::{HoneypotDay, PotEvent, RequestBatch};
 use crate::honeypot::{standard_fleet, Honeypot, HoneypotId};
 use dosscope_types::{
-    AttackEvent, AttackVector, FastMap, IdleMap, ReflectionProtocol, SharedBytes, SimTime,
+    AttackEvent, AttackVector, CaptureRow, FastMap, IdleMap, ReflectionProtocol, SimTime,
     TimeRange, SECS_PER_HOUR,
 };
 use dosscope_wire::{reflect, IpProtocol, Ipv4Packet, UdpDatagram};
@@ -14,14 +14,9 @@ use std::net::Ipv4Addr;
 /// Key of an open per-honeypot event.
 type OpenKey = (Ipv4Addr, ReflectionProtocol, HoneypotId);
 
-/// Upper bound on the parse-memo size; reached only when more distinct
-/// representative packets than this are in flight at once, in which case
-/// the memo is simply rebuilt (correctness never depends on a hit).
-const PARSE_MEMO_CAP: usize = 4_096;
-
 /// The outcome of parsing and classifying one representative packet.
-/// Identical bytes always produce the identical outcome, which is what
-/// makes memoizing by allocation sound.
+/// Identical bytes always produce the identical outcome, so a day's rows
+/// that name one representative share one classification.
 #[derive(Debug, Clone, Copy)]
 enum Classified {
     /// Failed IPv4/UDP parsing.
@@ -32,7 +27,7 @@ enum Classified {
     Request(Ipv4Addr, ReflectionProtocol),
 }
 
-/// Parse and classify one representative packet (the uncached path).
+/// Parse and classify one representative packet.
 fn classify_bytes(bytes: &[u8]) -> Classified {
     let Ok(ip) = Ipv4Packet::new_checked(bytes) else {
         return Classified::Malformed;
@@ -124,16 +119,10 @@ pub struct AmpPotFleet {
     /// Hour of the last idle sweep; ingestion is time-ordered, so crossing
     /// an hour boundary is the trigger to expire idle open events.
     swept_hour: u64,
-    /// Parse memo keyed by the representative's (start address, length).
-    /// The renderer appends one representative packet per (attack-day,
-    /// honeypot) to the day's honeypot arena and hands every batch a view
-    /// of it, so each representative is parsed and classified once instead
-    /// of once per batch. The length is part of the key because two views
-    /// of one buffer can start at the same address and end at different
-    /// places. The stored clone pins the buffer it views (for rendered
-    /// batches, that day's whole honeypot arena), so an address can never
-    /// be reused by different bytes while its entry lives.
-    parse_memo: FastMap<(usize, usize), (SharedBytes, Classified)>,
+    /// The current day's classification per representative, filled on
+    /// first use. One buffer for the fleet's life: a fresh one per day
+    /// cost peak RSS at two shards (worker-thread allocator churn).
+    day_classes: Vec<Option<Classified>>,
     closed: Vec<PotEvent>,
     stats: FleetStats,
 }
@@ -151,7 +140,7 @@ impl AmpPotFleet {
             honeypots,
             open: IdleMap::new(config.idle_timeout_secs, SECS_PER_HOUR),
             swept_hour: 0,
-            parse_memo: FastMap::default(),
+            day_classes: Vec::new(),
             closed: Vec::new(),
             stats: FleetStats::default(),
         }
@@ -167,33 +156,55 @@ impl AmpPotFleet {
         self.stats
     }
 
-    /// Ingest one request batch (time-ordered).
+    /// Ingest one request batch (time-ordered), parsing and classifying
+    /// its bytes.
     pub fn ingest(&mut self, batch: &RequestBatch) {
+        let classified = classify_bytes(&batch.bytes);
+        self.ingest_classified(batch.honeypot, batch.ts, batch.count, batch.bytes.len(), classified);
+    }
+
+    /// Ingest the rows of a day (time-ordered), classifying each
+    /// representative once, on the first row that names it.
+    pub fn ingest_day<'a>(
+        &mut self,
+        day: &'a HoneypotDay,
+        rows: impl IntoIterator<Item = &'a CaptureRow<HoneypotId>>,
+    ) {
+        let mut classes = std::mem::take(&mut self.day_classes);
+        classes.clear();
+        classes.resize(day.packets(), None);
+        for row in rows {
+            let packet = day.packet(row.packet);
+            let classified =
+                *classes[row.packet as usize].get_or_insert_with(|| classify_bytes(packet));
+            self.ingest_classified(row.tag, row.ts, row.count, packet.len(), classified);
+        }
+        self.day_classes = classes;
+    }
+
+    /// Ingest `count` requests of `len` bytes each, classified as
+    /// `classified`, received by `honeypot` at `ts`.
+    fn ingest_classified(
+        &mut self,
+        honeypot: HoneypotId,
+        ts: SimTime,
+        count: u32,
+        len: usize,
+        classified: Classified,
+    ) {
         // Expire idle open events once per simulated hour. Because the
         // stream is time-ordered, anything idle *now* stays idle for every
         // later batch, so sweeping early closes exactly the events the
         // per-key idle check below would close anyway — but bounds the
         // open map by the set of victims active in the last hour instead
         // of the whole trace.
-        let hour = batch.ts.secs() / SECS_PER_HOUR;
+        let hour = ts.secs() / SECS_PER_HOUR;
         if hour > self.swept_hour {
             self.swept_hour = hour;
-            let idle = self.open.sweep(batch.ts);
+            let idle = self.open.sweep(ts);
             self.stats.pot_events += idle.len() as u64;
             self.closed.extend(idle);
         }
-        let key = (batch.bytes.as_slice().as_ptr() as usize, batch.bytes.len());
-        let classified = match self.parse_memo.get(&key) {
-            Some((_pinned, c)) => *c,
-            None => {
-                let c = classify_bytes(batch.bytes.as_slice());
-                if self.parse_memo.len() >= PARSE_MEMO_CAP {
-                    self.parse_memo.clear();
-                }
-                self.parse_memo.insert(key, (batch.bytes.clone(), c));
-                c
-            }
-        };
         let (victim, protocol) = match classified {
             Classified::Malformed => {
                 self.stats.malformed += 1;
@@ -206,36 +217,34 @@ impl AmpPotFleet {
             // The spoofed source IS the victim.
             Classified::Request(victim, protocol) => (victim, protocol),
         };
-        self.stats.requests += batch.count as u64;
+        self.stats.requests += count as u64;
 
         // Reply rate limiting: at most the first few requests per source
         // and minute would be answered; everything is logged either way.
-        if let Some(pot) = self.honeypots.get_mut(batch.honeypot.0 as usize) {
-            self.stats.replies_sent += pot.replies(victim, batch.ts.minute(), batch.count as u64);
+        if let Some(pot) = self.honeypots.get_mut(honeypot.0 as usize) {
+            self.stats.replies_sent += pot.replies(victim, ts.minute(), count as u64);
         }
 
-        let key = (victim, protocol, batch.honeypot);
+        let key = (victim, protocol, honeypot);
         let config = self.config;
         let entry = self
             .open
-            .get_or_insert_with(key, || PotEvent::new(victim, protocol, batch.honeypot, batch.ts));
+            .get_or_insert_with(key, || PotEvent::new(victim, protocol, honeypot, ts));
         // Close on idle gap or on the 24 h duration cap.
-        let idle = batch.ts.secs() > entry.last.secs() + config.idle_timeout_secs;
-        let capped = batch.ts.secs() - entry.first.secs() >= config.max_event_secs;
+        let idle = ts.secs() > entry.last.secs() + config.idle_timeout_secs;
+        let capped = ts.secs() - entry.first.secs() >= config.max_event_secs;
         if idle || capped {
-            let finished = std::mem::replace(
-                entry,
-                PotEvent::new(victim, protocol, batch.honeypot, batch.ts),
-            );
+            let finished =
+                std::mem::replace(entry, PotEvent::new(victim, protocol, honeypot, ts));
             self.stats.pot_events += 1;
             // A gap closes an event whatever its length; only a live
             // event is cut by the cap.
             self.stats.capped += u64::from(!idle);
             self.closed.push(finished);
         }
-        entry.last = entry.last.max(batch.ts);
-        entry.requests += batch.count as u64;
-        entry.bytes += batch.total_bytes();
+        entry.last = entry.last.max(ts);
+        entry.requests += count as u64;
+        entry.bytes += count as u64 * len as u64;
     }
 
     /// Number of currently open per-honeypot events (bench telemetry).
@@ -357,6 +366,7 @@ impl MergedEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosscope_types::SharedBytes;
     use dosscope_wire::builder;
 
     fn victim() -> Ipv4Addr {
@@ -575,9 +585,9 @@ mod tests {
         assert_eq!(stats.requests, 600);
     }
 
-    /// The parse memo must be invisible: batches sharing one allocation
-    /// and batches with freshly-allocated identical bytes produce the
-    /// same events and statistics.
+    /// Classification is by contents: batches sharing one allocation and
+    /// batches with freshly-allocated identical bytes produce the same
+    /// events and statistics.
     #[test]
     fn shared_representative_parsed_once_same_results() {
         let mut shared = fleet();
@@ -590,7 +600,7 @@ mod tests {
             shared.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(s), 2, rep.clone()));
             fresh.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(s), 2, pkt.clone()));
         }
-        // Malformed bytes are memoized with their outcome too.
+        // Malformed bytes too.
         let junk = SharedBytes::from(vec![0xAB_u8; 6]);
         for s in 200..203u64 {
             shared.ingest(&RequestBatch::repeated(HoneypotId(0), SimTime(s), 1, junk.clone()));
@@ -607,7 +617,7 @@ mod tests {
     }
 
     /// Two views of one buffer with the same start and different lengths
-    /// hold different bytes; the memo must classify each on its own.
+    /// hold different bytes, and each is classified on its own.
     #[test]
     fn views_sharing_a_start_are_classified_separately() {
         let mut f = fleet();
@@ -624,6 +634,40 @@ mod tests {
         let stats = f.stats();
         assert_eq!(stats.requests, 6, "only the whole packet is a request");
         assert_eq!(stats.malformed, 2, "the truncated view is malformed both times");
+    }
+
+    /// A day whose rows share representatives (and hold a malformed and
+    /// an unrecognised one) ingests like the same rows one batch at a
+    /// time.
+    #[test]
+    fn day_rows_match_per_batch_ingestion() {
+        let mut day = HoneypotDay::default();
+        let pots: Vec<_> = fleet().honeypots().iter().map(|h| h.addr).collect();
+        let ntp = day.append(|buf| {
+            builder::reflection_request_into(buf, victim(), 40_000, pots[0], ReflectionProtocol::Ntp)
+        });
+        let dns = day.append(|buf| {
+            builder::reflection_request_into(buf, victim(), 40_001, pots[1], ReflectionProtocol::Dns)
+        });
+        let junk = day.append(|buf| buf.extend_from_slice(&[0xAB; 6]));
+        let tcp = day.append(|buf| buf.extend_from_slice(&builder::tcp_syn_ack(victim(), 80, pots[0], 1, 1)));
+        for s in 0..400u64 {
+            day.push(SimTime(s * 7), 1 + (s % 3) as u32, HoneypotId(0), ntp);
+            day.push(SimTime(s * 7 + 1), 2, HoneypotId(1), dns);
+            if s % 50 == 0 {
+                day.push(SimTime(s * 7 + 2), 1, HoneypotId(2), junk);
+                day.push(SimTime(s * 7 + 3), 1, HoneypotId(0), tcp);
+            }
+        }
+        let mut by_rows = fleet();
+        by_rows.ingest_day(&day, day.rows());
+        let mut by_batch = fleet();
+        for b in RequestBatch::from_day(day) {
+            by_batch.ingest(&b);
+        }
+        assert_eq!(by_rows.stats(), by_batch.stats());
+        assert_eq!(by_rows.stats().malformed, 8);
+        assert_eq!(by_rows.finish(), by_batch.finish());
     }
 
     #[test]

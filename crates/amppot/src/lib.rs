@@ -29,7 +29,7 @@ pub mod fleet;
 pub mod honeypot;
 pub mod sharded;
 
-pub use event::RequestBatch;
+pub use event::{HoneypotDay, RequestBatch};
 pub use fleet::{AmpPotFleet, FleetConfig, FleetStats};
 pub use honeypot::{Honeypot, HoneypotId, Region};
 pub use sharded::{route_requests, ShardedFleet};

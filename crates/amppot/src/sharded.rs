@@ -1,11 +1,14 @@
 //! The honeypot-fleet engine every scenario run drives: fleet shards on
 //! the persistent worker pool, one worker per shard at every shard count.
 //!
-//! Request batches are routed by the *victim's* address (the spoofed
+//! Request rows are routed by the *victim's* address (the spoofed
 //! source of an abuse request IS the victim) and each shard's
 //! [`AmpPotFleet`] lives on a long-lived [`ShardPool`] worker for the
-//! whole run — no thread spawn per chunk, no per-chunk re-partitioning.
-//! A chunk is shared with every worker as one [`Routed`] view. Every
+//! whole run — no thread spawn per day, no per-day re-partitioning.
+//! A day is shared with every worker as one [`Routed`] value (the
+//! [`HoneypotDay`] plus per-shard row index lists), and each shard
+//! classifies a representative once a day, on the first row of its own
+//! that names it. Every
 //! piece of fleet state is victim-local — open events are keyed by
 //! (victim, protocol, honeypot), the reply rate limiter counts per
 //! (victim, minute), and the fleet merge groups per (victim, protocol) —
@@ -15,19 +18,22 @@
 //! `(start, target, protocol)` sort, and every [`FleetStats`] counter is
 //! a per-batch or per-event sum.
 
-use crate::event::RequestBatch;
+use crate::event::{HoneypotDay, RequestBatch};
 use crate::fleet::{AmpPotFleet, FleetStats};
-use dosscope_types::{shard_of_source, AttackEvent, Routed, Shard, ShardPool};
+use crate::honeypot::HoneypotId;
+use dosscope_types::{AttackEvent, CaptureRow, Routed, Shard, ShardPool};
 use std::sync::Arc;
 
-/// Route a time-ordered chunk of the request stream by victim (= spoofed
-/// packet source) shard, without copying any batch. Relative order
-/// within each shard is preserved. Fleet state is keyed by the complete
-/// victim address and the merge only sums counters, so the full-address
-/// key spreads a hot hosting /16 across all shards.
-pub fn route_requests(batches: Arc<Vec<RequestBatch>>, shards: usize) -> Routed<RequestBatch> {
-    let shards = shards.max(1);
-    Routed::build(batches, shards, |b| shard_of_source(&b.bytes, shards))
+/// Route a time-ordered chunk of request batches by victim (= spoofed
+/// packet source) shard ([`Routed::by_source`]), copied once into a day.
+/// Goes with the per-batch API that the benchmark's frozen replay calls
+/// (ROADMAP, the benchmark item); the pipeline routes its rendered days
+/// directly. Relative order within each shard is preserved; fleet state
+/// is keyed by the complete victim address and the merge only sums
+/// counters, so the full-address key spreads a hot hosting /16 across
+/// all shards.
+pub fn route_requests(batches: Arc<Vec<RequestBatch>>, shards: usize) -> Routed<HoneypotId> {
+    Routed::by_source(RequestBatch::to_day(&batches), shards)
 }
 
 /// One shard: its own fleet replica plus a peak open-event sample. Each
@@ -39,15 +45,17 @@ struct FleetLane {
     peak_open_events: usize,
 }
 
-impl Shard<RequestBatch> for FleetLane {
+impl Shard<HoneypotId> for FleetLane {
     /// Events, statistics, peak open events.
     type Output = (Vec<AttackEvent>, FleetStats, u64);
 
-    fn process<'a>(&mut self, batches: impl Iterator<Item = &'a RequestBatch>) {
+    fn process<'a>(
+        &mut self,
+        day: &'a HoneypotDay,
+        rows: impl Iterator<Item = &'a CaptureRow<HoneypotId>>,
+    ) {
         let _detect = dosscope_obs::span!("stage.detect");
-        for b in batches {
-            self.fleet.ingest(b);
-        }
+        self.fleet.ingest_day(day, rows);
         self.peak_open_events = self.peak_open_events.max(self.fleet.open_events());
     }
 
@@ -60,7 +68,7 @@ impl Shard<RequestBatch> for FleetLane {
 /// The fleet engine: N independent fleets over victim shards on one
 /// [`ShardPool`].
 pub struct ShardedFleet {
-    pool: ShardPool<RequestBatch, FleetLane>,
+    pool: ShardPool<HoneypotId, FleetLane>,
 }
 
 impl ShardedFleet {
@@ -74,14 +82,14 @@ impl ShardedFleet {
         ShardedFleet { pool }
     }
 
-    /// Ingest one pre-routed chunk of the stream (as produced by
-    /// [`route_requests`] for this engine's shard count). Chunks must
-    /// arrive in time order, like the serial stream.
-    pub fn ingest_routed(&mut self, routed: Routed<RequestBatch>) {
+    /// Ingest one day routed for this engine's shard count (by
+    /// [`Routed::by_source`] or [`route_requests`]). Days must arrive in
+    /// time order, like the serial stream.
+    pub fn ingest_routed(&mut self, routed: Routed<HoneypotId>) {
         self.pool.dispatch(routed);
     }
 
-    /// Route and ingest one time-ordered chunk of the stream.
+    /// Route and ingest one time-ordered chunk of batches.
     pub fn ingest(&mut self, batches: Vec<RequestBatch>) {
         self.ingest_routed(route_requests(Arc::new(batches), self.pool.shards()));
     }
@@ -119,7 +127,6 @@ impl ShardedFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::honeypot::HoneypotId;
     use dosscope_types::{ReflectionProtocol, SimTime};
     use dosscope_wire::builder;
     use std::net::Ipv4Addr;

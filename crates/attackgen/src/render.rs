@@ -3,26 +3,34 @@
 //! The renderer walks one day at a time (the harness feeds days in order)
 //! and produces, for every ground-truth attack active on that day:
 //!
-//! * **telescope side** — backscatter [`PacketBatch`]es: per wall-clock
-//!   minute of the attack, the victim's responses that landed in the
-//!   darknet, with one minute designated as the attack's peak (realising
-//!   exactly the generated peak rate, so the Moore et al. max-pps
-//!   statistic recovers the calibrated intensity distribution);
-//! * **honeypot side** — spoofed [`RequestBatch`]es to each honeypot on
-//!   the attacker's reflector list, at the generated average rate.
+//! * **telescope side** — backscatter batches: per wall-clock minute of
+//!   the attack, the victim's responses that landed in the darknet, with
+//!   one minute designated as the attack's peak (realising exactly the
+//!   generated peak rate, so the Moore et al. max-pps statistic recovers
+//!   the calibrated intensity distribution);
+//! * **honeypot side** — spoofed request batches to each honeypot on the
+//!   attacker's reflector list, at the generated average rate.
 //!
 //! All packets are built through `dosscope-wire` and re-parsed by the
 //! observers, so the byte path is exercised end to end. Rendering is
 //! deterministic per (seed, day): each attack-day derives its own RNG.
 //!
-//! Each side appends a day's packets straight into one arena, frozen into
-//! a single shared buffer, and puts the day in timestamp order (ties in
-//! render order) with a linear-time radix sort.
+//! Each side renders a day into one value, a [`TelescopeDay`] or a
+//! [`HoneypotDay`]: the packet builders append straight into the day's
+//! arena, each batch becomes one row naming its packet, and a
+//! linear-time radix sort puts the rows in timestamp order (ties in
+//! render order). The arena is handed on as built, never copied, and the
+//! pipeline passes the whole day to the detectors as one value
+//! ([`Renderer::telescope_capture`], [`Renderer::honeypot_capture`]).
+//! [`Renderer::telescope_day`] and [`Renderer::honeypot_day`] give the
+//! same day as per-batch views ([`PacketBatch`], [`RequestBatch`]).
 
 use crate::model::{GroundTruth, GtKind, GtPorts};
-use dosscope_amppot::{HoneypotId, RequestBatch};
-use dosscope_telescope::{PacketBatch, Telescope};
-use dosscope_types::{DayIndex, SharedBytes, SimTime, TimeRange, TransportProto, SECS_PER_MINUTE};
+use dosscope_amppot::{HoneypotDay, HoneypotId, RequestBatch};
+use dosscope_telescope::{PacketBatch, Telescope, TelescopeDay};
+use dosscope_types::{
+    CaptureDay, CaptureRow, DayIndex, SimTime, TimeRange, TransportProto, SECS_PER_MINUTE,
+};
 use dosscope_wire::builder;
 use dosscope_wire::IpProtocol;
 use rand::rngs::SmallRng;
@@ -78,21 +86,25 @@ impl<'a> Renderer<'a> {
         )
     }
 
-    /// Render all backscatter batches for `day`, sorted by timestamp.
-    ///
-    /// Every packet of the day is written into one arena, frozen into a
-    /// single [`SharedBytes`] buffer; each batch views its packet in it.
-    /// Packet bytes thus cost one shared buffer per day (plus the arena's
-    /// amortised growth), not an allocation per batch.
+    /// All backscatter batches for `day`, sorted by timestamp, as
+    /// per-batch views of [`Renderer::telescope_capture`]. Goes with the
+    /// per-batch API that the benchmark's frozen replay calls (ROADMAP,
+    /// the benchmark item).
     pub fn telescope_day(&self, day: DayIndex) -> Vec<PacketBatch> {
+        PacketBatch::from_day(self.telescope_capture(day))
+    }
+
+    /// Render all backscatter of `day` into one value: every packet in
+    /// one arena, one row per batch, rows sorted by timestamp.
+    pub fn telescope_capture(&self, day: DayIndex) -> TelescopeDay {
         let Some(indices) = self.day_index.get(day.0 as usize) else {
-            return Vec::new();
+            return TelescopeDay::default();
         };
         // Rough reservation: a short attack emits a handful of batches;
         // marathon ones grow the vectors a few times — still far fewer
         // reallocations than starting empty. Backscatter packets are 40–56
         // bytes.
-        let mut day_out = DayArena::with_capacity(indices.len() * 16, indices.len() * 16 * 48);
+        let mut day_out = CaptureDay::with_capacity(indices.len() * 16, indices.len() * 16 * 48);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
             if let GtKind::RandomSpoofed {
@@ -114,7 +126,7 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        day_out.freeze(|ts, count, (), packet| PacketBatch::repeated(ts, count, packet))
+        in_ts_order(day_out)
     }
 
     /// The wall minute designated as the attack's peak: the first minute
@@ -132,7 +144,7 @@ impl<'a> Renderer<'a> {
     #[allow(clippy::too_many_arguments)]
     fn render_backscatter(
         &self,
-        out: &mut DayArena<()>,
+        out: &mut TelescopeDay,
         rng: &mut SmallRng,
         victim: Ipv4Addr,
         window: TimeRange,
@@ -250,16 +262,26 @@ impl<'a> Renderer<'a> {
         prefix.addr_at(rng.gen_range(0..prefix.size()))
     }
 
-    /// Render all honeypot request batches for `day`, sorted by timestamp.
+    /// All honeypot request batches for `day`, sorted by timestamp, as
+    /// per-batch views of [`Renderer::honeypot_capture`]. Goes with the
+    /// per-batch API that the benchmark's frozen replay calls (ROADMAP,
+    /// the benchmark item).
     pub fn honeypot_day(&self, day: DayIndex) -> Vec<RequestBatch> {
+        RequestBatch::from_day(self.honeypot_capture(day))
+    }
+
+    /// Render all honeypot requests of `day` into one value: one
+    /// representative packet per (attack, honeypot) in one arena, one row
+    /// per batch, rows sorted by timestamp.
+    pub fn honeypot_capture(&self, day: DayIndex) -> HoneypotDay {
         let Some(indices) = self.day_index.get(day.0 as usize) else {
-            return Vec::new();
+            return HoneypotDay::default();
         };
         // At `--scale 600 --days 120` representatives came to about 105
         // bytes per attack active that day; reserving 256 spares nearly
         // every day the arena's doubling chain, which fragments the heap
         // (about 5 MiB of peak RSS in that run).
-        let mut out = DayArena::with_capacity(indices.len() * 16, indices.len() * 256);
+        let mut out = CaptureDay::with_capacity(indices.len() * 16, indices.len() * 256);
         for &idx in indices {
             let attack = &self.truth.attacks[idx as usize];
             if let GtKind::Reflection {
@@ -281,13 +303,13 @@ impl<'a> Renderer<'a> {
                 );
             }
         }
-        out.freeze(|ts, count, pot, packet| RequestBatch::repeated(pot, ts, count, packet))
+        in_ts_order(out)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn render_requests(
         &self,
-        out: &mut DayArena<HoneypotId>,
+        out: &mut HoneypotDay,
         rng: &mut SmallRng,
         victim: Ipv4Addr,
         window: TimeRange,
@@ -307,8 +329,8 @@ impl<'a> Renderer<'a> {
         // source port is drawn per batch regardless (the RNG stream is
         // pinned by the determinism and golden tests) but only the first
         // draw is rendered; the fleet never reads the source port. Each
-        // slot holds the byte range of the pot's representative in `out`.
-        let mut representatives: Vec<Option<(u32, u32)>> = vec![None; pots.len()];
+        // slot holds the id of the pot's representative in `out`.
+        let mut representatives: Vec<Option<u32>> = vec![None; pots.len()];
         let whole_event_today = day_range.start <= window.start && window.end <= day_range.end;
         let mut emitted_today = 0u64;
         let first_minute = active.start.minute();
@@ -347,7 +369,7 @@ impl<'a> Renderer<'a> {
                 });
                 out.push(ts, count as u32, HoneypotId(pot), rep);
                 emitted_today += count;
-                last_batch = Some(out.batches.len() - 1);
+                last_batch = Some(out.len() - 1);
             }
         }
         // Same-day events must clear the 100-request scan filter the
@@ -355,55 +377,16 @@ impl<'a> Renderer<'a> {
         // events, so top up the last batch.
         if whole_event_today && emitted_today > 0 && emitted_today <= 105 {
             if let Some(i) = last_batch {
-                out.batches[i].1 += (106 - emitted_today) as u32;
+                out.rows_mut()[i].count += (106 - emitted_today) as u32;
             }
         }
     }
 }
 
-/// One day of either stream under construction: the packet builders
-/// append straight to `bytes`, and `batches` records, per batch, the byte
-/// range of its packet (several batches may view one packet).
-/// [`DayArena::freeze`] turns the arena into one shared buffer.
-struct DayArena<Tag> {
-    bytes: Vec<u8>,
-    /// (timestamp, repeat count, tag, start, end) per batch, in render
-    /// order.
-    batches: Vec<(SimTime, u32, Tag, u32, u32)>,
-}
-
-impl<Tag: Copy> DayArena<Tag> {
-    fn with_capacity(batches: usize, bytes: usize) -> DayArena<Tag> {
-        DayArena {
-            bytes: Vec::with_capacity(bytes),
-            batches: Vec::with_capacity(batches),
-        }
-    }
-
-    /// Append one packet with `build`; returns its byte range.
-    fn append(&mut self, build: impl FnOnce(&mut Vec<u8>)) -> (u32, u32) {
-        let start = self.bytes.len() as u32;
-        build(&mut self.bytes);
-        (start, self.bytes.len() as u32)
-    }
-
-    /// Record one batch viewing the packet at `(start, end)`.
-    fn push(&mut self, ts: SimTime, count: u32, tag: Tag, (start, end): (u32, u32)) {
-        self.batches.push((ts, count, tag, start, end));
-    }
-
-    /// Freeze the arena into one buffer and build every batch from its
-    /// record and a view of its packet, sorted by timestamp (ties keep
-    /// render order).
-    fn freeze<B>(self, batch: impl Fn(SimTime, u32, Tag, SharedBytes) -> B) -> Vec<B> {
-        let arena = SharedBytes::new(self.bytes);
-        ts_order(self.batches, |b| b.0)
-            .iter()
-            .map(|&(ts, count, tag, start, end)| {
-                batch(ts, count, tag, arena.slice(start as usize..end as usize))
-            })
-            .collect()
-    }
+/// A rendered day with its rows in timestamp order, ties in render order.
+fn in_ts_order<Tag: Copy>(mut day: CaptureDay<Tag>) -> CaptureDay<Tag> {
+    day.reorder_rows(|rows| ts_order(rows, |row: &CaptureRow<Tag>| row.ts));
+    day
 }
 
 /// Bits per radix digit in [`ts_order`]: a day's span (< 2^17 s) takes
@@ -621,40 +604,45 @@ mod tests {
     fn request_representatives_are_shared_per_pot() {
         let truth = truth_with(vec![hp_attack(2000, 3000, 2.0)]);
         let r = Renderer::new(&truth, Telescope::default_slash8(), fleet_addrs(), 7, 2);
-        let batches = r.honeypot_day(DayIndex(0));
+        let day = r.honeypot_capture(DayIndex(0));
         let mut per_pot = std::collections::HashMap::new();
-        for b in &batches {
-            per_pot.entry(b.honeypot).or_insert_with(Vec::new).push(b);
+        for row in day.rows() {
+            per_pot.entry(row.tag).or_insert_with(Vec::new).push(row.packet);
         }
+        assert_eq!(per_pot.len(), 4);
         for (_, list) in per_pot {
             assert!(list.len() > 1, "long attack yields many batches per pot");
-            let first = list[0].bytes.as_slice().as_ptr();
             assert!(
-                list.iter().all(|b| b.bytes.as_slice().as_ptr() == first),
-                "all of a pot's batches share one representative allocation"
+                list.iter().all(|&p| p == list[0]),
+                "all of a pot's rows name one representative"
             );
         }
+        assert_eq!(day.packets(), 4, "one representative per pot");
+        // The batch views share one buffer the same way.
+        let batches = RequestBatch::from_day(day);
+        let first = |pot: HoneypotId| {
+            batches.iter().find(|b| b.honeypot == pot).unwrap().bytes.as_slice().as_ptr()
+        };
+        assert!(batches.iter().all(|b| b.bytes.as_slice().as_ptr() == first(b.honeypot)));
     }
 
-    /// The (address, length) of the bytes each batch views, sorted.
-    fn spans(batches: impl Iterator<Item = SharedBytes>) -> Vec<(usize, usize)> {
-        let mut spans: Vec<(usize, usize)> = batches
-            .map(|b| {
-                let s = b.as_slice();
-                (s.as_ptr() as usize, s.len())
-            })
-            .collect();
-        spans.sort_unstable();
-        spans
-    }
-
-    /// The spans tile one contiguous buffer end to end; a span seen
-    /// twice breaks the tiling.
-    fn assert_one_buffer(spans: &[(usize, usize)]) {
-        assert!(
-            spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0),
-            "batch bytes tile one contiguous buffer"
-        );
+    /// The rows' packets, in packet order, tile the day's arena: every
+    /// packet is named by some row, and (on the telescope side) by
+    /// exactly one.
+    fn assert_one_arena<Tag: Copy>(day: &CaptureDay<Tag>, one_row_per_packet: bool) {
+        let mut named = vec![0usize; day.packets()];
+        for row in day.rows() {
+            named[row.packet as usize] += 1;
+        }
+        assert!(named.iter().all(|&n| n >= 1), "every packet is named by a row");
+        if one_row_per_packet {
+            assert!(named.iter().all(|&n| n == 1), "one row per packet");
+        }
+        let lens: usize = (0..day.packets() as u32).map(|p| day.packet(p).len()).sum();
+        let arena = day.packet(day.packets() as u32 - 1).as_ptr() as usize
+            + day.packet(day.packets() as u32 - 1).len()
+            - day.packet(0).as_ptr() as usize;
+        assert_eq!(lens, arena, "packets tile one contiguous arena");
     }
 
     /// Both sides render a day into one arena: the day's packets tile a
@@ -683,15 +671,19 @@ mod tests {
             dns,
         ]);
         let r = Renderer::new(&truth, Telescope::default_slash8(), fleet_addrs(), 7, 2);
+        let day = r.telescope_capture(DayIndex(0));
+        assert!(day.len() > 100, "two long attacks yield many batches");
+        assert_one_arena(&day, true);
+        // The batch views are the rows, in order, with their packets.
         let batches = r.telescope_day(DayIndex(0));
-        assert!(batches.len() > 100, "two long attacks yield many batches");
-        assert_one_buffer(&spans(batches.into_iter().map(|b| b.bytes)));
-        // A pot's batches share their attack's representative.
-        let requests = r.honeypot_day(DayIndex(0));
-        let mut packets = spans(requests.into_iter().map(|b| b.bytes));
-        packets.dedup();
-        assert_eq!(packets.len(), 6, "one representative per attack and pot");
-        assert_one_buffer(&packets);
+        assert_eq!(batches.len(), day.len());
+        for (b, row) in batches.iter().zip(day.rows()) {
+            assert_eq!((b.ts, b.count, b.bytes.as_slice()), (row.ts, row.count, day.packet(row.packet)));
+        }
+        // A pot's rows share their attack's representative.
+        let requests = r.honeypot_capture(DayIndex(0));
+        assert_eq!(requests.packets(), 6, "one representative per attack and pot");
+        assert_one_arena(&requests, false);
     }
 
     /// Timestamps of a hand-built day: 300 batches over five seconds,
@@ -702,30 +694,23 @@ mod tests {
 
     #[test]
     fn day_arena_freeze_keeps_render_order_on_ties() {
-        let mut arena = DayArena::with_capacity(0, 0);
+        let mut day = TelescopeDay::default();
         let mut reference = Vec::new();
         for (i, ts) in tied_times().into_iter().enumerate() {
             let packet = (i as u16).to_be_bytes();
-            let range = arena.append(|buf| buf.extend_from_slice(&packet));
-            arena.push(ts, i as u32 + 1, (), range);
-            reference.push(PacketBatch::repeated(
-                ts,
-                i as u32 + 1,
-                SharedBytes::from(packet.to_vec()),
-            ));
+            let id = day.append(|buf| buf.extend_from_slice(&packet));
+            day.push(ts, i as u32 + 1, (), id);
+            reference.push(PacketBatch::repeated(ts, i as u32 + 1, packet.to_vec()));
         }
         reference.sort_by_key(|b| b.ts);
-        assert_eq!(
-            arena.freeze(|ts, count, (), packet| PacketBatch::repeated(ts, count, packet)),
-            reference
-        );
+        assert_eq!(PacketBatch::from_day(in_ts_order(day)), reference);
     }
 
-    /// The honeypot side's use of the arena: many batches view one shared
+    /// The honeypot side's use of the arena: many rows name one shared
     /// representative.
     #[test]
     fn honeypot_batches_keep_render_order_on_ties() {
-        let mut day = DayArena::with_capacity(0, 0);
+        let mut day = HoneypotDay::default();
         let rep = day.append(|buf| buf.extend_from_slice(&[1, 2, 3]));
         let mut reference = Vec::new();
         for (i, ts) in tied_times().into_iter().enumerate() {
@@ -738,10 +723,9 @@ mod tests {
             ));
         }
         reference.sort_by_key(|b| b.ts);
-        assert_eq!(
-            day.freeze(|ts, count, pot, packet| RequestBatch::repeated(pot, ts, count, packet)),
-            reference
-        );
+        let day = in_ts_order(day);
+        assert_eq!(day.packets(), 1);
+        assert_eq!(RequestBatch::from_day(day), reference);
     }
 
     /// `ts_order` is exactly a stable sort by timestamp on random days:

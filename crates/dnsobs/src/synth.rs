@@ -267,14 +267,19 @@ pub fn synthesize(config: &SynthConfig, registry: &AsRegistry) -> SynthOutput {
         // Lifetimes: ~60 % full window, ~25 % appear later, ~15 %
         // disappear. DPS-protected sites are overwhelmingly established
         // businesses: almost all full-window.
+        // Both bounds are floored at 1 so that a window under 10 days
+        // still draws from a non-empty range and every lifetime keeps at
+        // least its first day; from 10 days up the ranges are unchanged.
         let is_dps = catalog.get(slot.org).role == OrgRole::Dps;
+        let last_start = (config.days * 9 / 10).max(1);
+        let first_end = (config.days / 10).max(1);
         let active = match rng.gen_range(0..100) {
             _ if is_dps && rng.gen_range(0..100) < 85 => window,
             0..=59 => window,
-            60..=84 => DayRange::new(DayIndex(rng.gen_range(0..config.days * 9 / 10)), window.end),
+            60..=84 => DayRange::new(DayIndex(rng.gen_range(0..last_start)), window.end),
             _ => DayRange::new(
                 window.start,
-                DayIndex(rng.gen_range(config.days / 10..config.days)),
+                DayIndex(rng.gen_range(first_end..config.days.max(first_end + 1))),
             ),
         };
         let d = zone.add_domain(tld, active);

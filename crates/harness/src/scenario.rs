@@ -8,16 +8,15 @@
 //! capture/processing deployment has.
 
 use dosscope_amppot::honeypot::standard_fleet;
-use dosscope_amppot::{RequestBatch, ShardedFleet};
+use dosscope_amppot::{HoneypotDay, ShardedFleet};
 use dosscope_attackgen::config::Calibration;
 use dosscope_attackgen::{GenConfig, Generator, GroundTruth, MigrationModel, Renderer};
 use dosscope_core::{EventStore, Framework};
 use dosscope_dns::synth::{synthesize, SynthConfig, SynthOutput};
 use dosscope_dps::DpsDataset;
 use dosscope_geo::{AsDb, AsRegistry, GeoDb, RegistryConfig};
-use dosscope_telescope::{PacketBatch, ShardedRsdos, Telescope};
-use dosscope_types::DayIndex;
-use std::sync::Arc;
+use dosscope_telescope::{ShardedRsdos, Telescope, TelescopeDay};
+use dosscope_types::{DayIndex, Routed};
 
 /// Scenario parameters. `scale` divides every paper-scale quantity; the
 /// default (2000) runs the full 731-day window in seconds of CPU time.
@@ -165,8 +164,8 @@ impl Scenario {
         let days = (0..config.days).map(|d| {
             let _render = dosscope_obs::span!("stage.render");
             (
-                renderer.telescope_day(DayIndex(d)),
-                renderer.honeypot_day(DayIndex(d)),
+                renderer.telescope_capture(DayIndex(d)),
+                renderer.honeypot_capture(DayIndex(d)),
             )
         });
         let (store, telescope_stats, fleet_stats) =
@@ -227,18 +226,23 @@ pub fn renderer<'a>(config: &ScenarioConfig, truth: &'a GroundTruth) -> Renderer
     )
 }
 
-/// Take each day's time-ordered telescope and honeypot batches from
-/// `days` (for [`Scenario::run`], the renderer), route and dispatch them
-/// on the calling thread while the sharded engines' pool workers detect,
-/// and fuse both engines' events into one store. A rendered day's
-/// packets live in one shared arena per stream, so handing a day over
-/// (and freeing it on a worker) costs O(1) allocations, not O(batches).
-/// Each day is routed by victim address (index lists over one `Arc`'d
-/// chunk — no batch is copied or re-partitioned). Victim-keyed detector
-/// state makes the single merge at `finish` byte-identical for any shard
-/// count (DESIGN.md, "Concurrency model").
+/// Take each rendered day of both streams from `days` (for
+/// [`Scenario::run`], the renderer), route and dispatch it on the calling
+/// thread while the sharded engines' pool workers detect, and fuse both
+/// engines' events into one store. A day is one value per stream (a
+/// packet arena plus time-ordered rows), moved whole into one `Arc` per
+/// pool: handing a day over, and freeing it on a worker, costs the same
+/// few allocations however many rows it holds. With more than one shard,
+/// each day is routed by victim address into per-shard row index lists;
+/// no row or packet is copied. Victim-keyed detector state makes the
+/// single merge at `finish` byte-identical for any shard count
+/// (DESIGN.md, "Concurrency model").
+///
+/// Publishes the `render.*` counters and `render.day_bytes_peak`, the
+/// most bytes one rendered day reserved over both streams (arenas,
+/// packet ends and rows).
 pub fn drive_pipelines(
-    days: impl IntoIterator<Item = (Vec<PacketBatch>, Vec<RequestBatch>)>,
+    days: impl IntoIterator<Item = (TelescopeDay, HoneypotDay)>,
     telescope: Telescope,
     threads: usize,
 ) -> (
@@ -249,15 +253,21 @@ pub fn drive_pipelines(
     let mut rsdos = ShardedRsdos::with_defaults(telescope, threads);
     let mut fleet = ShardedFleet::standard(threads);
     let (mut tele_batches, mut hp_batches, mut tele_bytes) = (0u64, 0u64, 0u64);
+    let mut day_bytes_peak = 0;
     for (tele, hp) in days {
         tele_batches += tele.len() as u64;
         hp_batches += hp.len() as u64;
-        tele_bytes += tele.iter().map(|b| b.bytes.len() as u64).sum::<u64>();
+        tele_bytes += tele
+            .rows()
+            .iter()
+            .map(|r| tele.packet(r.packet).len() as u64)
+            .sum::<u64>();
+        day_bytes_peak = day_bytes_peak.max(tele.reserved_bytes() + hp.reserved_bytes());
         let (tele_routed, hp_routed) = {
             let _route = dosscope_obs::span!("stage.route");
             (
-                dosscope_telescope::route_batches(Arc::new(tele), threads),
-                dosscope_amppot::route_requests(Arc::new(hp), threads),
+                Routed::by_source(tele, threads),
+                Routed::by_source(hp, threads),
             )
         };
         // Blocking on a full worker queue (back-pressure) is its own
@@ -269,6 +279,7 @@ pub fn drive_pipelines(
     dosscope_obs::counter!("render.telescope_batches").add(tele_batches);
     dosscope_obs::counter!("render.honeypot_batches").add(hp_batches);
     dosscope_obs::counter!("render.telescope_bytes").add(tele_bytes);
+    dosscope_obs::gauge!("render.day_bytes_peak").raise(day_bytes_peak as u64);
 
     let _fuse = dosscope_obs::span!("stage.fuse");
     let (tele_events, tele_stats, _peak) = rsdos.finish();
@@ -301,6 +312,24 @@ mod tests {
         let fw = world.framework();
         let t1 = dosscope_core::report::Table1::build(&fw);
         assert!(t1.rows[2].summary.events >= t1.rows[0].summary.events);
+    }
+
+    /// Windows shorter than the ten days the synthesizer's lifetime
+    /// draws divide by must still run end to end, through the report and
+    /// the paper comparison.
+    #[test]
+    fn every_short_window_runs_end_to_end() {
+        for days in 1..=12 {
+            let config = ScenarioConfig {
+                scale: 100_000.0,
+                days,
+                ..ScenarioConfig::default()
+            };
+            let world = Scenario::run(&config);
+            let experiments = crate::experiments::Experiments::run(&world, config.scale);
+            assert!(!experiments.render_report().is_empty(), "{days} days");
+            assert!(!experiments.compare().is_empty(), "{days} days");
+        }
     }
 
     #[test]

@@ -64,10 +64,12 @@ const REQUIRED_MAYBE_ZERO: &[&str] = &[
 ];
 
 /// Gauges a scenario run must have set nonzero: the store's victim
-/// interner size and the high-water marks of the live telescope flows
-/// and the open honeypot events.
+/// interner size, the bytes of the largest rendered day, and the
+/// high-water marks of the live telescope flows and the open honeypot
+/// events.
 const REQUIRED_GAUGES: &[&str] = &[
     "store.victims",
+    "render.day_bytes_peak",
     "telescope.peak_live_flows",
     "fleet.peak_open_events",
 ];

@@ -130,9 +130,16 @@ impl RsdosDetector {
 
     /// Ingest one captured batch (batches must arrive in time order).
     pub fn ingest(&mut self, batch: &PacketBatch) {
+        self.ingest_packet(batch.ts, batch.count, &batch.bytes);
+    }
+
+    /// Ingest `count` identical captured packets `bytes` at `ts` (calls
+    /// must arrive in time order): the entry point for a day's rows,
+    /// which hold no per-batch value.
+    pub fn ingest_packet(&mut self, ts: SimTime, count: u32, bytes: &[u8]) {
         // One fused pass over the bytes (validation + classification);
         // equivalent to checked parse + `classify`, see `classify_batch`.
-        let (dst, bs) = match classify_batch(batch.bytes.as_slice()) {
+        let (dst, bs) = match classify_batch(bytes) {
             BatchClass::Malformed => {
                 self.stats.malformed += 1;
                 return;
@@ -150,11 +157,9 @@ impl RsdosDetector {
             return;
         }
         self.stats.backscatter_batches += 1;
-        self.stats.backscatter_packets += batch.count as u64;
-        if let Some(expired) = self
-            .flows
-            .offer(&bs, batch.ts, batch.count, batch.total_bytes())
-        {
+        self.stats.backscatter_packets += count as u64;
+        let total_bytes = count as u64 * bytes.len() as u64;
+        if let Some(expired) = self.flows.offer(&bs, ts, count, total_bytes) {
             self.finalize(expired);
         }
     }

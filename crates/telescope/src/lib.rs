@@ -50,7 +50,7 @@ pub mod sharded;
 
 pub use classify::{classify, classify_batch, Backscatter, BatchClass};
 pub use detector::{DetectorConfig, RsdosDetector};
-pub use packet::PacketBatch;
+pub use packet::{PacketBatch, TelescopeDay};
 pub use plugin::{run_rsdos, RsdosPlugin, TelescopePlugin};
 pub use sharded::{route_batches, ShardedRsdos};
 

@@ -7,14 +7,21 @@
 //! Every batch's bytes are parsed through `dosscope-wire`'s checked
 //! parsers, so the byte-level decode path is exercised on every batch.
 //!
-//! The representative bytes are [`SharedBytes`], a view into a shared
-//! buffer: cloning a batch (stream partitioning, replayed test streams,
-//! bench workloads) bumps a reference count instead of copying the
-//! packet. The renderer packs a whole day's packets into one buffer and
-//! every batch of that day views it, so a cloned batch keeps its entire
-//! day arena alive until the clone is dropped.
+//! The pipeline hands the detectors a whole day at once, as one
+//! [`TelescopeDay`]: every packet of the day in one arena, and one row per
+//! batch. [`PacketBatch`] is the per-batch view of the same data, for
+//! callers that feed batches one at a time; its representative bytes are
+//! [`SharedBytes`], a view into a shared buffer, so cloning a batch bumps
+//! a reference count instead of copying the packet. The views of one day
+//! ([`PacketBatch::from_day`]) share one copy of its arena, so a cloned
+//! batch keeps that whole copy alive until the clone is dropped.
 
-use dosscope_types::{SharedBytes, SimTime};
+use dosscope_types::{CaptureDay, SharedBytes, SimTime};
+
+/// One day of telescope capture: rows of (timestamp, count, packet) over
+/// one packet arena. Rows carry no tag; every rendered row has its own
+/// packet.
+pub type TelescopeDay = CaptureDay<()>;
 
 /// A batch of `count` identical packets captured at `ts`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +60,20 @@ impl PacketBatch {
     pub fn total_bytes(&self) -> u64 {
         self.count as u64 * self.bytes.len() as u64
     }
+
+    /// The batches of a day, in row order, viewing one shared copy of its
+    /// arena.
+    pub fn from_day(day: TelescopeDay) -> Vec<PacketBatch> {
+        day.into_views()
+            .map(|(row, bytes)| PacketBatch::repeated(row.ts, row.count, bytes))
+            .collect()
+    }
+
+    /// The batches as one day: each packet copied once into the arena,
+    /// rows in batch order.
+    pub fn to_day(batches: &[PacketBatch]) -> TelescopeDay {
+        CaptureDay::from_packets(batches.iter().map(|b| (b.ts, b.count, (), b.bytes.as_slice())))
+    }
 }
 
 #[cfg(test)]
@@ -66,6 +87,18 @@ mod tests {
         let s = PacketBatch::single(SimTime(5), vec![0u8; 40]);
         assert_eq!(s.count, 1);
         assert_eq!(s.total_bytes(), 40);
+    }
+
+    #[test]
+    fn day_round_trip_keeps_every_batch() {
+        let batches = vec![
+            PacketBatch::repeated(SimTime(3), 2, vec![1u8, 2, 3]),
+            PacketBatch::single(SimTime(3), vec![9u8; 7]),
+            PacketBatch::repeated(SimTime(8), 5, Vec::new()),
+        ];
+        let day = PacketBatch::to_day(&batches);
+        assert_eq!(day.len(), 3);
+        assert_eq!(PacketBatch::from_day(day), batches);
     }
 
     #[test]

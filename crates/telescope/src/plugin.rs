@@ -42,16 +42,28 @@ pub struct IntervalClock {
 impl IntervalClock {
     /// Feed one batch (batches must arrive in non-decreasing time order).
     pub fn feed<P: TelescopePlugin>(&mut self, plugin: &mut P, batch: &PacketBatch) {
-        let interval = batch.ts.secs() / INTERVAL_SECS;
-        match self.current {
-            Some(cur) if interval > cur => {
-                plugin.interval_end(SimTime(interval * INTERVAL_SECS));
-                self.current = Some(interval);
-            }
-            None => self.current = Some(interval),
-            _ => {}
+        if let Some(now) = self.tick(batch.ts) {
+            plugin.interval_end(now);
         }
         plugin.process_batch(batch);
+    }
+
+    /// Move the clock to a batch captured at `ts` (non-decreasing); if the
+    /// batch opens a later interval, the start of that interval, where the
+    /// previous one ends.
+    pub fn tick(&mut self, ts: SimTime) -> Option<SimTime> {
+        let interval = ts.secs() / INTERVAL_SECS;
+        match self.current {
+            Some(cur) if interval > cur => {
+                self.current = Some(interval);
+                Some(SimTime(interval * INTERVAL_SECS))
+            }
+            None => {
+                self.current = Some(interval);
+                None
+            }
+            _ => None,
+        }
     }
 }
 

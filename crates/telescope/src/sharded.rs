@@ -1,20 +1,22 @@
 //! The RSDoS engine every scenario run drives: detector shards on the
 //! persistent worker pool, one worker per shard at every shard count.
 //!
-//! Batches are routed by the *victim's* address (backscatter is sent by
-//! the victim, so the victim is the packet source) and each shard's
-//! [`RsdosPlugin`] lives on a long-lived [`ShardPool`] worker for the
-//! whole run — no thread spawn per chunk, no per-chunk re-partitioning.
-//! A chunk is shared with every worker as one [`Routed`] view (`Arc`'d
-//! batch vector plus per-shard index lists); workers read their batches
-//! in place. The flow table, the classifier and the filter are all
-//! victim-local state, so a shard sees every packet of every flow it
-//! owns, in the original order — the single merge at [`ShardedRsdos::
-//! finish`] is byte-identical to a serial run:
+//! Rows are routed by the *victim's* address (backscatter is sent by the
+//! victim, so the victim is the packet source) and each shard's
+//! [`RsdosDetector`] lives on a long-lived [`ShardPool`] worker for the
+//! whole run — no thread spawn per day, no per-day re-partitioning. A
+//! day is shared with every worker as one [`Routed`] value (the
+//! [`TelescopeDay`] plus per-shard row index lists); workers read their
+//! rows and packets in place. Each shard keeps Corsaro's interval model
+//! on its own [`IntervalClock`] and expires idle flows at every 60 s
+//! boundary of its own stream. The flow table, the classifier and the
+//! filter are all victim-local state, so a shard sees every packet of
+//! every flow it owns, in the original order — the single merge at
+//! [`ShardedRsdos::finish`] is byte-identical to a serial run:
 //!
 //! * flow splits happen on per-flow idle gaps (in `offer`) regardless of
-//!   when `interval_end` fires, so per-shard interval cadence cannot
-//!   change event content;
+//!   when an interval ends, so per-shard interval cadence cannot change
+//!   event content;
 //! * the final ordering is the canonical `(start, target)` sort the serial
 //!   detector already produces;
 //! * every [`DetectorStats`] counter is a per-batch or per-flow sum, so
@@ -22,48 +24,51 @@
 //!   published from them — do not depend on the shard count.
 
 use crate::detector::{DetectorConfig, DetectorStats, RsdosDetector};
-use crate::packet::PacketBatch;
-use crate::plugin::{IntervalClock, RsdosPlugin, TelescopePlugin};
+use crate::packet::{PacketBatch, TelescopeDay};
+use crate::plugin::IntervalClock;
 use crate::Telescope;
-use dosscope_types::{shard_of_source, AttackEvent, Routed, Shard, ShardPool};
+use dosscope_types::{AttackEvent, CaptureRow, Routed, Shard, ShardPool};
 use std::sync::Arc;
 
-/// Route a time-ordered chunk of the stream by victim (= packet source)
-/// shard, without copying any batch. Relative order within each shard is
-/// preserved, which is all the per-victim flow logic needs. Detector
-/// state is keyed by the complete victim address and the merge only sums
-/// counters, so the full-address key spreads a hot hosting /16 across all
-/// shards instead of serialising it on one.
-pub fn route_batches(batches: Arc<Vec<PacketBatch>>, shards: usize) -> Routed<PacketBatch> {
-    let shards = shards.max(1);
-    Routed::build(batches, shards, |b| shard_of_source(&b.bytes, shards))
+/// Route a time-ordered chunk of batches by victim (= packet source)
+/// shard ([`Routed::by_source`]), copied once into a day. Goes with the
+/// per-batch API that the benchmark's frozen replay calls (ROADMAP, the
+/// benchmark item); the pipeline routes its rendered days directly.
+/// Relative order within each shard is preserved, which is all the
+/// per-victim flow logic needs; detector state is keyed by the complete
+/// victim address and the merge only sums counters, so the full-address
+/// key spreads a hot hosting /16 across all shards instead of
+/// serialising it on one.
+pub fn route_batches(batches: Arc<Vec<PacketBatch>>, shards: usize) -> Routed<()> {
+    Routed::by_source(PacketBatch::to_day(&batches), shards)
 }
 
-/// One shard: a detector plugin on its own interval clock (interval
-/// boundaries come from the shard's own batch stream) and a peak
-/// working-set sample.
+/// One shard: a detector on its own interval clock (interval boundaries
+/// come from the shard's own rows) and a peak working-set sample.
 struct ShardLane {
-    plugin: RsdosPlugin,
+    detector: RsdosDetector,
     clock: IntervalClock,
     peak_live_flows: usize,
 }
 
-impl Shard<PacketBatch> for ShardLane {
+impl Shard<()> for ShardLane {
     /// Events, statistics, and the shard's peak live-flow count (sampled
-    /// once per ingested chunk).
+    /// once per day).
     type Output = (Vec<AttackEvent>, DetectorStats, u64);
 
-    fn process<'a>(&mut self, batches: impl Iterator<Item = &'a PacketBatch>) {
+    fn process<'a>(&mut self, day: &'a TelescopeDay, rows: impl Iterator<Item = &'a CaptureRow<()>>) {
         let _detect = dosscope_obs::span!("stage.detect");
-        for b in batches {
-            self.clock.feed(&mut self.plugin, b);
+        for row in rows {
+            if let Some(now) = self.clock.tick(row.ts) {
+                self.detector.advance(now);
+            }
+            self.detector.ingest_packet(row.ts, row.count, day.packet(row.packet));
         }
-        self.peak_live_flows = self.peak_live_flows.max(self.plugin.live_flows());
+        self.peak_live_flows = self.peak_live_flows.max(self.detector.live_flows());
     }
 
-    fn finish(mut self) -> Self::Output {
-        self.plugin.finish();
-        let (events, stats) = self.plugin.into_results();
+    fn finish(self) -> Self::Output {
+        let (events, stats) = self.detector.finish();
         (events, stats, self.peak_live_flows as u64)
     }
 }
@@ -71,7 +76,7 @@ impl Shard<PacketBatch> for ShardLane {
 /// The RSDoS engine: N independent detectors over victim shards on one
 /// [`ShardPool`].
 pub struct ShardedRsdos {
-    pool: ShardPool<PacketBatch, ShardLane>,
+    pool: ShardPool<(), ShardLane>,
 }
 
 impl ShardedRsdos {
@@ -80,7 +85,7 @@ impl ShardedRsdos {
     /// worker per shard.
     pub fn new(telescope: Telescope, config: DetectorConfig, shards: usize) -> ShardedRsdos {
         let pool = ShardPool::new("telescope", shards, || ShardLane {
-            plugin: RsdosPlugin::new(RsdosDetector::new(telescope, config)),
+            detector: RsdosDetector::new(telescope, config),
             clock: IntervalClock::default(),
             peak_live_flows: 0,
         });
@@ -92,14 +97,14 @@ impl ShardedRsdos {
         ShardedRsdos::new(telescope, DetectorConfig::default(), shards)
     }
 
-    /// Ingest one pre-routed chunk of the stream (as produced by
-    /// [`route_batches`] for this engine's shard count). Chunks must
-    /// arrive in time order, like the serial stream.
-    pub fn ingest_routed(&mut self, routed: Routed<PacketBatch>) {
+    /// Ingest one day routed for this engine's shard count (by
+    /// [`Routed::by_source`] or [`route_batches`]). Days must arrive in
+    /// time order, like the serial stream.
+    pub fn ingest_routed(&mut self, routed: Routed<()>) {
         self.pool.dispatch(routed);
     }
 
-    /// Route and ingest one time-ordered chunk of the stream.
+    /// Route and ingest one time-ordered chunk of batches.
     pub fn ingest(&mut self, batches: Vec<PacketBatch>) {
         self.ingest_routed(route_batches(Arc::new(batches), self.pool.shards()));
     }
@@ -138,6 +143,7 @@ impl ShardedRsdos {
 mod tests {
     use super::*;
     use crate::plugin::run_rsdos;
+    use dosscope_types::CaptureDay;
     use dosscope_types::SimTime;
     use dosscope_wire::builder;
     use std::net::Ipv4Addr;
@@ -219,16 +225,34 @@ mod tests {
 
     #[test]
     fn routing_is_zero_copy() {
-        let stream = Arc::new(mixed_stream());
-        let routed = route_batches(stream.clone(), 8);
+        let day: TelescopeDay = PacketBatch::to_day(&mixed_stream());
+        let (rows, len) = (day.rows().as_ptr(), day.len());
+        let routed = Routed::by_source(day, 8);
         assert_eq!(
-            routed.items().as_ptr(),
-            stream.as_ptr(),
-            "routing shares the chunk, no re-partition copies"
+            routed.day().rows().as_ptr(),
+            rows,
+            "routing moves the day, no re-partition copies"
         );
-        assert_eq!(
-            (0..8).map(|s| routed.owned_len(s)).sum::<usize>(),
-            stream.len()
-        );
+        assert_eq!((0..8).map(|s| routed.owned_len(s)).sum::<usize>(), len);
+    }
+
+    /// A day built in place (packets appended once, rows naming them)
+    /// detects like the same batches fed one at a time.
+    #[test]
+    fn routed_day_matches_the_batch_stream() {
+        let telescope = Telescope::default_slash8();
+        let stream = mixed_stream();
+        let (want, want_stats) = run_rsdos(RsdosDetector::with_defaults(telescope), stream.clone());
+        let mut day = CaptureDay::default();
+        for b in &stream {
+            let packet = day.append(|buf| buf.extend_from_slice(&b.bytes));
+            day.push(b.ts, b.count, (), packet);
+        }
+        for shards in [1, 3] {
+            let mut engine = ShardedRsdos::with_defaults(telescope, shards);
+            engine.ingest_routed(Routed::by_source(day.clone(), shards));
+            let (events, stats, _) = engine.finish();
+            assert_eq!((events, stats), (want.clone(), want_stats), "{shards} shards");
+        }
     }
 }

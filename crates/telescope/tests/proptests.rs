@@ -1,12 +1,13 @@
 //! Property-based tests for the detection pipeline: conservation laws of
-//! the flow table, filter monotonicity and sweep-cadence independence of
-//! the detector.
+//! the flow table, filter monotonicity, sweep-cadence independence of
+//! the detector, and the day-row path against the per-batch one.
 
 use dosscope_telescope::{
-    classify, classify_batch, BatchClass, DetectorConfig, PacketBatch, RsdosDetector, Telescope,
+    classify, classify_batch, run_rsdos, BatchClass, DetectorConfig, PacketBatch, RsdosDetector,
+    ShardedRsdos, Telescope, TelescopeDay,
 };
 use dosscope_wire::Ipv4Packet;
-use dosscope_types::SimTime;
+use dosscope_types::{CaptureDay, Routed, SimTime};
 use dosscope_wire::builder;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -208,5 +209,87 @@ proptest! {
             },
         };
         prop_assert_eq!(fused, layered);
+    }
+}
+
+/// Noise interleaved with a rendered script, at arbitrary times: `kind`
+/// 0 is raw bytes (mostly malformed), 1 a backscatter packet truncated to
+/// `cut` bytes, 2 a UDP request (not backscatter), 3 backscatter aimed
+/// outside the darknet.
+fn arb_noise() -> impl Strategy<Value = (usize, u64, usize, Vec<u8>)> {
+    (0usize..4, 0u64..52_000, 0usize..60, proptest::collection::vec(0u8..=255u8, 0..24))
+}
+
+fn with_noise(mut batches: Vec<PacketBatch>, noise: &[(usize, u64, usize, Vec<u8>)]) -> Vec<PacketBatch> {
+    let victim = Ipv4Addr::new(203, 0, 113, 250);
+    for (kind, ts, cut, raw) in noise {
+        let bytes = match kind {
+            0 => raw.clone(),
+            1 => {
+                let mut pkt = builder::tcp_syn_ack(victim, 80, Ipv4Addr::new(44, 1, 1, 1), 1, 1);
+                pkt.truncate(*cut % pkt.len());
+                pkt
+            }
+            2 => builder::reflection_request(
+                victim,
+                5_000,
+                Ipv4Addr::new(44, 2, 2, 2),
+                dosscope_types::ReflectionProtocol::Dns,
+            ),
+            _ => builder::tcp_syn_ack(victim, 80, Ipv4Addr::new(9, 9, 9, 9), 1, 1),
+        };
+        batches.push(PacketBatch::repeated(SimTime(*ts), 1 + *cut as u32 % 3, bytes));
+    }
+    // Stable: the script's own order survives among equal timestamps.
+    batches.sort_by_key(|b| b.ts);
+    batches
+}
+
+/// The batches cut into consecutive days at `cuts`, each day holding
+/// every distinct packet once (batches with equal bytes share one).
+fn shared_days(batches: &[PacketBatch], cuts: &[usize]) -> Vec<TelescopeDay> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (batches.len() + 1)).collect();
+    bounds.extend([0, batches.len()]);
+    bounds.sort_unstable();
+    bounds
+        .windows(2)
+        .map(|w| {
+            let mut day = CaptureDay::default();
+            let mut ids = std::collections::HashMap::new();
+            for b in &batches[w[0]..w[1]] {
+                let id = *ids
+                    .entry(b.bytes.as_slice().to_vec())
+                    .or_insert_with(|| day.append(|buf| buf.extend_from_slice(&b.bytes)));
+                day.push(b.ts, b.count, (), id);
+            }
+            day
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The row path equals the per-batch path: a stream of backscatter,
+    /// malformed, truncated and non-backscatter batches, cut into days
+    /// whose rows share packets, detects the same events with the same
+    /// statistics on 1, 2 and 8 shards as the batches fed one at a time.
+    #[test]
+    fn row_path_matches_per_batch(
+        attacks in proptest::collection::vec(arb_attack(), 1..5),
+        noise in proptest::collection::vec(arb_noise(), 0..24),
+        cuts in proptest::collection::vec(0usize..100_000, 0..6),
+    ) {
+        let batches = with_noise(render(&attacks), &noise);
+        let telescope = Telescope::default_slash8();
+        let want = run_rsdos(RsdosDetector::with_defaults(telescope), batches.clone());
+        for shards in [1, 2, 8] {
+            let mut engine = ShardedRsdos::with_defaults(telescope, shards);
+            for day in shared_days(&batches, &cuts) {
+                engine.ingest_routed(Routed::by_source(day, shards));
+            }
+            let (events, stats, _) = engine.finish();
+            prop_assert_eq!(&(events, stats), &want, "{} shards", shards);
+        }
     }
 }

@@ -27,7 +27,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use bytes::SharedBytes;
+pub use bytes::{CaptureDay, CaptureRow, SharedBytes};
 pub use event::{
     AttackEvent, AttackVector, EventSource, PortSignature, ReflectionProtocol, TransportProto,
 };

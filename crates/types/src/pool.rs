@@ -6,14 +6,14 @@
 //!   pool included; each worker *owns* its shard for its whole life, so
 //!   state never migrates and never needs locking;
 //! * **bounded channels** — each worker has its own
-//!   [`std::sync::mpsc::sync_channel`] of `QUEUE_DEPTH` chunks; a slow
+//!   [`std::sync::mpsc::sync_channel`] of `QUEUE_DEPTH` days; a slow
 //!   worker back-pressures the dispatcher instead of letting queues grow
 //!   without bound;
-//! * **zero-copy batch routing** — a chunk is shared as one
-//!   [`Routed`] view (`Arc`'d item vector + per-shard index lists built
-//!   by the stage's `shard_of_source` key); dispatch hands every worker
-//!   the same two pointers instead of cloning batches into per-shard
-//!   vectors;
+//! * **zero-copy day routing** — a rendered [`CaptureDay`] is moved into
+//!   one [`Routed`] value (the day plus, when there is more than one
+//!   shard, per-shard row index lists built by [`shard_of_source`]), and
+//!   dispatch hands every worker the same `Arc` of it: one reference
+//!   count per day and pool, never one per row;
 //! * **one barrier** — [`ShardPool::shutdown`] drains every queue, joins
 //!   every worker and returns every shard's finished output, so
 //!   per-shard results merge exactly once per run.
@@ -30,20 +30,20 @@
 //! registry, under gauges registered once at [`ShardPool::new`]:
 //!
 //! * `pool.<name>.workers` — worker (= shard) count;
-//! * `pool.<name>.dispatches` — chunks dispatched;
+//! * `pool.<name>.dispatches` — days dispatched;
 //! * `pool.<name>.w<k>.busy_us` / `.idle_us` — worker `k`'s wall time
-//!   processing chunks / blocked waiting for one;
-//! * `pool.<name>.w<k>.batches` — chunks worker `k` processed;
-//! * `pool.<name>.w<k>.queue_hwm` — most chunks ever waiting on worker
+//!   processing days / blocked waiting for one;
+//! * `pool.<name>.w<k>.batches` — days worker `k` processed;
+//! * `pool.<name>.w<k>.queue_hwm` — most days ever waiting on worker
 //!   `k`'s channel, read after each send returns: at most `QUEUE_DEPTH`,
 //!   plus one the worker has just received and not yet counted off. A
-//!   chunk the dispatcher is still blocked on never counts.
+//!   day the dispatcher is still blocked on never counts.
 //!
-//! Each worker keeps its own times and chunk count and sets its gauges
-//! after every chunk, so a run that fails on a shard panic still leaves
+//! Each worker keeps its own times and day count and sets its gauges
+//! after every day, so a run that fails on a shard panic still leaves
 //! a coherent partial profile. Gauges ignore writes while telemetry is
 //! off, and the clock is read only while `dosscope_obs::enabled()`: the
-//! disabled pipeline pays a few relaxed loads per *chunk*, never per
+//! disabled pipeline pays a few relaxed loads per *day*, never per
 //! item, and no clock read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,101 +52,125 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::bytes::{CaptureDay, CaptureRow};
+use crate::shard::shard_of_source;
 use dosscope_obs::Gauge;
 
-/// Bounded per-worker queue depth: one chunk in flight, a few queued —
+/// Bounded per-worker queue depth: one day in flight, a few queued —
 /// enough for the pipeline thread to render ahead of detection without
-/// unbounded growth.
-const QUEUE_DEPTH: usize = 8;
+/// unbounded growth. With rendering cheaper than detection, deeper
+/// queues only hold more rendered days: 8 and 3 ran equally fast in
+/// alternating dosbench runs on all four workloads, and 3 read about
+/// 0.5 MiB less peak RSS on `dense-s600-d120` (CHANGES.md).
+const QUEUE_DEPTH: usize = 3;
 
-/// A chunk of items routed to shards without copying the items: the chunk
-/// itself is shared (`Arc`) and each shard owns a list of indexes into it.
+/// One capture day routed to shards without copying it: the day is
+/// moved in whole, and each shard owns a list of row indexes into it.
 ///
-/// Building a `Routed` is the only per-item routing work the pipeline
-/// does — one key evaluation and one `u32` push per item. Workers then
-/// walk their own index list and read the items in place through the
-/// shared vector; nothing is cloned or re-partitioned. A single shard
-/// owns the whole chunk, so it gets no index list and walks the chunk
-/// itself.
+/// Building a `Routed` is the only per-row routing work the pipeline
+/// does — one key evaluation and one `u32` push per row. Workers then
+/// walk their own index list and read the rows in place; nothing is
+/// cloned or re-partitioned. A single shard owns the whole day, so it
+/// gets no index list and walks the rows itself.
 #[derive(Debug, Clone)]
-pub struct Routed<T> {
-    items: Arc<Vec<T>>,
+pub struct Routed<Tag> {
+    day: CaptureDay<Tag>,
     /// One index list per shard; empty when a single shard owns all.
     owners: Vec<Vec<u32>>,
 }
 
-impl<T> Routed<T> {
-    /// Route a shared chunk across `shards` shards with the stage's key
-    /// function (`shards = 0` is treated as 1; one shard owns every item
-    /// without evaluating the key). Relative order within a shard is the
-    /// chunk order, which is what per-victim state needs.
-    pub fn build(items: Arc<Vec<T>>, shards: usize, key: impl Fn(&T) -> usize) -> Routed<T> {
+impl<Tag: Copy> Routed<Tag> {
+    /// Route a day across `shards` shards with the stage's key function
+    /// (`shards = 0` is treated as 1; one shard owns every row without
+    /// evaluating the key). Relative order within a shard is the row
+    /// order, which is what per-victim state needs.
+    fn build(
+        day: CaptureDay<Tag>,
+        shards: usize,
+        mut key: impl FnMut(&CaptureDay<Tag>, &CaptureRow<Tag>) -> usize,
+    ) -> Routed<Tag> {
         let shards = shards.max(1);
-        debug_assert!(items.len() <= u32::MAX as usize, "chunk too large to index");
+        debug_assert!(day.len() <= u32::MAX as usize, "day too large to index");
         if shards == 1 {
             return Routed {
-                items,
+                day,
                 owners: Vec::new(),
             };
         }
         let mut owners: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, item) in items.iter().enumerate() {
-            let s = key(item);
+        for (i, row) in day.rows().iter().enumerate() {
+            let s = key(&day, row);
             debug_assert!(s < shards, "shard key out of range");
             owners[s.min(shards - 1)].push(i as u32);
         }
-        Routed { items, owners }
+        Routed { day, owners }
     }
 
-    /// Number of shards this chunk was routed across.
+    /// Route a day by the victim both vantage points key their state by:
+    /// the source address of each row's packet ([`shard_of_source`]),
+    /// evaluated once per packet, so rows sharing a representative cost
+    /// one lookup each.
+    pub fn by_source(day: CaptureDay<Tag>, shards: usize) -> Routed<Tag> {
+        let packet_shard: Vec<u32> = if shards > 1 {
+            (0..day.packets() as u32)
+                .map(|p| shard_of_source(day.packet(p), shards) as u32)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Routed::build(day, shards, |_, row| packet_shard[row.packet as usize] as usize)
+    }
+
+    /// Number of shards this day was routed across.
     pub fn shards(&self) -> usize {
         self.owners.len().max(1)
     }
 
-    /// All items of the chunk, in chunk order.
-    pub fn items(&self) -> &[T] {
-        &self.items
+    /// The whole day.
+    pub fn day(&self) -> &CaptureDay<Tag> {
+        &self.day
     }
 
-    /// The items one shard owns, in chunk order.
-    pub fn owned(&self, shard: usize) -> impl Iterator<Item = &T> {
-        let (all, picks): (&[T], &[u32]) = match self.owners.get(shard) {
+    /// The rows one shard owns, in row order.
+    pub fn owned(&self, shard: usize) -> impl Iterator<Item = &CaptureRow<Tag>> {
+        let rows = self.day.rows();
+        let (all, picks): (&[CaptureRow<Tag>], &[u32]) = match self.owners.get(shard) {
             Some(picks) => (&[], picks),
             None => {
                 debug_assert!(self.owners.is_empty() && shard == 0, "no shard {shard}");
-                (&self.items, &[])
+                (rows, &[])
             }
         };
-        all.iter()
-            .chain(picks.iter().map(|&i| &self.items[i as usize]))
+        all.iter().chain(picks.iter().map(|&i| &rows[i as usize]))
     }
 
-    /// How many items one shard owns.
+    /// How many rows one shard owns.
     pub fn owned_len(&self, shard: usize) -> usize {
         match self.owners.get(shard) {
             Some(picks) => picks.len(),
-            None => self.items.len(),
+            None => self.day.len(),
         }
     }
 }
 
-/// One shard's state: it sees the items it owns of every routed chunk,
-/// in chunk order, and turns into its output at shutdown.
-pub trait Shard<T>: Send + 'static {
+/// One shard's state: it sees the rows it owns of every routed day, in
+/// row order, and turns into its output at shutdown.
+pub trait Shard<Tag>: Send + 'static {
     /// What [`ShardPool::shutdown`] returns for this shard.
     type Output: Send + 'static;
-    /// Process the items this shard owns in one routed chunk.
-    fn process<'a>(&mut self, items: impl Iterator<Item = &'a T>)
+    /// Process the rows this shard owns of one routed day; each row's
+    /// packet is in `day`.
+    fn process<'a>(&mut self, day: &'a CaptureDay<Tag>, rows: impl Iterator<Item = &'a CaptureRow<Tag>>)
     where
-        T: 'a;
+        Tag: 'a;
     /// End of stream: the shard's result.
     fn finish(self) -> Self::Output;
 }
 
-/// One worker's channel (a shared chunk per message) and thread, plus
+/// One worker's channel (a shared day per message) and thread, plus
 /// the dispatcher's side of its profile.
-struct Lane<T, S: Shard<T>> {
-    tx: Option<SyncSender<Arc<Routed<T>>>>,
+struct Lane<Tag, S: Shard<Tag>> {
+    tx: Option<SyncSender<Arc<Routed<Tag>>>>,
     handle: Option<JoinHandle<S::Output>>,
     /// Chunks sent and not yet received: the dispatcher adds one before
     /// each send (so the worker's decrement never comes first), the worker
@@ -155,19 +179,19 @@ struct Lane<T, S: Shard<T>> {
     queue_hwm: Gauge,
 }
 
-impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
+impl<Tag: Copy + Send + Sync + 'static, S: Shard<Tag>> Lane<Tag, S> {
     /// Spawn the worker of shard `w` of pool `pool`, behind a channel of
-    /// `QUEUE_DEPTH` chunks.
+    /// `QUEUE_DEPTH` days.
     fn spawn(pool: &str, w: usize, mut shard: S) -> Self {
         let gauge = |field: &str| dosscope_obs::gauge(&format!("pool.{pool}.w{w}.{field}"));
         let (busy_us, idle_us, batches) = (gauge("busy_us"), gauge("idle_us"), gauge("batches"));
         let in_flight = Arc::new(AtomicU64::new(0));
         let queued = in_flight.clone();
-        let (tx, rx) = sync_channel::<Arc<Routed<T>>>(QUEUE_DEPTH);
+        let (tx, rx) = sync_channel::<Arc<Routed<Tag>>>(QUEUE_DEPTH);
         let handle = std::thread::Builder::new()
             .name(format!("shard-worker-{w}"))
             .spawn(move || {
-                let (mut busy, mut idle, mut chunks) = (Duration::ZERO, Duration::ZERO, 0);
+                let (mut busy, mut idle, mut days) = (Duration::ZERO, Duration::ZERO, 0);
                 loop {
                     let wait = dosscope_obs::enabled().then(Instant::now);
                     let Ok(routed) = rx.recv() else { break };
@@ -176,14 +200,14 @@ impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
                         idle += t.elapsed();
                         Instant::now()
                     });
-                    shard.process(routed.owned(w));
-                    chunks += 1;
+                    shard.process(routed.day(), routed.owned(w));
+                    days += 1;
                     if let Some(t) = start {
                         busy += t.elapsed();
                     }
                     busy_us.set(busy.as_micros() as u64);
                     idle_us.set(idle.as_micros() as u64);
-                    batches.set(chunks);
+                    batches.set(days);
                 }
                 shard.finish()
             })
@@ -201,15 +225,15 @@ impl<T: Send + Sync + 'static, S: Shard<T>> Lane<T, S> {
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
 /// A persistent pool of workers, one per shard state `S`, fed routed
-/// chunks of `T`.
-pub struct ShardPool<T, S: Shard<T>> {
-    lanes: Vec<Lane<T, S>>,
+/// days of capture rows tagged `Tag`.
+pub struct ShardPool<Tag, S: Shard<Tag>> {
+    lanes: Vec<Lane<Tag, S>>,
     dispatches: u64,
     dispatches_gauge: Gauge,
     down: bool,
 }
 
-impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
+impl<Tag: Copy + Send + Sync + 'static, S: Shard<Tag>> ShardPool<Tag, S> {
     /// Build the pool: `shards` states (each built by `init` on the
     /// calling thread; 0 is treated as 1), each on its own long-lived
     /// worker. `name` identifies the pool in telemetry
@@ -235,10 +259,10 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
         self.lanes.len()
     }
 
-    /// Dispatch one chunk, routed for this pool's shard count, to every
+    /// Dispatch one day, routed for this pool's shard count, to every
     /// shard. Blocks while a worker's queue is full; re-raises a shard's
     /// panic once a send finds its worker dead.
-    pub fn dispatch(&mut self, routed: Routed<T>) {
+    pub fn dispatch(&mut self, routed: Routed<Tag>) {
         assert!(!self.down, "dispatch on a shard pool that was shut down");
         assert_eq!(
             routed.shards(),
@@ -256,7 +280,7 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
                 dead = true;
             }
             // Read once the send returns: a send blocked on a full queue
-            // is not a queued chunk, but the one just sent was, if only
+            // is not a queued day, but the one just sent was, if only
             // until the worker took it.
             lane.queue_hwm.raise(lane.in_flight.load(Ordering::Relaxed).max(1));
         }
@@ -280,7 +304,7 @@ impl<T: Send + Sync + 'static, S: Shard<T>> ShardPool<T, S> {
     }
 }
 
-impl<T, S: Shard<T>> ShardPool<T, S> {
+impl<Tag, S: Shard<Tag>> ShardPool<Tag, S> {
     /// Tear the pool down: close every channel and join every worker.
     /// Returns the outputs in shard order and the first panic payload, if
     /// a shard panicked.
@@ -308,7 +332,7 @@ impl<T, S: Shard<T>> ShardPool<T, S> {
 /// Dropping a live pool finishes its shards (so no thread outlives the
 /// stage that owns it) and re-raises a shard panic unless the thread is
 /// already unwinding.
-impl<T, S: Shard<T>> Drop for ShardPool<T, S> {
+impl<Tag, S: Shard<Tag>> Drop for ShardPool<Tag, S> {
     fn drop(&mut self) {
         if self.down {
             return;
@@ -344,8 +368,8 @@ mod tests {
 
     impl Shard<u32> for Probe {
         type Output = ProbeOutput;
-        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
-            self.seen.extend(items.copied());
+        fn process<'a>(&mut self, _: &CaptureDay<u32>, rows: impl Iterator<Item = &'a Row>) {
+            self.seen.extend(rows.map(|r| r.tag));
             self.batches += 1;
             let here = std::thread::current().id();
             match self.thread {
@@ -363,10 +387,10 @@ mod tests {
 
     impl Shard<u32> for Poison {
         type Output = u32;
-        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
-            for v in items {
-                assert!(*v != 13, "poison item reached a shard");
-                self.0 += v;
+        fn process<'a>(&mut self, _: &CaptureDay<u32>, rows: impl Iterator<Item = &'a Row>) {
+            for r in rows {
+                assert!(r.tag != 13, "poison item reached a shard");
+                self.0 += r.tag;
             }
         }
         fn finish(self) -> u32 {
@@ -383,9 +407,9 @@ mod tests {
 
     impl Shard<u32> for Slow {
         type Output = u64;
-        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
+        fn process<'a>(&mut self, _: &CaptureDay<u32>, rows: impl Iterator<Item = &'a Row>) {
             std::thread::sleep(std::time::Duration::from_millis(self.delay_ms));
-            self.items += items.count() as u64;
+            self.items += rows.count() as u64;
         }
         fn finish(self) -> u64 {
             self.items
@@ -402,12 +426,12 @@ mod tests {
 
     impl Shard<u32> for Gated {
         type Output = u64;
-        fn process<'a>(&mut self, items: impl Iterator<Item = &'a u32>) {
+        fn process<'a>(&mut self, _: &CaptureDay<u32>, rows: impl Iterator<Item = &'a Row>) {
             if let Some((entered, gate)) = self.gate.take() {
                 let _ = entered.send(());
                 let _ = gate.recv();
             }
-            self.items += items.count() as u64;
+            self.items += rows.count() as u64;
         }
         fn finish(self) -> u64 {
             self.items
@@ -439,8 +463,20 @@ mod tests {
             .collect()
     }
 
+    /// A test row: the value under test rides in the tag.
+    type Row = CaptureRow<u32>;
+
+    /// A day of packet-less rows tagged with `items`.
+    fn day_of(items: &[u32]) -> CaptureDay<u32> {
+        let mut day = CaptureDay::default();
+        for &v in items {
+            day.push(crate::SimTime(0), 1, v, 0);
+        }
+        day
+    }
+
     fn route(items: Vec<u32>, shards: usize) -> Routed<u32> {
-        Routed::build(Arc::new(items), shards, |v| *v as usize % shards.max(1))
+        Routed::build(day_of(&items), shards, |_, r| r.tag as usize % shards.max(1))
     }
 
     /// Run `f`, which must panic, and return the panic message.
@@ -553,17 +589,50 @@ mod tests {
 
     #[test]
     fn routed_views_share_the_chunk() {
-        let items = Arc::new(vec![10u32, 21, 32, 43]);
-        let routed = Routed::build(items.clone(), 2, |v| (*v % 2) as usize);
+        let day = day_of(&[10, 21, 32, 43]);
+        let rows = day.rows().as_ptr();
+        let routed = Routed::build(day, 2, |_, r| (r.tag % 2) as usize);
         assert_eq!(routed.shards(), 2);
-        assert_eq!(routed.items().as_ptr(), items.as_ptr(), "no item copies");
-        assert_eq!(routed.owned(0).copied().collect::<Vec<_>>(), vec![10, 32]);
-        assert_eq!(routed.owned(1).copied().collect::<Vec<_>>(), vec![21, 43]);
+        assert_eq!(routed.day().rows().as_ptr(), rows, "the day is moved, not copied");
+        let owned = |s| routed.owned(s).map(|r| r.tag).collect::<Vec<_>>();
+        assert_eq!(owned(0), vec![10, 32]);
+        assert_eq!(owned(1), vec![21, 43]);
         assert_eq!(routed.owned_len(0), 2);
         // Degenerate shard count routes everything to one shard.
-        let one = Routed::build(items, 0, |_| 0);
+        let one = Routed::build(day_of(&[10, 21, 32, 43]), 0, |_, _| 0);
         assert_eq!(one.shards(), 1);
         assert_eq!(one.owned_len(0), 4);
+    }
+
+    /// Routing by source reads each packet's IPv4 source once: rows that
+    /// share a packet go to one shard, and unparsable bytes to shard 0.
+    #[test]
+    fn by_source_routes_rows_with_their_packet() {
+        let mut day = CaptureDay::default();
+        let mut ids = Vec::new();
+        for host in 0..16u8 {
+            ids.push(day.append(|buf| {
+                let mut header = [0u8; 20];
+                header[0] = 0x45;
+                header[12..16].copy_from_slice(&[10, 1, host, 7]);
+                buf.extend_from_slice(&header);
+            }));
+        }
+        let junk = day.append(|buf| buf.extend_from_slice(&[0xAB; 3]));
+        for (i, &id) in ids.iter().chain(&ids).chain([&junk]).enumerate() {
+            day.push(crate::SimTime(i as u64), 1, i as u32, id);
+        }
+        let shards = 4;
+        let want: Vec<usize> =
+            day.rows().iter().map(|r| shard_of_source(day.packet(r.packet), shards)).collect();
+        let routed = Routed::by_source(day, shards);
+        for s in 0..shards {
+            for r in routed.owned(s) {
+                assert_eq!(want[r.tag as usize], s, "row {} on shard {s}", r.tag);
+            }
+        }
+        assert_eq!(want[32], 0, "junk routes to shard 0");
+        assert_eq!((0..shards).map(|s| routed.owned_len(s)).sum::<usize>(), 33);
     }
 
     #[test]

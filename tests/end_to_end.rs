@@ -8,7 +8,11 @@ use dosscope_core::{Enricher, EventStore, Framework, JointAnalysis};
 use dosscope_harness::experiments::Experiments;
 use dosscope_harness::{scenario, Scenario, ScenarioConfig, World};
 use dosscope_telescope::PacketBatch;
-use dosscope_types::{AttackEvent, DayIndex, EventSource, SimTime, SECS_PER_DAY};
+use dosscope_types::{
+    AttackEvent, DayIndex, EventSource, ReflectionProtocol, SimTime, SECS_PER_DAY,
+};
+use dosscope_wire::builder;
+use std::net::Ipv4Addr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -328,15 +332,12 @@ fn malformed_noise_leaves_the_report_unchanged() {
     let renderer = scenario::renderer(&config, &world.truth);
     let days = (0..config.days).map(|d| {
         let last_second = SimTime((d as u64 + 1) * SECS_PER_DAY - 1);
-        let mut tele = renderer.telescope_day(DayIndex(d));
-        let mut hp = renderer.honeypot_day(DayIndex(d));
-        tele.push(PacketBatch::repeated(last_second, 1, vec![0xAB; 6]));
-        hp.push(RequestBatch::repeated(
-            HoneypotId(0),
-            last_second,
-            1,
-            vec![0xAB; 6],
-        ));
+        let mut tele = renderer.telescope_capture(DayIndex(d));
+        let mut hp = renderer.honeypot_capture(DayIndex(d));
+        let junk = tele.append(|buf| buf.extend_from_slice(&[0xAB; 6]));
+        tele.push(last_second, 1, (), junk);
+        let junk = hp.append(|buf| buf.extend_from_slice(&[0xAB; 6]));
+        hp.push(last_second, 1, HoneypotId(0), junk);
         (tele, hp)
     });
     let (store, telescope_stats, fleet_stats) =
@@ -351,6 +352,112 @@ fn malformed_noise_leaves_the_report_unchanged() {
     assert!(
         report(&world, config.scale) == want,
         "noise changed the report"
+    );
+}
+
+/// Sub-threshold traffic the paper's filters exist for: one backscatter
+/// flow per (threshold, miss) that fails exactly that threshold, once by
+/// the smallest step (at the pass edge of the thresholds before it in
+/// the detector's order) and once by far, and honeypot victims of at
+/// most 100 requests. Each entry is (day, victim, batches as (second of
+/// day, count)).
+type NoiseFlow = (u32, Ipv4Addr, Vec<(u64, u32)>);
+
+fn threshold_noise() -> (Vec<NoiseFlow>, Vec<NoiseFlow>) {
+    let v = |i: u8| Ipv4Addr::new(198, 18, 7, i);
+    let at = 36_000; // 10:00, a minute boundary
+    let telescope = vec![
+        // Packets: 24 over 60 s (one under 25), and a lone packet.
+        (200, v(1), vec![(at, 23), (at + 60, 1)]),
+        (201, v(2), vec![(at, 1)]),
+        // Duration: 31 packets, 30 of them in one minute, over 59 s (one
+        // under 60); and 100 packets in one second.
+        (202, v(3), vec![(at, 30), (at + 59, 1)]),
+        (203, v(4), vec![(at, 100)]),
+        // Rate: 58 packets over 90 s peaking at 29 a minute (one under
+        // 30); and two packets a minute for half an hour.
+        (204, v(5), vec![(at, 29), (at + 90, 29)]),
+        (205, v(6), (0..60).map(|k| (at + 30 * k, 1)).collect()),
+    ];
+    let honeypot = vec![
+        // Exactly 100 requests (the filter keeps only events exceeding
+        // 100), one request, and 60 requests over an hour.
+        (206, v(11), vec![(at, 60), (at + 600, 40)]),
+        (207, v(12), vec![(at, 1)]),
+        (208, v(13), vec![(at, 20), (at + 1_800, 20), (at + 3_500, 20)]),
+    ];
+    (telescope, honeypot)
+}
+
+/// The rendered day `day` with `extra` merged in by timestamp (the
+/// rendered rows first among equal times).
+fn merged<B: Clone>(mut rendered: Vec<B>, extra: &[(u32, B)], day: u32, ts: impl Fn(&B) -> SimTime) -> Vec<B> {
+    rendered.extend(extra.iter().filter(|(d, _)| *d == day).map(|(_, b)| b.clone()));
+    rendered.sort_by_key(|b| ts(b));
+    rendered
+}
+
+/// Threshold noise must not reach the report: the rendered days with
+/// the flows of [`threshold_noise`] merged in, driven through two shards,
+/// leave every table, figure and paper check byte-identical, and each
+/// filter counter grows by exactly the flows injected for it.
+#[test]
+fn threshold_noise_leaves_the_report_unchanged() {
+    let config = ScenarioConfig::test_small();
+    let mut world = Scenario::run(&config);
+    let want = report(&world, config.scale);
+    let (tele_noise, hp_noise) = threshold_noise();
+    for (_, victim, _) in tele_noise.iter().chain(&hp_noise) {
+        assert!(
+            world.truth.attacks.iter().all(|a| a.target != *victim),
+            "noise victim {victim} is a ground-truth target"
+        );
+    }
+    let pots = dosscope_amppot::honeypot::standard_fleet();
+    let mut tele_batches = Vec::new();
+    for (day, victim, batches) in &tele_noise {
+        for (k, &(second, count)) in batches.iter().enumerate() {
+            let dark = Ipv4Addr::new(44, 7, k as u8, 1);
+            let pkt = builder::tcp_syn_ack(*victim, 80, dark, 40_000, k as u32);
+            let ts = SimTime(*day as u64 * SECS_PER_DAY + second);
+            tele_batches.push((*day, PacketBatch::repeated(ts, count, pkt)));
+        }
+    }
+    let mut hp_batches = Vec::new();
+    for (day, victim, batches) in &hp_noise {
+        let pkt = builder::reflection_request(*victim, 40_000, pots[3].addr, ReflectionProtocol::Ntp);
+        for &(second, count) in batches {
+            let ts = SimTime(*day as u64 * SECS_PER_DAY + second);
+            hp_batches.push((*day, RequestBatch::repeated(HoneypotId(3), ts, count, pkt.clone())));
+        }
+    }
+    let renderer = scenario::renderer(&config, &world.truth);
+    let days = (0..config.days).map(|d| {
+        let tele = PacketBatch::from_day(renderer.telescope_capture(DayIndex(d)));
+        let hp = RequestBatch::from_day(renderer.honeypot_capture(DayIndex(d)));
+        (
+            PacketBatch::to_day(&merged(tele, &tele_batches, d, |b| b.ts)),
+            RequestBatch::to_day(&merged(hp, &hp_batches, d, |b| b.ts)),
+        )
+    });
+    let (store, tele, fleet) = scenario::drive_pipelines(days, renderer.telescope(), 2);
+    let (t0, f0) = (world.telescope_stats, world.fleet_stats);
+    assert_eq!(
+        (tele.filtered_packets, tele.filtered_duration, tele.filtered_rate),
+        (t0.filtered_packets + 2, t0.filtered_duration + 2, t0.filtered_rate + 2)
+    );
+    assert_eq!(
+        (tele.flows_filtered, tele.flows_finalized, tele.events),
+        (t0.flows_filtered + 6, t0.flows_finalized + 6, t0.events)
+    );
+    assert_eq!(
+        (fleet.scan_filtered, fleet.pot_events, fleet.events),
+        (f0.scan_filtered + 3, f0.pot_events + 3, f0.events)
+    );
+    world.store = store;
+    assert!(
+        report(&world, config.scale) == want,
+        "threshold noise changed the report"
     );
 }
 

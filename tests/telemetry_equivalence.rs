@@ -13,7 +13,8 @@
 //! span timings are topology- and wall-clock-dependent by design and are
 //! excluded — only `counters` carries the determinism contract.)
 
-use dosscope_harness::{Scenario, ScenarioConfig, World};
+use dosscope_harness::{scenario, Scenario, ScenarioConfig, World};
+use dosscope_types::DayIndex;
 
 #[test]
 fn telemetry_counters_are_identical_across_thread_counts() {
@@ -131,4 +132,37 @@ fn single_thread_run_registers_peak_and_pool_gauges() {
             assert!(get(&name) > Some(0), "{name} registered: {gauges:?}");
         }
     }
+}
+
+/// `render.day_bytes_peak` is the most bytes one rendered day reserved
+/// over both streams (arenas, packet ends and rows): a memory number that
+/// is the same on every run. Pinned at `test_small`, with the rows of
+/// that day, so a change to the day value's layout or its reservations
+/// shows as bytes per batch.
+#[test]
+fn day_bytes_peak_is_pinned_at_test_small() {
+    let _telemetry = dosscope_obs::testing::scoped_enable();
+    let config = ScenarioConfig::test_small();
+    let world = Scenario::run(&config);
+    let gauges = dosscope_obs::registry::gauges_snapshot();
+    let peak = gauges
+        .iter()
+        .find(|(k, _)| k == "render.day_bytes_peak")
+        .map(|(_, v)| *v);
+    // The same days, rendered again: the peak is the largest of them.
+    let renderer = scenario::renderer(&config, &world.truth);
+    let (bytes, rows) = (0..config.days)
+        .map(|d| {
+            let tele = renderer.telescope_capture(DayIndex(d));
+            let hp = renderer.honeypot_capture(DayIndex(d));
+            (tele.reserved_bytes() + hp.reserved_bytes(), tele.len() + hp.len())
+        })
+        .max_by_key(|&(bytes, rows)| (bytes, std::cmp::Reverse(rows)))
+        .expect("the window has days");
+    assert_eq!(peak, Some(bytes as u64));
+    assert_eq!(
+        (bytes, rows, bytes / rows),
+        (420_264, 3_994, 105),
+        "peak day: bytes, rows, bytes per batch"
+    );
 }
