@@ -110,15 +110,25 @@ if ! cmp "$repro_out" "$repro_threaded"; then
     exit 1
 fi
 
-echo "==> repro --scale 600 --days 120 at --threads 1 and 2 (cmp'd)"
+echo "==> repro --scale 600 --days 120 --telemetry at --threads 1 and 2 (report and counters cmp'd)"
 # The densest configuration renders the largest days; at two threads
 # every day goes through the per-shard row routing, which must not change
-# the report.
-./target/release/repro --quiet --scale 600 --days 120 --threads 1 > "$repro_out"
-./target/release/repro --quiet --scale 600 --days 120 --threads 2 > "$repro_threaded"
-if ! cmp "$repro_out" "$repro_threaded"; then
+# the report. Its days also run the most idle-expiry sweeps per shard,
+# which must not change the counters published from the merged shard
+# statistics. The report is stdout up to the telemetry dashboard.
+report() { sed '/^== telemetry =/,$d' "$1"; }
+./target/release/repro --quiet --scale 600 --days 120 --threads 1 --telemetry \
+    --telemetry-out "$telemetry_out" > "$repro_out"
+./target/release/repro --quiet --scale 600 --days 120 --threads 2 --telemetry \
+    --telemetry-out "$telemetry_threaded" > "$repro_threaded"
+if ! cmp <(report "$repro_out") <(report "$repro_threaded"); then
     echo "ci.sh: repro --scale 600 --days 120 differs between --threads 1 and 2:" >&2
-    diff "$repro_out" "$repro_threaded" | head -40 >&2 || true
+    diff <(report "$repro_out") <(report "$repro_threaded") | head -40 >&2 || true
+    exit 1
+fi
+if ! cmp <(counters "$telemetry_out") <(counters "$telemetry_threaded"); then
+    echo "ci.sh: --scale 600 --days 120 telemetry counters differ between --threads 1 and 2:" >&2
+    diff <(counters "$telemetry_out") <(counters "$telemetry_threaded") | head -40 >&2 || true
     exit 1
 fi
 

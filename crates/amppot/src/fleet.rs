@@ -114,11 +114,8 @@ pub struct AmpPotFleet {
     config: FleetConfig,
     honeypots: Vec<Honeypot>,
     /// Open per-(victim, protocol, honeypot) events, with wheel buckets of
-    /// at most an hour.
+    /// at most an hour: idle events close once an hour.
     open: IdleMap<OpenKey, PotEvent>,
-    /// Hour of the last idle sweep; ingestion is time-ordered, so crossing
-    /// an hour boundary is the trigger to expire idle open events.
-    swept_hour: u64,
     /// The current day's classification per representative, filled on
     /// first use. One buffer for the fleet's life: a fresh one per day
     /// cost peak RSS at two shards (worker-thread allocator churn).
@@ -139,7 +136,6 @@ impl AmpPotFleet {
             config,
             honeypots,
             open: IdleMap::new(config.idle_timeout_secs, SECS_PER_HOUR),
-            swept_hour: 0,
             day_classes: Vec::new(),
             closed: Vec::new(),
             stats: FleetStats::default(),
@@ -192,19 +188,10 @@ impl AmpPotFleet {
         len: usize,
         classified: Classified,
     ) {
-        // Expire idle open events once per simulated hour. Because the
-        // stream is time-ordered, anything idle *now* stays idle for every
-        // later batch, so sweeping early closes exactly the events the
-        // per-key idle check below would close anyway — but bounds the
-        // open map by the set of victims active in the last hour instead
-        // of the whole trace.
-        let hour = ts.secs() / SECS_PER_HOUR;
-        if hour > self.swept_hour {
-            self.swept_hour = hour;
-            let idle = self.open.sweep(ts);
-            self.stats.pot_events += idle.len() as u64;
-            self.closed.extend(idle);
-        }
+        // Every row moves the expiry clock, recognised or not.
+        let idle = self.open.expire(ts);
+        self.stats.pot_events += idle.len() as u64;
+        self.closed.extend(idle);
         let (victim, protocol) = match classified {
             Classified::Malformed => {
                 self.stats.malformed += 1;

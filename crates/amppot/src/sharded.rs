@@ -21,7 +21,7 @@
 use crate::event::{HoneypotDay, RequestBatch};
 use crate::fleet::{AmpPotFleet, FleetStats};
 use crate::honeypot::HoneypotId;
-use dosscope_types::{AttackEvent, CaptureRow, Routed, Shard, ShardPool};
+use dosscope_types::{merge_shards, AttackEvent, CaptureRow, Routed, Shard, ShardPool};
 use std::sync::Arc;
 
 /// Route a time-ordered chunk of request batches by victim (= spoofed
@@ -94,24 +94,12 @@ impl ShardedFleet {
         self.ingest_routed(route_requests(Arc::new(batches), self.pool.shards()));
     }
 
-    /// End of trace: drain and finish every shard, then merge once —
-    /// events into the canonical `(start, target, protocol)` order,
-    /// statistics summed, and the peak open-event working set summed over
-    /// shards (the shards run concurrently, so the sum bounds the
-    /// process-wide peak). The merged statistics and the peak are
-    /// published here, once, as the `fleet.*` telemetry counters and
-    /// gauge.
+    /// End of trace: drain and finish every shard, then merge once
+    /// ([`merge_shards`]). The merged statistics and the peak open-event
+    /// working set are published here, once, as the `fleet.*` telemetry
+    /// counters and gauge.
     pub fn finish(mut self) -> (Vec<AttackEvent>, FleetStats, u64) {
-        let results = self.pool.shutdown();
-        let mut events = Vec::new();
-        let mut stats = FleetStats::default();
-        let mut peak = 0u64;
-        for (ev, st, pk) in results {
-            events.extend(ev);
-            stats += st;
-            peak += pk;
-        }
-        events.sort_by_key(|e| (e.when.start, e.target, e.reflection_protocol()));
+        let (events, stats, peak) = merge_shards(self.pool.shutdown());
         dosscope_obs::counter!("fleet.requests").add(stats.requests);
         dosscope_obs::counter!("fleet.replies").add(stats.replies_sent);
         dosscope_obs::counter!("fleet.events").add(stats.events);

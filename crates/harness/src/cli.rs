@@ -6,7 +6,9 @@
 //! Every value-taking flag is strict: a missing or non-numeric value is
 //! a hard usage error (printed to stderr, exit status 2), never a silent
 //! fall-through to the default. So is a `--scale` that is not finite and
-//! positive, and a `--days` outside `1..=`[`MAX_DAYS`].
+//! positive, a `--days` outside `1..=`[`MAX_DAYS`], a `--threads` above
+//! [`MAX_THREADS`], and an integer value that does not fit: a `--seed`
+//! above `u64::MAX`, or a float form such as `2e3` at or above 2^53.
 
 use crate::{telemetry, ScenarioConfig};
 use dosscope_core::webimpact::MAX_DAYS;
@@ -18,6 +20,9 @@ use std::process::ExitCode;
 /// configuration the bench smoke mode and `ScenarioConfig::test_small`
 /// use.
 pub const SMOKE_SCALE: f64 = 20_000.0;
+
+/// Most `--threads` accepted: each pool starts one worker per thread.
+pub const MAX_THREADS: usize = 256;
 
 /// Parsed command line for a harness binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,16 +89,33 @@ fn take_f64(args: &mut impl Iterator<Item = String>, name: &str) -> Result<f64, 
         .map_err(|_| format!("{name} needs a numeric value, got {v:?}"))
 }
 
+/// 2^53: every integer below it is exact in an `f64`.
+const EXACT_F64_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
 fn take_u64(args: &mut impl Iterator<Item = String>, name: &str) -> Result<u64, String> {
     let v = take_value(args, name)?;
-    // Accept plain integers and (for compatibility with the old parser)
-    // float-formatted integers like `2e3`.
+    // Accept plain integers up to `u64::MAX` and (for compatibility with
+    // the old parser) float-formatted integers like `2e3`, but only below
+    // 2^53, where the float is the integer written: above it, `as u64`
+    // would round, or saturate at `u64::MAX`.
     if let Ok(n) = v.parse::<u64>() {
         return Ok(n);
     }
     match v.parse::<f64>() {
-        Ok(f) if f >= 0.0 && f.fract() == 0.0 => Ok(f as u64),
+        Ok(f) if (0.0..EXACT_F64_INTEGERS).contains(&f) && f.fract() == 0.0 => Ok(f as u64),
+        Ok(f) if f.fract() == 0.0 => Err(format!(
+            "{name} needs an integer below 2^64 (below 2^53 in float form), got {v:?}"
+        )),
         _ => Err(format!("{name} needs a numeric value, got {v:?}")),
+    }
+}
+
+/// `--threads`: 0 runs as 1, and at most [`MAX_THREADS`].
+fn take_threads(args: &mut impl Iterator<Item = String>) -> Result<usize, String> {
+    let threads = take_u64(args, "--threads")?;
+    match usize::try_from(threads) {
+        Ok(t @ 0..=MAX_THREADS) => Ok(t.max(1)),
+        _ => Err(format!("--threads needs a value in 0..={MAX_THREADS}, got {threads}")),
     }
 }
 
@@ -128,9 +150,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
             "--scale" => opts.config.scale = take_scale(&mut args)?,
             "--seed" => opts.config.seed = take_u64(&mut args, "--seed")?,
             "--days" => opts.config.days = take_days(&mut args)?,
-            "--threads" => {
-                opts.config.threads = (take_u64(&mut args, "--threads")? as usize).max(1)
-            }
+            "--threads" => opts.config.threads = take_threads(&mut args)?,
             "--smoke" => opts.config.scale = SMOKE_SCALE,
             "--telemetry" => opts.telemetry = true,
             "--telemetry-out" => {
@@ -325,6 +345,33 @@ mod tests {
         // style working for scripts that relied on it.
         assert_eq!(opts(&["--seed", "2e3"]).config.seed, 2000);
         assert!(run(&["--seed", "2.5"]).is_err(), "fractional seed rejected");
+        assert_eq!(opts(&["--seed", "9007199254740991.0"]).config.seed, (1 << 53) - 1);
+    }
+
+    /// An integer that does not fit is a usage error, never a saturated
+    /// or rounded value: past `u64::MAX`, and a float form at or above
+    /// 2^53 (where `9007199254740993.0` would read as ...992).
+    #[test]
+    fn out_of_range_integers_are_hard_errors() {
+        assert_eq!(opts(&["--seed", "18446744073709551615"]).config.seed, u64::MAX);
+        for seed in ["18446744073709551616", "1e20", "9007199254740993.0", "9007199254740992.0"] {
+            let err = run(&["--seed", seed]).unwrap_err();
+            assert!(err.starts_with("--seed needs an integer below 2^64"), "{seed}: {err}");
+        }
+        let err = run(&["--days", "1e19"]).unwrap_err();
+        assert!(err.starts_with("--days needs an integer below"), "{err}");
+    }
+
+    /// `--threads` is capped; parsing alone is checked, no pool starts.
+    #[test]
+    fn threads_above_the_cap_are_hard_errors() {
+        assert_eq!(opts(&["--threads", "256"]).config.threads, MAX_THREADS);
+        for threads in ["257", "18446744073709551615"] {
+            let err = run(&["--threads", threads]).unwrap_err();
+            assert!(err.starts_with("--threads needs a value in 0..=256"), "{threads}: {err}");
+        }
+        let err = run(&["--threads", "1e19"]).unwrap_err();
+        assert!(err.starts_with("--threads needs an integer below 2^64"), "{err}");
     }
 
     /// Drive the prologue with in-memory streams: the exit status and
@@ -353,7 +400,13 @@ mod tests {
 
     #[test]
     fn prologue_rejects_days_and_scale_that_cannot_run() {
-        for args in [["--days", "0"], ["--days", "70000"], ["--scale", "-5"]] {
+        for args in [
+            ["--days", "0"],
+            ["--days", "70000"],
+            ["--scale", "-5"],
+            ["--threads", "1e19"],
+            ["--seed", "1e20"],
+        ] {
             let (status, out, err) = start_with(&args);
             assert_eq!(status, ExitCode::from(2), "{args:?}");
             assert!(out.is_empty());

@@ -97,6 +97,55 @@ const REQUIRED_SPANS: &[&str] = &[
 /// Pools every scenario run spins up (one worker each at `--threads 1`).
 const REQUIRED_POOLS: &[&str] = &["telescope", "fleet"];
 
+/// Conservation laws: the terms on the left sum to the terms on the
+/// right (a term may repeat). A row with a term missing is skipped; the
+/// presence checks report the term.
+const BALANCES: &[(&[&str], &[&str])] = &[
+    // Every expired flow either became an event or was dropped by a
+    // detection threshold, and every dropped flow is counted under
+    // exactly one threshold.
+    (
+        &["telescope.flows_expired"],
+        &["telescope.events", "telescope.flows_filtered"],
+    ),
+    (
+        &["telescope.filtered_packets", "telescope.filtered_duration", "telescope.filtered_rate"],
+        &["telescope.flows_filtered"],
+    ),
+    // Every per-honeypot event was absorbed by the fleet merge or
+    // started a merged event, which was emitted or scan-filtered.
+    (
+        &["fleet.pot_events"],
+        &["fleet.events", "fleet.scan_filtered", "fleet.pot_merged"],
+    ),
+    // Every stored row is an event one of the two detectors emitted.
+    (&["store.rows"], &["telescope.events", "fleet.events"]),
+    // Every botnet event was closed by a stop or by the duration cap.
+    // Every start opened one event, and every stop closed one or was an
+    // orphan; events closed by a restart or left open at the end of the
+    // trace had no stop.
+    (&["botmon.events"], &["botmon.stopped", "botmon.capped"]),
+    (
+        &["botmon.commands", "botmon.restarted", "botmon.unterminated"],
+        &["botmon.events", "botmon.events", "botmon.orphan_stops"],
+    ),
+    // Both engines take one dispatch per rendered day.
+    (&["pool.telescope.dispatches"], &["pool.fleet.dispatches"]),
+];
+
+/// The sum of `terms` in `text` and the terms with their values, as
+/// `a 1 + b 2`; `None` if a term is missing.
+fn sum(text: &str, terms: &[&str]) -> Option<(u64, String)> {
+    let mut total = 0;
+    let mut shown = Vec::with_capacity(terms.len());
+    for term in terms {
+        let value = extract_num(text, term)?;
+        total += value;
+        shown.push(format!("{term} {value}"));
+    }
+    Some((total, shown.join(" + ")))
+}
+
 /// Extract the integer following `"name": ` anywhere in the text.
 /// The emission format is line-oriented with unique metric names, so a
 /// plain substring scan is exact.
@@ -128,90 +177,10 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
-    // Every expired flow either became an event or was dropped by a
-    // detection threshold, and every dropped flow is counted under
-    // exactly one threshold.
-    if let (Some(expired), Some(events), Some(filtered)) = (
-        extract_num(text, "telescope.flows_expired"),
-        extract_num(text, "telescope.events"),
-        extract_num(text, "telescope.flows_filtered"),
-    ) {
-        if expired != events + filtered {
-            problems.push(format!(
-                "telescope.flows_expired {expired} != telescope.events {events} \
-                 + telescope.flows_filtered {filtered}"
-            ));
-        }
-    }
-    if let (Some(filtered), Some(packets), Some(duration), Some(rate)) = (
-        extract_num(text, "telescope.flows_filtered"),
-        extract_num(text, "telescope.filtered_packets"),
-        extract_num(text, "telescope.filtered_duration"),
-        extract_num(text, "telescope.filtered_rate"),
-    ) {
-        if packets + duration + rate != filtered {
-            problems.push(format!(
-                "telescope.filtered_packets {packets} + telescope.filtered_duration {duration} \
-                 + telescope.filtered_rate {rate} != telescope.flows_filtered {filtered}"
-            ));
-        }
-    }
-
-    // Every per-honeypot event was absorbed by the fleet merge or
-    // started a merged event, which was emitted or scan-filtered.
-    if let (Some(pot_events), Some(events), Some(filtered), Some(merged)) = (
-        extract_num(text, "fleet.pot_events"),
-        extract_num(text, "fleet.events"),
-        extract_num(text, "fleet.scan_filtered"),
-        extract_num(text, "fleet.pot_merged"),
-    ) {
-        if events + filtered + merged != pot_events {
-            problems.push(format!(
-                "fleet.pot_events {pot_events} != fleet.events {events} + \
-                 fleet.scan_filtered {filtered} + fleet.pot_merged {merged}"
-            ));
-        }
-    }
-
-    // Every stored row is an event one of the two detectors emitted.
-    if let (Some(rows), Some(tele), Some(fleet)) = (
-        extract_num(text, "store.rows"),
-        extract_num(text, "telescope.events"),
-        extract_num(text, "fleet.events"),
-    ) {
-        if rows != tele + fleet {
-            problems.push(format!(
-                "store.rows {rows} != telescope.events {tele} + fleet.events {fleet}"
-            ));
-        }
-    }
-
-    // Every botnet event was closed by a stop or by the duration cap.
-    // Every start opened one event, and every stop closed one or was an
-    // orphan; events closed by a restart or left open at the end of the
-    // trace had no stop.
-    if let (Some(commands), Some(events), Some(stopped), Some(capped)) = (
-        extract_num(text, "botmon.commands"),
-        extract_num(text, "botmon.events"),
-        extract_num(text, "botmon.stopped"),
-        extract_num(text, "botmon.capped"),
-    ) {
-        if events != stopped + capped {
-            problems.push(format!(
-                "botmon.events {events} != botmon.stopped {stopped} + botmon.capped {capped}"
-            ));
-        }
-        if let (Some(restarted), Some(unterminated), Some(orphans)) = (
-            extract_num(text, "botmon.restarted"),
-            extract_num(text, "botmon.unterminated"),
-            extract_num(text, "botmon.orphan_stops"),
-        ) {
-            if commands + restarted + unterminated != 2 * events + orphans {
-                problems.push(format!(
-                    "botmon.commands {commands} != 2 x botmon.events {events} \
-                     - botmon.restarted {restarted} - botmon.unterminated {unterminated} \
-                     + botmon.orphan_stops {orphans}"
-                ));
+    for (left, right) in BALANCES {
+        if let (Some((l, l_terms)), Some((r, r_terms))) = (sum(text, left), sum(text, right)) {
+            if l != r {
+                problems.push(format!("{l_terms} != {r_terms}"));
             }
         }
     }
@@ -272,18 +241,6 @@ pub fn validate(text: &str) -> Result<String, String> {
                 Some(v) if v > 0 => {}
                 _ => problems.push(format!("pool.{pool}.w{w}.queue_hwm missing or zero")),
             }
-        }
-    }
-
-    // Both engines take one dispatch per rendered day.
-    if let (Some(tele), Some(fleet)) = (
-        extract_num(text, "pool.telescope.dispatches"),
-        extract_num(text, "pool.fleet.dispatches"),
-    ) {
-        if tele != fleet {
-            problems.push(format!(
-                "pool.telescope.dispatches {tele} != pool.fleet.dispatches {fleet}"
-            ));
         }
     }
 
@@ -435,8 +392,8 @@ mod tests {
         let err = validate(&doc).unwrap_err();
         assert!(
             err.contains(
-                "botmon.commands 30 != 2 x botmon.events 20 - botmon.restarted 6 \
-                 - botmon.unterminated 4 + botmon.orphan_stops 11"
+                "botmon.commands 30 + botmon.restarted 6 + botmon.unterminated 4 \
+                 != botmon.events 20 + botmon.events 20 + botmon.orphan_stops 11"
             ),
             "{err}"
         );
@@ -447,7 +404,7 @@ mod tests {
         let doc = valid_doc().replace("\"botmon.restarted\": 6", "\"botmon.restarted\": 5");
         let err = validate(&doc).unwrap_err();
         assert!(
-            err.contains("botmon.commands 30 != 2 x botmon.events 20 - botmon.restarted 5"),
+            err.contains("botmon.commands 30 + botmon.restarted 5 + botmon.unterminated 4 !="),
             "{err}"
         );
     }
@@ -460,6 +417,34 @@ mod tests {
             err.contains("store.rows 19 != telescope.events 10 + fleet.events 10"),
             "{err}"
         );
+    }
+
+    /// Every term of every balance, raised by one in turn, breaks its
+    /// row, and the problem line shows each of the row's terms with its
+    /// value.
+    #[test]
+    fn every_balance_term_is_checked() {
+        let valid = valid_doc();
+        for (left, right) in BALANCES {
+            let terms: Vec<&str> = left.iter().chain(right.iter()).copied().collect();
+            for &term in &terms {
+                let value = extract_num(&valid, term).expect("valid_doc has every term");
+                let doc = valid.replace(
+                    &format!("\"{term}\": {value},"),
+                    &format!("\"{term}\": {},", value + 1),
+                );
+                assert_ne!(doc, valid, "{term} raised");
+                let err = validate(&doc).expect_err(term);
+                let shows_row = |line: &&str| {
+                    line.contains(" != ")
+                        && terms.iter().all(|t| {
+                            let v = extract_num(&doc, t).expect("present");
+                            line.contains(&format!("{t} {v}"))
+                        })
+                };
+                assert!(err.lines().any(|l| shows_row(&l)), "{term} +1: {err}");
+            }
+        }
     }
 
     #[test]

@@ -137,6 +137,10 @@ impl RsdosDetector {
     /// must arrive in time order): the entry point for a day's rows,
     /// which hold no per-batch value.
     pub fn ingest_packet(&mut self, ts: SimTime, count: u32, bytes: &[u8]) {
+        // Every row moves the expiry clock, backscatter or not.
+        for flow in self.flows.expire(ts) {
+            self.finalize(flow);
+        }
         // One fused pass over the bytes (validation + classification);
         // equivalent to checked parse + `classify`, see `classify_batch`.
         let (dst, bs) = match classify_batch(bytes) {
@@ -164,8 +168,8 @@ impl RsdosDetector {
         }
     }
 
-    /// Expire idle flows at `now` — the driver calls this at interval
-    /// boundaries (Corsaro-style).
+    /// Expire idle flows at `now`. Ingestion already expires them once
+    /// per minute of capture time; an extra sweep changes no event.
     pub fn advance(&mut self, now: SimTime) {
         for flow in self.flows.sweep(now) {
             self.finalize(flow);
@@ -380,6 +384,21 @@ mod tests {
         assert!(d.events().is_empty());
         d.advance(SimTime(90 + 301));
         assert_eq!(d.events().len(), 1, "advance() finalizes idle flows");
+    }
+
+    /// Rows drive expiry on their own: a flow idle since t=89 is
+    /// finalized by the first row of a later minute once it is idle
+    /// (t=420), not by a row in the minute already swept (t=400), and a
+    /// malformed row moves the clock like any other.
+    #[test]
+    fn rows_expire_idle_flows_at_the_next_minute() {
+        let mut d = detector();
+        feed_syn_flood(&mut d, 0, 90, 1, 80);
+        for (ts, events) in [(389, 0), (400, 0), (420, 1)] {
+            d.ingest(&PacketBatch::single(SimTime(ts), vec![0xFF; 10]));
+            assert_eq!(d.events().len(), events, "after a row at t={ts}");
+        }
+        assert_eq!(d.live_flows(), 0);
     }
 
     #[test]

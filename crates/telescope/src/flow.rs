@@ -203,10 +203,18 @@ impl FlowTable {
     }
 
     /// Expire and return every flow idle at `now` (last activity more than
-    /// the timeout ago), sorted by victim. Called by the driver at
-    /// interval boundaries.
+    /// the timeout ago), sorted by victim.
     pub fn sweep(&mut self, now: SimTime) -> Vec<Flow> {
         let mut out = self.flows.sweep(now);
+        out.sort_by_key(|f| f.victim);
+        out
+    }
+
+    /// [`FlowTable::sweep`] when `now` opens a later minute than the last
+    /// sweep did ([`IdleMap::expire`]), nothing otherwise: Corsaro's
+    /// interval end, driven by the capture's own timestamps.
+    pub fn expire(&mut self, now: SimTime) -> Vec<Flow> {
+        let mut out = self.flows.expire(now);
         out.sort_by_key(|f| f.victim);
         out
     }

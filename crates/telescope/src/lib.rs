@@ -3,11 +3,14 @@
 //! The network-telescope side of the reproduction: a darknet model
 //! ([`Telescope`]), the backscatter classifier, a victim-keyed flow table
 //! with the conservative 300-second timeout, and the Moore et al.
-//! randomly-spoofed-DoS detector with its published thresholds — packaged
-//! in a Corsaro-plugin-like processing architecture ([`plugin`]).
+//! randomly-spoofed-DoS detector with its published thresholds.
 //!
 //! The paper (Section 3.1.1) implements the detection and classification
-//! methodology of Moore et al. as a Corsaro plugin in three steps:
+//! methodology of Moore et al. as a plugin of CAIDA's Corsaro, which feeds
+//! the plugin time-ordered capture and ends an interval every 60 s; the
+//! plugin expires idle flows there. [`RsdosDetector`] keeps that interval
+//! model on its own input: the first row of each later minute expires the
+//! idle flows. The detector works in three steps:
 //!
 //! 1. **identify and extract backscatter packets** — [`classify`](mod@classify): TCP
 //!    SYN/ACK and RST, plus the nine ICMP response types;

@@ -1,20 +1,20 @@
-//! A Corsaro-like processing architecture: time-ordered capture batches are
-//! fed to a plugin, with interval-end callbacks at fixed boundaries
-//! (Corsaro's interval model), which is where the RSDoS plugin expires idle
-//! flows.
+//! The detector as the paper describes it: "we implemented the
+//! detection and classification methodology described by Moore et al. as
+//! a Corsaro plugin". Corsaro feeds a plugin time-ordered capture batches
+//! and calls it at the end of every 60 s interval, where the plugin
+//! expires idle flows. [`RsdosDetector`] keeps that interval model
+//! itself: each row it ingests moves its flow table's expiry clock
+//! ([`FlowTable::expire`](crate::flow::FlowTable::expire)), so any
+//! time-ordered stream drives it with no separate clock.
 //!
-//! The paper implements its detector as a plugin of CAIDA's Corsaro darknet
-//! processing framework; this module mirrors that structure so the detector
-//! code stays a faithful "plugin" rather than a bespoke loop.
+//! [`TelescopePlugin`] and the [`RsdosPlugin`] shim remain only for the
+//! benchmark's frozen replay (ROADMAP, the benchmark item).
 
 use crate::detector::{DetectorStats, RsdosDetector};
 use crate::packet::PacketBatch;
 use dosscope_types::{AttackEvent, SimTime};
 
-/// The interval length every driver uses: Corsaro's customary 60 s.
-pub const INTERVAL_SECS: u64 = 60;
-
-/// A processing plugin, fed time-ordered batches by an [`IntervalClock`].
+/// A Corsaro-style processing plugin, fed time-ordered batches.
 pub trait TelescopePlugin {
     /// Human-readable plugin name (for reports/diagnostics).
     fn name(&self) -> &'static str;
@@ -31,70 +31,23 @@ pub trait TelescopePlugin {
     fn finish(&mut self);
 }
 
-/// Corsaro's interval model: feeds batches to a plugin and fires
-/// `interval_end` whenever a batch opens a later [`INTERVAL_SECS`]
-/// interval than the one before it.
-#[derive(Debug, Default)]
-pub struct IntervalClock {
-    current: Option<u64>,
-}
-
-impl IntervalClock {
-    /// Feed one batch (batches must arrive in non-decreasing time order).
-    pub fn feed<P: TelescopePlugin>(&mut self, plugin: &mut P, batch: &PacketBatch) {
-        if let Some(now) = self.tick(batch.ts) {
-            plugin.interval_end(now);
-        }
-        plugin.process_batch(batch);
-    }
-
-    /// Move the clock to a batch captured at `ts` (non-decreasing); if the
-    /// batch opens a later interval, the start of that interval, where the
-    /// previous one ends.
-    pub fn tick(&mut self, ts: SimTime) -> Option<SimTime> {
-        let interval = ts.secs() / INTERVAL_SECS;
-        match self.current {
-            Some(cur) if interval > cur => {
-                self.current = Some(interval);
-                Some(SimTime(interval * INTERVAL_SECS))
-            }
-            None => {
-                self.current = Some(interval);
-                None
-            }
-            _ => None,
-        }
-    }
-}
-
-/// The RSDoS detector wrapped as a plugin (the shape the paper describes:
-/// "we implemented the detection and classification methodology described
-/// by Moore et al. as a Corsaro plugin").
-pub struct RsdosPlugin {
-    detector: Option<RsdosDetector>,
-    results: Option<(Vec<AttackEvent>, DetectorStats)>,
-}
+/// The RSDoS detector behind the [`TelescopePlugin`] calls.
+pub struct RsdosPlugin(RsdosDetector);
 
 impl RsdosPlugin {
     /// Wrap a detector.
     pub fn new(detector: RsdosDetector) -> RsdosPlugin {
-        RsdosPlugin {
-            detector: Some(detector),
-            results: None,
-        }
+        RsdosPlugin(detector)
     }
 
-    /// Extract the detection results after the driver has finished.
+    /// Finalize every flow and return the detected events plus stats.
     pub fn into_results(self) -> (Vec<AttackEvent>, DetectorStats) {
-        self.results
-            .expect("into_results called before the driver finished")
+        self.0.finish()
     }
 
-    /// Number of currently live flows in the wrapped detector (0 after
-    /// `finish`); the working-set sample the sharded pipeline and the
-    /// bench record.
+    /// Number of currently live flows in the wrapped detector.
     pub fn live_flows(&self) -> usize {
-        self.detector.as_ref().map_or(0, RsdosDetector::live_flows)
+        self.0.live_flows()
     }
 }
 
@@ -104,37 +57,27 @@ impl TelescopePlugin for RsdosPlugin {
     }
 
     fn process_batch(&mut self, batch: &PacketBatch) {
-        if let Some(d) = self.detector.as_mut() {
-            d.ingest(batch);
-        }
+        self.0.ingest(batch);
     }
 
     fn interval_end(&mut self, now: SimTime) {
-        if let Some(d) = self.detector.as_mut() {
-            d.advance(now);
-        }
+        self.0.advance(now);
     }
 
-    fn finish(&mut self) {
-        if let Some(d) = self.detector.take() {
-            self.results = Some(d.finish());
-        }
-    }
+    /// Nothing to do: [`RsdosPlugin::into_results`] finalizes.
+    fn finish(&mut self) {}
 }
 
-/// Convenience: run a full batch stream through an RSDoS plugin on one
-/// [`IntervalClock`] and return the detected events plus stats.
+/// Run a full time-ordered batch stream through a detector and return the
+/// detected events plus stats.
 pub fn run_rsdos(
-    detector: RsdosDetector,
+    mut detector: RsdosDetector,
     batches: impl IntoIterator<Item = PacketBatch>,
 ) -> (Vec<AttackEvent>, DetectorStats) {
-    let mut plugin = RsdosPlugin::new(detector);
-    let mut clock = IntervalClock::default();
     for batch in batches {
-        clock.feed(&mut plugin, &batch);
+        detector.ingest(&batch);
     }
-    plugin.finish();
-    plugin.into_results()
+    detector.finish()
 }
 
 #[cfg(test)]
@@ -163,45 +106,6 @@ mod tests {
             .collect()
     }
 
-    /// Records every interval boundary and batch it is fed.
-    #[derive(Default)]
-    struct Recorder {
-        boundaries: Vec<u64>,
-        batches: usize,
-    }
-
-    impl TelescopePlugin for Recorder {
-        fn name(&self) -> &'static str {
-            "recorder"
-        }
-
-        fn process_batch(&mut self, _batch: &PacketBatch) {
-            self.batches += 1;
-        }
-
-        fn interval_end(&mut self, now: SimTime) {
-            self.boundaries.push(now.secs());
-        }
-
-        fn finish(&mut self) {}
-    }
-
-    #[test]
-    fn driver_fires_interval_ends() {
-        let mut clock = IntervalClock::default();
-        let mut plugin = Recorder::default();
-        // Three minutes from t=30, then a jump over four idle intervals.
-        let mut batches = flood_batches(30, 180, 1);
-        batches.extend(flood_batches(600, 1, 1));
-        for b in &batches {
-            clock.feed(&mut plugin, b);
-        }
-        assert_eq!(plugin.batches, 181);
-        // The first batch opens an interval without ending one; a gap
-        // fires one boundary, at the start of the interval it lands in.
-        assert_eq!(plugin.boundaries, vec![60, 120, 180, 600]);
-    }
-
     #[test]
     fn rsdos_plugin_end_to_end() {
         let detector = RsdosDetector::with_defaults(Telescope::default_slash8());
@@ -212,17 +116,10 @@ mod tests {
             driver_time = b.ts;
         }
         plugin.interval_end(SimTime(driver_time.secs() + 600));
+        assert_eq!(plugin.live_flows(), 0, "interval_end expired the flow");
         plugin.finish();
         let (events, stats) = plugin.into_results();
         assert_eq!(events.len(), 1);
         assert_eq!(stats.events, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the driver finished")]
-    fn into_results_requires_finish() {
-        let detector = RsdosDetector::with_defaults(Telescope::default_slash8());
-        let plugin = RsdosPlugin::new(detector);
-        let _ = plugin.into_results();
     }
 }

@@ -7,16 +7,16 @@
 //! whole run — no thread spawn per day, no per-day re-partitioning. A
 //! day is shared with every worker as one [`Routed`] value (the
 //! [`TelescopeDay`] plus per-shard row index lists); workers read their
-//! rows and packets in place. Each shard keeps Corsaro's interval model
-//! on its own [`IntervalClock`] and expires idle flows at every 60 s
-//! boundary of its own stream. The flow table, the classifier and the
-//! filter are all victim-local state, so a shard sees every packet of
-//! every flow it owns, in the original order — the single merge at
-//! [`ShardedRsdos::finish`] is byte-identical to a serial run:
+//! rows and packets in place. Each shard's detector keeps Corsaro's
+//! interval model on its own rows: it expires idle flows in the first row
+//! of every later minute of its own stream. The flow table, the
+//! classifier and the filter are all victim-local state, so a shard sees
+//! every packet of every flow it owns, in the original order — the single
+//! merge at [`ShardedRsdos::finish`] is byte-identical to a serial run:
 //!
 //! * flow splits happen on per-flow idle gaps (in `offer`) regardless of
-//!   when an interval ends, so per-shard interval cadence cannot change
-//!   event content;
+//!   when a sweep runs, so per-shard sweep cadence cannot change event
+//!   content;
 //! * the final ordering is the canonical `(start, target)` sort the serial
 //!   detector already produces;
 //! * every [`DetectorStats`] counter is a per-batch or per-flow sum, so
@@ -25,9 +25,8 @@
 
 use crate::detector::{DetectorConfig, DetectorStats, RsdosDetector};
 use crate::packet::{PacketBatch, TelescopeDay};
-use crate::plugin::IntervalClock;
 use crate::Telescope;
-use dosscope_types::{AttackEvent, CaptureRow, Routed, Shard, ShardPool};
+use dosscope_types::{merge_shards, AttackEvent, CaptureRow, Routed, Shard, ShardPool};
 use std::sync::Arc;
 
 /// Route a time-ordered chunk of batches by victim (= packet source)
@@ -43,11 +42,10 @@ pub fn route_batches(batches: Arc<Vec<PacketBatch>>, shards: usize) -> Routed<()
     Routed::by_source(PacketBatch::to_day(&batches), shards)
 }
 
-/// One shard: a detector on its own interval clock (interval boundaries
-/// come from the shard's own rows) and a peak working-set sample.
+/// One shard: a detector (which expires idle flows on its own rows'
+/// clock) and a peak working-set sample.
 struct ShardLane {
     detector: RsdosDetector,
-    clock: IntervalClock,
     peak_live_flows: usize,
 }
 
@@ -59,9 +57,6 @@ impl Shard<()> for ShardLane {
     fn process<'a>(&mut self, day: &'a TelescopeDay, rows: impl Iterator<Item = &'a CaptureRow<()>>) {
         let _detect = dosscope_obs::span!("stage.detect");
         for row in rows {
-            if let Some(now) = self.clock.tick(row.ts) {
-                self.detector.advance(now);
-            }
             self.detector.ingest_packet(row.ts, row.count, day.packet(row.packet));
         }
         self.peak_live_flows = self.peak_live_flows.max(self.detector.live_flows());
@@ -86,7 +81,6 @@ impl ShardedRsdos {
     pub fn new(telescope: Telescope, config: DetectorConfig, shards: usize) -> ShardedRsdos {
         let pool = ShardPool::new("telescope", shards, || ShardLane {
             detector: RsdosDetector::new(telescope, config),
-            clock: IntervalClock::default(),
             peak_live_flows: 0,
         });
         ShardedRsdos { pool }
@@ -109,23 +103,12 @@ impl ShardedRsdos {
         self.ingest_routed(route_batches(Arc::new(batches), self.pool.shards()));
     }
 
-    /// End of trace: drain and finish every shard, then merge once —
-    /// events into the canonical `(start, target)` order, statistics
-    /// summed, and the peak live-flow working set summed over shards (the
-    /// shards run concurrently, so the sum bounds the process-wide peak).
-    /// The merged statistics and the peak are published here, once, as
-    /// the `telescope.*` telemetry counters and gauge.
+    /// End of trace: drain and finish every shard, then merge once
+    /// ([`merge_shards`]). The merged statistics and the peak live-flow
+    /// working set are published here, once, as the `telescope.*`
+    /// telemetry counters and gauge.
     pub fn finish(mut self) -> (Vec<AttackEvent>, DetectorStats, u64) {
-        let results = self.pool.shutdown();
-        let mut events = Vec::new();
-        let mut stats = DetectorStats::default();
-        let mut peak = 0u64;
-        for (ev, st, pk) in results {
-            events.extend(ev);
-            stats += st;
-            peak += pk;
-        }
-        events.sort_by_key(|e| (e.when.start, e.target));
+        let (events, stats, peak) = merge_shards(self.pool.shutdown());
         dosscope_obs::counter!("telescope.batches").add(stats.backscatter_batches);
         dosscope_obs::counter!("telescope.backscatter_packets").add(stats.backscatter_packets);
         dosscope_obs::counter!("telescope.flows_expired").add(stats.flows_finalized);

@@ -90,8 +90,9 @@ proptest! {
 
     /// Sweep-cadence independence: a detector advanced on an arbitrary
     /// schedule, always at some `now` no later than the next batch, ends
-    /// with the same events and stats as one that is never advanced. A
-    /// flow expires by its own idle gap, not by when sweeps run.
+    /// with the same events and stats as one that only expires flows on
+    /// its own once-a-minute clock. A flow expires by its own idle gap,
+    /// not by when sweeps run.
     #[test]
     fn advance_schedule_does_not_change_events(
         attacks in proptest::collection::vec(arb_attack(), 1..6),
@@ -105,14 +106,14 @@ proptest! {
             ..DetectorConfig::default()
         };
         let mut advanced = RsdosDetector::new(Telescope::default_slash8(), config);
-        let mut never = RsdosDetector::new(Telescope::default_slash8(), config);
+        let mut self_clocked = RsdosDetector::new(Telescope::default_slash8(), config);
         // Each step: advance after `gap` more batches, `frac` percent of
         // the way from this batch's time to the next one's.
         let mut steps = schedule.iter().cycle();
         let (mut gap, mut frac) = *steps.next().expect("non-empty schedule");
         for (i, b) in batches.iter().enumerate() {
             advanced.ingest(b);
-            never.ingest(b);
+            self_clocked.ingest(b);
             gap -= 1;
             if gap == 0 {
                 let now = b.ts.secs();
@@ -123,7 +124,7 @@ proptest! {
         }
         let last = batches.last().expect("non-empty script").ts.secs();
         advanced.advance(SimTime(last + tail));
-        prop_assert_eq!(advanced.finish(), never.finish());
+        prop_assert_eq!(advanced.finish(), self_clocked.finish());
     }
 
     /// Flow splitting: the same script with a shorter flow timeout never

@@ -13,6 +13,12 @@
 //! wheel needs no stale-entry check and the values carry no wheel state.
 //! A sweep costs O(idle + re-filed) and touches an entry at most once per
 //! timeout window, never O(live entries).
+//!
+//! The wheel's buckets are also the detectors' expiry clock:
+//! [`IdleMap::expire`] sweeps when time enters a later bucket, so the
+//! flow table (60 s buckets) expires idle flows once a minute, as a
+//! Corsaro plugin does at each interval end, and the fleet (1 h buckets)
+//! closes idle events once an hour.
 
 use crate::fasthash::FastMap;
 use crate::time::SimTime;
@@ -41,6 +47,8 @@ pub struct IdleMap<K, V> {
     /// `last / granularity` for some `last` at or before its value's
     /// current last activity; a `BTreeMap` keeps the oldest bucket first.
     wheel: BTreeMap<u64, Vec<K>>,
+    /// Start of the bucket after the one `expire` last swept in.
+    next_expiry: u64,
 }
 
 impl<K: Copy + Eq + Hash, V: LastActive> IdleMap<K, V> {
@@ -53,6 +61,7 @@ impl<K: Copy + Eq + Hash, V: LastActive> IdleMap<K, V> {
             timeout_secs,
             granularity: timeout_secs.clamp(1, max_bucket_secs),
             wheel: BTreeMap::new(),
+            next_expiry: 0,
         }
     }
 
@@ -118,6 +127,23 @@ impl<K: Copy + Eq + Hash, V: LastActive> IdleMap<K, V> {
             self.wheel.entry(bucket).or_default().push(key);
         }
         idle
+    }
+
+    /// The expiry clock for a time-ordered stream: sweep at `now` when it
+    /// enters a later wheel bucket than the last call that swept, and
+    /// return nothing otherwise. The first call always sweeps.
+    ///
+    /// Because the stream is time-ordered, a value idle at `now` stays
+    /// idle at every later time, so sweeping early removes exactly the
+    /// values that a per-key idle check on their next update would end
+    /// anyway; it only bounds the map by the keys active within the
+    /// timeout instead of the whole trace.
+    pub fn expire(&mut self, now: SimTime) -> Vec<V> {
+        if now.secs() < self.next_expiry {
+            return Vec::new();
+        }
+        self.next_expiry = (now.secs() / self.granularity + 1).saturating_mul(self.granularity);
+        self.sweep(now)
     }
 
     /// Remove and return every value, in no set order.
@@ -260,6 +286,66 @@ mod tests {
             check(&ops, timeout, cap, |j| timeout + j % timeout.min(120))?;
             check(&ops, timeout, cap, |j| j)?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `expire` on a time-ordered stream sweeps exactly once per wheel
+        /// bucket it enters, and then returns what `sweep` returns at that
+        /// instant: a twin map swept on the first call in each new bucket
+        /// (found by dividing the time) removes the same values, and the
+        /// clock then points at the start of the next bucket.
+        #[test]
+        fn expire_sweeps_once_per_bucket(
+            touches in proptest::collection::vec((0u8..16, 0u64..200), 1..200),
+            timeout in 1u64..=1_000,
+            wide_buckets in any::<bool>(),
+        ) {
+            let cap = if wide_buckets { 3_600 } else { 60 };
+            let mut clocked: IdleMap<u8, Session> = IdleMap::new(timeout, cap);
+            let mut twin: IdleMap<u8, Session> = IdleMap::new(timeout, cap);
+            let granularity = clocked.granularity;
+            let (mut now, mut swept_bucket) = (0u64, None);
+            for &(key, gap) in &touches {
+                now += gap;
+                let bucket = now / granularity;
+                let want = if swept_bucket < Some(bucket) {
+                    swept_bucket = Some(bucket);
+                    twin.sweep(SimTime(now))
+                } else {
+                    Vec::new()
+                };
+                prop_assert_eq!(sorted(clocked.expire(SimTime(now))), sorted(want), "t={}", now);
+                prop_assert_eq!(clocked.next_expiry, (bucket + 1) * granularity);
+                for map in [&mut clocked, &mut twin] {
+                    map.get_or_insert_with(key, || Session { key, first: now, last: now })
+                        .last = now;
+                }
+            }
+            prop_assert_eq!(sorted(clocked.drain().collect()), sorted(twin.drain().collect()));
+        }
+    }
+
+    /// Timeout 100 s, 60 s buckets: the first call sweeps; a second call in
+    /// the same bucket does not, even once an entry has gone idle; the
+    /// first call in a later bucket sweeps at its own instant.
+    #[test]
+    fn expire_waits_for_the_next_bucket() {
+        let mut map: IdleMap<u8, Session> = IdleMap::new(100, 60);
+        assert!(map.expire(SimTime(0)).is_empty());
+        let first = Session {
+            key: 1,
+            first: 0,
+            last: 0,
+        };
+        map.get_or_insert_with(1, || first);
+        assert!(map.expire(SimTime(59)).is_empty());
+        assert!(map.expire(SimTime(100)).is_empty(), "live at 100");
+        // Idle from 101 on, but the bucket [60, 120) was already swept.
+        assert!(map.expire(SimTime(119)).is_empty());
+        assert_eq!(map.expire(SimTime(125)), vec![first]);
+        assert!(map.is_empty() && map.wheel.is_empty());
     }
 
     /// An entry that was active when its bucket comes up is re-filed and

@@ -36,7 +36,7 @@ pub use idle::{IdleMap, LastActive};
 pub use index::BitSet;
 pub use intern::Interner;
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
-pub use pool::{Routed, Shard, ShardPool};
+pub use pool::{merge_shards, Routed, Shard, ShardPool};
 pub use shard::shard_of_source;
 pub use stats::{rank, tally, Ecdf, FrozenEcdf, LogHistogram, TimeSeries};
 pub use time::{

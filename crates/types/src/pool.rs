@@ -46,6 +46,7 @@
 //! disabled pipeline pays a few relaxed loads per *day*, never per
 //! item, and no clock read.
 
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
@@ -53,6 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::bytes::{CaptureDay, CaptureRow};
+use crate::event::AttackEvent;
 use crate::shard::shard_of_source;
 use dosscope_obs::Gauge;
 
@@ -343,6 +345,25 @@ impl<Tag, S: Shard<Tag>> Drop for ShardPool<Tag, S> {
             }
         }
     }
+}
+
+/// The one merge of a sharded detector's per-shard outputs (events,
+/// statistics, peak working set), as [`ShardPool::shutdown`] returns them
+/// in shard order: events concatenated and stably sorted by `(start,
+/// target, reflection protocol)`, statistics summed, and peaks summed (the
+/// shards run concurrently, so the sum bounds the process-wide peak).
+/// One target never spans shards, so the result equals a serial run's.
+pub fn merge_shards<Stats: Default + AddAssign>(
+    outputs: Vec<(Vec<AttackEvent>, Stats, u64)>,
+) -> (Vec<AttackEvent>, Stats, u64) {
+    let (mut events, mut total, mut peaks) = (Vec::new(), Stats::default(), 0);
+    for (shard_events, stats, peak) in outputs {
+        events.extend(shard_events);
+        total += stats;
+        peaks += peak;
+    }
+    events.sort_by_key(|e| (e.when.start, e.target, e.reflection_protocol()));
+    (events, total, peaks)
 }
 
 #[cfg(test)]

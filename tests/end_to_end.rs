@@ -3,13 +3,16 @@
 //! report — at a reduced scale.
 
 use dosscope_amppot::{HoneypotId, RequestBatch};
-use dosscope_core::report::{Table1, Table2, Table3, Table4, Table5, Table6, Table7, Table8};
+use dosscope_core::report::{
+    DistributionFigure, Figure1, Figure5, Table1, Table2, Table3, Table4, Table5, Table6, Table7,
+    Table8,
+};
 use dosscope_core::{Enricher, EventStore, Framework, JointAnalysis};
 use dosscope_harness::experiments::Experiments;
 use dosscope_harness::{scenario, Scenario, ScenarioConfig, World};
 use dosscope_telescope::PacketBatch;
 use dosscope_types::{
-    AttackEvent, DayIndex, EventSource, ReflectionProtocol, SimTime, SECS_PER_DAY,
+    AttackEvent, DayIndex, EventSource, ReflectionProtocol, SimTime, TimeRange, SECS_PER_DAY,
 };
 use dosscope_wire::builder;
 use std::net::Ipv4Addr;
@@ -262,6 +265,69 @@ fn incremental_store_matches_batch() {
         let fw = Framework::new(&store, &world.geo, &world.asdb, world.days);
         assert_eq!(Table1::build(&fw).rows, want_t1.rows, "Table 1, reversed={reversed}");
         assert_eq!(JointAnalysis::run(&store, &enricher), want_joint, "reversed={reversed}");
+    }
+}
+
+/// Day-shift relation: every event moved `k` whole days later, read over
+/// a window `k` days longer, leaves Tables 1 and 4-8, Figures 2-4 and the
+/// joint-attack counts identical, and shifts Figure 1's and Figure 5's
+/// daily series by `k` days, with `k` leading zeros. The Web and
+/// migration analyses are left out: they join on the zone's per-day
+/// placements, which do not shift.
+#[test]
+fn shifting_every_event_by_whole_days_shifts_only_the_daily_series() {
+    let world = world();
+    let base = Framework::new(&world.store, &world.geo, &world.asdb, world.days);
+    let enricher = Enricher::new(&world.geo, &world.asdb);
+    let shares = |fw: &Framework<'_>| {
+        let mut figures = Vec::new();
+        for source in [EventSource::Telescope, EventSource::Honeypot] {
+            figures.push(format!("{:?}", DistributionFigure::durations(fw, source)));
+            figures.push(format!("{:?}", DistributionFigure::intensities(fw, source)));
+        }
+        figures.push(format!("{:?}", DistributionFigure::intensities_per_protocol(fw)));
+        (
+            format!("{:?}", Table1::build(fw)),
+            format!("{:?}", Table4::build(fw)),
+            format!("{:?}", Table5::build(fw)),
+            format!("{:?}", Table6::build(fw)),
+            format!("{:?}", Table7::build(fw)),
+            format!("{:?}", Table8::build(fw)),
+            figures,
+            JointAnalysis::run(fw.store, &enricher),
+        )
+    };
+    let daily = |fw: &Framework<'_>| {
+        let (f1, f5) = (Figure1::build(fw), Figure5::build(fw));
+        [f1.telescope, f1.honeypot, f1.combined, f5.series]
+            .into_iter()
+            .flat_map(|s| [s.attacks, s.targets, s.blocks16, s.asns])
+            .map(|series| series.values().to_vec())
+            .collect::<Vec<_>>()
+    };
+    let (want_shares, want_daily) = (shares(&base), daily(&base));
+    assert!(want_daily[0].iter().sum::<f64>() > 0.0, "the telescope saw attacks");
+    for k in [1u32, 45] {
+        let shift = |events: &[AttackEvent]| -> Vec<AttackEvent> {
+            let by = u64::from(k) * SECS_PER_DAY;
+            let moved = |t: SimTime| SimTime(t.secs() + by);
+            events
+                .iter()
+                .map(|e| AttackEvent {
+                    when: TimeRange::new(moved(e.when.start), moved(e.when.end)),
+                    ..e.clone()
+                })
+                .collect()
+        };
+        let mut store = EventStore::new();
+        store.ingest_telescope(shift(world.store.telescope()));
+        store.ingest_honeypot(shift(world.store.honeypot()));
+        let fw = Framework::new(&store, &world.geo, &world.asdb, world.days + k);
+        assert!(shares(&fw) == want_shares, "shares moved under a {k}-day shift");
+        let leading = vec![0.0; k as usize];
+        let shifted: Vec<Vec<f64>> =
+            want_daily.iter().map(|series| [&leading[..], series].concat()).collect();
+        assert!(daily(&fw) == shifted, "daily series not shifted by {k} days");
     }
 }
 
